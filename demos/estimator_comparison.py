@@ -3,7 +3,7 @@ Paired-seed estimator comparison from scenario files
 ====================================================
 
 The comparison runner executes plain, cv-single, and cv-multi on the same
-per-run random streams (paired seeds), so the variance-ratio column is a
+per-run random draws (paired seeds), so the variance-ratio column is a
 clean head-to-head: multi <= single <= plain up to sampling noise.
 """
 

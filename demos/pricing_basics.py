@@ -25,7 +25,8 @@ from cvmc import (
 model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
 print(f"daily log-return law: Normal({model.daily_mean:.3e}, {model.daily_variance:.3e})")
 
-# Each run index is its own reproducible random stream.
+# Each run index has its own reproducible draws: a row of the Philox block
+# keyed (seed, index // 4096).
 for run in range(3):
     x = sample_log_returns(model, 5, SeedSpec(seed=42, stream_index=run))
     path = build_path(model, x)

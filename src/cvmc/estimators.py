@@ -3,13 +3,19 @@
 The control-variate estimator replaces each payoff Y with
 W = Y + sum_i beta_i * (C_i - E[C_i]), where the controls C_i are daily
 log-returns (or a linear combination of them) whose means are exact
-model quantities. Coefficients default to a pilot phase on independent
-streams, which keeps the main-phase estimator exactly unbiased; the
-in-sample mode reuses the estimation sample and carries an O(1/R) bias.
+model quantities. Coefficients default to a pilot phase on runs disjoint
+from the main phase, which keeps the main-phase estimator exactly
+unbiased; the in-sample mode reuses the estimation sample and carries an
+O(1/R) bias.
 
-Moments are tracked in one pass with merge support, so large run counts
-never hold samples in memory and batches can be processed independently
-and merged in ascending batch order.
+Runs are simulated in batches cut at multiples of batch_size from run 0,
+and moments are tracked in one pass with merge support, so large run
+counts never hold samples in memory. With pilot coefficients, one pass
+serves both phases: runs below the pilot count estimate the coefficients,
+which are fixed at the boundary, and the later runs feed the main-phase
+moments of (Y, controls, W). Those track only the means, cov(Y, .) and
+the variances, O(runs * n); the full covariance matrix is built only
+where it is read: in-sample coefficients and sweep_diagnostic.
 """
 
 from __future__ import annotations
@@ -40,9 +46,18 @@ DEGENERATE_CONTROL_TOLERANCE = 1e-14
 DEFAULT_BATCH_SIZE = 4096
 DEFAULT_PILOT_FRACTION = 0.1
 
+# Values per block when MomentAccumulator centers a batch without the full
+# covariance (256 KiB of doubles, which stays in a typical L2 cache).
+_CENTERED_BLOCK = 2**15
+
 
 class MomentAccumulator:
-    """One-pass mean/covariance tracker for a fixed set of variables.
+    """One-pass mean and covariance tracker for a fixed set of variables.
+
+    With ``full_covariance`` (the default) it tracks the whole covariance
+    matrix. Without it, it tracks only what the control-variate pass
+    reads, at O(dim) cost per row: row 0 of the covariance (variable 0
+    against every variable) and the diagonal.
 
     Accumulates observations one at a time or in batches and supports
     merging two accumulators built from disjoint sample sets; merging is
@@ -50,13 +65,16 @@ class MomentAccumulator:
     single-pass result when merges happen in a fixed order.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, full_covariance: bool = True):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
+        self.full_covariance = full_covariance
         self._count = 0
         self._mean = np.zeros(dim)
-        self._m2 = np.zeros((dim, dim))  # sum of centered outer products
+        # Sums of centered products: the (dim, dim) matrix, or its row 0
+        # stacked on its diagonal.
+        self._m2 = np.zeros((dim, dim) if full_covariance else (2, dim))
 
     @property
     def count(self) -> int:
@@ -66,14 +84,26 @@ class MomentAccumulator:
     def mean(self) -> np.ndarray:
         return self._mean.copy()
 
+    def _products(self, xs: np.ndarray, center: np.ndarray) -> np.ndarray:
+        """Sums of products of the rows of xs centered on center."""
+        if self.full_covariance:
+            centered = xs - center
+            return centered.T @ centered
+        # Centered in row blocks of at most _CENTERED_BLOCK values, so that
+        # the temporary stays in cache for the two products that read it.
+        out = np.zeros((2, self.dim))
+        step = max(1, _CENTERED_BLOCK // self.dim)
+        for lo in range(0, xs.shape[0], step):
+            centered = xs[lo : lo + step] - center
+            out[0] += np.einsum("i,ij->j", centered[:, 0], centered)
+            out[1] += np.einsum("ij,ij->j", centered, centered)
+        return out
+
     def add(self, x) -> None:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
-        self._count += 1
-        delta = x - self._mean
-        self._mean += delta / self._count
-        self._m2 += np.outer(delta, delta) * ((self._count - 1) / self._count)
+        self.add_batch(x[None, :])
 
     def add_batch(self, xs) -> None:
         xs = np.asarray(xs, dtype=float)
@@ -82,20 +112,21 @@ class MomentAccumulator:
         runs = xs.shape[0]
         if runs == 0:
             return
-        col_mean = xs.mean(axis=0)
+        col_mean = np.einsum("ij->j", xs) / runs
         # A constant column must yield exactly zero variance, so center it
-        # on the exact value rather than the rounded mean.
-        constant = np.all(xs == xs[0], axis=0)
-        if constant.any():
-            col_mean = np.where(constant, xs[0], col_mean)
-        centered = xs - col_mean
-        m2 = np.einsum("bi,bj->ij", centered, centered)
-        self._merge_parts(runs, col_mean, m2)
+        # on the exact value rather than the rounded mean. Without the full
+        # covariance only variable 0 (the payoff) is checked: the others
+        # are controls, never constant, and W, constant only with it.
+        if self.full_covariance:
+            col_mean = np.where(np.all(xs == xs[0], axis=0), xs[0], col_mean)
+        elif (xs[:, 0] == xs[0, 0]).all():
+            col_mean[0] = xs[0, 0]
+        self._merge_parts(runs, col_mean, self._products(xs, col_mean))
 
     def merge(self, other: "MomentAccumulator") -> None:
         """Fold another accumulator (over a disjoint sample set) into this one."""
-        if other.dim != self.dim:
-            raise ValueError("cannot merge accumulators of different dimension")
+        if other.dim != self.dim or other.full_covariance != self.full_covariance:
+            raise ValueError("cannot merge accumulators of different dimension or kind")
         self._merge_parts(other._count, other._mean, other._m2)
 
     def _merge_parts(self, count_b: int, mean_b: np.ndarray, m2_b: np.ndarray) -> None:
@@ -104,30 +135,44 @@ class MomentAccumulator:
         count_a = self._count
         total = count_a + count_b
         if count_a == 0:
-            self._count = count_b
-            self._mean = mean_b.copy()
-            self._m2 = m2_b.copy()
+            # Moment arrays are only ever replaced, never updated in place,
+            # so sharing them with another accumulator is safe.
+            self._count, self._mean, self._m2 = count_b, mean_b, m2_b
             return
         delta = mean_b - self._mean
         self._mean = self._mean + delta * (count_b / total)
-        self._m2 = self._m2 + m2_b + np.outer(delta, delta) * (count_a * count_b / total)
+        self._m2 = self._m2 + m2_b + self._products(delta[None, :], 0.0) * (count_a * count_b / total)
         self._count = total
 
     def copy(self) -> "MomentAccumulator":
-        out = MomentAccumulator(self.dim)
+        out = MomentAccumulator(self.dim, self.full_covariance)
         out._count = self._count
         out._mean = self._mean.copy()
         out._m2 = self._m2.copy()
         return out
 
-    def covariance(self) -> np.ndarray:
-        """Unbiased (count-1 denominator) covariance matrix."""
+    def _denominator(self) -> int:
         if self._count < 2:
             raise ValueError(f"covariance undefined for count={self._count} (< 2)")
-        return self._m2 / (self._count - 1)
+        return self._count - 1
+
+    def covariance(self) -> np.ndarray:
+        """Unbiased (count-1 denominator) covariance matrix."""
+        if not self.full_covariance:
+            raise ValueError("this accumulator tracks only row 0 and the diagonal of the covariance")
+        return self._m2 / self._denominator()
+
+    def cross(self) -> np.ndarray:
+        """Unbiased covariances of variable 0 with every variable (row 0)."""
+        return self._m2[0] / self._denominator()
+
+    def variances(self) -> np.ndarray:
+        """Unbiased variances of every variable (the diagonal)."""
+        diagonal = np.diag(self._m2) if self.full_covariance else self._m2[1]
+        return diagonal / self._denominator()
 
     def variance(self, i: int = 0) -> float:
-        return float(self.covariance()[i, i])
+        return float(self.variances()[i])
 
     def correlation(self, i: int, j: int) -> float:
         cov = self.covariance()
@@ -241,34 +286,109 @@ class _Controls:
         return (log_returns @ self._weights)[:, None]
 
 
+def _require_finite(values: np.ndarray, what: str, spec: ContractSpec, lo: int, hi: int) -> None:
+    if not np.isfinite(values).all():
+        strike = "" if spec.strike is None else f", strike {spec.strike}"
+        raise ValueError(
+            f"non-finite {what} in runs {lo}..{hi - 1} of {spec.kind} "
+            f"({spec.days_to_maturity} days{strike}): the simulated prices overflow floating point"
+        )
+
+
+def _batches(
+    model: MarketModel,
+    spec: ContractSpec,
+    seed: int,
+    runs: int,
+    batch_size: int,
+    width: int,
+):
+    """Simulate runs 0..runs-1 in batches cut at multiples of batch_size.
+
+    Yields (lo, log-returns, payoffs, batch) per batch. batch is an
+    uninitialised (rows, width) array for the caller's moment rows, with
+    width >= n: its memory holds the prices, laid out contiguously, until
+    the payoffs are taken. The log-returns and batch arrays are reused by
+    the next batch: allocating them afresh for every batch hands their
+    pages back to the operating system and faults them in again.
+    A non-finite payoff raises instead of reaching the moments.
+    """
+    n = spec.days_to_maturity
+    sampler = LogReturnSampler(model, n, seed)
+    rows = min(batch_size, runs)
+    x_buffer, batch_buffer = np.empty((rows, n)), np.empty((rows, width))
+    for lo in range(0, runs, batch_size):
+        hi = min(lo + batch_size, runs)
+        x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
+        batch = batch_buffer[: hi - lo]
+        prices = prices_from_log_returns(model, x, out=batch.reshape(-1)[: x.size].reshape(x.shape))
+        y = discounted_payoff(model, spec, prices)
+        _require_finite(y, "payoff", spec, lo, hi)
+        yield lo, x, y, batch
+
+
 def _accumulate(
     model: MarketModel,
     spec: ContractSpec,
     seed: int,
-    lo: int,
-    hi: int,
+    runs: int,
     controls: _Controls | None,
     batch_size: int,
     extra_prices: bool = False,
 ) -> MomentAccumulator:
-    """Moments of (Y, controls...) over runs lo..hi-1, batch-merged in order."""
-    sampler = LogReturnSampler(model, spec.days_to_maturity, seed)
-    dim = 1 + (controls.dim if controls is not None else 0)
-    if extra_prices:
-        dim += spec.days_to_maturity
+    """Full moments of (Y, controls..., prices...) over runs 0..runs-1, batch-merged in order."""
+    n = spec.days_to_maturity
+    q = controls.dim if controls is not None else 0
+    dim = 1 + q + (n if extra_prices else 0)
     acc = MomentAccumulator(dim)
-    for block_lo in range(lo, hi, batch_size):
-        block_hi = min(block_lo + batch_size, hi)
-        x = sampler.rows(block_lo, block_hi)
-        prices = prices_from_log_returns(model, x)
-        y = discounted_payoff(model, spec, prices)
-        cols = [y[:, None]]
+    for lo, x, y, batch in _batches(model, spec, seed, runs, batch_size, max(dim, n)):
+        batch[:, 0] = y
         if controls is not None:
-            cols.append(controls.values(x))
+            batch[:, 1 : 1 + q] = controls.values(x)
         if extra_prices:
-            cols.append(prices)
-        acc.add_batch(np.hstack(cols))
+            prices = prices_from_log_returns(model, x, out=batch[:, 1 + q : dim])
+            _require_finite(prices, "price", spec, lo, lo + len(y))
+        acc.add_batch(batch[:, :dim])
     return acc
+
+
+def _pilot_pass(
+    model: MarketModel,
+    spec: ContractSpec,
+    seed: int,
+    runs: int,
+    pilot_runs: int,
+    controls: _Controls,
+    batch_size: int,
+    sample_control_variance: bool,
+) -> tuple[np.ndarray, list[str], MomentAccumulator]:
+    """One pass over runs 0..runs-1 for pilot-phase coefficients.
+
+    Runs below pilot_runs feed the lean moments of (Y, controls); the
+    coefficients are fixed from them at the boundary. The later runs feed
+    the lean moments of (Y, controls, W), W = Y + C @ beta - E[C] @ beta,
+    so the estimate and var(W) are read straight from the main moments.
+    """
+    q = controls.dim
+    pilot = MomentAccumulator(1 + q, full_covariance=False)
+    main = MomentAccumulator(2 + q, full_covariance=False)
+    betas, notes, offset = None, [], 0.0
+    width = max(2 + q, spec.days_to_maturity)
+    for lo, x, y, batch in _batches(model, spec, seed, runs, batch_size, width):
+        c = controls.values(x)
+        batch[:, 0] = y
+        batch[:, 1 : 1 + q] = c
+        split = min(max(pilot_runs - lo, 0), len(c))
+        if split > 0:
+            pilot.add_batch(batch[:split, : 1 + q])
+        if split == len(c):
+            continue
+        if betas is None:
+            betas, notes = _coefficients(pilot, controls, sample_control_variance)
+            offset = controls.means @ betas
+        batch[split:, 1 + q] = y[split:] + np.einsum("ij,j->i", c[split:], betas) - offset
+        main.add_batch(batch[split:, : 2 + q])
+    return betas, notes, main
 
 
 def plain_estimate(
@@ -281,7 +401,7 @@ def plain_estimate(
     """Plain Monte Carlo: mean of Y over `runs` independent paths."""
     if runs < 2:
         raise ValueError(f"runs must be >= 2 (variance undefined below that), got {runs}")
-    acc = _accumulate(model, spec, seed, 0, runs, None, batch_size)
+    acc = _accumulate(model, spec, seed, runs, None, batch_size)
     variance = acc.variance(0)
     return EstimatorReport(
         estimate=float(acc.mean[0]),
@@ -297,10 +417,10 @@ def optimal_c(acc: MomentAccumulator) -> float:
 
     The accumulator's first variable is Y, its second the control V.
     """
-    cov = acc.covariance()
-    if cov[1, 1] == 0.0:
+    var_v = acc.variances()[1]
+    if var_v == 0.0:
         raise ValueError("degenerate control: sample variance of V is zero")
-    return float(-cov[0, 1] / cov[1, 1])
+    return float(-acc.cross()[1] / var_v)
 
 
 def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -> np.ndarray:
@@ -310,13 +430,12 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
     `variances` overrides the sample variances in the denominators with
     exact model values (the engine default for log-return controls).
     """
-    cov = acc.covariance()
-    denominators = np.diag(cov)[1:] if variances is None else np.asarray(variances, dtype=float)
+    denominators = acc.variances()[1:] if variances is None else np.asarray(variances, dtype=float)
     if denominators.shape != (acc.dim - 1,):
         raise ValueError(f"expected {acc.dim - 1} variances, got shape {denominators.shape}")
     if np.any(denominators == 0.0):
         raise ValueError("degenerate control: a control has zero variance")
-    return -cov[0, 1:] / denominators
+    return -acc.cross()[1:] / denominators
 
 
 def insample_variance(acc: MomentAccumulator, betas: np.ndarray) -> float:
@@ -342,27 +461,31 @@ def best_linear_variance_ratio(acc: MomentAccumulator) -> float:
     return float(1.0 - (cross @ betas) / var_y)
 
 
+def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> np.ndarray:
+    """corr(Y, C_i) from the moments, 0 where a variance is 0."""
+    scale = np.sqrt(var_y * control_vars)
+    correlations = np.divide(cross, scale, out=np.zeros(len(cross)), where=scale > 0.0)
+    return np.clip(correlations, -1.0, 1.0, out=correlations)
+
+
+def _predicted(var_y: float, correlations: np.ndarray, control_vars: np.ndarray, form: str) -> float:
+    if form == FORM_NONE or var_y == 0.0:
+        return 1.0
+    if not (control_vars > 0.0).any():
+        raise ValueError("degenerate control: every control has zero sample variance")
+    if form == FORM_MULTI:
+        return float(1.0 - correlations @ correlations)
+    return float(1.0 - correlations[0] ** 2)
+
+
 def predicted_ratio(acc: MomentAccumulator, control: ControlSpec) -> float:
     """Variance ratio predicted from sample correlations.
 
     1 - sum_i corr^2(Y, C_i) for multi_log_returns; 1 - corr^2(Y, V) for
     the one-control forms; 1 for no control.
     """
-    if control.form == FORM_NONE:
-        return 1.0
-    cov = acc.covariance()
-    var_y = cov[0, 0]
-    if var_y == 0.0:
-        return 1.0
-    corr_sq = np.zeros(acc.dim - 1)
-    control_vars = np.diag(cov)[1:]
-    ok = control_vars > 0.0
-    corr_sq[ok] = cov[0, 1:][ok] ** 2 / (var_y * control_vars[ok])
-    if not ok.any():
-        raise ValueError("degenerate control: every control has zero sample variance")
-    if control.form == FORM_MULTI:
-        return float(1.0 - corr_sq.sum())
-    return float(1.0 - corr_sq[0])
+    var_y, control_vars = acc.variance(0), acc.variances()[1:]
+    return _predicted(var_y, _correlations(var_y, acc.cross()[1:], control_vars), control_vars, control.form)
 
 
 def _coefficients(
@@ -371,25 +494,23 @@ def _coefficients(
     sample_control_variance: bool,
 ) -> tuple[np.ndarray, list[str]]:
     """Control multipliers from an accumulator, with degenerate controls zeroed."""
-    cov = acc.covariance()
     if sample_control_variance:
-        variances = np.diag(cov)[1:].copy()
+        variances = acc.variances()[1:]
         second_moment = variances + acc.mean[1:] ** 2
     else:
         variances = controls.exact_variances.copy()
         second_moment = variances + controls.means**2
     usable = variances > DEGENERATE_CONTROL_TOLERANCE * np.maximum(second_moment, 1e-300)
-    notes: list[str] = []
+    if usable.all():
+        return -acc.cross()[1:] / variances, []
     if not usable.any():
         raise ValueError("degenerate control: every control variance is (numerically) zero")
-    if not usable.all():
-        dropped = int((~usable).sum())
-        message = f"{dropped} degenerate control(s) dropped (coefficient set to 0)"
-        warnings.warn(message)
-        notes.append(message)
+    dropped = int((~usable).sum())
+    message = f"{dropped} degenerate control(s) dropped (coefficient set to 0)"
+    warnings.warn(message)
     betas = np.zeros(controls.dim)
-    betas[usable] = -cov[0, 1:][usable] / variances[usable]
-    return betas, notes
+    betas[usable] = -acc.cross()[1:][usable] / variances[usable]
+    return betas, [message]
 
 
 def cv_estimate(
@@ -405,10 +526,10 @@ def cv_estimate(
     """Control-variate estimate of E[Y] over `runs` paths.
 
     With coefficient_source="pilot" the first ceil(pilot_fraction*runs)
-    stream indices estimate the coefficients and the remaining streams
-    produce the estimate, so E[W] = E[Y] exactly. With "in_sample" all
-    runs serve both purposes (the textbook construction, small-sample
-    biased).
+    runs estimate the coefficients and the remaining runs produce the
+    estimate, so E[W] = E[Y] exactly; both phases come from one pass over
+    the runs. With "in_sample" all runs serve both purposes (the textbook
+    construction, small-sample biased).
 
     By default the coefficient denominators use the exact model variances
     of the controls; pass sample_control_variance=True to estimate them
@@ -431,35 +552,34 @@ def cv_estimate(
                 f"pilot split too small: {pilot_runs} pilot / {main_runs} main runs "
                 f"(both must be >= 2)"
             )
-        pilot_acc = _accumulate(model, spec, seed, 0, pilot_runs, controls, batch_size)
-        betas, beta_notes = _coefficients(pilot_acc, controls, sample_control_variance)
+        betas, beta_notes, acc = _pilot_pass(
+            model, spec, seed, runs, pilot_runs, controls, batch_size, sample_control_variance
+        )
         notes.extend(beta_notes)
-        acc = _accumulate(model, spec, seed, pilot_runs, runs, controls, batch_size)
+        variances = acc.variances()
+        var_y, control_vars, var_w = variances[0], variances[1:-1], variances[-1]
+        cross = acc.cross()[1:-1]
+        estimate = float(acc.mean[-1])
     else:
         pilot_runs = 0
         main_runs = runs
-        acc = _accumulate(model, spec, seed, 0, runs, controls, batch_size)
+        acc = _accumulate(model, spec, seed, runs, controls, batch_size)
         betas, beta_notes = _coefficients(acc, controls, sample_control_variance)
         notes.extend(beta_notes)
         notes.append(
             "in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias"
         )
+        variances = acc.variances()
+        var_y, control_vars = variances[0], variances[1:]
+        cross = acc.cross()[1:]
+        estimate = float(acc.mean[0] + betas @ (acc.mean[1:] - controls.means))
+        # var(W) follows exactly from the sample covariance of (Y, controls)
+        # because W is a fixed linear combination of them.
+        var_w = max(insample_variance(acc, betas), 0.0)
 
-    cov = acc.covariance()
-    var_y = cov[0, 0]
-    estimate = float(acc.mean[0] + betas @ (acc.mean[1:] - controls.means))
-    # var(W) follows exactly from the sample covariance of (Y, controls)
-    # because W is a fixed linear combination of them.
-    var_w = max(insample_variance(acc, betas), 0.0)
     ratio = var_w / var_y if var_y > 0.0 else 1.0
-
-    control_vars = np.diag(cov)[1:]
-    correlations = np.zeros(controls.dim)
-    defined = (control_vars > 0.0) & (var_y > 0.0)
-    correlations[defined] = np.clip(
-        cov[0, 1:][defined] / np.sqrt(var_y * control_vars[defined]), -1.0, 1.0
-    )
-    predicted = predicted_ratio(acc, control)
+    correlations = _correlations(var_y, cross, control_vars)
+    predicted = _predicted(var_y, correlations, control_vars, control.form)
     if not -0.05 <= predicted <= 1.05:
         raise ValueError(
             f"predicted variance ratio {predicted:.6g} falls outside [-0.05, 1.05]; "
@@ -500,7 +620,7 @@ def sweep_diagnostic(
     for spec in specs:
         n = spec.days_to_maturity
         controls = _Controls(model, spec, ControlSpec(form=FORM_MULTI))
-        acc = _accumulate(model, spec, seed, 0, runs, controls, batch_size, extra_prices=True)
+        acc = _accumulate(model, spec, seed, runs, controls, batch_size, extra_prices=True)
         cov = acc.covariance()
         var_y = cov[0, 0]
         if var_y == 0.0:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .model import MarketModel, PricePath
 
@@ -126,4 +125,8 @@ def black_scholes_call(model: MarketModel, spec: ContractSpec) -> float:
     sig_sqrt_t = model.volatility * math.sqrt(t)
     d1 = (math.log(s0 / k) + (model.rate + 0.5 * model.volatility**2) * t) / sig_sqrt_t
     d2 = d1 - sig_sqrt_t
-    return s0 * norm.cdf(d1) - k * math.exp(-model.rate * t) * norm.cdf(d2)
+    return s0 * _normal_cdf(d1) - k * math.exp(-model.rate * t) * _normal_cdf(d2)
+
+
+def _normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))

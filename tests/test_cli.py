@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -253,3 +255,10 @@ class TestMainCheckInequality:
 
     def test_zero_trials_rejected(self, capsys):
         assert cli.main(["check-ineq", "--trials", "0"]) == cli.EXIT_VALIDATION
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs ~70 MB and ~1 s to import; cvmc needs none of it
+    code = "import sys, cvmc, cvmc.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

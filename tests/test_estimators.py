@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cvmc import (
     ASIAN_FIXED,
+    ASIAN_FLOATING,
     ContractSpec,
     ControlSpec,
     MarketModel,
@@ -24,6 +25,7 @@ from cvmc import (
     sweep_diagnostic,
 )
 from cvmc.estimators import FORM_CUSTOM, FORM_MULTI, FORM_NONE, FORM_SINGLE
+from cvmc.model import LogReturnSampler
 from cvmc.payoffs import discounted_payoff
 
 MARKET = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
@@ -123,6 +125,54 @@ class TestMomentAccumulator:
         acc = MomentAccumulator(2)
         with pytest.raises(ValueError):
             acc.merge(MomentAccumulator(3))
+
+
+class TestLeanMoments:
+    """Row 0 and the diagonal, tracked without the full covariance."""
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_match_full_covariance_under_splits_and_merges(self, sizes, data_seed):
+        rng = np.random.default_rng(data_seed)
+        data = rng.normal(size=(sum(sizes) + 2, 4)) * [5.0, 1.0, 0.01, 100.0] + [3.0, -1.0, 0.5, 1e3]
+        full = MomentAccumulator(4)
+        full.add_batch(data)
+        lean = MomentAccumulator(4, full_covariance=False)
+        bounds = np.cumsum([0, *sizes, 2]).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if rng.random() < 0.5:
+                lean.add_batch(data[lo:hi])
+            else:
+                part = MomentAccumulator(4, full_covariance=False)
+                part.add_batch(data[lo:hi])
+                lean.merge(part)
+        cov = full.covariance()
+        assert lean.count == full.count
+        assert np.allclose(lean.mean, full.mean, rtol=1e-12, atol=0)
+        assert np.allclose(lean.cross(), cov[0], rtol=1e-12, atol=1e-12 * math.sqrt(cov[0, 0]))
+        assert np.allclose(lean.variances(), np.diag(cov), rtol=1e-12, atol=0)
+        assert np.allclose(full.cross(), cov[0], rtol=1e-15, atol=0)
+
+    def test_constant_payoff_column_has_exactly_zero_variance(self):
+        x = np.random.default_rng(9).normal(size=(9, 3))
+        lean = MomentAccumulator(4, full_covariance=False)
+        for part in (x[:4], x[4:]):
+            lean.add_batch(np.column_stack((np.full(len(part), math.pi), part)))
+        assert lean.mean[0] == math.pi
+        assert lean.variance(0) == 0.0
+        assert np.all(lean.cross() == 0.0)
+
+    def test_full_covariance_refused(self):
+        data = np.column_stack((np.arange(4.0), np.arange(4.0) ** 2))
+        lean = MomentAccumulator(2, full_covariance=False)
+        lean.add_batch(data)
+        with pytest.raises(ValueError, match="row 0 and the diagonal"):
+            lean.covariance()
+        with pytest.raises(ValueError, match="kind"):
+            acc_of(*data.T).merge(lean)
 
 
 class TestOptimalCoefficients:
@@ -349,10 +399,74 @@ class TestCvEstimate:
             sample_control_variance=True,
         )
         assert sampled.coefficients.values[0] != default.coefficients.values[0]
-        assert sampled.coefficients.values[0] == pytest.approx(
-            default.coefficients.values[0], rel=0.1
+        # both divide the same pilot cov(Y, V); only the denominator differs
+        n = ASIAN.days_to_maturity
+        pilot_v = [sample_log_returns(MARKET, n, SeedSpec(13, j)).sum() for j in range(400)]
+        assert sampled.pilot_runs_used == 400
+        assert sampled.coefficients.values[0] / default.coefficients.values[0] == pytest.approx(
+            n * MARKET.daily_variance / np.var(pilot_v, ddof=1), rel=1e-10
         )
         assert abs(sampled.empirical_variance_ratio - default.empirical_variance_ratio) < 0.02
+
+    def test_main_phase_moments_match_full_covariance(self):
+        # var(W) and the estimate of the one-pass lean update equal the
+        # full-covariance quadratic form over the same main-phase runs
+        runs, batch = 3000, 700
+        report = cv_estimate(
+            MARKET, ASIAN, ControlSpec(form=FORM_MULTI), runs, seed=19, batch_size=batch
+        )
+        pilot = report.pilot_runs_used
+        x = LogReturnSampler(MARKET, 30, 19).rows(pilot, runs)
+        y = discounted_payoff(MARKET, ASIAN, prices_from_log_returns(MARKET, x))
+        full = acc_of(y, *x.T)
+        betas = report.coefficients.values
+        var_w = report.standard_error**2 * report.runs_used
+        assert var_w == pytest.approx(insample_variance(full, betas), rel=1e-10)
+        assert report.estimate == pytest.approx(
+            full.mean[0] + betas @ (full.mean[1:] - report.coefficients.control_means), rel=1e-12
+        )
+        assert report.predicted_variance_ratio == pytest.approx(
+            predicted_ratio(full, ControlSpec(form=FORM_MULTI)), rel=1e-10
+        )
+
+    def test_batch_size_changes_rounding_only(self):
+        a = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 5000, seed=23)
+        b = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 5000, seed=23, batch_size=333)
+        assert np.allclose(a.coefficients.values, b.coefficients.values, rtol=1e-10)
+        assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
+        assert a.standard_error == pytest.approx(b.standard_error, rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "market, kind, strike, form",
+        [
+            # volatility 50 alone drives the paths to 0 (drift -sigma^2/2);
+            # a spot near the float limit makes early prices inf
+            ((1e307, 0.05, 50.0), ASIAN_FIXED, 100.0, FORM_MULTI),
+            ((1e307, 0.05, 50.0), ASIAN_FIXED, 100.0, FORM_NONE),
+            # a huge rate overflows exp: inf - inf and 0 * inf give NaN
+            ((100.0, 1000.0, 0.2), ASIAN_FLOATING, None, FORM_SINGLE),
+        ],
+    )
+    def test_non_finite_payoffs_raise(self, market, kind, strike, form):
+        model = MarketModel(*market)
+        spec = ContractSpec(kind=kind, days_to_maturity=252, strike=strike)
+        with pytest.raises(ValueError, match=rf"non-finite payoff in runs 0\.\.999 of {kind} \(252 days"):
+            cv_estimate(model, spec, ControlSpec(form=form), 4000, seed=5, batch_size=1000)
+        with pytest.raises(ValueError, match="non-finite payoff"):
+            cv_estimate(
+                model,
+                spec,
+                ControlSpec(form=FORM_SINGLE, coefficient_source="in_sample"),
+                4000,
+                seed=5,
+            )
+
+    def test_extreme_volatility_alone_stays_finite(self):
+        model = MarketModel(initial_price=100.0, rate=0.05, volatility=50.0)
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
+        report = plain_estimate(model, spec, 2000, seed=5)
+        assert math.isfinite(report.estimate) and math.isfinite(report.standard_error)
 
     def test_in_sample_mode_documents_bias(self):
         report = cv_estimate(
@@ -463,6 +577,17 @@ class TestSweepDiagnostic:
         (row,) = sweep_diagnostic(MARKET, specs, runs=4000, seed=97)
         assert row["corr2_price_combination"] <= 1.0 + 1e-9
         assert row["sum_corr2_log_returns"] <= 1.0 + 1e-9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_price_raises(self):
+        # the terminal and the minimum underflow to 0, so every lookback
+        # payoff is finite, but early prices are inf and enter the moments
+        from cvmc import LOOKBACK_FLOATING
+
+        model = MarketModel(initial_price=1e307, rate=0.05, volatility=50.0)
+        specs = [ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=252)]
+        with pytest.raises(ValueError, match="non-finite price in runs 0..999 of lookback_floating"):
+            sweep_diagnostic(model, specs, runs=4000, seed=5, batch_size=1000)
 
     def test_requires_volatility(self):
         model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)

@@ -12,7 +12,7 @@ from cvmc import (
     log_returns_from_prices,
     sample_log_returns,
 )
-from cvmc.model import LogReturnSampler
+from cvmc.model import STREAM_BLOCK_ROWS, STREAM_CONTRACT_VERSION, LogReturnSampler
 
 
 @pytest.fixture
@@ -98,13 +98,50 @@ class TestSampleLogReturns:
             corr = np.corrcoef(x[:, i], x[:, i + 1])[0, 1]
             assert abs(corr) < 4 / math.sqrt(runs)
 
-    def test_batch_sampler_matches_public_op(self, market):
-        # the fast path must reproduce the per-run operation bit for bit
-        sampler = LogReturnSampler(market, 12, seed=555)
-        rows = sampler.rows(100, 110)
-        for j in range(100, 110):
-            expected = sample_log_returns(market, 12, SeedSpec(555, j))
-            assert np.array_equal(rows[j - 100], expected)
+    def test_batch_sampler_matches_public_op_across_blocks(self, market):
+        # runs 4090..8199 span the end of block 0 and most of block 1
+        lo, hi = STREAM_BLOCK_ROWS - 6, 2 * STREAM_BLOCK_ROWS + 8
+        rows = LogReturnSampler(market, 3, seed=555).rows(lo, hi)
+        assert rows.shape == (hi - lo, 3)
+        for j in range(lo, hi):
+            expected = sample_log_returns(market, 3, SeedSpec(555, j))
+            assert np.array_equal(rows[j - lo], expected)
+
+    def test_stream_contract_blocks(self, market):
+        # run j is row j mod B of the Philox stream keyed (seed, j // B), row-major
+        n, seed = 5, 2**64 - 3
+        rows = LogReturnSampler(market, n, seed).rows(0, STREAM_BLOCK_ROWS + 2)
+        for block in (0, 1):
+            key = np.array([seed, block], dtype=np.uint64)
+            z = np.random.Generator(np.random.Philox(key=key)).standard_normal((2, n))
+            start = block * STREAM_BLOCK_ROWS
+            assert np.array_equal(rows[start : start + 2], market.daily_mean + market.daily_std * z)
+        assert (STREAM_CONTRACT_VERSION, STREAM_BLOCK_ROWS) == (2, 4096)
+
+    @given(st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=8), st.randoms())
+    @settings(max_examples=25, deadline=None)
+    def test_any_partition_gives_the_same_draws(self, sizes, rnd):
+        # batch_size never changes draws: pieces drawn by one sampler, in
+        # ascending or shuffled order, tile the single bulk call exactly
+        bounds = np.cumsum([0, *sizes]).tolist()
+        runs = bounds[-1]
+        market = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
+        whole = LogReturnSampler(market, 2, seed=8).rows(0, runs)
+        pieces = list(zip(bounds, bounds[1:]))
+        for order in (pieces, rnd.sample(pieces, len(pieces))):
+            sampler = LogReturnSampler(market, 2, seed=8)
+            tiled = np.empty_like(whole)
+            for lo, hi in order:
+                tiled[lo:hi] = sampler.rows(lo, hi)
+            assert np.array_equal(tiled, whole)
+
+    def test_rows_rejects_bad_range(self, market):
+        sampler = LogReturnSampler(market, 2, seed=1)
+        assert sampler.rows(5, 5).shape == (0, 2)
+        with pytest.raises(ValueError):
+            sampler.rows(5, 4)
+        with pytest.raises(ValueError):
+            sampler.rows(-1, 2)
 
 
 class TestBuildPath:
