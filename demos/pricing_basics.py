@@ -14,10 +14,9 @@ from cvmc import (
     MarketModel,
     SeedSpec,
     black_scholes_call,
-    build_path,
-    payoff_asian_fixed,
-    payoff_lookback,
+    discounted_payoff,
     plain_estimate,
+    prices_from_log_returns,
     sample_log_returns,
 )
 
@@ -29,16 +28,16 @@ print(f"daily log-return law: Normal({model.daily_mean:.3e}, {model.daily_varian
 # keyed (seed, index // 4096).
 for run in range(3):
     x = sample_log_returns(model, 5, SeedSpec(seed=42, stream_index=run))
-    path = build_path(model, x)
-    print(f"run {run}: first five closes {np.round(path.prices, 2)}")
+    prices = prices_from_log_returns(model, x)
+    print(f"run {run}: first five closes {np.round(prices, 2)}")
 
-# Payoffs act on one path at a time.
+# Payoffs act on the closing prices of one path (n,) or a batch (runs, n).
 x = sample_log_returns(model, 30, SeedSpec(seed=42, stream_index=0))
-path = build_path(model, x)
+prices = prices_from_log_returns(model, x)
 asian = ContractSpec(kind="asian_fixed_strike", days_to_maturity=30, strike=100.0)
 lookback = ContractSpec(kind="lookback_floating", days_to_maturity=30)
-print(f"\nasian fixed-strike payoff on run 0:  {payoff_asian_fixed(model, asian, path):.4f}")
-print(f"lookback floating payoff on run 0:   {payoff_lookback(model, lookback, path):.4f}")
+print(f"\nasian fixed-strike payoff on run 0:  {discounted_payoff(model, asian, prices):.4f}")
+print(f"lookback floating payoff on run 0:   {discounted_payoff(model, lookback, prices):.4f}")
 
 # Plain Monte Carlo on the vanilla call converges to the closed form.
 call = ContractSpec(kind="european_call", days_to_maturity=252, strike=100.0)

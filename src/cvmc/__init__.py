@@ -20,17 +20,13 @@ from .estimators import (
     cv_estimate,
     insample_variance,
     optimal_betas,
-    optimal_c,
     plain_estimate,
     predicted_ratio,
     sweep_diagnostic,
 )
 from .model import (
     MarketModel,
-    PricePath,
     SeedSpec,
-    build_path,
-    log_returns_from_prices,
     prices_from_log_returns,
     sample_log_returns,
 )
@@ -54,21 +50,14 @@ from .payoffs import (
     black_scholes_call,
     discount_factor,
     discounted_payoff,
-    payoff_asian_fixed,
-    payoff_asian_floating,
-    payoff_european_call,
-    payoff_lookback,
 )
 
 __all__ = [
     "__version__",
     "MarketModel",
     "SeedSpec",
-    "PricePath",
     "sample_log_returns",
-    "build_path",
     "prices_from_log_returns",
-    "log_returns_from_prices",
     "ContractSpec",
     "CONTRACT_KINDS",
     "ASIAN_FLOATING",
@@ -77,10 +66,6 @@ __all__ = [
     "EUROPEAN_CALL",
     "discount_factor",
     "discounted_payoff",
-    "payoff_asian_floating",
-    "payoff_asian_fixed",
-    "payoff_lookback",
-    "payoff_european_call",
     "black_scholes_call",
     "MomentAccumulator",
     "ControlSpec",
@@ -88,7 +73,6 @@ __all__ = [
     "EstimatorReport",
     "plain_estimate",
     "cv_estimate",
-    "optimal_c",
     "optimal_betas",
     "insample_variance",
     "best_linear_variance_ratio",

@@ -18,7 +18,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import yaml
 
@@ -28,13 +28,13 @@ from .estimators import (
     DEFAULT_PILOT_FRACTION,
     FORM_CUSTOM,
     FORM_MULTI,
+    FORM_NONE,
     FORM_SINGLE,
     SOURCE_PILOT,
     COEFFICIENT_SOURCES,
     ControlSpec,
     EstimatorReport,
     cv_estimate,
-    plain_estimate,
 )
 from .model import MarketModel, SeedSpec
 from .oracle import FiniteJointDistribution, run_inequality_trials, correlation_inequality_check
@@ -45,8 +45,13 @@ EXIT_VALIDATION = 2
 EXIT_INEQUALITY = 3
 EXIT_IO = 4
 
-ESTIMATOR_NAMES = ("plain", "cv-single", "cv-multi", "custom")
-_ESTIMATOR_FORMS = {"cv-single": FORM_SINGLE, "cv-multi": FORM_MULTI, "custom": FORM_CUSTOM}
+_ESTIMATOR_FORMS = {
+    "plain": FORM_NONE,
+    "cv-single": FORM_SINGLE,
+    "cv-multi": FORM_MULTI,
+    "custom": FORM_CUSTOM,
+}
+ESTIMATOR_NAMES = tuple(_ESTIMATOR_FORMS)
 
 
 class ScenarioError(ValueError):
@@ -64,28 +69,6 @@ class Scenario:
     coefficient_source: str = SOURCE_PILOT
     custom_weights: tuple[float, ...] | None = None
     batch_size: int = DEFAULT_BATCH_SIZE
-
-    def to_dict(self) -> dict:
-        return {
-            "market": {
-                "initial_price": self.market.initial_price,
-                "rate": self.market.rate,
-                "volatility": self.market.volatility,
-                "trading_days_per_year": self.market.trading_days_per_year,
-            },
-            "contract": {
-                "kind": self.contract.kind,
-                "days_to_maturity": self.contract.days_to_maturity,
-                "strike": self.contract.strike,
-            },
-            "runs": self.runs,
-            "seed": self.seed,
-            "estimator": self.estimator,
-            "pilot_fraction": self.pilot_fraction,
-            "coefficient_source": self.coefficient_source,
-            "custom_weights": list(self.custom_weights) if self.custom_weights else None,
-            "batch_size": self.batch_size,
-        }
 
 
 def _require_mapping(value, context: str) -> dict:
@@ -119,8 +102,12 @@ def _as_int(value, context: str) -> int:
     return value
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document; every invariant checked here."""
+def parse_scenario(text: str, runs: int | None = None, seed: int | None = None) -> Scenario:
+    """Parse and validate a scenario document; every invariant checked here.
+
+    ``runs`` and ``seed``, if given, replace the document's values before
+    the checks.
+    """
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -129,8 +116,10 @@ def parse_scenario(text: str) -> Scenario:
 
     market_raw = _require_mapping(_pop(doc, "market", "scenario"), "market")
     contract_raw = _require_mapping(_pop(doc, "contract", "scenario"), "contract")
-    runs = _as_int(_pop(doc, "runs", "scenario"), "scenario.runs")
-    seed = _as_int(_pop(doc, "seed", "scenario"), "scenario.seed")
+    file_runs = _as_int(_pop(doc, "runs", "scenario"), "scenario.runs")
+    file_seed = _as_int(_pop(doc, "seed", "scenario"), "scenario.seed")
+    runs = file_runs if runs is None else runs
+    seed = file_seed if seed is None else seed
     estimator = _pop(doc, "estimator", "scenario")
     pilot_fraction = _as_number(
         _pop(doc, "pilot_fraction", "scenario", required=False, default=DEFAULT_PILOT_FRACTION),
@@ -229,30 +218,7 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path: str, runs: int | None = None, seed: int | None = None) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
-        scenario = parse_scenario(handle.read())
-    if runs is not None or seed is not None:
-        scenario = replace(
-            scenario,
-            runs=runs if runs is not None else scenario.runs,
-            seed=seed if seed is not None else scenario.seed,
-        )
-        if scenario.runs < 2:
-            raise ScenarioError(f"scenario.runs: must be >= 2, got {scenario.runs}")
-        try:
-            SeedSpec(scenario.seed)
-        except ValueError as exc:
-            raise ScenarioError(f"scenario.seed: {exc}") from exc
-    return scenario
-
-
-def _control_spec(scenario: Scenario) -> ControlSpec | None:
-    if scenario.estimator == "plain":
-        return None
-    form = _ESTIMATOR_FORMS[scenario.estimator]
-    weights = scenario.custom_weights if form == FORM_CUSTOM else None
-    return ControlSpec(
-        form=form, coefficient_source=scenario.coefficient_source, weights=weights
-    )
+        return parse_scenario(handle.read(), runs=runs, seed=seed)
 
 
 def _results_dict(report: EstimatorReport) -> dict:
@@ -277,23 +243,22 @@ def _results_dict(report: EstimatorReport) -> dict:
     }
 
 
+class _Report:
+    """Serialisation shared by the report dataclasses, fields in declaration order."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+
 @dataclass(frozen=True)
-class RunReport:
+class RunReport(_Report):
     scenario: dict
     results: dict
     duration_seconds: float
     artifact_version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "results": self.results,
-            "duration_seconds": self.duration_seconds,
-            "artifact_version": self.artifact_version,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_table(self) -> str:
         s = self.scenario
@@ -325,15 +290,11 @@ class RunReport:
 
 
 def _run_estimator(scenario: Scenario) -> EstimatorReport:
-    control = _control_spec(scenario)
-    if control is None:
-        return plain_estimate(
-            scenario.market,
-            scenario.contract,
-            scenario.runs,
-            scenario.seed,
-            batch_size=scenario.batch_size,
-        )
+    control = ControlSpec(
+        form=_ESTIMATOR_FORMS[scenario.estimator],
+        coefficient_source=scenario.coefficient_source,
+        weights=scenario.custom_weights,
+    )
     return cv_estimate(
         scenario.market,
         scenario.contract,
@@ -352,7 +313,7 @@ def run_scenario(path: str, runs: int | None = None, seed: int | None = None) ->
     report = _run_estimator(scenario)
     duration = time.perf_counter() - started
     return RunReport(
-        scenario=scenario.to_dict(),
+        scenario=asdict(scenario),
         results=_results_dict(report),
         duration_seconds=duration,
         artifact_version=__version__,
@@ -371,22 +332,11 @@ _COMPARE_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Report):
     scenario: dict
     rows: list[dict]  # fixed order: plain, cv-single, cv-multi
     duration_seconds: float
     artifact_version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "rows": self.rows,
-            "duration_seconds": self.duration_seconds,
-            "artifact_version": self.artifact_version,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_table(self) -> str:
         header = (
@@ -406,8 +356,7 @@ class ComparisonReport:
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=_COMPARE_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in self.rows:
-            writer.writerow({k: row[k] for k in _COMPARE_COLUMNS})
+        writer.writerows(self.rows)
         return buffer.getvalue()
 
 
@@ -422,31 +371,11 @@ def compare_estimators(
     started = time.perf_counter()
     rows = []
     for name in ("plain", "cv-single", "cv-multi"):
-        variant = Scenario(
-            market=scenario.market,
-            contract=scenario.contract,
-            runs=scenario.runs,
-            seed=scenario.seed,
-            estimator=name,
-            pilot_fraction=scenario.pilot_fraction,
-            coefficient_source=scenario.coefficient_source,
-            batch_size=scenario.batch_size,
-        )
-        report = _run_estimator(variant)
-        rows.append(
-            {
-                "estimator": name,
-                "estimate": report.estimate,
-                "standard_error": report.standard_error,
-                "runs_used": report.runs_used,
-                "pilot_runs_used": report.pilot_runs_used,
-                "empirical_variance_ratio": report.empirical_variance_ratio,
-                "predicted_variance_ratio": report.predicted_variance_ratio,
-            }
-        )
+        results = _results_dict(_run_estimator(replace(scenario, estimator=name, custom_weights=None)))
+        rows.append({"estimator": name, **{k: results[k] for k in _COMPARE_COLUMNS[1:]}})
     duration = time.perf_counter() - started
     return ComparisonReport(
-        scenario=scenario.to_dict(),
+        scenario=asdict(scenario),
         rows=rows,
         duration_seconds=duration,
         artifact_version=__version__,
@@ -528,19 +457,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "price":
-            report = run_scenario(args.scenario, runs=args.runs, seed=args.seed)
-            text = report.to_json() if args.format == "json-like" else report.to_table()
-            _emit(text, args.output)
-            return EXIT_OK
-        if args.command == "compare":
-            comparison = compare_estimators(args.scenario, runs=args.runs, seed=args.seed)
+        if args.command in ("price", "compare"):
+            run = run_scenario if args.command == "price" else compare_estimators
+            report = run(args.scenario, runs=args.runs, seed=args.seed)
             if args.format == "json-like":
-                text = comparison.to_json()
+                text = report.to_json()
             elif args.format == "table":
-                text = comparison.to_table()
+                text = report.to_table()
             else:
-                text = comparison.to_csv().rstrip("\n")
+                text = report.to_csv().rstrip("\n")
             _emit(text, args.output)
             return EXIT_OK
         # check-ineq

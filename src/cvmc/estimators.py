@@ -59,10 +59,10 @@ class MomentAccumulator:
     reads, at O(dim) cost per row: row 0 of the covariance (variable 0
     against every variable) and the diagonal.
 
-    Accumulates observations one at a time or in batches and supports
-    merging two accumulators built from disjoint sample sets; merging is
-    exact up to rounding, so batch-parallel accumulation reproduces the
-    single-pass result when merges happen in a fixed order.
+    Accumulates observations in batches and supports merging two
+    accumulators built from disjoint sample sets; merging is exact up to
+    rounding, so batch-parallel accumulation reproduces the single-pass
+    result when merges happen in a fixed order.
     """
 
     def __init__(self, dim: int, full_covariance: bool = True):
@@ -98,12 +98,6 @@ class MomentAccumulator:
             out[0] += np.einsum("i,ij->j", centered[:, 0], centered)
             out[1] += np.einsum("ij,ij->j", centered, centered)
         return out
-
-    def add(self, x) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
-        self.add_batch(x[None, :])
 
     def add_batch(self, xs) -> None:
         xs = np.asarray(xs, dtype=float)
@@ -144,13 +138,6 @@ class MomentAccumulator:
         self._m2 = self._m2 + m2_b + self._products(delta[None, :], 0.0) * (count_a * count_b / total)
         self._count = total
 
-    def copy(self) -> "MomentAccumulator":
-        out = MomentAccumulator(self.dim, self.full_covariance)
-        out._count = self._count
-        out._mean = self._mean.copy()
-        out._m2 = self._m2.copy()
-        return out
-
     def _denominator(self) -> int:
         if self._count < 2:
             raise ValueError(f"covariance undefined for count={self._count} (< 2)")
@@ -173,13 +160,6 @@ class MomentAccumulator:
 
     def variance(self, i: int = 0) -> float:
         return float(self.variances()[i])
-
-    def correlation(self, i: int, j: int) -> float:
-        cov = self.covariance()
-        denom = math.sqrt(cov[i, i] * cov[j, j])
-        if denom == 0.0:
-            raise ValueError(f"correlation undefined: variable {i} or {j} has zero variance")
-        return float(np.clip(cov[i, j] / denom, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -313,6 +293,8 @@ def _batches(
     pages back to the operating system and faults them in again.
     A non-finite payoff raises instead of reaching the moments.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = spec.days_to_maturity
     sampler = LogReturnSampler(model, n, seed)
     rows = min(batch_size, runs)
@@ -360,7 +342,6 @@ def _pilot_pass(
     pilot_runs: int,
     controls: _Controls,
     batch_size: int,
-    sample_control_variance: bool,
 ) -> tuple[np.ndarray, list[str], MomentAccumulator]:
     """One pass over runs 0..runs-1 for pilot-phase coefficients.
 
@@ -384,7 +365,7 @@ def _pilot_pass(
         if split == len(c):
             continue
         if betas is None:
-            betas, notes = _coefficients(pilot, controls, sample_control_variance)
+            betas, notes = optimal_betas(pilot, controls.exact_variances)
             offset = controls.means @ betas
         batch[split:, 1 + q] = y[split:] + np.einsum("ij,j->i", c[split:], betas) - offset
         main.add_batch(batch[split:, : 2 + q])
@@ -412,30 +393,33 @@ def plain_estimate(
     )
 
 
-def optimal_c(acc: MomentAccumulator) -> float:
-    """Variance-minimizing multiplier -cov(Y,V)/var(V) from sample moments.
-
-    The accumulator's first variable is Y, its second the control V.
-    """
-    var_v = acc.variances()[1]
-    if var_v == 0.0:
-        raise ValueError("degenerate control: sample variance of V is zero")
-    return float(-acc.cross()[1] / var_v)
-
-
-def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -> np.ndarray:
-    """Per-control multipliers -cov(Y, C_i)/var(C_i).
+def optimal_betas(
+    acc: MomentAccumulator, variances: np.ndarray | None = None
+) -> tuple[np.ndarray, list[str]]:
+    """Per-control multipliers -cov(Y, C_i)/var(C_i), and notes on dropped controls.
 
     The accumulator's first variable is Y; the rest are the controls.
-    `variances` overrides the sample variances in the denominators with
-    exact model values (the engine default for log-return controls).
+    `variances` replaces the sample variances in the denominators with
+    exact model values (what cv_estimate passes for log-return controls).
+    A control whose variance is below DEGENERATE_CONTROL_TOLERANCE times
+    its second moment gets coefficient 0, with a warning and a note;
+    if every control is degenerate, raises ValueError.
     """
-    denominators = acc.variances()[1:] if variances is None else np.asarray(variances, dtype=float)
+    denominators = acc.variances()[1:] if variances is None else np.array(variances, dtype=float)
     if denominators.shape != (acc.dim - 1,):
         raise ValueError(f"expected {acc.dim - 1} variances, got shape {denominators.shape}")
-    if np.any(denominators == 0.0):
-        raise ValueError("degenerate control: a control has zero variance")
-    return -acc.cross()[1:] / denominators
+    # the stored means, without the copy the public property makes
+    second_moment = denominators + acc._mean[1:] ** 2
+    usable = denominators > DEGENERATE_CONTROL_TOLERANCE * np.maximum(second_moment, 1e-300)
+    if usable.all():
+        return -acc.cross()[1:] / denominators, []
+    if not usable.any():
+        raise ValueError("degenerate control: every control variance is (numerically) zero")
+    message = f"{int((~usable).sum())} degenerate control(s) dropped (coefficient set to 0)"
+    warnings.warn(message)
+    betas = np.zeros(len(denominators))
+    betas[usable] = -acc.cross()[1:][usable] / denominators[usable]
+    return betas, [message]
 
 
 def insample_variance(acc: MomentAccumulator, betas: np.ndarray) -> float:
@@ -456,9 +440,13 @@ def best_linear_variance_ratio(acc: MomentAccumulator) -> float:
     var_y = cov[0, 0]
     if var_y == 0.0:
         raise ValueError("variance of Y is zero; ratio undefined")
-    cross = cov[1:, 0]
-    betas, *_ = np.linalg.lstsq(cov[1:, 1:], cross, rcond=None)
-    return float(1.0 - (cross @ betas) / var_y)
+    return 1.0 - _explained_fraction(cov[1:, 1:], cov[1:, 0], var_y)
+
+
+def _explained_fraction(cov_xx: np.ndarray, cross: np.ndarray, var_y: float) -> float:
+    """R^2 of the least-squares fit of Y on the regressors, from their moments."""
+    weights, *_ = np.linalg.lstsq(cov_xx, cross, rcond=None)
+    return float((cross @ weights) / var_y)
 
 
 def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> np.ndarray:
@@ -488,31 +476,6 @@ def predicted_ratio(acc: MomentAccumulator, control: ControlSpec) -> float:
     return _predicted(var_y, _correlations(var_y, acc.cross()[1:], control_vars), control_vars, control.form)
 
 
-def _coefficients(
-    acc: MomentAccumulator,
-    controls: _Controls,
-    sample_control_variance: bool,
-) -> tuple[np.ndarray, list[str]]:
-    """Control multipliers from an accumulator, with degenerate controls zeroed."""
-    if sample_control_variance:
-        variances = acc.variances()[1:]
-        second_moment = variances + acc.mean[1:] ** 2
-    else:
-        variances = controls.exact_variances.copy()
-        second_moment = variances + controls.means**2
-    usable = variances > DEGENERATE_CONTROL_TOLERANCE * np.maximum(second_moment, 1e-300)
-    if usable.all():
-        return -acc.cross()[1:] / variances, []
-    if not usable.any():
-        raise ValueError("degenerate control: every control variance is (numerically) zero")
-    dropped = int((~usable).sum())
-    message = f"{dropped} degenerate control(s) dropped (coefficient set to 0)"
-    warnings.warn(message)
-    betas = np.zeros(controls.dim)
-    betas[usable] = -acc.cross()[1:][usable] / variances[usable]
-    return betas, [message]
-
-
 def cv_estimate(
     model: MarketModel,
     spec: ContractSpec,
@@ -521,7 +484,6 @@ def cv_estimate(
     pilot_fraction: float = DEFAULT_PILOT_FRACTION,
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    sample_control_variance: bool = False,
 ) -> EstimatorReport:
     """Control-variate estimate of E[Y] over `runs` paths.
 
@@ -531,9 +493,9 @@ def cv_estimate(
     the runs. With "in_sample" all runs serve both purposes (the textbook
     construction, small-sample biased).
 
-    By default the coefficient denominators use the exact model variances
-    of the controls; pass sample_control_variance=True to estimate them
-    from the same sample instead (diagnostic mode).
+    Coefficients come from optimal_betas with the exact model variances of
+    the controls as denominators; degenerate controls are dropped with a
+    note.
     """
     if control.form == FORM_NONE:
         return plain_estimate(model, spec, runs, seed, batch_size)
@@ -552,9 +514,7 @@ def cv_estimate(
                 f"pilot split too small: {pilot_runs} pilot / {main_runs} main runs "
                 f"(both must be >= 2)"
             )
-        betas, beta_notes, acc = _pilot_pass(
-            model, spec, seed, runs, pilot_runs, controls, batch_size, sample_control_variance
-        )
+        betas, beta_notes, acc = _pilot_pass(model, spec, seed, runs, pilot_runs, controls, batch_size)
         notes.extend(beta_notes)
         variances = acc.variances()
         var_y, control_vars, var_w = variances[0], variances[1:-1], variances[-1]
@@ -564,7 +524,7 @@ def cv_estimate(
         pilot_runs = 0
         main_runs = runs
         acc = _accumulate(model, spec, seed, runs, controls, batch_size)
-        betas, beta_notes = _coefficients(acc, controls, sample_control_variance)
+        betas, beta_notes = optimal_betas(acc, controls.exact_variances)
         notes.extend(beta_notes)
         notes.append(
             "in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias"
@@ -627,10 +587,7 @@ def sweep_diagnostic(
             raise ValueError(f"payoff variance is zero for {spec.kind}; diagnostic undefined")
         x_vars = np.diag(cov)[1 : 1 + n]
         sum_corr_sq = float(np.sum(cov[0, 1 : 1 + n] ** 2 / (var_y * x_vars)))
-        price_cov = cov[1 + n :, 1 + n :]
-        price_cross = cov[1 + n :, 0]
-        weights, *_ = np.linalg.lstsq(price_cov, price_cross, rcond=None)
-        price_corr_sq = float((price_cross @ weights) / var_y)
+        price_corr_sq = _explained_fraction(cov[1 + n :, 1 + n :], cov[1 + n :, 0], var_y)
         rows.append(
             {
                 "kind": spec.kind,

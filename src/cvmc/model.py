@@ -101,27 +101,6 @@ class SeedSpec:
             raise ValueError(f"stream_index must be in [0, 2^64), got {self.stream_index!r}")
 
 
-@dataclass(frozen=True)
-class PricePath:
-    """One simulated run: daily log-returns and the matching closing prices."""
-
-    log_returns: np.ndarray
-    prices: np.ndarray
-    initial_price: float
-
-    def __post_init__(self):
-        if len(self.log_returns) != len(self.prices):
-            raise ValueError(
-                f"log_returns and prices must have equal length, "
-                f"got {len(self.log_returns)} and {len(self.prices)}"
-            )
-        if len(self.prices) < 1:
-            raise ValueError("a path must cover at least one day")
-
-    def __len__(self) -> int:
-        return len(self.prices)
-
-
 def sample_log_returns(model: MarketModel, n: int, seed: SeedSpec) -> np.ndarray:
     """Draw the n daily log-returns of one simulation run.
 
@@ -148,26 +127,6 @@ def prices_from_log_returns(
     np.exp(prices, out=prices)
     prices *= model.initial_price
     return prices
-
-
-def build_path(model: MarketModel, log_returns) -> PricePath:
-    """Turn one run's log-returns into a PricePath with day-by-day prices."""
-    x = np.asarray(log_returns, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("log_returns must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("log_returns must be finite")
-    return PricePath(
-        log_returns=x,
-        prices=prices_from_log_returns(model, x),
-        initial_price=model.initial_price,
-    )
-
-
-def log_returns_from_prices(path: PricePath) -> np.ndarray:
-    """Recover X(i) = ln(S_d(i)/S_d(i-1)) from a path, with S_d(0) = S(0)."""
-    previous = np.concatenate(([path.initial_price], path.prices[:-1]))
-    return np.log(path.prices / previous)
 
 
 class LogReturnSampler:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarketModel, PricePath
+from .model import MarketModel
 
 ASIAN_FLOATING = "asian_floating_strike"
 ASIAN_FIXED = "asian_fixed_strike"
@@ -59,6 +59,12 @@ def discount_factor(model: MarketModel, spec: ContractSpec) -> float:
 def discounted_payoff(model: MarketModel, spec: ContractSpec, prices: np.ndarray) -> np.ndarray:
     """Discounted payoff for one path (n,) or a batch of paths (runs, n).
 
+    With K the strike and S_d(1)..S_d(n) the closing prices:
+        asian_floating_strike  exp(-r*n/N) * ( S_d(n) - mean_j S_d(j) )^+
+        asian_fixed_strike     exp(-r*n/N) * ( mean_j S_d(j) - K )^+
+        lookback_floating      exp(-r*n/N) * ( S_d(n) - min_j S_d(j) )^+
+        european_call          exp(-r*n/N) * ( S_d(n) - K )^+
+
     Returns a scalar for a single path, a (runs,) vector for a batch.
     The result is nonnegative on every path.
     """
@@ -80,32 +86,6 @@ def discounted_payoff(model: MarketModel, spec: ContractSpec, prices: np.ndarray
     else:  # EUROPEAN_CALL
         intrinsic = terminal - spec.strike
     return discount_factor(model, spec) * np.maximum(intrinsic, 0.0)
-
-
-def _path_payoff(model: MarketModel, spec: ContractSpec, path: PricePath, kind: str) -> float:
-    if spec.kind != kind:
-        raise ValueError(f"contract kind is {spec.kind!r}, expected {kind!r}")
-    return float(discounted_payoff(model, spec, path.prices))
-
-
-def payoff_asian_floating(model: MarketModel, spec: ContractSpec, path: PricePath) -> float:
-    """exp(-r*n/N) * ( S_d(n) - mean_j S_d(j) )^+ ."""
-    return _path_payoff(model, spec, path, ASIAN_FLOATING)
-
-
-def payoff_asian_fixed(model: MarketModel, spec: ContractSpec, path: PricePath) -> float:
-    """exp(-r*n/N) * ( mean_j S_d(j) - K )^+ ."""
-    return _path_payoff(model, spec, path, ASIAN_FIXED)
-
-
-def payoff_lookback(model: MarketModel, spec: ContractSpec, path: PricePath) -> float:
-    """exp(-r*n/N) * ( S_d(n) - min_j S_d(j) )^+ ."""
-    return _path_payoff(model, spec, path, LOOKBACK_FLOATING)
-
-
-def payoff_european_call(model: MarketModel, spec: ContractSpec, path: PricePath) -> float:
-    """exp(-r*n/N) * ( S_d(n) - K )^+ ."""
-    return _path_payoff(model, spec, path, EUROPEAN_CALL)
 
 
 def black_scholes_call(model: MarketModel, spec: ContractSpec) -> float:

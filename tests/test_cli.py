@@ -177,10 +177,11 @@ class TestMainPrice:
         assert "surprise" in err["message"]
 
     def test_runs_override_below_minimum_rejected(self, scenario_file, capsys):
-        assert (
-            cli.main(["price", "--scenario", scenario_file(), "--runs", "1"])
-            == cli.EXIT_VALIDATION
-        )
+        # the overrides are checked by parse_scenario, like the file's values
+        for field, value in (("runs", "1"), ("seed", "-1")):
+            argv = ["price", "--scenario", scenario_file(), f"--{field}", value]
+            assert cli.main(argv) == cli.EXIT_VALIDATION
+            assert json.loads(capsys.readouterr().err)["message"].startswith(f"scenario.{field}:")
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from cvmc import (
     cv_estimate,
     insample_variance,
     optimal_betas,
-    optimal_c,
     plain_estimate,
     predicted_ratio,
     prices_from_log_returns,
@@ -51,7 +50,7 @@ class TestMomentAccumulator:
         data = np.random.default_rng(1).normal(size=(40, 2))
         one_by_one = MomentAccumulator(2)
         for row in data:
-            one_by_one.add(row)
+            one_by_one.add_batch(row[None, :])
         batched = MomentAccumulator(2)
         batched.add_batch(data)
         assert np.allclose(one_by_one.covariance(), batched.covariance(), rtol=1e-12)
@@ -60,7 +59,7 @@ class TestMomentAccumulator:
         acc = MomentAccumulator(1)
         with pytest.raises(ValueError):
             acc.covariance()
-        acc.add([1.0])
+        acc.add_batch([[1.0]])
         with pytest.raises(ValueError):
             acc.covariance()
 
@@ -178,40 +177,53 @@ class TestLeanMoments:
 class TestOptimalCoefficients:
     def test_perfect_control(self):
         acc = acc_of(np.array([1.0, 2.0, 3.5]), np.array([1.0, 2.0, 3.5]))
-        assert optimal_c(acc) == -1.0
+        assert optimal_betas(acc)[0][0] == -1.0
 
     def test_useless_control(self):
         acc = acc_of(np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
-        assert optimal_c(acc) == 0.0
+        assert optimal_betas(acc)[0][0] == 0.0
 
     def test_two_point_law(self):
         # (Y,V) in {(0,0),(2,1)}: cov=0.5, var(V)=0.25 under the law, so c*=-2
         acc = acc_of(np.array([0.0, 2.0]), np.array([0.0, 1.0]))
-        assert optimal_c(acc) == -2.0
+        assert optimal_betas(acc)[0][0] == -2.0
 
     def test_degenerate_control_rejected(self):
         acc = acc_of(np.array([1.0, 2.0, 3.0]), np.array([4.0, 4.0, 4.0]))
         with pytest.raises(ValueError, match="degenerate"):
-            optimal_c(acc)
+            optimal_betas(acc)
+
+    def test_degenerate_control_dropped_with_a_note(self):
+        # a constant control next to usable ones gets coefficient 0
+        z = np.random.default_rng(8).normal(size=(50, 3))
+        acc = acc_of(z[:, 0] + z[:, 1], z[:, 1], np.full(50, 4.0), z[:, 2])
+        with pytest.warns(UserWarning, match="degenerate") as record:
+            betas, notes = optimal_betas(acc)
+        assert len(record) == 1
+        assert notes == ["1 degenerate control(s) dropped (coefficient set to 0)"]
+        assert betas[1] == 0.0
+        cross, variances = acc.cross()[1:], acc.variances()[1:]
+        assert betas[[0, 2]].tolist() == (-cross[[0, 2]] / variances[[0, 2]]).tolist()
 
     def test_self_control_beta_is_exactly_minus_one(self):
         z = np.random.default_rng(2).normal(size=(5000, 3))
         acc = acc_of(z[:, 0], z[:, 0], z[:, 1], z[:, 2])
-        betas = optimal_betas(acc)
+        betas, notes = optimal_betas(acc)
+        assert notes == []
         assert betas[0] == -1.0
         assert np.all(np.abs(betas[1:]) < 4 / math.sqrt(5000))
 
     def test_orthogonal_target_betas_near_zero(self):
         z = np.random.default_rng(3).normal(size=(20000, 4))
         acc = acc_of(z[:, 3], z[:, 0], z[:, 1], z[:, 2])
-        assert np.all(np.abs(optimal_betas(acc)) < 4 / math.sqrt(20000))
+        assert np.all(np.abs(optimal_betas(acc)[0]) < 4 / math.sqrt(20000))
 
     def test_linear_target_recovers_construction(self):
         # Y = 2*X1 + X2: the per-control formula tends to (-2, -1, 0)
         runs = 40000
         z = np.random.default_rng(4).normal(size=(runs, 3))
         y = 2.0 * z[:, 0] + z[:, 1]
-        betas = optimal_betas(acc_of(y, z[:, 0], z[:, 1], z[:, 2]))
+        betas, _ = optimal_betas(acc_of(y, z[:, 0], z[:, 1], z[:, 2]))
         # per-coefficient sampling noise is ~sqrt(var residual)/sqrt(runs)
         tolerance = 4 * math.sqrt(5.0) / math.sqrt(runs)
         assert np.allclose(betas, [-2.0, -1.0, 0.0], atol=tolerance)
@@ -220,15 +232,18 @@ class TestOptimalCoefficients:
         z = np.random.default_rng(6).normal(size=(100, 2))
         acc = acc_of(z[:, 0] + z[:, 1], z[:, 0], z[:, 1])
         cov = acc.covariance()
-        betas = optimal_betas(acc, variances=np.array([1.0, 1.0]))
+        betas, _ = optimal_betas(acc, variances=np.array([1.0, 1.0]))
         assert np.allclose(betas, -cov[0, 1:], rtol=1e-12)
+        with pytest.warns(UserWarning, match="degenerate"):
+            betas, notes = optimal_betas(acc, variances=np.array([1.0, 0.0]))
+        assert betas.tolist() == [-acc.cross()[1], 0.0] and len(notes) == 1
         with pytest.raises(ValueError, match="degenerate"):
-            optimal_betas(acc, variances=np.array([1.0, 0.0]))
+            optimal_betas(acc, variances=np.array([0.0, 0.0]))
 
     def test_quadratic_minimum_at_optimal_c(self):
         # on a fixed sample, var(W) at c*(1 +- 0.1) is never below var(W) at c*
         acc = _asian_sample_accumulator(FORM_SINGLE, runs=2000)
-        c_star = optimal_c(acc)
+        c_star = optimal_betas(acc)[0][0]
         at_min = insample_variance(acc, np.array([c_star]))
         for bump in (0.9, 1.1):
             perturbed = insample_variance(acc, np.array([c_star * bump]))
@@ -258,7 +273,8 @@ class TestPredictedRatio:
     def test_single_control_correlation_point_eight(self):
         # sample correlation exactly 16/20 = 0.8, so the ratio is 0.36
         acc = acc_of(np.array([3.0, -3.0, 1.0, -1.0]), np.array([3.0, -3.0, -1.0, 1.0]))
-        assert acc.correlation(0, 1) == pytest.approx(0.8, abs=1e-15)
+        corr = acc.cross()[1] / math.sqrt(acc.variance(0) * acc.variance(1))
+        assert corr == pytest.approx(0.8, abs=1e-15)
         assert predicted_ratio(acc, ControlSpec(form=FORM_SINGLE)) == pytest.approx(0.36, abs=1e-12)
 
     def test_multi_control_sum_of_squares(self):
@@ -387,26 +403,22 @@ class TestCvEstimate:
         )
 
     def test_sample_variance_denominator_toggle(self):
-        # default denominators are the exact model variances; the toggle
-        # estimates them from the pilot sample instead
-        default = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_SINGLE), 4000, seed=13)
-        sampled = cv_estimate(
-            MARKET,
-            ASIAN,
-            ControlSpec(form=FORM_SINGLE),
-            4000,
-            seed=13,
-            sample_control_variance=True,
-        )
-        assert sampled.coefficients.values[0] != default.coefficients.values[0]
-        # both divide the same pilot cov(Y, V); only the denominator differs
+        # the engine divides the pilot cov(Y, V) by the exact model var(V);
+        # optimal_betas without variances divides by the sample var(V)
+        report = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_SINGLE), 4000, seed=13)
         n = ASIAN.days_to_maturity
-        pilot_v = [sample_log_returns(MARKET, n, SeedSpec(13, j)).sum() for j in range(400)]
-        assert sampled.pilot_runs_used == 400
-        assert sampled.coefficients.values[0] / default.coefficients.values[0] == pytest.approx(
-            n * MARKET.daily_variance / np.var(pilot_v, ddof=1), rel=1e-10
-        )
-        assert abs(sampled.empirical_variance_ratio - default.empirical_variance_ratio) < 0.02
+        x = LogReturnSampler(MARKET, n, 13).rows(0, 400)
+        y = discounted_payoff(MARKET, ASIAN, prices_from_log_returns(MARKET, x))
+        pilot_v = x.sum(axis=1)
+        pilot = acc_of(y, pilot_v)
+        exact = np.array([n * MARKET.daily_variance])
+        default, _ = optimal_betas(pilot, exact)
+        sampled, _ = optimal_betas(pilot)
+        assert report.pilot_runs_used == 400
+        assert report.coefficients.values == pytest.approx(default, rel=1e-12)
+        assert sampled[0] != default[0]
+        # both divide the same pilot cov(Y, V); only the denominator differs
+        assert sampled[0] / default[0] == pytest.approx(exact[0] / np.var(pilot_v, ddof=1), rel=1e-10)
 
     def test_main_phase_moments_match_full_covariance(self):
         # var(W) and the estimate of the one-pass lean update equal the
@@ -548,7 +560,7 @@ class TestInSampleOptimality:
         # the log-returns are independent, so the per-control formula is
         # near-optimal on sample data
         acc = self.accumulator()
-        ratio_componentwise = insample_variance(acc, optimal_betas(acc)) / acc.variance(0)
+        ratio_componentwise = insample_variance(acc, optimal_betas(acc)[0]) / acc.variance(0)
         assert ratio_componentwise <= best_linear_variance_ratio(acc) + 0.01
 
 
@@ -593,3 +605,26 @@ class TestSweepDiagnostic:
         model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
         with pytest.raises(ValueError):
             sweep_diagnostic(model, [ASIAN], runs=100, seed=0)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda b: plain_estimate(MARKET, ASIAN, 100, seed=0, batch_size=b),
+        lambda b: cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 100, seed=0, batch_size=b),
+        lambda b: cv_estimate(
+            MARKET,
+            ASIAN,
+            ControlSpec(form=FORM_SINGLE, coefficient_source="in_sample"),
+            100,
+            seed=0,
+            batch_size=b,
+        ),
+        lambda b: sweep_diagnostic(MARKET, [ASIAN], runs=100, seed=0, batch_size=b),
+    ],
+    ids=["plain", "cv_pilot", "cv_in_sample", "sweep"],
+)
+def test_batch_size_below_one_rejected(estimate, batch_size):
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got -?[01]"):
+        estimate(batch_size)

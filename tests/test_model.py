@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvmc import (
-    MarketModel,
-    SeedSpec,
-    build_path,
-    log_returns_from_prices,
-    sample_log_returns,
-)
+from cvmc import MarketModel, SeedSpec, prices_from_log_returns, sample_log_returns
 from cvmc.model import STREAM_BLOCK_ROWS, STREAM_CONTRACT_VERSION, LogReturnSampler
 
 
@@ -144,40 +138,42 @@ class TestSampleLogReturns:
             sampler.rows(-1, 2)
 
 
+def log_returns_of(model, prices):
+    """X(i) = ln(S_d(i)/S_d(i-1)) with S_d(0) = S(0)."""
+    return np.diff(np.log(np.concatenate([[model.initial_price], prices])))
+
+
 class TestBuildPath:
+    """Price paths from log-returns, through prices_from_log_returns."""
+
     def test_identity_path(self, market):
-        path = build_path(market, [0.0, 0.0, 0.0])
-        assert path.prices.tolist() == [100.0, 100.0, 100.0]
+        prices = prices_from_log_returns(market, np.zeros(3))
+        assert prices.tolist() == [100.0, 100.0, 100.0]
 
     def test_two_step_arithmetic(self, market):
-        path = build_path(market, [math.log(1.1), math.log(10 / 11)])
-        assert np.allclose(path.prices, [110.0, 100.0], rtol=1e-12)
+        prices = prices_from_log_returns(market, np.array([math.log(1.1), math.log(10 / 11)]))
+        assert np.allclose(prices, [110.0, 100.0], rtol=1e-12)
 
     def test_deterministic_drift_path(self):
         model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
         x = sample_log_returns(model, 5, SeedSpec(0))
-        path = build_path(model, x)
+        prices = prices_from_log_returns(model, x)
         expected = 100.0 * np.exp(0.05 * np.arange(1, 6) / 252)
-        assert np.allclose(path.prices, expected, rtol=1e-12)
+        assert np.allclose(prices, expected, rtol=1e-12)
 
     def test_prices_positive_and_causal(self, market):
         x = sample_log_returns(market, 40, SeedSpec(5, 2))
-        path = build_path(market, x)
-        assert np.all(path.prices > 0)
+        prices = prices_from_log_returns(market, x)
+        assert np.all(prices > 0)
         # day i depends only on the first i returns
-        truncated = build_path(market, x[:17])
-        assert np.array_equal(truncated.prices, path.prices[:17])
-
-    @pytest.mark.parametrize("bad", [[], [0.1, math.nan], [math.inf], np.zeros((2, 2))])
-    def test_rejects_bad_input(self, market, bad):
-        with pytest.raises(ValueError):
-            build_path(market, bad)
+        truncated = prices_from_log_returns(market, x[:17])
+        assert np.array_equal(truncated, prices[:17])
 
     def test_reconstruction_recovers_log_returns(self, market):
         for stream in range(5):
             x = sample_log_returns(market, 60, SeedSpec(31, stream))
-            path = build_path(market, x)
-            assert np.allclose(log_returns_from_prices(path), x, rtol=1e-10, atol=1e-14)
+            prices = prices_from_log_returns(market, x)
+            assert np.allclose(log_returns_of(market, prices), x, rtol=1e-10, atol=1e-14)
 
     @given(
         st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=1, max_size=50),
@@ -186,5 +182,5 @@ class TestBuildPath:
     @settings(max_examples=200, deadline=None)
     def test_reconstruction_property(self, xs, s0):
         model = MarketModel(initial_price=s0, rate=0.0, volatility=0.1)
-        path = build_path(model, xs)
-        assert np.allclose(log_returns_from_prices(path), xs, rtol=1e-10, atol=1e-12)
+        prices = prices_from_log_returns(model, np.array(xs))
+        assert np.allclose(log_returns_of(model, prices), xs, rtol=1e-10, atol=1e-12)

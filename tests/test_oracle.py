@@ -8,6 +8,8 @@ from cvmc import (
     MomentAccumulator,
     brute_force_cv_variance,
     exact_moments,
+    insample_variance,
+    optimal_betas,
     run_inequality_trials,
     correlation_inequality_check,
 )
@@ -88,7 +90,8 @@ class TestExactMoments:
 
     def test_matches_streaming_accumulator_on_expanded_sample(self):
         # replicate atoms by probability weight and feed the estimator-side
-        # accumulator: correlations must agree with exact enumeration
+        # accumulator: the coefficient and var(W) must agree with exact
+        # enumeration, whose moments are the sample ones times (N-1)/N
         dist = FiniteJointDistribution.from_atoms(
             ("Y", "V"),
             [[0.0, 1.0], [1.0, -1.0], [2.0, 0.5], [-1.0, 0.25]],
@@ -97,11 +100,18 @@ class TestExactMoments:
         rows = []
         for row, p in zip(dist.outcomes, dist.probabilities):
             rows.extend([row] * int(round(p * 8)))
+        n = len(rows)
         acc = MomentAccumulator(2)
         acc.add_batch(np.array(rows))
         exact = exact_moments(dist)
         assert np.allclose(acc.mean, exact.mean, rtol=1e-14)
-        assert acc.correlation(0, 1) == pytest.approx(exact.correlation(0, 1), rel=1e-12)
+        betas, notes = optimal_betas(acc)
+        exact_betas = -exact.covariance[0, 1:] / np.diag(exact.covariance)[1:]
+        assert notes == []
+        assert np.allclose(betas, exact_betas, rtol=1e-12, atol=0)
+        assert insample_variance(acc, betas) * (n - 1) / n == pytest.approx(
+            brute_force_cv_variance(dist, float(betas[0])), rel=1e-12
+        )
 
 
 class TestInequality:

@@ -12,23 +12,17 @@ from cvmc import (
     LOOKBACK_FLOATING,
     ContractSpec,
     MarketModel,
-    PricePath,
     black_scholes_call,
     discounted_payoff,
-    payoff_asian_fixed,
-    payoff_asian_floating,
-    payoff_european_call,
-    payoff_lookback,
 )
 
 RISKLESS = MarketModel(initial_price=100.0, rate=0.0, volatility=0.2)
 MARKET = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
 
 
-def path_of(prices, s0=100.0):
-    prices = np.asarray(prices, dtype=float)
-    x = np.diff(np.log(np.concatenate([[s0], prices])))
-    return PricePath(log_returns=x, prices=prices, initial_price=s0)
+def path_of(prices):
+    """The closing prices S_d(1)..S_d(n) of one path."""
+    return np.asarray(prices, dtype=float)
 
 
 class TestContractSpec:
@@ -55,73 +49,68 @@ class TestContractSpec:
 class TestAsianFloating:
     def test_constant_path_is_worthless(self):
         spec = ContractSpec(kind=ASIAN_FLOATING, days_to_maturity=3)
-        assert payoff_asian_floating(RISKLESS, spec, path_of([100, 100, 100])) == 0.0
+        assert discounted_payoff(RISKLESS, spec, path_of([100, 100, 100])) == 0.0
 
     def test_terminal_above_average(self):
         spec = ContractSpec(kind=ASIAN_FLOATING, days_to_maturity=2)
-        assert payoff_asian_floating(RISKLESS, spec, path_of([90, 110])) == pytest.approx(10.0, abs=1e-12)
+        assert discounted_payoff(RISKLESS, spec, path_of([90, 110])) == pytest.approx(10.0, abs=1e-12)
 
     def test_positive_part_binds(self):
         spec = ContractSpec(kind=ASIAN_FLOATING, days_to_maturity=2)
-        assert payoff_asian_floating(RISKLESS, spec, path_of([110, 90])) == 0.0
+        assert discounted_payoff(RISKLESS, spec, path_of([110, 90])) == 0.0
 
 
 class TestAsianFixed:
     def test_constant_path_in_the_money(self):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=2, strike=90.0)
-        assert payoff_asian_fixed(RISKLESS, spec, path_of([100, 100])) == pytest.approx(10.0, abs=1e-12)
+        assert discounted_payoff(RISKLESS, spec, path_of([100, 100])) == pytest.approx(10.0, abs=1e-12)
 
     def test_constant_path_out_of_the_money(self):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=2, strike=110.0)
-        assert payoff_asian_fixed(RISKLESS, spec, path_of([100, 100])) == 0.0
+        assert discounted_payoff(RISKLESS, spec, path_of([100, 100])) == 0.0
 
     def test_discounted_value(self):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=3, strike=95.0)
-        got = payoff_asian_fixed(MARKET, spec, path_of([100, 110, 90]))
+        got = discounted_payoff(MARKET, spec, path_of([100, 110, 90]))
         assert got == pytest.approx(math.exp(-0.05 * 3 / 252) * 5.0, rel=1e-12)
 
 
 class TestLookback:
     def test_monotone_increasing(self):
         spec = ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=3)
-        assert payoff_lookback(RISKLESS, spec, path_of([100, 105, 112])) == pytest.approx(12.0, abs=1e-12)
+        assert discounted_payoff(RISKLESS, spec, path_of([100, 105, 112])) == pytest.approx(12.0, abs=1e-12)
 
     def test_monotone_decreasing_terminal_is_minimum(self):
         spec = ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=3)
-        assert payoff_lookback(RISKLESS, spec, path_of([110, 100, 90])) == 0.0
+        assert discounted_payoff(RISKLESS, spec, path_of([110, 100, 90])) == 0.0
 
     def test_constant_path(self):
         spec = ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=3)
-        assert payoff_lookback(RISKLESS, spec, path_of([100, 100, 100])) == 0.0
+        assert discounted_payoff(RISKLESS, spec, path_of([100, 100, 100])) == 0.0
 
 
 class TestEuropeanCall:
     def test_in_the_money(self):
         spec = ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=2, strike=100.0)
-        assert payoff_european_call(RISKLESS, spec, path_of([100, 120])) == pytest.approx(20.0, abs=1e-12)
+        assert discounted_payoff(RISKLESS, spec, path_of([100, 120])) == pytest.approx(20.0, abs=1e-12)
 
     def test_out_of_the_money(self):
         spec = ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=2, strike=100.0)
-        assert payoff_european_call(RISKLESS, spec, path_of([100, 80])) == 0.0
+        assert discounted_payoff(RISKLESS, spec, path_of([100, 80])) == 0.0
 
     def test_one_year_discounting(self):
         spec = ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=252, strike=100.0)
         prices = np.full(252, 100.0)
         prices[-1] = 130.0
-        got = payoff_european_call(MARKET, spec, path_of(prices))
+        got = discounted_payoff(MARKET, spec, path_of(prices))
         assert got == pytest.approx(math.exp(-0.05) * 30.0, rel=1e-12)
 
 
 class TestPayoffContracts:
-    def test_kind_mismatch_rejected(self):
-        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=2, strike=100.0)
-        with pytest.raises(ValueError):
-            payoff_lookback(MARKET, spec, path_of([100, 100]))
-
     def test_length_mismatch_rejected(self):
         spec = ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=3)
         with pytest.raises(ValueError):
-            payoff_lookback(MARKET, spec, path_of([100, 100]))
+            discounted_payoff(MARKET, spec, path_of([100, 100]))
 
     def test_batch_matches_per_path(self):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=4, strike=100.0)
@@ -143,7 +132,7 @@ class TestPayoffContracts:
             ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=n, strike=50.0),
         ]
         for spec in specs:
-            assert discounted_payoff(MARKET, spec, path.prices) >= 0.0
+            assert discounted_payoff(MARKET, spec, path) >= 0.0
 
     @given(
         st.lists(st.floats(min_value=1.0, max_value=1000.0), min_size=1, max_size=20),
@@ -157,28 +146,28 @@ class TestPayoffContracts:
         path = path_of(prices)
         for kind in (ASIAN_FIXED, EUROPEAN_CALL):
             cheap = discounted_payoff(
-                MARKET, ContractSpec(kind=kind, days_to_maturity=n, strike=hi), path.prices
+                MARKET, ContractSpec(kind=kind, days_to_maturity=n, strike=hi), path
             )
             rich = discounted_payoff(
-                MARKET, ContractSpec(kind=kind, days_to_maturity=n, strike=lo), path.prices
+                MARKET, ContractSpec(kind=kind, days_to_maturity=n, strike=lo), path
             )
             assert rich >= cheap
 
     def test_zero_rate_means_no_discounting(self):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=3, strike=95.0)
         path = path_of([100, 110, 90])
-        undiscounted = max(np.mean(path.prices) - 95.0, 0.0)
-        assert payoff_asian_fixed(RISKLESS, spec, path) == pytest.approx(undiscounted, rel=1e-14)
+        undiscounted = max(np.mean(path) - 95.0, 0.0)
+        assert discounted_payoff(RISKLESS, spec, path) == pytest.approx(undiscounted, rel=1e-14)
 
     def test_lookback_equals_european_struck_at_minimum(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=6)))
             path = path_of(prices)
-            lb = payoff_lookback(
+            lb = discounted_payoff(
                 MARKET, ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=6), path
             )
-            eu = payoff_european_call(
+            eu = discounted_payoff(
                 MARKET,
                 ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=6, strike=float(prices.min())),
                 path,
