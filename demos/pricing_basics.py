@@ -11,13 +11,12 @@ import numpy as np
 
 from cvmc import (
     ContractSpec,
+    LogReturnSampler,
     MarketModel,
-    SeedSpec,
     black_scholes_call,
     discounted_payoff,
     plain_estimate,
     prices_from_log_returns,
-    sample_log_returns,
 )
 
 # A year of daily steps at 20% vol, 5% rates, starting from 100.
@@ -27,12 +26,12 @@ print(f"daily log-return law: Normal({model.daily_mean:.3e}, {model.daily_varian
 # Each run index has its own reproducible draws: a row of the Philox block
 # keyed (seed, index // 4096).
 for run in range(3):
-    x = sample_log_returns(model, 5, SeedSpec(seed=42, stream_index=run))
+    x = LogReturnSampler(model, 5, seed=42).rows(run, run + 1)[0]
     prices = prices_from_log_returns(model, x)
     print(f"run {run}: first five closes {np.round(prices, 2)}")
 
 # Payoffs act on the closing prices of one path (n,) or a batch (runs, n).
-x = sample_log_returns(model, 30, SeedSpec(seed=42, stream_index=0))
+x = LogReturnSampler(model, 30, seed=42).rows(0, 1)[0]
 prices = prices_from_log_returns(model, x)
 asian = ContractSpec(kind="asian_fixed_strike", days_to_maturity=30, strike=100.0)
 lookback = ContractSpec(kind="lookback_floating", days_to_maturity=30)

@@ -24,12 +24,7 @@ from .estimators import (
     predicted_ratio,
     sweep_diagnostic,
 )
-from .model import (
-    MarketModel,
-    SeedSpec,
-    prices_from_log_returns,
-    sample_log_returns,
-)
+from .model import LogReturnSampler, MarketModel, prices_from_log_returns
 from .oracle import (
     ExactMoments,
     FiniteJointDistribution,
@@ -55,8 +50,7 @@ from .payoffs import (
 __all__ = [
     "__version__",
     "MarketModel",
-    "SeedSpec",
-    "sample_log_returns",
+    "LogReturnSampler",
     "prices_from_log_returns",
     "ContractSpec",
     "CONTRACT_KINDS",

@@ -36,7 +36,7 @@ from .estimators import (
     EstimatorReport,
     cv_estimate,
 )
-from .model import MarketModel, SeedSpec
+from .model import MarketModel, check_seed
 from .oracle import FiniteJointDistribution, run_inequality_trials, correlation_inequality_check
 from .payoffs import ContractSpec
 
@@ -181,7 +181,7 @@ def parse_scenario(text: str, runs: int | None = None, seed: int | None = None) 
     if not 0.0 < pilot_fraction < 1.0:
         raise ScenarioError(f"scenario.pilot_fraction: must be in (0, 1), got {pilot_fraction}")
     try:
-        SeedSpec(seed)
+        check_seed(seed)
     except ValueError as exc:
         raise ScenarioError(f"scenario.seed: {exc}") from exc
 

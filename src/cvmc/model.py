@@ -83,35 +83,10 @@ class MarketModel:
         return self.volatility / math.sqrt(self.trading_days_per_year)
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Identifies one simulation run: a seed and the run's index.
-
-    The same (seed, stream_index, n) always reproduces the same draws
-    within one build; distinct run indices get disjoint draws.
-    """
-
-    seed: int
-    stream_index: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.seed < _U64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not 0 <= self.stream_index < _U64:
-            raise ValueError(f"stream_index must be in [0, 2^64), got {self.stream_index!r}")
-
-
-def sample_log_returns(model: MarketModel, n: int, seed: SeedSpec) -> np.ndarray:
-    """Draw the n daily log-returns of one simulation run.
-
-    Returns n i.i.d. Normal(daily_mean, daily_variance) draws: row
-    seed.stream_index of the stream contract, fully determined by
-    (seed.seed, seed.stream_index, n). Reaching a row draws the rows
-    before it in its block, so prefer ``LogReturnSampler.rows`` for many
-    runs.
-    """
-    j = seed.stream_index
-    return LogReturnSampler(model, n, seed.seed).rows(j, j + 1)[0]
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed is a 64-bit unsigned integer."""
+    if not 0 <= seed < _U64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def prices_from_log_returns(
@@ -132,8 +107,9 @@ def prices_from_log_returns(
 class LogReturnSampler:
     """Log-returns of consecutive runs under the stream contract.
 
-    Keeps the current block's generator and the next row it will produce,
-    so ascending calls draw every normal once. ``numpy``'s ziggurat uses a
+    The one way to draw them: run j alone is ``rows(j, j + 1)[0]``. Keeps
+    the current block's generator and the next row it will produce, so
+    ascending calls draw every normal once. ``numpy``'s ziggurat uses a
     variable number of random words per normal, so a row is reached only
     by drawing the rows before it; going back starts the block again.
     """
@@ -141,7 +117,7 @@ class LogReturnSampler:
     def __init__(self, model: MarketModel, n: int, seed: int):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        SeedSpec(seed)  # range check
+        check_seed(seed)
         self.model = model
         self.n = n
         self.seed = seed

@@ -11,7 +11,7 @@ reports that honestly.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,12 +58,12 @@ class FiniteJointDistribution:
         ]
         if names is None:
             names = tuple(f"X{i + 1}" for i in range(len(marginals)))
-        atoms = []
-        probs = []
-        for combo in itertools.product(*(range(len(v)) for v, _ in marginals)):
-            atoms.append([marginals[i][0][j] for i, j in enumerate(combo)])
-            probs.append(math.prod(marginals[i][1][j] for i, j in enumerate(combo)))
-        return cls.from_atoms(names, np.array(atoms), np.array(probs))
+        # atoms in row-major order (last variable fastest), each probability
+        # the left-to-right product of its marginal probabilities
+        values, probs = zip(*marginals)
+        grids = np.meshgrid(*values, indexing="ij")
+        atoms = np.column_stack([grid.ravel() for grid in grids])
+        return cls.from_atoms(names, atoms, functools.reduce(np.multiply.outer, probs).ravel())
 
     @property
     def n_variables(self) -> int:
@@ -77,9 +77,6 @@ class FiniteJointDistribution:
             np.column_stack([values, self.outcomes]),
             self.probabilities,
         )
-
-    def moments(self) -> "ExactMoments":
-        return exact_moments(self)
 
     def sample(self, n_draws: int, rng: np.random.Generator) -> np.ndarray:
         """n_draws outcome rows drawn from the law (Monte Carlo spot checks)."""
@@ -196,8 +193,9 @@ def random_independent_trial(
             marginals.append((rng.uniform(-1.0, 1.0, size=k), rng.dirichlet(np.ones(k))))
         base = FiniteJointDistribution.independent(marginals)
         table = rng.uniform(-1.0, 1.0, size=base.outcomes.shape[0])
-        values = iter(table)
-        dist = base.with_target(lambda _row: next(values))
+        dist = FiniteJointDistribution.from_atoms(
+            ("Y", *base.names), np.column_stack([table, base.outcomes]), base.probabilities
+        )
         alpha = rng.uniform(-2.0, 2.0, size=n_variables)
         m = exact_moments(dist)
         combo_var = float(alpha @ m.covariance[1:, 1:] @ alpha)

@@ -12,8 +12,8 @@ from cvmc import (
     ASIAN_FIXED,
     ContractSpec,
     ControlSpec,
+    LogReturnSampler,
     MarketModel,
-    SeedSpec,
     black_scholes_call,
     brute_force_cv_variance,
     cv_estimate,
@@ -22,7 +22,6 @@ from cvmc import (
     plain_estimate,
     prices_from_log_returns,
     run_inequality_trials,
-    sample_log_returns,
 )
 from cvmc.cli import compare_estimators, run_scenario
 from cvmc.oracle import FiniteJointDistribution, random_joint_law, correlation_inequality_check
@@ -142,7 +141,7 @@ def test_criterion_5_enumeration_identities():
 
 def test_criterion_6_degenerate_exactness(tmp_path):
     model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
-    x = sample_log_returns(model, 5, SeedSpec(1, 0))
+    x = LogReturnSampler(model, 5, seed=1).rows(0, 1)[0]
     prices = prices_from_log_returns(model, x)
     expected_prices = 100.0 * np.exp(0.05 * np.arange(1, 6) / 252)
     prices_ok = np.allclose(prices, expected_prices, rtol=1e-12)

@@ -3,10 +3,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cvmc import cli
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 BASE_SCENARIO = """\
 market:
@@ -263,3 +266,16 @@ def test_import_does_not_load_scipy_stats():
     code = "import sys, cvmc, cvmc.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    # scipy is not a runtime dependency: with it unimportable, the CLI
+    # still checks the inequality and prices a scenario
+    scenario = SCENARIOS / "asian_fixed_benchmark.yaml"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from cvmc import cli\n"
+        "codes = [cli.main(['check-ineq', '--trials', '20']),\n"
+        f"         cli.main(['price', '--scenario', {str(scenario)!r}, '--runs', '2000'])]\n"
+        "print(codes)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0]"

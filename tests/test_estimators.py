@@ -10,9 +10,9 @@ from cvmc import (
     ASIAN_FLOATING,
     ContractSpec,
     ControlSpec,
+    LogReturnSampler,
     MarketModel,
     MomentAccumulator,
-    SeedSpec,
     best_linear_variance_ratio,
     cv_estimate,
     insample_variance,
@@ -20,15 +20,25 @@ from cvmc import (
     plain_estimate,
     predicted_ratio,
     prices_from_log_returns,
-    sample_log_returns,
     sweep_diagnostic,
 )
-from cvmc.estimators import FORM_CUSTOM, FORM_MULTI, FORM_NONE, FORM_SINGLE
-from cvmc.model import LogReturnSampler
-from cvmc.payoffs import discounted_payoff
+from cvmc.estimators import (
+    FORM_CUSTOM,
+    FORM_MULTI,
+    FORM_NONE,
+    FORM_SINGLE,
+    SOURCE_IN_SAMPLE,
+    SOURCE_PILOT,
+)
+from cvmc.payoffs import CONTRACT_KINDS, STRIKE_KINDS, discounted_payoff
 
 MARKET = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
 ASIAN = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=30, strike=100.0)
+
+
+def run_log_returns(n, seed, j):
+    """Log-returns of run j alone, on a fresh sampler: the per-run reference."""
+    return LogReturnSampler(MARKET, n, seed).rows(j, j + 1)[0]
 
 
 def acc_of(*columns):
@@ -63,6 +73,13 @@ class TestMomentAccumulator:
         with pytest.raises(ValueError):
             acc.covariance()
 
+    def test_add_batch_dimension_mismatch(self):
+        acc = MomentAccumulator(2)
+        with pytest.raises(ValueError, match="expected shape"):
+            acc.add_batch(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="expected shape"):
+            acc.add_batch(np.zeros(2))
+
     def test_constant_batch_has_exactly_zero_variance(self):
         acc = MomentAccumulator(2)
         acc.add_batch(np.tile([math.pi, math.e], (7, 1)))
@@ -94,36 +111,13 @@ class TestMomentAccumulator:
         right = np.array(right)
         union = MomentAccumulator(2)
         union.add_batch(np.vstack([left, right]))
+        # the second add_batch call merges right's moments into left's
         merged = MomentAccumulator(2)
         merged.add_batch(left)
-        other = MomentAccumulator(2)
-        other.add_batch(right)
-        merged.merge(other)
+        merged.add_batch(right)
         assert merged.count == union.count
         assert np.allclose(merged.mean, union.mean, rtol=1e-9, atol=1e-12)
         assert np.allclose(merged.covariance(), union.covariance(), rtol=1e-9, atol=1e-9)
-
-    def test_merge_associative_and_permutation_invariant(self):
-        rng = np.random.default_rng(5)
-        blocks = [rng.normal(size=(rng.integers(2, 30), 2)) for _ in range(6)]
-
-        def merged(order):
-            acc = MomentAccumulator(2)
-            for i in order:
-                part = MomentAccumulator(2)
-                part.add_batch(blocks[i])
-                acc.merge(part)
-            return acc
-
-        forward = merged(range(6))
-        backward = merged([5, 3, 1, 0, 4, 2])
-        assert np.allclose(forward.covariance(), backward.covariance(), rtol=1e-9)
-        assert np.allclose(forward.mean, backward.mean, rtol=1e-9)
-
-    def test_merge_dimension_mismatch(self):
-        acc = MomentAccumulator(2)
-        with pytest.raises(ValueError):
-            acc.merge(MomentAccumulator(3))
 
 
 class TestLeanMoments:
@@ -141,13 +135,9 @@ class TestLeanMoments:
         full.add_batch(data)
         lean = MomentAccumulator(4, full_covariance=False)
         bounds = np.cumsum([0, *sizes, 2]).tolist()
+        # any split of the sample into add_batch calls
         for lo, hi in zip(bounds, bounds[1:]):
-            if rng.random() < 0.5:
-                lean.add_batch(data[lo:hi])
-            else:
-                part = MomentAccumulator(4, full_covariance=False)
-                part.add_batch(data[lo:hi])
-                lean.merge(part)
+            lean.add_batch(data[lo:hi])
         cov = full.covariance()
         assert lean.count == full.count
         assert np.allclose(lean.mean, full.mean, rtol=1e-12, atol=0)
@@ -161,7 +151,7 @@ class TestLeanMoments:
         for part in (x[:4], x[4:]):
             lean.add_batch(np.column_stack((np.full(len(part), math.pi), part)))
         assert lean.mean[0] == math.pi
-        assert lean.variance(0) == 0.0
+        assert lean.variances()[0] == 0.0
         assert np.all(lean.cross() == 0.0)
 
     def test_full_covariance_refused(self):
@@ -170,8 +160,6 @@ class TestLeanMoments:
         lean.add_batch(data)
         with pytest.raises(ValueError, match="row 0 and the diagonal"):
             lean.covariance()
-        with pytest.raises(ValueError, match="kind"):
-            acc_of(*data.T).merge(lean)
 
 
 class TestOptimalCoefficients:
@@ -254,7 +242,7 @@ def _asian_sample_accumulator(form, runs=2000, n=5, seed=123):
     spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
     rows = []
     for j in range(runs):
-        x = sample_log_returns(MARKET, n, SeedSpec(seed, j))
+        x = run_log_returns(n, seed, j)
         y = discounted_payoff(MARKET, spec, prices_from_log_returns(MARKET, x))
         if form == FORM_SINGLE:
             rows.append([y, x.sum()])
@@ -273,7 +261,8 @@ class TestPredictedRatio:
     def test_single_control_correlation_point_eight(self):
         # sample correlation exactly 16/20 = 0.8, so the ratio is 0.36
         acc = acc_of(np.array([3.0, -3.0, 1.0, -1.0]), np.array([3.0, -3.0, -1.0, 1.0]))
-        corr = acc.cross()[1] / math.sqrt(acc.variance(0) * acc.variance(1))
+        var_y, var_x = acc.variances()
+        corr = acc.cross()[1] / math.sqrt(var_y * var_x)
         assert corr == pytest.approx(0.8, abs=1e-15)
         assert predicted_ratio(acc, ControlSpec(form=FORM_SINGLE)) == pytest.approx(0.36, abs=1e-12)
 
@@ -325,7 +314,7 @@ class TestPlainEstimate:
             discounted_payoff(
                 MARKET,
                 ASIAN,
-                prices_from_log_returns(MARKET, sample_log_returns(MARKET, 30, SeedSpec(17, j))),
+                prices_from_log_returns(MARKET, run_log_returns(30, 17, j)),
             )
             for j in range(runs)
         ]
@@ -368,7 +357,7 @@ class TestCvEstimate:
         means = report.coefficients.control_means
         ws, ys = [], []
         for j in range(40, runs):
-            x = sample_log_returns(MARKET, n, SeedSpec(77, j))
+            x = run_log_returns(n, 77, j)
             y = discounted_payoff(MARKET, ASIAN, prices_from_log_returns(MARKET, x))
             ws.append(y + betas @ (x - means))
             ys.append(y)
@@ -533,6 +522,65 @@ class TestCvEstimate:
             ControlSpec(form=FORM_SINGLE, weights=np.ones(3))
 
 
+def _finite_report(report) -> bool:
+    fields = [
+        report.estimate,
+        report.standard_error,
+        report.empirical_variance_ratio,
+        report.predicted_variance_ratio,
+        *report.coefficients.values,
+        *report.coefficients.control_means,
+        *report.per_control_correlations,
+    ]
+    return all(math.isfinite(v) for v in fields)
+
+
+# Coefficient source with its run count: pilot mode needs
+# ceil(0.1 * runs) >= 2 pilot runs, so runs >= 11.
+_SOURCE_AND_RUNS = st.sampled_from([(SOURCE_PILOT, 11), (SOURCE_IN_SAMPLE, 4)]).flatmap(
+    lambda pair: st.tuples(st.just(pair[0]), st.integers(min_value=pair[1], max_value=400))
+)
+
+
+class TestValidInputsReturn:
+    """Few runs per control bias the predicted ratio down; cv_estimate
+    still returns, with a note, instead of refusing the input."""
+
+    @given(
+        st.sampled_from(sorted(CONTRACT_KINDS)),
+        st.sampled_from([1, 2, 5, 30, 252]),
+        st.sampled_from([FORM_SINGLE, FORM_MULTI, FORM_CUSTOM]),
+        st.floats(min_value=0.01, max_value=3.0),
+        _SOURCE_AND_RUNS,
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_never_raises_and_stays_finite(self, kind, n, form, volatility, source_and_runs, seed):
+        source, runs = source_and_runs
+        model = MarketModel(initial_price=100.0, rate=0.05, volatility=volatility)
+        strike = 100.0 if kind in STRIKE_KINDS else None
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=strike)
+        weights = np.random.default_rng(seed).uniform(0.5, 1.5, n) if form == FORM_CUSTOM else None
+        control = ControlSpec(form=form, coefficient_source=source, weights=weights)
+        report = cv_estimate(model, spec, control, runs, seed=seed)
+        assert _finite_report(report)
+
+    @pytest.mark.parametrize("n, runs", [(252, 1000), (60, 100), (30, 40)])
+    def test_biased_prediction_returns_with_note(self, n, runs):
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        with pytest.warns(UserWarning, match="predicted variance ratio below -0.05"):
+            report = cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), runs, seed=0)
+        assert report.predicted_variance_ratio < -0.05
+        assert _finite_report(report)
+        main_runs = runs - math.ceil(0.1 * runs)
+        (note,) = report.notes
+        predicted = report.predicted_variance_ratio
+        assert note.startswith(f"predicted variance ratio {predicted:.6g} is below -0.05")
+        assert f"q = {n} controls and R = {main_runs} runs" in note
+        assert f"q/R = {n / main_runs:.3g}" in note
+
+
 class TestInSampleOptimality:
     """No linear control beats the jointly optimized one on a fixed sample."""
 
@@ -553,14 +601,14 @@ class TestInSampleOptimality:
         acc = self.accumulator()
         optimum = best_linear_variance_ratio(acc)
         betas = c * np.asarray(weights)
-        ratio = insample_variance(acc, betas) / acc.variance(0)
+        ratio = insample_variance(acc, betas) / acc.variances()[0]
         assert ratio >= optimum - 1e-9
 
     def test_componentwise_betas_close_to_joint_optimum_here(self):
         # the log-returns are independent, so the per-control formula is
         # near-optimal on sample data
         acc = self.accumulator()
-        ratio_componentwise = insample_variance(acc, optimal_betas(acc)[0]) / acc.variance(0)
+        ratio_componentwise = insample_variance(acc, optimal_betas(acc)[0]) / acc.variances()[0]
         assert ratio_componentwise <= best_linear_variance_ratio(acc) + 0.01
 
 

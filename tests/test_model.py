@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvmc import MarketModel, SeedSpec, prices_from_log_returns, sample_log_returns
-from cvmc.model import STREAM_BLOCK_ROWS, STREAM_CONTRACT_VERSION, LogReturnSampler
+from cvmc import LogReturnSampler, MarketModel, prices_from_log_returns
+from cvmc.model import STREAM_BLOCK_ROWS, STREAM_CONTRACT_VERSION, check_seed
 
 
 @pytest.fixture
@@ -35,43 +35,50 @@ class TestMarketModel:
         with pytest.raises(ValueError):
             MarketModel(**kwargs)
 
-    def test_seed_spec_bounds(self):
-        SeedSpec(0, 0)
-        SeedSpec(2**64 - 1, 2**64 - 1)
+    def test_seed_bounds(self, market):
+        check_seed(0)
+        last = LogReturnSampler(market, 1, 2**64 - 1).rows(2**64 - 1, 2**64)
+        assert last.shape == (1, 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+                check_seed(seed)
+            with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+                LogReturnSampler(market, 1, seed)
         with pytest.raises(ValueError):
-            SeedSpec(-1)
-        with pytest.raises(ValueError):
-            SeedSpec(2**64)
-        with pytest.raises(ValueError):
-            SeedSpec(0, -3)
+            LogReturnSampler(market, 1, 0).rows(-3, -2)
+
+
+def run_log_returns(model, n, seed, j):
+    """Log-returns of run j alone, on a fresh sampler."""
+    return LogReturnSampler(model, n, seed).rows(j, j + 1)[0]
 
 
 class TestSampleLogReturns:
     def test_zero_volatility_is_exact_drift(self):
         model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
-        x = sample_log_returns(model, 3, SeedSpec(11, 4))
+        x = run_log_returns(model, 3, 11, 4)
         assert x.tolist() == [0.05 / 252] * 3
 
     def test_deterministic_given_seed(self, market):
-        a = sample_log_returns(market, 16, SeedSpec(99, 3))
-        b = sample_log_returns(market, 16, SeedSpec(99, 3))
+        a = run_log_returns(market, 16, 99, 3)
+        b = run_log_returns(market, 16, 99, 3)
         assert np.array_equal(a, b)
 
     def test_streams_are_distinct(self, market):
-        a = sample_log_returns(market, 16, SeedSpec(99, 3))
-        b = sample_log_returns(market, 16, SeedSpec(99, 4))
-        c = sample_log_returns(market, 16, SeedSpec(100, 3))
+        a = run_log_returns(market, 16, 99, 3)
+        b = run_log_returns(market, 16, 99, 4)
+        c = run_log_returns(market, 16, 100, 3)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rejects_zero_length(self, market):
         with pytest.raises(ValueError):
-            sample_log_returns(market, 0, SeedSpec(1))
+            run_log_returns(market, 0, 1, 0)
 
     def test_large_sample_moments(self, market):
         # law-of-large-numbers check against the exact normal moments
         n = 10**6
-        x = sample_log_returns(market, n, SeedSpec(2024, 0))
+        x = run_log_returns(market, n, 2024, 0)
         se_mean = market.daily_std / math.sqrt(n)
         assert abs(x.mean() - market.daily_mean) < 4 * se_mean
         assert abs(x.var(ddof=1) - market.daily_variance) < 0.01 * market.daily_variance
@@ -98,7 +105,7 @@ class TestSampleLogReturns:
         rows = LogReturnSampler(market, 3, seed=555).rows(lo, hi)
         assert rows.shape == (hi - lo, 3)
         for j in range(lo, hi):
-            expected = sample_log_returns(market, 3, SeedSpec(555, j))
+            expected = run_log_returns(market, 3, 555, j)
             assert np.array_equal(rows[j - lo], expected)
 
     def test_stream_contract_blocks(self, market):
@@ -156,13 +163,13 @@ class TestBuildPath:
 
     def test_deterministic_drift_path(self):
         model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
-        x = sample_log_returns(model, 5, SeedSpec(0))
+        x = run_log_returns(model, 5, 0, 0)
         prices = prices_from_log_returns(model, x)
         expected = 100.0 * np.exp(0.05 * np.arange(1, 6) / 252)
         assert np.allclose(prices, expected, rtol=1e-12)
 
     def test_prices_positive_and_causal(self, market):
-        x = sample_log_returns(market, 40, SeedSpec(5, 2))
+        x = run_log_returns(market, 40, 5, 2)
         prices = prices_from_log_returns(market, x)
         assert np.all(prices > 0)
         # day i depends only on the first i returns
@@ -171,7 +178,7 @@ class TestBuildPath:
 
     def test_reconstruction_recovers_log_returns(self, market):
         for stream in range(5):
-            x = sample_log_returns(market, 60, SeedSpec(31, stream))
+            x = run_log_returns(market, 60, 31, stream)
             prices = prices_from_log_returns(market, x)
             assert np.allclose(log_returns_of(market, prices), x, rtol=1e-10, atol=1e-14)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -47,6 +48,22 @@ class TestFiniteJointDistribution:
             p_x2[row[1]] += p
         assert p_x2[-1.0] == pytest.approx(0.25, abs=1e-15)
 
+    def test_product_matches_atom_by_atom_enumeration(self):
+        # atoms in itertools.product order (last variable fastest), each
+        # probability the left-to-right product of its marginal probabilities
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            marginals = []
+            for _ in range(int(rng.integers(1, 5))):
+                k = int(rng.integers(1, 5))
+                marginals.append((rng.uniform(-1.0, 1.0, size=k), rng.dirichlet(np.ones(k))))
+            dist = FiniteJointDistribution.independent(marginals)
+            combos = list(itertools.product(*(range(len(v)) for v, _ in marginals)))
+            atoms = [[marginals[i][0][j] for i, j in enumerate(c)] for c in combos]
+            probs = [math.prod(marginals[i][1][j] for i, j in enumerate(c)) for c in combos]
+            assert np.array_equal(dist.outcomes, np.array(atoms))
+            assert np.array_equal(dist.probabilities, np.array(probs))
+
     def test_with_target_prepends_function(self):
         base = FiniteJointDistribution.independent([([0.0, 1.0], [0.5, 0.5])])
         dist = base.with_target(lambda row: 3.0 * row[0] + 1.0)
@@ -55,7 +72,7 @@ class TestFiniteJointDistribution:
 
     def test_sampling_spot_checks_exact_moments(self):
         dist = two_point_yv()
-        moments = dist.moments()
+        moments = exact_moments(dist)
         draws = dist.sample(200_000, np.random.default_rng(11))
         se_mean = math.sqrt(moments.variance(0) / draws.shape[0])
         assert abs(draws[:, 0].mean() - moments.mean[0]) < 4 * se_mean
