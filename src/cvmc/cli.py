@@ -65,10 +65,10 @@ class Scenario:
     runs: int
     seed: int
     estimator: str
-    pilot_fraction: float = DEFAULT_PILOT_FRACTION
-    coefficient_source: str = SOURCE_PILOT
-    custom_weights: tuple[float, ...] | None = None
-    batch_size: int = DEFAULT_BATCH_SIZE
+    pilot_fraction: float
+    coefficient_source: str
+    custom_weights: tuple[float, ...] | None
+    batch_size: int
 
 
 def _require_mapping(value, context: str) -> dict:

@@ -62,7 +62,8 @@ class MomentAccumulator:
     Observations arrive only through ``add_batch``, which folds each batch
     in with the pairwise update: any split of a sample into batches gives
     the same moments up to rounding, and the same split in the same order
-    gives the same bits.
+    gives the same bits. A batch after which a sum of centered products is
+    no longer finite raises ValueError, so no moment reads inf or NaN.
     """
 
     def __init__(self, dim: int, full_covariance: bool = True):
@@ -115,22 +116,26 @@ class MomentAccumulator:
             col_mean = np.where(np.all(xs == xs[0], axis=0), xs[0], col_mean)
         elif (xs[:, 0] == xs[0, 0]).all():
             col_mean[0] = xs[0, 0]
-        self._merge_parts(runs, col_mean, self._products(xs, col_mean))
-
-    def _merge_parts(self, count_b: int, mean_b: np.ndarray, m2_b: np.ndarray) -> None:
-        if count_b == 0:
-            return
-        count_a = self._count
-        total = count_a + count_b
-        if count_a == 0:
+        m2 = self._products(xs, col_mean)
+        count = self._count
+        total = count + runs
+        if count == 0:
             # The batch's moment arrays are fresh and are never updated in
             # place, so they are adopted as they are.
-            self._count, self._mean, self._m2 = count_b, mean_b, m2_b
-            return
-        delta = mean_b - self._mean
-        self._mean = self._mean + delta * (count_b / total)
-        self._m2 = self._m2 + m2_b + self._products(delta[None, :], 0.0) * (count_a * count_b / total)
-        self._count = total
+            mean = col_mean
+        else:
+            delta = col_mean - self._mean
+            mean = self._mean + delta * (runs / total)
+            m2 = self._m2 + m2 + self._products(delta[None, :], 0.0) * (count * runs / total)
+        # min and max propagate NaN and show either infinity without
+        # allocating: a small temporary here can keep the batch buffers of
+        # _batches from returning to the operating system (peak RSS).
+        if not (math.isfinite(m2.min()) and math.isfinite(m2.max())):
+            raise ValueError(
+                f"the moments overflow floating point after {total} rows: "
+                f"sums of squared deviations are non-finite"
+            )
+        self._count, self._mean, self._m2 = total, mean, m2
 
     def _denominator(self) -> int:
         if self._count < 2:
@@ -272,32 +277,37 @@ def _batches(
     seed: int,
     runs: int,
     batch_size: int,
+    controls: _Controls | None,
     width: int,
 ):
     """Simulate runs 0..runs-1 in batches cut at multiples of batch_size.
 
-    Yields (lo, log-returns, payoffs, batch) per batch. batch is an
-    uninitialised (rows, width) array for the caller's moment rows, with
-    width >= n: its memory holds the prices, laid out contiguously, until
-    the payoffs are taken. The log-returns and batch arrays are reused by
-    the next batch: allocating them afresh for every batch hands their
-    pages back to the operating system and faults them in again.
-    A non-finite payoff raises instead of reaching the moments.
+    Yields (lo, log-returns, rows) per batch: rows is a (batch, width)
+    view of moment rows [Y | controls], the payoffs in column 0, the q
+    control values in columns 1..q and the caller's columns after them.
+    The row memory holds the prices, laid out contiguously, until the
+    payoffs are taken, so it is still warm in cache when the moments read
+    the rows. Both buffers are reused by the next batch: allocating them
+    afresh hands their pages back to the operating system and faults them
+    in again. A non-finite payoff raises instead of reaching the moments.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = spec.days_to_maturity
     sampler = LogReturnSampler(model, n, seed)
-    rows = min(batch_size, runs)
-    x_buffer, batch_buffer = np.empty((rows, n)), np.empty((rows, width))
+    size = min(batch_size, runs)
+    x_buffer, row_buffer = np.empty((size, n)), np.empty((size, max(width, n)))
     for lo in range(0, runs, batch_size):
         hi = min(lo + batch_size, runs)
         x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
-        batch = batch_buffer[: hi - lo]
-        prices = prices_from_log_returns(model, x, out=batch.reshape(-1)[: x.size].reshape(x.shape))
+        rows = row_buffer[: hi - lo]
+        prices = prices_from_log_returns(model, x, out=rows.reshape(-1)[: x.size].reshape(x.shape))
         y = discounted_payoff(model, spec, prices)
         _require_finite(y, "payoff", spec, lo, hi)
-        yield lo, x, y, batch
+        rows[:, 0] = y
+        if controls is not None:
+            rows[:, 1 : 1 + controls.dim] = controls.values(x)
+        yield lo, x, rows[:, :width]
 
 
 def _accumulate(
@@ -307,21 +317,12 @@ def _accumulate(
     runs: int,
     controls: _Controls | None,
     batch_size: int,
-    extra_prices: bool = False,
 ) -> MomentAccumulator:
-    """Full moments of (Y, controls..., prices...) over runs 0..runs-1, batch-merged in order."""
-    n = spec.days_to_maturity
+    """Full moments of (Y, controls...) over runs 0..runs-1, batch-merged in order."""
     q = controls.dim if controls is not None else 0
-    dim = 1 + q + (n if extra_prices else 0)
-    acc = MomentAccumulator(dim)
-    for lo, x, y, batch in _batches(model, spec, seed, runs, batch_size, max(dim, n)):
-        batch[:, 0] = y
-        if controls is not None:
-            batch[:, 1 : 1 + q] = controls.values(x)
-        if extra_prices:
-            prices = prices_from_log_returns(model, x, out=batch[:, 1 + q : dim])
-            _require_finite(prices, "price", spec, lo, lo + len(y))
-        acc.add_batch(batch[:, :dim])
+    acc = MomentAccumulator(1 + q)
+    for _, _, rows in _batches(model, spec, seed, runs, batch_size, controls, acc.dim):
+        acc.add_batch(rows)
     return acc
 
 
@@ -345,21 +346,18 @@ def _pilot_pass(
     pilot = MomentAccumulator(1 + q, full_covariance=False)
     main = MomentAccumulator(2 + q, full_covariance=False)
     betas, notes, offset = None, [], 0.0
-    width = max(2 + q, spec.days_to_maturity)
-    for lo, x, y, batch in _batches(model, spec, seed, runs, batch_size, width):
-        c = controls.values(x)
-        batch[:, 0] = y
-        batch[:, 1 : 1 + q] = c
-        split = min(max(pilot_runs - lo, 0), len(c))
+    for lo, _, rows in _batches(model, spec, seed, runs, batch_size, controls, 2 + q):
+        split = min(max(pilot_runs - lo, 0), len(rows))
         if split > 0:
-            pilot.add_batch(batch[:split, : 1 + q])
-        if split == len(c):
+            pilot.add_batch(rows[:split, : 1 + q])
+        if split == len(rows):
             continue
         if betas is None:
             betas, notes = optimal_betas(pilot, controls.exact_variances)
             offset = controls.means @ betas
-        batch[split:, 1 + q] = y[split:] + np.einsum("ij,j->i", c[split:], betas) - offset
-        main.add_batch(batch[split:, : 2 + q])
+        y, c = rows[split:, 0], rows[split:, 1 : 1 + q]
+        rows[split:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
+        main.add_batch(rows[split:])
     return betas, notes, main
 
 
@@ -384,19 +382,18 @@ def plain_estimate(
     )
 
 
-def optimal_betas(
-    acc: MomentAccumulator, variances: np.ndarray | None = None
-) -> tuple[np.ndarray, list[str]]:
+def optimal_betas(acc: MomentAccumulator, variances: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Per-control multipliers -cov(Y, C_i)/var(C_i), and notes on dropped controls.
 
     The accumulator's first variable is Y; the rest are the controls.
-    `variances` replaces the sample variances in the denominators with
-    exact model values (what cv_estimate passes for log-return controls).
-    A control whose variance is below DEGENERATE_CONTROL_TOLERANCE times
-    its second moment gets coefficient 0, with a warning and a note;
-    if every control is degenerate, raises ValueError.
+    `variances` are the denominators var(C_i): cv_estimate passes the
+    exact model values of the log-return controls, acc.variances()[1:]
+    gives the sample ones. A control whose variance is below
+    DEGENERATE_CONTROL_TOLERANCE times its second moment gets
+    coefficient 0, with a warning and a note; if every control is
+    degenerate, raises ValueError.
     """
-    denominators = acc.variances()[1:] if variances is None else np.array(variances, dtype=float)
+    denominators = np.array(variances, dtype=float)
     if denominators.shape != (acc.dim - 1,):
         raise ValueError(f"expected {acc.dim - 1} variances, got shape {denominators.shape}")
     # the stored means, without the copy the public property makes
@@ -473,8 +470,8 @@ def cv_estimate(
     spec: ContractSpec,
     control: ControlSpec,
     runs: int,
+    seed: int,
     pilot_fraction: float = DEFAULT_PILOT_FRACTION,
-    seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> EstimatorReport:
     """Control-variate estimate of E[Y] over `runs` paths.
@@ -581,7 +578,11 @@ def sweep_diagnostic(
     for spec in specs:
         n = spec.days_to_maturity
         controls = _Controls(model, spec, ControlSpec(form=FORM_MULTI))
-        acc = _accumulate(model, spec, seed, runs, controls, batch_size, extra_prices=True)
+        acc = MomentAccumulator(1 + 2 * n)
+        for lo, x, batch in _batches(model, spec, seed, runs, batch_size, controls, acc.dim):
+            prices = prices_from_log_returns(model, x, out=batch[:, 1 + n :])
+            _require_finite(prices, "price", spec, lo, lo + len(batch))
+            acc.add_batch(batch)
         cov = acc.covariance()
         var_y = cov[0, 0]
         if var_y == 0.0:

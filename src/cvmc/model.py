@@ -12,6 +12,7 @@ rows are drawn in bulk instead of resetting a generator per run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ STREAM_BLOCK_ROWS = 4096
 # Rows skipped to reach a run inside a block are drawn and discarded in
 # pieces of at most this many normals, to bound the memory it takes.
 _SKIP_NORMALS = 2**20
+# The largest volatility whose square is finite (about 1.34e154).
+_MAX_VOLATILITY = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,8 @@ class MarketModel:
         initial_price: Spot price at day 0 (> 0).
         rate: Annualized risk-free rate, decimal (e.g. 0.05).
         volatility: Annualized volatility, decimal (>= 0; 0 gives the
-            deterministic drift-only model).
+            deterministic drift-only model; at most about 1.34e154, so
+            that its square is finite).
         trading_days_per_year: Day-count convention, default 252.
     """
 
@@ -57,6 +61,11 @@ class MarketModel:
             raise ValueError(f"initial_price must be > 0, got {self.initial_price}")
         if self.volatility < 0:
             raise ValueError(f"volatility must be >= 0, got {self.volatility}")
+        if self.volatility > _MAX_VOLATILITY:
+            raise ValueError(
+                f"volatility must be <= {_MAX_VOLATILITY:.6g} (its square overflows floating point), "
+                f"got {self.volatility}"
+            )
         if not isinstance(self.trading_days_per_year, int) or self.trading_days_per_year < 1:
             raise ValueError(
                 f"trading_days_per_year must be a positive integer, "
@@ -84,8 +93,12 @@ class MarketModel:
 
 
 def check_seed(seed: int) -> None:
-    """Raise ValueError unless seed is a 64-bit unsigned integer."""
-    if not 0 <= seed < _U64:
+    """Raise ValueError unless seed is a 64-bit unsigned integer.
+
+    Python and numpy integers qualify; bool and float do not, since True
+    and 1.7 would otherwise draw the stream of seed 1.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < _U64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 

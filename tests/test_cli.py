@@ -179,6 +179,13 @@ class TestMainPrice:
         assert err["error_class"] == "validation"
         assert "surprise" in err["message"]
 
+    def test_overflowing_volatility_is_validation_error(self, scenario_file, capsys):
+        path = scenario_file(BASE_SCENARIO.replace("volatility: 0.2", "volatility: 1.0e+200"))
+        assert cli.main(["price", "--scenario", path]) == cli.EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error_class"] == "validation"
+        assert err["message"].startswith("market: volatility must be <=")
+
     def test_runs_override_below_minimum_rejected(self, scenario_file, capsys):
         # the overrides are checked by parse_scenario, like the file's values
         for field, value in (("runs", "1"), ("seed", "-1")):

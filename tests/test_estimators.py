@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvmc import (
@@ -48,6 +48,11 @@ def acc_of(*columns):
     return acc
 
 
+def sample_betas(acc):
+    """optimal_betas with the sample variances of the controls as denominators."""
+    return optimal_betas(acc, acc.variances()[1:])
+
+
 class TestMomentAccumulator:
     def test_matches_numpy_cov(self):
         data = np.random.default_rng(0).normal(size=(500, 3))
@@ -79,6 +84,16 @@ class TestMomentAccumulator:
             acc.add_batch(np.zeros((4, 3)))
         with pytest.raises(ValueError, match="expected shape"):
             acc.add_batch(np.zeros(2))
+
+    @pytest.mark.parametrize("full_covariance", [True, False])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_moments_raise_and_leave_the_state(self, full_covariance):
+        acc = MomentAccumulator(2, full_covariance=full_covariance)
+        acc.add_batch([[1.0, 2.0], [3.0, 5.0]])
+        with pytest.raises(ValueError, match="overflow"):
+            acc.add_batch([[1e155, 0.0], [-1e155, 1.0]])
+        assert acc.count == 2 and acc.mean.tolist() == [2.0, 3.5]
+        assert acc.variances().tolist() == [2.0, 4.5]
 
     def test_constant_batch_has_exactly_zero_variance(self):
         acc = MomentAccumulator(2)
@@ -165,28 +180,28 @@ class TestLeanMoments:
 class TestOptimalCoefficients:
     def test_perfect_control(self):
         acc = acc_of(np.array([1.0, 2.0, 3.5]), np.array([1.0, 2.0, 3.5]))
-        assert optimal_betas(acc)[0][0] == -1.0
+        assert sample_betas(acc)[0][0] == -1.0
 
     def test_useless_control(self):
         acc = acc_of(np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
-        assert optimal_betas(acc)[0][0] == 0.0
+        assert sample_betas(acc)[0][0] == 0.0
 
     def test_two_point_law(self):
         # (Y,V) in {(0,0),(2,1)}: cov=0.5, var(V)=0.25 under the law, so c*=-2
         acc = acc_of(np.array([0.0, 2.0]), np.array([0.0, 1.0]))
-        assert optimal_betas(acc)[0][0] == -2.0
+        assert sample_betas(acc)[0][0] == -2.0
 
     def test_degenerate_control_rejected(self):
         acc = acc_of(np.array([1.0, 2.0, 3.0]), np.array([4.0, 4.0, 4.0]))
         with pytest.raises(ValueError, match="degenerate"):
-            optimal_betas(acc)
+            sample_betas(acc)
 
     def test_degenerate_control_dropped_with_a_note(self):
         # a constant control next to usable ones gets coefficient 0
         z = np.random.default_rng(8).normal(size=(50, 3))
         acc = acc_of(z[:, 0] + z[:, 1], z[:, 1], np.full(50, 4.0), z[:, 2])
         with pytest.warns(UserWarning, match="degenerate") as record:
-            betas, notes = optimal_betas(acc)
+            betas, notes = sample_betas(acc)
         assert len(record) == 1
         assert notes == ["1 degenerate control(s) dropped (coefficient set to 0)"]
         assert betas[1] == 0.0
@@ -196,7 +211,7 @@ class TestOptimalCoefficients:
     def test_self_control_beta_is_exactly_minus_one(self):
         z = np.random.default_rng(2).normal(size=(5000, 3))
         acc = acc_of(z[:, 0], z[:, 0], z[:, 1], z[:, 2])
-        betas, notes = optimal_betas(acc)
+        betas, notes = sample_betas(acc)
         assert notes == []
         assert betas[0] == -1.0
         assert np.all(np.abs(betas[1:]) < 4 / math.sqrt(5000))
@@ -204,14 +219,14 @@ class TestOptimalCoefficients:
     def test_orthogonal_target_betas_near_zero(self):
         z = np.random.default_rng(3).normal(size=(20000, 4))
         acc = acc_of(z[:, 3], z[:, 0], z[:, 1], z[:, 2])
-        assert np.all(np.abs(optimal_betas(acc)[0]) < 4 / math.sqrt(20000))
+        assert np.all(np.abs(sample_betas(acc)[0]) < 4 / math.sqrt(20000))
 
     def test_linear_target_recovers_construction(self):
         # Y = 2*X1 + X2: the per-control formula tends to (-2, -1, 0)
         runs = 40000
         z = np.random.default_rng(4).normal(size=(runs, 3))
         y = 2.0 * z[:, 0] + z[:, 1]
-        betas, _ = optimal_betas(acc_of(y, z[:, 0], z[:, 1], z[:, 2]))
+        betas, _ = sample_betas(acc_of(y, z[:, 0], z[:, 1], z[:, 2]))
         # per-coefficient sampling noise is ~sqrt(var residual)/sqrt(runs)
         tolerance = 4 * math.sqrt(5.0) / math.sqrt(runs)
         assert np.allclose(betas, [-2.0, -1.0, 0.0], atol=tolerance)
@@ -231,7 +246,7 @@ class TestOptimalCoefficients:
     def test_quadratic_minimum_at_optimal_c(self):
         # on a fixed sample, var(W) at c*(1 +- 0.1) is never below var(W) at c*
         acc = _asian_sample_accumulator(FORM_SINGLE, runs=2000)
-        c_star = optimal_betas(acc)[0][0]
+        c_star = sample_betas(acc)[0][0]
         at_min = insample_variance(acc, np.array([c_star]))
         for bump in (0.9, 1.1):
             perturbed = insample_variance(acc, np.array([c_star * bump]))
@@ -393,7 +408,7 @@ class TestCvEstimate:
 
     def test_sample_variance_denominator_toggle(self):
         # the engine divides the pilot cov(Y, V) by the exact model var(V);
-        # optimal_betas without variances divides by the sample var(V)
+        # sample_betas divides by the sample var(V)
         report = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_SINGLE), 4000, seed=13)
         n = ASIAN.days_to_maturity
         x = LogReturnSampler(MARKET, n, 13).rows(0, 400)
@@ -402,7 +417,7 @@ class TestCvEstimate:
         pilot = acc_of(y, pilot_v)
         exact = np.array([n * MARKET.daily_variance])
         default, _ = optimal_betas(pilot, exact)
-        sampled, _ = optimal_betas(pilot)
+        sampled, _ = sample_betas(pilot)
         assert report.pilot_runs_used == 400
         assert report.coefficients.values == pytest.approx(default, rel=1e-12)
         assert sampled[0] != default[0]
@@ -528,10 +543,10 @@ def _finite_report(report) -> bool:
         report.standard_error,
         report.empirical_variance_ratio,
         report.predicted_variance_ratio,
-        *report.coefficients.values,
-        *report.coefficients.control_means,
         *report.per_control_correlations,
     ]
+    if report.coefficients is not None:
+        fields += [*report.coefficients.values, *report.coefficients.control_means]
     return all(math.isfinite(v) for v in fields)
 
 
@@ -581,6 +596,47 @@ class TestValidInputsReturn:
         assert f"q/R = {n / main_runs:.3g}" in note
 
 
+def _log_uniform(low_exponent, high_exponent):
+    return st.floats(min_value=low_exponent, max_value=high_exponent).map(lambda e: 10.0**e)
+
+
+class TestExtremeMarketsReturnFiniteOrRaise:
+    """Markets whose volatility, rate or prices push the arithmetic to
+    overflow: each call returns a report with every field finite, or
+    raises ValueError. Never another exception, never inf or NaN."""
+
+    @given(
+        st.one_of(st.just(0.0), _log_uniform(-3, 160)),
+        st.sampled_from([-1.0, 0.0, 0.05, 10.0, 1e3, 1e300]),
+        _log_uniform(-300, 300),
+        _log_uniform(-300, 300),
+        st.sampled_from(sorted(CONTRACT_KINDS)),
+        st.sampled_from([1, 5, 30, 252]),
+        st.sampled_from([FORM_NONE, FORM_SINGLE, FORM_MULTI, FORM_CUSTOM]),
+        st.sampled_from([SOURCE_PILOT, SOURCE_IN_SAMPLE]),
+        st.sampled_from([20, 200, 2000]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # the volatility whose square overflows, and payoffs whose squared deviations do
+    @example(1e200, 0.05, 100.0, 100.0, ASIAN_FIXED, 30, FORM_MULTI, SOURCE_PILOT, 2000, 0)
+    @example(0.2, 0.05, 1e160, 1e160, ASIAN_FIXED, 30, FORM_NONE, SOURCE_PILOT, 2000, 0)
+    @example(0.2, 0.05, 1e160, 1e160, ASIAN_FIXED, 30, FORM_MULTI, SOURCE_PILOT, 2000, 0)
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+    def test_finite_report_or_value_error(
+        self, volatility, rate, spot, strike, kind, n, form, source, runs, seed
+    ):
+        weights = np.random.default_rng(seed).uniform(0.5, 1.5, n) if form == FORM_CUSTOM else None
+        control = ControlSpec(form=form, coefficient_source=source, weights=weights)
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=strike if kind in STRIKE_KINDS else None)
+        try:
+            model = MarketModel(initial_price=spot, rate=rate, volatility=volatility)
+            report = cv_estimate(model, spec, control, runs, seed=seed)
+        except ValueError:
+            return
+        assert _finite_report(report)
+
+
 class TestInSampleOptimality:
     """No linear control beats the jointly optimized one on a fixed sample."""
 
@@ -608,7 +664,7 @@ class TestInSampleOptimality:
         # the log-returns are independent, so the per-control formula is
         # near-optimal on sample data
         acc = self.accumulator()
-        ratio_componentwise = insample_variance(acc, optimal_betas(acc)[0]) / acc.variances()[0]
+        ratio_componentwise = insample_variance(acc, sample_betas(acc)[0]) / acc.variances()[0]
         assert ratio_componentwise <= best_linear_variance_ratio(acc) + 0.01
 
 

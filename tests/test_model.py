@@ -9,6 +9,9 @@ from cvmc import LogReturnSampler, MarketModel, prices_from_log_returns
 from cvmc.model import STREAM_BLOCK_ROWS, STREAM_CONTRACT_VERSION, check_seed
 
 
+SQRT_MAX_FLOAT = 1.3407807929942596e154
+
+
 @pytest.fixture
 def market():
     return MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
@@ -29,6 +32,9 @@ class TestMarketModel:
             dict(initial_price=math.inf, rate=0.05, volatility=0.2),
             dict(initial_price=100.0, rate=math.nan, volatility=0.2),
             dict(initial_price=100.0, rate=0.05, volatility=0.2, trading_days_per_year=0),
+            # volatility^2 overflows: the first float above sqrt(max float), and far above it
+            dict(initial_price=100.0, rate=0.05, volatility=math.nextafter(SQRT_MAX_FLOAT, math.inf)),
+            dict(initial_price=100.0, rate=0.05, volatility=1e200),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -37,9 +43,13 @@ class TestMarketModel:
 
     def test_seed_bounds(self, market):
         check_seed(0)
+        check_seed(np.uint64(2**64 - 1))
         last = LogReturnSampler(market, 1, 2**64 - 1).rows(2**64 - 1, 2**64)
         assert last.shape == (1, 1)
-        for seed in (-1, 2**64):
+        numpy_seed = LogReturnSampler(market, 5, np.int64(1)).rows(0, 3)
+        assert np.array_equal(numpy_seed, LogReturnSampler(market, 5, 1).rows(0, 3))
+        # a float or bool seed would alias an integer one (1.7 and True draw seed 1)
+        for seed in (-1, 2**64, 1.7, 1.0, True, np.bool_(True), np.float64(1.0), "1", None):
             with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
                 check_seed(seed)
             with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):

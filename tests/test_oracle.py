@@ -122,7 +122,7 @@ class TestExactMoments:
         acc.add_batch(np.array(rows))
         exact = exact_moments(dist)
         assert np.allclose(acc.mean, exact.mean, rtol=1e-14)
-        betas, notes = optimal_betas(acc)
+        betas, notes = optimal_betas(acc, acc.variances()[1:])
         exact_betas = -exact.covariance[0, 1:] / np.diag(exact.covariance)[1:]
         assert notes == []
         assert np.allclose(betas, exact_betas, rtol=1e-12, atol=0)
