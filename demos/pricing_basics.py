@@ -23,8 +23,8 @@ from cvmc import (
 model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
 print(f"daily log-return law: Normal({model.daily_mean:.3e}, {model.daily_variance:.3e})")
 
-# Each run index has its own reproducible draws: a row of the Philox block
-# keyed (seed, index // 4096).
+# Each run index has its own reproducible draws: a row of the SFC64 block
+# seeded by SeedSequence(seed, spawn_key=(index // 4096,)).
 for run in range(3):
     x = LogReturnSampler(model, 5, seed=42).rows(run, run + 1)[0]
     prices = prices_from_log_returns(model, x)

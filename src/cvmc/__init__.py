@@ -21,7 +21,6 @@ from .estimators import (
     insample_variance,
     optimal_betas,
     plain_estimate,
-    predicted_ratio,
     sweep_diagnostic,
 )
 from .model import LogReturnSampler, MarketModel, prices_from_log_returns
@@ -70,7 +69,6 @@ __all__ = [
     "optimal_betas",
     "insample_variance",
     "best_linear_variance_ratio",
-    "predicted_ratio",
     "sweep_diagnostic",
     "FiniteJointDistribution",
     "ExactMoments",

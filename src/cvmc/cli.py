@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -454,6 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The engine raises ValueError on any non-finite payoff, price or moment, so
+# numpy's overflow warnings would only print ahead of the one JSON error.
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:

@@ -445,6 +445,11 @@ def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> 
 
 
 def _predicted(var_y: float, correlations: np.ndarray, control_vars: np.ndarray, form: str) -> float:
+    """Variance ratio predicted from sample correlations.
+
+    1 - sum_i corr^2(Y, C_i) for multi_log_returns; 1 - corr^2(Y, V) for
+    the one-control forms; 1 for no control.
+    """
     if form == FORM_NONE or var_y == 0.0:
         return 1.0
     if not (control_vars > 0.0).any():
@@ -452,17 +457,6 @@ def _predicted(var_y: float, correlations: np.ndarray, control_vars: np.ndarray,
     if form == FORM_MULTI:
         return float(1.0 - correlations @ correlations)
     return float(1.0 - correlations[0] ** 2)
-
-
-def predicted_ratio(acc: MomentAccumulator, control: ControlSpec) -> float:
-    """Variance ratio predicted from sample correlations.
-
-    1 - sum_i corr^2(Y, C_i) for multi_log_returns; 1 - corr^2(Y, V) for
-    the one-control forms; 1 for no control.
-    """
-    variances = acc.variances()
-    var_y, control_vars = variances[0], variances[1:]
-    return _predicted(var_y, _correlations(var_y, acc.cross()[1:], control_vars), control_vars, control.form)
 
 
 def cv_estimate(

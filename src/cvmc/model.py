@@ -1,12 +1,13 @@
 """Risk-neutral GBM daily price paths built from i.i.d. normal log-returns.
 
 Stream contract (version ``STREAM_CONTRACT_VERSION``): runs are grouped in
-blocks of ``STREAM_BLOCK_ROWS``. Block b is one counter-based Philox
-stream keyed (seed, b), read row-major: run j takes the n standard normals
+blocks of ``STREAM_BLOCK_ROWS``. Block b is one SFC64 stream seeded by
+``SeedSequence(seed, spawn_key=(b,))``, numpy's b-th child of
+``SeedSequence(seed)``, read row-major: run j takes the n standard normals
 of row j mod STREAM_BLOCK_ROWS of block j // STREAM_BLOCK_ROWS. A run's
-draws therefore depend only on (seed, j, n), never on how runs are split
-into batches or in which order the blocks are visited, and a block's
-rows are drawn in bulk instead of resetting a generator per run.
+draws therefore depend only on (seed, j, n), never on how runs are
+split into batches or in which order the blocks are visited, and a
+block's rows are drawn in bulk instead of resetting a generator per run.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 _U64 = 2**64
 
-STREAM_CONTRACT_VERSION = 2
-# Runs per Philox stream. Part of the stream contract: changing it changes
+STREAM_CONTRACT_VERSION = 3
+# Runs per SFC64 stream. Part of the stream contract: changing it changes
 # every draw, so it does not follow any batch size.
 STREAM_BLOCK_ROWS = 4096
 # Rows skipped to reach a run inside a block are drawn and discarded in
@@ -140,8 +141,13 @@ class LogReturnSampler:
 
     def _seek(self, block: int, row: int) -> None:
         if block != self._block or row < self._row:
-            key = np.array([self.seed, block], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            # Not SeedSequence([seed, block]): a seed takes one or two 32-bit
+            # words and trailing zero words change nothing, so seed 2**32 + 7
+            # at block 0 would be seed 7 at block 1. A spawn key follows the
+            # seed padded to the full entropy pool.
+            seq = np.random.SeedSequence(self.seed, spawn_key=(block,))
+            bits = np.random.SFC64(seq)
+            self._gen = np.random.Generator(bits)
             self._block, self._row = block, 0
         while self._row < row:
             skip = min(row - self._row, max(1, _SKIP_NORMALS // self.n))

@@ -78,11 +78,6 @@ class FiniteJointDistribution:
             self.probabilities,
         )
 
-    def sample(self, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-        """n_draws outcome rows drawn from the law (Monte Carlo spot checks)."""
-        idx = rng.choice(len(self.probabilities), size=n_draws, p=self.probabilities)
-        return self.outcomes[idx]
-
 
 @dataclass(frozen=True)
 class ExactMoments:

@@ -186,6 +186,18 @@ class TestMainPrice:
         assert err["error_class"] == "validation"
         assert err["message"].startswith("market: volatility must be <=")
 
+    def test_overflow_prints_one_json_error(self, scenario_file):
+        # spot and strike near the float limit overflow the moment sums; in
+        # a fresh interpreter any numpy warning would reach stderr too
+        text = BASE_SCENARIO.replace("100.0", "1.0e+160").replace("cv-multi", "plain")
+        argv = [sys.executable, "-m", "cvmc", "price", "--scenario", scenario_file(text)]
+        out = subprocess.run(argv, capture_output=True, text=True)
+        assert out.returncode == cli.EXIT_VALIDATION
+        assert out.stdout == ""
+        err = json.loads(out.stderr)
+        assert err["error_class"] == "validation"
+        assert "overflow" in err["message"]
+
     def test_runs_override_below_minimum_rejected(self, scenario_file, capsys):
         # the overrides are checked by parse_scenario, like the file's values
         for field, value in (("runs", "1"), ("seed", "-1")):

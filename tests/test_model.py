@@ -119,15 +119,23 @@ class TestSampleLogReturns:
             assert np.array_equal(rows[j - lo], expected)
 
     def test_stream_contract_blocks(self, market):
-        # run j is row j mod B of the Philox stream keyed (seed, j // B), row-major
+        # run j is row j mod B of the SFC64 stream seeded by child j // B
+        # of SeedSequence(seed), row-major
         n, seed = 5, 2**64 - 3
         rows = LogReturnSampler(market, n, seed).rows(0, STREAM_BLOCK_ROWS + 2)
-        for block in (0, 1):
-            key = np.array([seed, block], dtype=np.uint64)
-            z = np.random.Generator(np.random.Philox(key=key)).standard_normal((2, n))
+        for block, child in enumerate(np.random.SeedSequence(seed).spawn(2)):
+            z = np.random.Generator(np.random.SFC64(child)).standard_normal((2, n))
             start = block * STREAM_BLOCK_ROWS
             assert np.array_equal(rows[start : start + 2], market.daily_mean + market.daily_std * z)
-        assert (STREAM_CONTRACT_VERSION, STREAM_BLOCK_ROWS) == (2, 4096)
+        assert (STREAM_CONTRACT_VERSION, STREAM_BLOCK_ROWS) == (3, 4096)
+
+    def test_seeds_sharing_words_do_not_share_blocks(self, market):
+        # seed 2^32 + 7 and seed 7 at block 1 both hold the 32-bit words
+        # (7, 1), as do seed 2^32 and seed 0 at block 1 the words (0, 1)
+        for seed in (7, 0):
+            later = LogReturnSampler(market, 5, seed).rows(STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS + 2)
+            first = LogReturnSampler(market, 5, seed + 2**32).rows(0, 2)
+            assert not np.array_equal(later, first)
 
     @given(st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=8), st.randoms())
     @settings(max_examples=25, deadline=None)
