@@ -16,12 +16,24 @@ which are fixed at the boundary, and the later runs feed the main-phase
 moments of (Y, controls, W). Those track only the means, cov(Y, .) and
 the variances, O(runs * n); the full covariance matrix is built only
 where it is read: in-sample coefficients and sweep_diagnostic.
+
+Drawing the normals is the largest stage, so a call that draws many
+(_THREADED_NORMALS or more) draws them on one worker thread,
+chunk by chunk in run order, into a small ring of chunk buffers, while
+the caller's thread builds prices, payoffs, controls and moments from
+the chunks already drawn (_batches). The worker is started per call and
+joined before the call returns or raises. A run's draws depend only on
+(seed, j, n) and every per-run number is computed within its own row,
+so the split into chunks and threads changes no bit of any report.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +57,17 @@ DEGENERATE_CONTROL_TOLERANCE = 1e-14
 
 DEFAULT_BATCH_SIZE = 4096
 DEFAULT_PILOT_FRACTION = 0.1
+
+# Most normals in one chunk that _batches' worker thread draws (1 MiB of
+# doubles), so that handing a chunk between threads costs little next to
+# drawing it.
+_CHUNK_NORMALS = 2**17
+# Most chunk buffers in the worker's ring. At n = 252 three keep it
+# drawing while the caller's thread runs a batch's moments; two did not.
+_RING_DEPTH = 3
+# A call that draws fewer normals runs on one thread: below about this,
+# starting the worker and filling its ring cost what the overlap saves.
+_THREADED_NORMALS = 2**19
 
 # Values per block when MomentAccumulator centers a batch without the full
 # covariance (256 KiB of doubles, which stays in a typical L2 cache).
@@ -259,7 +282,9 @@ class _Controls:
             return log_returns.sum(axis=1, keepdims=True)
         if self.form == FORM_MULTI:
             return log_returns
-        return (log_returns @ self._weights)[:, None]
+        # not BLAS: a matrix-vector product's bits depend on the number of
+        # rows in it, einsum's do not
+        return np.einsum("ij,j->i", log_returns, self._weights)[:, None]
 
 
 def _require_finite(values: np.ndarray, what: str, spec: ContractSpec, lo: int, hi: int) -> None:
@@ -269,6 +294,87 @@ def _require_finite(values: np.ndarray, what: str, spec: ContractSpec, lo: int, 
             f"non-finite {what} in runs {lo}..{hi - 1} of {spec.kind} "
             f"({spec.days_to_maturity} days{strike}): the simulated prices overflow floating point"
         )
+
+
+class _ChunkDrawer:
+    """A worker thread that draws consecutive chunks of runs, in order.
+
+    ``bounds`` lists each chunk's runs (lo, hi), ascending, and ``ring``
+    the buffers they are drawn into, each of at least a chunk's rows. The
+    worker draws chunk k + 1 only after chunk k, all with the one
+    sampler, so the draws are those of one thread walking the runs in
+    order. ``take`` waits for the next chunk and returns its log-returns;
+    ``release`` hands its buffer back once the caller is done with it. A
+    worker exception is raised by the ``take`` that waits for its chunk.
+    ``close`` stops and joins the worker, so no thread outlives the call
+    that started it (a forked child, which has no copy of the thread,
+    starts its own).
+    """
+
+    def __init__(self, sampler: LogReturnSampler, bounds: list[tuple[int, int]], ring: list[np.ndarray]):
+        self._sampler = sampler
+        self._bounds = bounds
+        self._ring = ring
+        self._taken = 0
+        self._slot = 0
+        self._stop = False
+        self._free = queue.SimpleQueue()  # ring buffers the worker may draw into
+        self._ready = queue.SimpleQueue()  # drawn buffers in chunk order, or the worker's exception
+        for slot in range(len(ring)):
+            self._free.put(slot)
+        self._thread = threading.Thread(target=self._draw)
+        self._thread.start()
+
+    def _draw(self) -> None:
+        try:
+            for lo, hi in self._bounds:
+                slot = self._free.get()
+                if self._stop:
+                    return
+                self._sampler.rows(lo, hi, out=self._ring[slot][: hi - lo])
+                self._ready.put(slot)
+        except BaseException as exc:  # raised again on the caller's thread by take()
+            self._ready.put(exc)
+
+    def take(self) -> np.ndarray:
+        lo, hi = self._bounds[self._taken]
+        self._taken += 1
+        slot = self._ready.get()
+        if isinstance(slot, BaseException):
+            raise slot
+        self._slot = slot
+        return self._ring[slot][: hi - lo]
+
+    def release(self) -> None:
+        self._free.put(self._slot)
+
+    def close(self) -> None:
+        self._stop = True
+        self._free.put(0)  # wakes the worker if it waits for a free buffer
+        self._thread.join()
+
+
+def _fill_rows(
+    model: MarketModel,
+    spec: ContractSpec,
+    controls: _Controls | None,
+    x: np.ndarray,
+    rows: np.ndarray,
+    lo: int,
+    hi: int,
+) -> None:
+    """Payoffs into column 0 of rows and control values after it, from log-returns x.
+
+    rows is C-contiguous and at least n wide: it holds the prices, laid
+    out contiguously, until the payoffs are taken. A non-finite payoff
+    raises, naming the runs lo..hi-1 of the batch.
+    """
+    prices = prices_from_log_returns(model, x, out=rows.reshape(-1)[: x.size].reshape(x.shape))
+    y = discounted_payoff(model, spec, prices)
+    _require_finite(y, "payoff", spec, lo, hi)
+    rows[:, 0] = y
+    if controls is not None:
+        rows[:, 1 : 1 + controls.dim] = controls.values(x)
 
 
 def _batches(
@@ -282,32 +388,71 @@ def _batches(
 ):
     """Simulate runs 0..runs-1 in batches cut at multiples of batch_size.
 
-    Yields (lo, log-returns, rows) per batch: rows is a (batch, width)
-    view of moment rows [Y | controls], the payoffs in column 0, the q
-    control values in columns 1..q and the caller's columns after them.
-    The row memory holds the prices, laid out contiguously, until the
-    payoffs are taken, so it is still warm in cache when the moments read
-    the rows. Both buffers are reused by the next batch: allocating them
-    afresh hands their pages back to the operating system and faults them
-    in again. A non-finite payoff raises instead of reaching the moments.
+    Yields (lo, rows) per batch: rows is a (batch, width) view of moment
+    rows [Y | controls], the payoffs in column 0, the q control values in
+    columns 1..q and the caller's columns after them.
+
+    A call that draws at least _THREADED_NORMALS normals is a two-stage
+    pipeline. Each batch is cut into chunks of at most _CHUNK_NORMALS
+    normals and at most half the batch, and a worker thread (_ChunkDrawer)
+    draws them in order into a ring of two or three chunk buffers, which
+    together hold at most one batch of log-returns. This thread turns each
+    drawn chunk into prices, payoffs and control values in that chunk's
+    rows of the row buffer and hands its buffer back; the caller's moments
+    run at each batch boundary, while the worker fills the freed buffers.
+    So the call uses up to two cores. A smaller call draws each batch on
+    this thread, as one chunk. Every number of a run is computed within
+    its own row from its own draws, which depend only on (seed, j, n), so
+    the chunking changes no bit.
+
+    The row buffer is (batch, max(width, n)). Each chunk's prices are laid
+    out contiguously in that chunk's rows until its payoffs are taken, so
+    they are still warm in cache when the moments read the rows. Its width
+    stays max(width, n) even when width < n, as for plain Monte Carlo's
+    single column: the moments of the strided (batch, width) view round
+    differently from those of a contiguous array, so a narrower buffer
+    would change the numbers. The buffers are reused by the next batch:
+    allocating them afresh hands their pages back to the operating system
+    and faults them in again. A non-finite payoff raises, naming the
+    batch's runs, instead of reaching the moments.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = spec.days_to_maturity
     sampler = LogReturnSampler(model, n, seed)
     size = min(batch_size, runs)
-    x_buffer, row_buffer = np.empty((size, n)), np.empty((size, max(width, n)))
-    for lo in range(0, runs, batch_size):
-        hi = min(lo + batch_size, runs)
-        x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
-        rows = row_buffer[: hi - lo]
-        prices = prices_from_log_returns(model, x, out=rows.reshape(-1)[: x.size].reshape(x.shape))
-        y = discounted_payoff(model, spec, prices)
-        _require_finite(y, "payoff", spec, lo, hi)
-        rows[:, 0] = y
-        if controls is not None:
-            rows[:, 1 : 1 + controls.dim] = controls.values(x)
-        yield lo, x, rows[:, :width]
+    if runs * n < _THREADED_NORMALS:
+        x_buffer, row_buffer = np.empty((size, n)), np.empty((size, max(width, n)))
+        for lo in range(0, runs, batch_size):
+            hi = min(lo + batch_size, runs)
+            rows = row_buffer[: hi - lo]
+            x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
+            _fill_rows(model, spec, controls, x, rows, lo, hi)
+            yield lo, rows[:, :width]
+        return
+    step = max(1, min(_CHUNK_NORMALS // n, size // 2))
+    # The ring is allocated after the row buffer: in the other order the
+    # long_paths benchmark read a peak RSS of 58 MB instead of 51 MB,
+    # from where malloc placed the buffers (ROADMAP item 7).
+    row_buffer = np.empty((size, max(width, n)))
+    ring = [np.empty((step, n)) for _ in range(max(2, min(_RING_DEPTH, size // step)))]
+    bounds = [
+        (a, min(a + step, lo + batch_size, runs))
+        for lo in range(0, runs, batch_size)
+        for a in range(lo, min(lo + batch_size, runs), step)
+    ]
+    drawer = _ChunkDrawer(sampler, bounds, ring)
+    try:
+        for a, b in bounds:
+            lo = a - a % batch_size
+            hi = min(lo + batch_size, runs)
+            rows = row_buffer[: hi - lo]
+            _fill_rows(model, spec, controls, drawer.take(), rows[a - lo : b - lo], lo, hi)
+            drawer.release()
+            if b == hi:
+                yield lo, rows[:, :width]
+    finally:
+        drawer.close()
 
 
 def _accumulate(
@@ -321,8 +466,9 @@ def _accumulate(
     """Full moments of (Y, controls...) over runs 0..runs-1, batch-merged in order."""
     q = controls.dim if controls is not None else 0
     acc = MomentAccumulator(1 + q)
-    for _, _, rows in _batches(model, spec, seed, runs, batch_size, controls, acc.dim):
-        acc.add_batch(rows)
+    with closing(_batches(model, spec, seed, runs, batch_size, controls, acc.dim)) as batches:
+        for _, rows in batches:
+            acc.add_batch(rows)
     return acc
 
 
@@ -346,18 +492,19 @@ def _pilot_pass(
     pilot = MomentAccumulator(1 + q, full_covariance=False)
     main = MomentAccumulator(2 + q, full_covariance=False)
     betas, notes, offset = None, [], 0.0
-    for lo, _, rows in _batches(model, spec, seed, runs, batch_size, controls, 2 + q):
-        split = min(max(pilot_runs - lo, 0), len(rows))
-        if split > 0:
-            pilot.add_batch(rows[:split, : 1 + q])
-        if split == len(rows):
-            continue
-        if betas is None:
-            betas, notes = optimal_betas(pilot, controls.exact_variances)
-            offset = controls.means @ betas
-        y, c = rows[split:, 0], rows[split:, 1 : 1 + q]
-        rows[split:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
-        main.add_batch(rows[split:])
+    with closing(_batches(model, spec, seed, runs, batch_size, controls, 2 + q)) as batches:
+        for lo, rows in batches:
+            split = min(max(pilot_runs - lo, 0), len(rows))
+            if split > 0:
+                pilot.add_batch(rows[:split, : 1 + q])
+            if split == len(rows):
+                continue
+            if betas is None:
+                betas, notes = optimal_betas(pilot, controls.exact_variances)
+                offset = controls.means @ betas
+            y, c = rows[split:, 0], rows[split:, 1 : 1 + q]
+            rows[split:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
+            main.add_batch(rows[split:])
     return betas, notes, main
 
 
@@ -573,10 +720,12 @@ def sweep_diagnostic(
         n = spec.days_to_maturity
         controls = _Controls(model, spec, ControlSpec(form=FORM_MULTI))
         acc = MomentAccumulator(1 + 2 * n)
-        for lo, x, batch in _batches(model, spec, seed, runs, batch_size, controls, acc.dim):
-            prices = prices_from_log_returns(model, x, out=batch[:, 1 + n :])
-            _require_finite(prices, "price", spec, lo, lo + len(batch))
-            acc.add_batch(batch)
+        with closing(_batches(model, spec, seed, runs, batch_size, controls, acc.dim)) as batches:
+            for lo, batch in batches:
+                # columns 1..n hold the multi-form controls, the log-returns
+                prices = prices_from_log_returns(model, batch[:, 1 : 1 + n], out=batch[:, 1 + n :])
+                _require_finite(prices, "price", spec, lo, lo + len(batch))
+                acc.add_batch(batch)
         cov = acc.covariance()
         var_y = cov[0, 0]
         if var_y == 0.0:

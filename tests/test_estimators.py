@@ -1,4 +1,11 @@
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +28,7 @@ from cvmc import (
     prices_from_log_returns,
     sweep_diagnostic,
 )
+from cvmc import estimators
 from cvmc.estimators import (
     FORM_CUSTOM,
     FORM_MULTI,
@@ -740,3 +748,141 @@ class TestSweepDiagnostic:
 def test_batch_size_below_one_rejected(estimate, batch_size):
     with pytest.raises(ValueError, match="batch_size must be >= 1, got -?[01]"):
         estimate(batch_size)
+
+
+def report_bits(report) -> list:
+    """Every number of a report, as float.hex strings."""
+    numbers = [
+        report.estimate,
+        report.standard_error,
+        report.empirical_variance_ratio,
+        report.predicted_variance_ratio,
+        *report.per_control_correlations,
+    ]
+    if report.coefficients is not None:
+        numbers += [*report.coefficients.values, *report.coefficients.control_means]
+    return [float(v).hex() for v in numbers] + [report.runs_used, report.pilot_runs_used]
+
+
+def report_grid(runs: int, batch_size: int, n: int = 30) -> dict:
+    """Bits of plain_estimate and of cv_estimate for every form and coefficient source."""
+    spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+    grid = {"plain": report_bits(plain_estimate(MARKET, spec, runs, seed=43, batch_size=batch_size))}
+    for form in (FORM_SINGLE, FORM_MULTI, FORM_CUSTOM):
+        weights = np.linspace(0.5, 1.5, n) if form == FORM_CUSTOM else None
+        for source in (SOURCE_PILOT, SOURCE_IN_SAMPLE):
+            control = ControlSpec(form=form, coefficient_source=source, weights=weights)
+            report = cv_estimate(MARKET, spec, control, runs, seed=43, batch_size=batch_size)
+            grid[f"{form}/{source}"] = report_bits(report)
+    return grid
+
+
+def _send_plain_bits(connection):
+    connection.send(report_bits(plain_estimate(MARKET, ASIAN, 20000, seed=11)))
+    connection.close()
+
+
+class TestPipeline:
+    """_batches draws the stream on a worker thread; no number may notice."""
+
+    @pytest.mark.parametrize(
+        "depth, chunk_normals, runs",
+        [
+            (2, 1, 300),  # one-row chunks
+            (3, 41 * 30, 4500),
+            (3, 300 * 30, 4500),  # at batch 777 a chunk straddles run 4096
+            (3, 2**17, 4500),
+        ],
+    )
+    @pytest.mark.parametrize("batch_size", [777, 4096])
+    def test_chunking_changes_no_bit(self, monkeypatch, depth, chunk_normals, runs, batch_size):
+        specs = [ASIAN, ContractSpec(kind=ASIAN_FLOATING, days_to_maturity=30)]
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)  # one thread, one chunk per batch
+        reference = report_grid(runs, batch_size)
+        sweep = sweep_diagnostic(MARKET, specs, runs, seed=43, batch_size=batch_size)
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
+        monkeypatch.setattr(estimators, "_CHUNK_NORMALS", chunk_normals)
+        monkeypatch.setattr(estimators, "_RING_DEPTH", depth)
+        assert report_grid(runs, batch_size) == reference
+        assert sweep_diagnostic(MARKET, specs, runs, seed=43, batch_size=batch_size) == sweep
+
+    def test_reports_do_not_depend_on_blas_threads(self):
+        code = (
+            "import json, sys\n"
+            f"sys.path[:0] = [{str(Path(estimators.__file__).parents[1])!r}, {str(Path(__file__).parent)!r}]\n"
+            "from test_estimators import report_grid\n"
+            "print(json.dumps(report_grid(2100, 777, n=252)))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert json.loads(out.stdout) == json.loads(json.dumps(report_grid(2100, 777, n=252)))
+
+    @pytest.mark.parametrize("n", [30, 252])
+    def test_custom_control_of_a_run_does_not_depend_on_batch_size(self, n):
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        controls = estimators._Controls(MARKET, spec, ControlSpec(form=FORM_CUSTOM, weights=np.linspace(0.5, 1.5, n)))
+
+        def per_run(batch_size):
+            batches = estimators._batches(MARKET, spec, 3, 1100, batch_size, controls, 2)
+            return np.concatenate([rows[:, 1].copy() for _, rows in batches])
+
+        reference = per_run(1100)
+        for batch_size in (1, 7, 250, 520, 777):
+            assert per_run(batch_size).tobytes() == reference.tobytes(), batch_size
+
+    def test_only_large_calls_use_the_worker(self, monkeypatch):
+        drawn_on = []
+        rows = LogReturnSampler.rows
+
+        def recording_rows(self, lo, hi, out=None):
+            drawn_on.append(threading.current_thread())
+            return rows(self, lo, hi, out)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
+        plain_estimate(MARKET, ASIAN, 4000, seed=3)  # 120 000 normals
+        assert drawn_on == [threading.current_thread()]
+        drawn_on.clear()
+        plain_estimate(MARKET, ASIAN, 20000, seed=3)  # 600 000 normals
+        assert len(drawn_on) > 1 and threading.current_thread() not in drawn_on
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_worker_is_joined_after_return_and_raise(self):
+        before = threading.active_count()
+        plain_estimate(MARKET, ASIAN, 20000, seed=3)
+        assert threading.active_count() == before
+        model = MarketModel(1e307, 0.05, 50.0)
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
+        with pytest.raises(ValueError, match=r"non-finite payoff in runs 0\.\.999 "):
+            cv_estimate(model, spec, ControlSpec(form=FORM_MULTI), 4000, seed=5, batch_size=1000)
+        assert threading.active_count() == before
+
+    def test_worker_exception_is_raised_by_the_caller(self, monkeypatch):
+        rows = LogReturnSampler.rows
+
+        def failing_rows(self, lo, hi, out=None):
+            if lo >= 5000:
+                raise MemoryError("worker failed")
+            return rows(self, lo, hi, out)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", failing_rows)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="worker failed"):
+            cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 20000, seed=3)
+        assert threading.active_count() == before
+
+    def test_forked_child_draws_the_same_bits(self):
+        expected = report_bits(plain_estimate(MARKET, ASIAN, 20000, seed=11))
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_send_plain_bits, args=(sender,))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "the forked child returned nothing within 60 s"
+            assert receiver.recv() == expected
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
