@@ -29,11 +29,13 @@ so the split into chunks and threads changes no bit of any report.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import queue
 import threading
 import warnings
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,6 +298,23 @@ def _require_finite(values: np.ndarray, what: str, spec: ContractSpec, lo: int, 
         )
 
 
+try:
+    _sched_getcpu = ctypes.CDLL(None).sched_getcpu
+except (AttributeError, OSError, TypeError):  # not Linux or no C library to load
+    _sched_getcpu = None
+
+
+def _other_cpus() -> set[int]:
+    """The CPUs the calling thread may run on, less the one it runs on now.
+
+    Empty where the platform tells neither, or the thread may run on one
+    CPU only.
+    """
+    if _sched_getcpu is None or not hasattr(os, "sched_getaffinity"):
+        return set()
+    return os.sched_getaffinity(0) - {_sched_getcpu()}
+
+
 class _ChunkDrawer:
     """A worker thread that draws consecutive chunks of runs, in order.
 
@@ -309,6 +328,12 @@ class _ChunkDrawer:
     ``close`` stops and joins the worker, so no thread outlives the call
     that started it (a forked child, which has no copy of the thread,
     starts its own).
+
+    The worker keeps off the CPU the caller's thread ran on when the
+    drawer was made, if the caller may run on another. Left to itself, a
+    2-vCPU VM's scheduler kept waking the worker on the caller's vCPU for
+    whole runs of calls, so the two threads took turns on one core and the
+    overlap came and went from one process to the next.
     """
 
     def __init__(self, sampler: LogReturnSampler, bounds: list[tuple[int, int]], ring: list[np.ndarray]):
@@ -322,11 +347,17 @@ class _ChunkDrawer:
         self._ready = queue.SimpleQueue()  # drawn buffers in chunk order, or the worker's exception
         for slot in range(len(ring)):
             self._free.put(slot)
+        self._cpus = _other_cpus()
         self._thread = threading.Thread(target=self._draw)
         self._thread.start()
 
     def _draw(self) -> None:
         try:
+            if self._cpus:
+                # On Linux this sets the worker thread's CPUs only. The draws
+                # do not depend on where it runs, so a refusal is let pass.
+                with suppress(OSError):
+                    os.sched_setaffinity(0, self._cpus)
             for lo, hi in self._bounds:
                 slot = self._free.get()
                 if self._stop:
@@ -394,9 +425,10 @@ def _batches(
 
     A call that draws at least _THREADED_NORMALS normals is a two-stage
     pipeline. Each batch is cut into chunks of at most _CHUNK_NORMALS
-    normals and at most half the batch, and a worker thread (_ChunkDrawer)
-    draws them in order into a ring of two or three chunk buffers, which
-    together hold at most one batch of log-returns. This thread turns each
+    normals (one chunk if the batch holds no more), and a worker thread
+    (_ChunkDrawer) draws them in order into a ring of two or three chunk
+    buffers, which together hold at most two batches of log-returns and
+    at most 3 * _CHUNK_NORMALS normals. This thread turns each
     drawn chunk into prices, payoffs and control values in that chunk's
     rows of the row buffer and hands its buffer back; the caller's moments
     run at each batch boundary, while the worker fills the freed buffers.
@@ -430,7 +462,7 @@ def _batches(
             _fill_rows(model, spec, controls, x, rows, lo, hi)
             yield lo, rows[:, :width]
         return
-    step = max(1, min(_CHUNK_NORMALS // n, size // 2))
+    step = max(1, min(_CHUNK_NORMALS // n, size))
     # The ring is allocated after the row buffer: in the other order the
     # long_paths benchmark read a peak RSS of 58 MB instead of 51 MB,
     # from where malloc placed the buffers (ROADMAP item 7).

@@ -870,6 +870,39 @@ class TestPipeline:
             cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 20000, seed=3)
         assert threading.active_count() == before
 
+    @pytest.mark.skipif(
+        estimators._sched_getcpu is None or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+        reason="needs Linux and at least two usable CPUs",
+    )
+    def test_worker_keeps_off_the_callers_cpu(self, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        caller_cpu = min(allowed)
+        monkeypatch.setattr(estimators, "_sched_getcpu", lambda: caller_cpu)
+        worker_cpus = []
+        rows = LogReturnSampler.rows
+
+        def recording_rows(self, lo, hi, out=None):
+            worker_cpus.append(os.sched_getaffinity(0))
+            return rows(self, lo, hi, out)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
+        plain_estimate(MARKET, ASIAN, 20000, seed=3)
+        assert worker_cpus and all(cpus == allowed - {caller_cpu} for cpus in worker_cpus)
+        assert os.sched_getaffinity(0) == allowed  # the caller's thread is left as it was
+
+    def test_worker_placement_changes_no_bit(self, monkeypatch):
+        expected = report_bits(plain_estimate(MARKET, ASIAN, 20000, seed=11))
+        monkeypatch.setattr(estimators, "_sched_getcpu", None)  # no placement
+        assert estimators._other_cpus() == set()
+        assert report_bits(plain_estimate(MARKET, ASIAN, 20000, seed=11)) == expected
+
+        def refuse(pid, cpus):
+            raise OSError("placement refused")
+
+        monkeypatch.setattr(estimators, "_other_cpus", lambda: {1})
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        assert report_bits(plain_estimate(MARKET, ASIAN, 20000, seed=11)) == expected
+
     def test_forked_child_draws_the_same_bits(self):
         expected = report_bits(plain_estimate(MARKET, ASIAN, 20000, seed=11))
         context = multiprocessing.get_context("fork")
