@@ -8,39 +8,47 @@ from the main phase, which keeps the main-phase estimator exactly
 unbiased; the in-sample mode reuses the estimation sample and carries an
 O(1/R) bias.
 
-Runs are simulated in batches cut at multiples of batch_size from run 0,
-and moments are tracked in one pass, batch by batch, so large run counts
-never hold samples in memory. With pilot coefficients, one pass
-serves both phases: runs below the pilot count estimate the coefficients,
-which are fixed at the boundary, and the later runs feed the main-phase
-moments of (Y, controls, W). Those track only the means, cov(Y, .) and
-the variances, O(runs * n); the full covariance matrix is built only
-where it is read: in-sample coefficients and sweep_diagnostic.
+Runs are drawn in pieces, and moments are tracked in one pass, piece by
+piece, so large run counts never hold samples in memory. A piece holds
+at most _CHUNK_NORMALS normals and is cut at multiples of batch_size and
+of the stream's block size; a full covariance of more than n variables
+takes the parts between those cuts whole. The pilot boundary cuts a
+piece into two segments, the units whose moments are merged. With pilot
+coefficients, one pass serves both phases: runs below the pilot count
+estimate the coefficients, which are fixed at the boundary, and the
+later runs feed the main-phase moments of (Y, controls, W). Those track
+only the means, cov(Y, .) and the variances, O(runs * n); the full
+covariance matrix is built only where it is read: in-sample coefficients
+and sweep_diagnostic.
 
 Drawing the normals is the largest stage, so a call that draws many
-(_THREADED_NORMALS or more) draws them on one worker thread,
-chunk by chunk in run order, into a small ring of chunk buffers, while
-the caller's thread builds prices, payoffs, controls and moments from
-the chunks already drawn (_batches). The worker is started per call and
-joined before the call returns or raises. A run's draws depend only on
-(seed, j, n) and every per-run number is computed within its own row,
-so the split into chunks and threads changes no bit of any report.
+(_THREADED_NORMALS or more) in pieces of at most _CHUNK_NORMALS normals
+runs on two lanes: the caller's thread and one worker thread. Block b of
+the stream goes to lane b mod 2, and a lane turns each piece of its
+blocks into prices, payoffs, controls and a fresh accumulator of each
+segment's moments; the caller merges them in run order (_simulate). The
+worker is started per call and joined before the call returns or
+raises. A run's draws depend only on (seed, j, n), every per-run number
+is computed within its own row, and the segments and the order of their
+merge do not depend on the lanes, so the number of lanes changes no bit
+of any report.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import math
 import os
-import queue
 import threading
 import warnings
-from contextlib import closing, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .model import LogReturnSampler, MarketModel, prices_from_log_returns
+from .model import STREAM_BLOCK_ROWS, LogReturnSampler, MarketModel, prices_from_log_returns
 from .payoffs import ContractSpec, discounted_payoff
 
 FORM_NONE = "none"
@@ -60,16 +68,16 @@ DEGENERATE_CONTROL_TOLERANCE = 1e-14
 DEFAULT_BATCH_SIZE = 4096
 DEFAULT_PILOT_FRACTION = 0.1
 
-# Most normals in one chunk that _batches' worker thread draws (1 MiB of
-# doubles), so that handing a chunk between threads costs little next to
-# drawing it.
+# Most normals in one piece, the runs that a lane draws and turns into
+# moment rows at a time (1 MiB of doubles).
 _CHUNK_NORMALS = 2**17
-# Most chunk buffers in the worker's ring. At n = 252 three keep it
-# drawing while the caller's thread runs a batch's moments; two did not.
-_RING_DEPTH = 3
-# A call that draws fewer normals runs on one thread: below about this,
-# starting the worker and filling its ring cost what the overlap saves.
+# A call that draws fewer normals runs on one lane: below about this,
+# starting the worker costs what the second core saves.
 _THREADED_NORMALS = 2**19
+# Most values that segment accumulators waiting to be merged may hold
+# before a lane waits for the other (2 MiB of doubles): hundreds of lean
+# ones, four full covariances at n = 252.
+_UNMERGED_VALUES = 2**18
 
 # Values per block when MomentAccumulator centers a batch without the full
 # covariance (256 KiB of doubles, which stays in a typical L2 cache).
@@ -84,11 +92,15 @@ class MomentAccumulator:
     reads, at O(dim) cost per row: row 0 of the covariance (variable 0
     against every variable) and the diagonal.
 
-    Observations arrive only through ``add_batch``, which folds each batch
-    in with the pairwise update: any split of a sample into batches gives
-    the same moments up to rounding, and the same split in the same order
-    gives the same bits. A batch after which a sum of centered products is
-    no longer finite raises ValueError, so no moment reads inf or NaN.
+    Observations arrive through ``add_batch``, which folds each batch in
+    with the pairwise update, or through ``merge``, which folds in another
+    accumulator's moments with the same update: any split of a sample into
+    batches gives the same moments up to rounding, and the same split in
+    the same order gives the same bits. ``add_batch(xs)`` is exactly a
+    fresh accumulator's ``add_batch(xs)`` followed by ``merge``. A batch
+    or merge after which a sum of centered products is no longer finite
+    raises ValueError and leaves the state as it was, so no moment reads
+    inf or NaN.
     """
 
     def __init__(self, dim: int, full_covariance: bool = True):
@@ -141,20 +153,33 @@ class MomentAccumulator:
             col_mean = np.where(np.all(xs == xs[0], axis=0), xs[0], col_mean)
         elif (xs[:, 0] == xs[0, 0]).all():
             col_mean[0] = xs[0, 0]
-        m2 = self._products(xs, col_mean)
+        self._merge(runs, col_mean, self._products(xs, col_mean))
+
+    def merge(self, other: MomentAccumulator) -> None:
+        """Fold in the moments of other, as if its rows followed this one's."""
+        if other.dim != self.dim or other.full_covariance != self.full_covariance:
+            raise ValueError(
+                f"cannot merge an accumulator of dim {other.dim} (full_covariance={other.full_covariance}) "
+                f"into one of dim {self.dim} (full_covariance={self.full_covariance})"
+            )
+        self._merge(other._count, other._mean, other._m2)
+
+    def _merge(self, runs: int, col_mean: np.ndarray, m2: np.ndarray) -> None:
+        """The pairwise update with the count, mean and centered sums of a second sample."""
+        if runs == 0:
+            return
         count = self._count
         total = count + runs
         if count == 0:
-            # The batch's moment arrays are fresh and are never updated in
-            # place, so they are adopted as they are.
+            # No accumulator updates its moment arrays in place, so the
+            # other sample's are adopted as they are.
             mean = col_mean
         else:
             delta = col_mean - self._mean
             mean = self._mean + delta * (runs / total)
             m2 = self._m2 + m2 + self._products(delta[None, :], 0.0) * (count * runs / total)
         # min and max propagate NaN and show either infinity without
-        # allocating: a small temporary here can keep the batch buffers of
-        # _batches from returning to the operating system (peak RSS).
+        # allocating a temporary.
         if not (math.isfinite(m2.min()) and math.isfinite(m2.max())):
             raise ValueError(
                 f"the moments overflow floating point after {total} rows: "
@@ -315,76 +340,6 @@ def _other_cpus() -> set[int]:
     return os.sched_getaffinity(0) - {_sched_getcpu()}
 
 
-class _ChunkDrawer:
-    """A worker thread that draws consecutive chunks of runs, in order.
-
-    ``bounds`` lists each chunk's runs (lo, hi), ascending, and ``ring``
-    the buffers they are drawn into, each of at least a chunk's rows. The
-    worker draws chunk k + 1 only after chunk k, all with the one
-    sampler, so the draws are those of one thread walking the runs in
-    order. ``take`` waits for the next chunk and returns its log-returns;
-    ``release`` hands its buffer back once the caller is done with it. A
-    worker exception is raised by the ``take`` that waits for its chunk.
-    ``close`` stops and joins the worker, so no thread outlives the call
-    that started it (a forked child, which has no copy of the thread,
-    starts its own).
-
-    The worker keeps off the CPU the caller's thread ran on when the
-    drawer was made, if the caller may run on another. Left to itself, a
-    2-vCPU VM's scheduler kept waking the worker on the caller's vCPU for
-    whole runs of calls, so the two threads took turns on one core and the
-    overlap came and went from one process to the next.
-    """
-
-    def __init__(self, sampler: LogReturnSampler, bounds: list[tuple[int, int]], ring: list[np.ndarray]):
-        self._sampler = sampler
-        self._bounds = bounds
-        self._ring = ring
-        self._taken = 0
-        self._slot = 0
-        self._stop = False
-        self._free = queue.SimpleQueue()  # ring buffers the worker may draw into
-        self._ready = queue.SimpleQueue()  # drawn buffers in chunk order, or the worker's exception
-        for slot in range(len(ring)):
-            self._free.put(slot)
-        self._cpus = _other_cpus()
-        self._thread = threading.Thread(target=self._draw)
-        self._thread.start()
-
-    def _draw(self) -> None:
-        try:
-            if self._cpus:
-                # On Linux this sets the worker thread's CPUs only. The draws
-                # do not depend on where it runs, so a refusal is let pass.
-                with suppress(OSError):
-                    os.sched_setaffinity(0, self._cpus)
-            for lo, hi in self._bounds:
-                slot = self._free.get()
-                if self._stop:
-                    return
-                self._sampler.rows(lo, hi, out=self._ring[slot][: hi - lo])
-                self._ready.put(slot)
-        except BaseException as exc:  # raised again on the caller's thread by take()
-            self._ready.put(exc)
-
-    def take(self) -> np.ndarray:
-        lo, hi = self._bounds[self._taken]
-        self._taken += 1
-        slot = self._ready.get()
-        if isinstance(slot, BaseException):
-            raise slot
-        self._slot = slot
-        return self._ring[slot][: hi - lo]
-
-    def release(self) -> None:
-        self._free.put(self._slot)
-
-    def close(self) -> None:
-        self._stop = True
-        self._free.put(0)  # wakes the worker if it waits for a free buffer
-        self._thread.join()
-
-
 def _fill_rows(
     model: MarketModel,
     spec: ContractSpec,
@@ -408,83 +363,248 @@ def _fill_rows(
         rows[:, 1 : 1 + controls.dim] = controls.values(x)
 
 
-def _batches(
+class _Stopped(Exception):
+    """Ends the worker of _simulate when the caller's thread is done."""
+
+
+def _simulate(
     model: MarketModel,
     spec: ContractSpec,
     seed: int,
     runs: int,
     batch_size: int,
     controls: _Controls | None,
-    width: int,
-):
-    """Simulate runs 0..runs-1 in batches cut at multiples of batch_size.
+    phases: list[tuple[int, MomentAccumulator, Callable[[], Callable]]],
+) -> None:
+    """Simulate runs 0..runs-1 and fold their moment rows into the phases' accumulators.
 
-    Yields (lo, rows) per batch: rows is a (batch, width) view of moment
-    rows [Y | controls], the payoffs in column 0, the q control values in
-    columns 1..q and the caller's columns after them.
+    phases lists (end, acc, start) in run order, the last end being runs:
+    a phase takes the runs from the previous phase's end up to its own.
+    start is called on this thread once every earlier phase is merged,
+    and returns the phase's fold(rows, lo, hi). rows is a view of moment
+    rows [Y | controls], as wide as the widest accumulator: the payoffs in
+    column 0, the q control values in columns 1..q and the fold's columns
+    after them. lo..hi-1 are the runs of their batch, for messages. The
+    fold returns the rows that go into the phase's moments.
 
-    A call that draws at least _THREADED_NORMALS normals is a two-stage
-    pipeline. Each batch is cut into chunks of at most _CHUNK_NORMALS
-    normals (one chunk if the batch holds no more), and a worker thread
-    (_ChunkDrawer) draws them in order into a ring of two or three chunk
-    buffers, which together hold at most two batches of log-returns and
-    at most 3 * _CHUNK_NORMALS normals. This thread turns each
-    drawn chunk into prices, payoffs and control values in that chunk's
-    rows of the row buffer and hands its buffer back; the caller's moments
-    run at each batch boundary, while the worker fills the freed buffers.
-    So the call uses up to two cores. A smaller call draws each batch on
-    this thread, as one chunk. Every number of a run is computed within
-    its own row from its own draws, which depend only on (seed, j, n), so
-    the chunking changes no bit.
+    The runs are drawn in pieces: they are cut at multiples of batch_size
+    and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
+    _CHUNK_NORMALS normals, except that a call that tracks a full
+    covariance of more than n variables keeps the parts whole. A phase's
+    end cuts a piece into segments. The moments of each segment are added
+    to its phase's accumulator in run order: add_batch, or on two lanes a
+    fresh accumulator's add_batch and then merge, which give the same
+    bits. So no number depends on the lanes.
 
-    The row buffer is (batch, max(width, n)). Each chunk's prices are laid
-    out contiguously in that chunk's rows until its payoffs are taken, so
-    they are still warm in cache when the moments read the rows. Its width
-    stays max(width, n) even when width < n, as for plain Monte Carlo's
-    single column: the moments of the strided (batch, width) view round
-    differently from those of a contiguous array, so a narrower buffer
-    would change the numbers. The buffers are reused by the next batch:
-    allocating them afresh hands their pages back to the operating system
-    and faults them in again. A non-finite payoff raises, naming the
-    batch's runs, instead of reaching the moments.
+    A call that draws at least _THREADED_NORMALS normals, has more than
+    one block, and whose pieces hold at most _CHUNK_NORMALS normals runs
+    on two lanes, this thread and one worker; any other call runs on
+    this thread alone. Block b goes to lane b mod 2, so each lane's
+    sampler walks its blocks in order without re-keying. This thread
+    merges the segments as soon as every earlier one is in. The worker
+    waits at a phase boundary until this thread has merged the earlier
+    phases and started the next, and a lane that is ahead waits while the
+    accumulators not yet merged hold more than _UNMERGED_VALUES. An
+    exception of either lane is raised on this thread in run order: the
+    first segment that fails, or whose merge overflows, raises. The
+    worker is joined before this returns or raises (a forked child, which
+    has no copy of the thread, runs its own).
+
+    Each lane has its own buffers of one piece of log-returns and of
+    moment rows, reused from piece to piece. The row buffer is max(width,
+    n) wide: each piece's prices are laid out contiguously in its rows
+    until its payoffs are taken, so they are still warm in cache when the
+    moments read the rows, and its row stride stays the same when width
+    < n, as for plain Monte Carlo's single column (the moments of a
+    strided view round differently from those of a contiguous array).
+
+    The worker keeps off the CPU this thread runs on at the start of the
+    call, if this thread may run on another. Left to itself, a 2-vCPU
+    VM's scheduler kept waking the worker on the caller's vCPU for whole
+    runs of calls, so the two threads took turns on one core.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = spec.days_to_maturity
-    sampler = LogReturnSampler(model, n, seed)
-    size = min(batch_size, runs)
-    if runs * n < _THREADED_NORMALS:
+    ends = [end for end, _, _ in phases]
+    accs = [acc for _, acc, _ in phases]
+    width = max(acc.dim for acc in accs)
+    if any(acc.full_covariance and acc.dim > n for acc in accs):
+        # Its product c.T @ c, on two BLAS threads, and its merge cost more
+        # than drawing the piece, and the more per run the smaller the piece.
+        step = STREAM_BLOCK_ROWS
+    else:
+        step = max(1, _CHUNK_NORMALS // n)
+    cuts = sorted({*range(0, runs, batch_size), *range(0, runs, STREAM_BLOCK_ROWS), runs})
+    pieces = [(a, min(a + step, hi)) for lo, hi in zip(cuts, cuts[1:]) for a in range(lo, hi, step)]
+    size = max(hi - lo for lo, hi in pieces)
+    threaded = runs * n >= _THREADED_NORMALS and runs > STREAM_BLOCK_ROWS and size * n <= _CHUNK_NORMALS
+    lanes = 2 if threaded else 1
+    segments = []  # (lo, hi, phase) in run order
+    first = []  # index of each piece's first segment, and len(segments)
+    for lo, hi in pieces:
+        first.append(len(segments))
+        while lo < hi:
+            phase = bisect.bisect_right(ends, lo)
+            segments.append((lo, min(hi, ends[phase]), phase))
+            lo = segments[-1][1]
+    first.append(len(segments))
+    folds = []  # the fold of every phase started so far
+
+    def run_lane(k: int, before: Callable, fold_for: Callable, deliver: Callable) -> None:
+        """Draw lane k's pieces in run order and deliver each segment's moment rows.
+
+        before(s) is called with a piece's first segment before it is
+        drawn, fold_for(phase) returns the phase's fold, and deliver(s,
+        rows) takes the rows of segment s.
+        """
+        sampler = LogReturnSampler(model, n, seed)
         x_buffer, row_buffer = np.empty((size, n)), np.empty((size, max(width, n)))
-        for lo in range(0, runs, batch_size):
-            hi = min(lo + batch_size, runs)
-            rows = row_buffer[: hi - lo]
+        for i, (lo, hi) in enumerate(pieces):
+            if lo // STREAM_BLOCK_ROWS % lanes != k:
+                continue
+            before(first[i])
             x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
-            _fill_rows(model, spec, controls, x, rows, lo, hi)
-            yield lo, rows[:, :width]
-        return
-    step = max(1, min(_CHUNK_NORMALS // n, size))
-    # The ring is allocated after the row buffer: in the other order the
-    # long_paths benchmark read a peak RSS of 58 MB instead of 51 MB,
-    # from where malloc placed the buffers (ROADMAP item 7).
-    row_buffer = np.empty((size, max(width, n)))
-    ring = [np.empty((step, n)) for _ in range(max(2, min(_RING_DEPTH, size // step)))]
-    bounds = [
-        (a, min(a + step, lo + batch_size, runs))
-        for lo in range(0, runs, batch_size)
-        for a in range(lo, min(lo + batch_size, runs), step)
-    ]
-    drawer = _ChunkDrawer(sampler, bounds, ring)
-    try:
-        for a, b in bounds:
-            lo = a - a % batch_size
-            hi = min(lo + batch_size, runs)
             rows = row_buffer[: hi - lo]
-            _fill_rows(model, spec, controls, drawer.take(), rows[a - lo : b - lo], lo, hi)
-            drawer.release()
-            if b == hi:
-                yield lo, rows[:, :width]
+            batch_lo = lo - lo % batch_size
+            batch_hi = min(batch_lo + batch_size, runs)
+            _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi)
+            for s in range(first[i], first[i + 1]):
+                a, b, phase = segments[s]
+                deliver(s, fold_for(phase)(rows[a - lo : b - lo, :width], batch_lo, batch_hi))
+
+    if not threaded:
+
+        def start_in_order(phase: int) -> Callable:
+            while len(folds) <= phase:
+                folds.append(phases[len(folds)][2]())
+            return folds[phase]
+
+        def add(s: int, rows: np.ndarray) -> None:
+            accs[segments[s][2]].add_batch(rows)
+
+        run_lane(0, lambda s: None, start_in_order, add)
+        return
+
+    done = {}  # segment index -> its accumulator, or the exception it raised
+    merged = 0  # segments merged so far
+    held = 0  # values in the accumulators in done
+    stop = False
+    changed = threading.Condition()
+    # the first segment each lane has not handed over; the worker's first piece is block 1
+    caller_next, worker_next = 0, first[bisect.bisect_left(pieces, (STREAM_BLOCK_ROWS,))]
+
+    def hand_over(s: int, result) -> None:
+        nonlocal held
+        with changed:
+            done[s] = result
+            if isinstance(result, MomentAccumulator):
+                held += result._m2.size
+            changed.notify_all()
+
+    def fresh(s: int, rows: np.ndarray) -> MomentAccumulator:
+        acc = accs[segments[s][2]]
+        piece = MomentAccumulator(acc.dim, acc.full_covariance)
+        piece.add_batch(rows)
+        return piece
+
+    def merge_until(upto: int, wait: bool) -> None:
+        nonlocal merged, held
+        while merged < upto:
+            with changed:
+                while merged not in done:
+                    if not wait:
+                        return
+                    changed.wait()
+                result = done[merged]
+            # A failed segment stays in done, so that it raises again.
+            if isinstance(result, BaseException):
+                raise result
+            accs[segments[merged][2]].merge(result)
+            with changed:
+                del done[merged]
+                merged += 1
+                held -= result._m2.size
+                changed.notify_all()
+
+    def start_phases(phase: int) -> Callable:
+        while len(folds) <= phase:
+            merge_until(bisect.bisect_left([seg[2] for seg in segments], len(folds)), wait=True)
+            fold = phases[len(folds)][2]()
+            with changed:
+                folds.append(fold)
+                changed.notify_all()
+        return folds[phase]
+
+    def caller_before(s: int) -> None:
+        nonlocal caller_next
+        caller_next = s
+
+    def caller_deliver(s: int, rows: np.ndarray) -> None:
+        nonlocal caller_next
+        hand_over(s, fresh(s, rows))
+        caller_next = s + 1
+        merge_until(len(segments), wait=False)
+        # Waits for the worker's segments rather than hold more.
+        while held > _UNMERGED_VALUES and segments[merged][0] // STREAM_BLOCK_ROWS % 2 == 1:
+            merge_until(merged + 1, wait=True)
+
+    def wait_for(ready: Callable[[], bool]) -> None:
+        with changed:
+            while not (stop or ready()):
+                changed.wait()
+        if stop:
+            raise _Stopped
+
+    def worker_before(s: int) -> None:
+        nonlocal worker_next
+        worker_next = s
+        # Waits while the accumulators not yet merged hold more than
+        # _UNMERGED_VALUES, unless the next to merge is this piece's.
+        wait_for(lambda: held <= _UNMERGED_VALUES or merged == s)
+
+    def worker_fold_for(phase: int) -> Callable:
+        wait_for(lambda: len(folds) > phase)
+        return folds[phase]
+
+    def worker_deliver(s: int, rows: np.ndarray) -> None:
+        nonlocal worker_next
+        hand_over(s, fresh(s, rows))
+        worker_next = s + 1
+
+    def worker(cpus: set[int]) -> None:
+        try:
+            if cpus:
+                # On Linux this sets the worker thread's CPUs only. The draws
+                # do not depend on where it runs, so a refusal is let pass.
+                with suppress(OSError):
+                    os.sched_setaffinity(0, cpus)
+            run_lane(1, worker_before, worker_fold_for, worker_deliver)
+        except _Stopped:
+            pass
+        except BaseException as exc:  # raised on the caller's thread, in run order
+            hand_over(worker_next, exc)
+
+    thread = threading.Thread(target=worker, args=(_other_cpus(),))
+    try:
+        thread.start()
+        try:
+            run_lane(0, caller_before, start_phases, caller_deliver)
+        except Exception:
+            merge_until(caller_next, wait=True)  # an earlier segment's exception comes first
+            raise
+        start_phases(len(phases) - 1)
+        merge_until(len(segments), wait=True)
     finally:
-        drawer.close()
+        with changed:
+            stop = True
+            changed.notify_all()
+        thread.join()
+
+
+def _moment_rows(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The fold that adds a piece's moment rows as they are."""
+    return rows
 
 
 def _accumulate(
@@ -495,12 +615,10 @@ def _accumulate(
     controls: _Controls | None,
     batch_size: int,
 ) -> MomentAccumulator:
-    """Full moments of (Y, controls...) over runs 0..runs-1, batch-merged in order."""
+    """Full moments of (Y, controls...) over runs 0..runs-1, merged in run order."""
     q = controls.dim if controls is not None else 0
     acc = MomentAccumulator(1 + q)
-    with closing(_batches(model, spec, seed, runs, batch_size, controls, acc.dim)) as batches:
-        for _, rows in batches:
-            acc.add_batch(rows)
+    _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, lambda: _moment_rows)])
     return acc
 
 
@@ -523,20 +641,22 @@ def _pilot_pass(
     q = controls.dim
     pilot = MomentAccumulator(1 + q, full_covariance=False)
     main = MomentAccumulator(2 + q, full_covariance=False)
-    betas, notes, offset = None, [], 0.0
-    with closing(_batches(model, spec, seed, runs, batch_size, controls, 2 + q)) as batches:
-        for lo, rows in batches:
-            split = min(max(pilot_runs - lo, 0), len(rows))
-            if split > 0:
-                pilot.add_batch(rows[:split, : 1 + q])
-            if split == len(rows):
-                continue
-            if betas is None:
-                betas, notes = optimal_betas(pilot, controls.exact_variances)
-                offset = controls.means @ betas
-            y, c = rows[split:, 0], rows[split:, 1 : 1 + q]
-            rows[split:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
-            main.add_batch(rows[split:])
+    betas, notes = None, []
+
+    def fix_betas():
+        nonlocal betas, notes
+        betas, notes = optimal_betas(pilot, controls.exact_variances)
+        offset = controls.means @ betas
+
+        def with_w(rows, lo, hi):
+            y, c = rows[:, 0], rows[:, 1 : 1 + q]
+            rows[:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
+            return rows
+
+        return with_w
+
+    phases = [(pilot_runs, pilot, lambda: lambda rows, lo, hi: rows[:, : 1 + q]), (runs, main, fix_betas)]
+    _simulate(model, spec, seed, runs, batch_size, controls, phases)
     return betas, notes, main
 
 
@@ -752,12 +872,14 @@ def sweep_diagnostic(
         n = spec.days_to_maturity
         controls = _Controls(model, spec, ControlSpec(form=FORM_MULTI))
         acc = MomentAccumulator(1 + 2 * n)
-        with closing(_batches(model, spec, seed, runs, batch_size, controls, acc.dim)) as batches:
-            for lo, batch in batches:
-                # columns 1..n hold the multi-form controls, the log-returns
-                prices = prices_from_log_returns(model, batch[:, 1 : 1 + n], out=batch[:, 1 + n :])
-                _require_finite(prices, "price", spec, lo, lo + len(batch))
-                acc.add_batch(batch)
+
+        def with_prices(batch, lo, hi):
+            # columns 1..n hold the multi-form controls, the log-returns
+            prices = prices_from_log_returns(model, batch[:, 1 : 1 + n], out=batch[:, 1 + n :])
+            _require_finite(prices, "price", spec, lo, hi)
+            return batch
+
+        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, lambda: with_prices)])
         cov = acc.covariance()
         var_y = cov[0, 0]
         if var_y == 0.0:

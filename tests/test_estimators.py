@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from cvmc.estimators import (
     _correlations,
     _predicted,
 )
+from cvmc.model import STREAM_BLOCK_ROWS
 from cvmc.payoffs import CONTRACT_KINDS, STRIKE_KINDS, discounted_payoff
 
 MARKET = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
@@ -149,6 +152,75 @@ class TestMomentAccumulator:
         assert merged.count == union.count
         assert np.allclose(merged.mean, union.mean, rtol=1e-9, atol=1e-12)
         assert np.allclose(merged.covariance(), union.covariance(), rtol=1e-9, atol=1e-9)
+
+
+def moment_bits(acc) -> tuple:
+    """An accumulator's count and moment arrays, as bytes."""
+    return acc.count, acc._mean.tobytes(), acc._m2.tobytes()
+
+
+class TestMerge:
+    """MomentAccumulator.merge is add_batch's merge: the one merge routine."""
+
+    @pytest.mark.parametrize("full_covariance", [True, False])
+    def test_add_batch_is_a_fresh_add_batch_then_merge(self, full_covariance):
+        data = np.random.default_rng(5).normal(size=(90, 4)) * [3.0, 1.0, 0.1, 7.0]
+        batched = MomentAccumulator(4, full_covariance)
+        merged = MomentAccumulator(4, full_covariance)
+        for xs in (data[:31], data[31:32], data[32:]):
+            batched.add_batch(xs)
+            piece = MomentAccumulator(4, full_covariance)
+            piece.add_batch(xs)
+            merged.merge(piece)
+            assert moment_bits(merged) == moment_bits(batched)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pieces_merged_in_order_match_add_batch_calls(self, sizes, full_covariance, data_seed):
+        data = np.random.default_rng(data_seed).normal(size=(sum(sizes), 3)) + [1e3, 0.0, -5.0]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        batched = MomentAccumulator(3, full_covariance)
+        merged = MomentAccumulator(3, full_covariance)
+        for lo, hi in zip(bounds, bounds[1:]):
+            batched.add_batch(data[lo:hi])
+            piece = MomentAccumulator(3, full_covariance)
+            piece.add_batch(data[lo:hi])
+            merged.merge(piece)
+        assert moment_bits(merged) == moment_bits(batched)
+
+    @pytest.mark.parametrize("full_covariance", [True, False])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_merge_raises_and_leaves_the_state(self, full_covariance):
+        acc = MomentAccumulator(2, full_covariance=full_covariance)
+        acc.add_batch([[1.0, 2.0], [3.0, 5.0]])
+        before = moment_bits(acc)
+        far = MomentAccumulator(2, full_covariance=full_covariance)
+        far.add_batch([[1e155, 0.0], [1e155, 1.0]])
+        with pytest.raises(ValueError, match="overflow floating point after 4 rows"):
+            acc.merge(far)
+        assert moment_bits(acc) == before
+
+    @pytest.mark.parametrize(
+        "other", [MomentAccumulator(3), MomentAccumulator(2, full_covariance=False)], ids=["dim", "mode"]
+    )
+    def test_merge_of_another_shape_is_refused(self, other):
+        acc = MomentAccumulator(2)
+        acc.add_batch([[1.0, 2.0], [3.0, 5.0]])
+        before = moment_bits(acc)
+        with pytest.raises(ValueError, match="cannot merge"):
+            acc.merge(other)
+        assert moment_bits(acc) == before
+
+    def test_merge_of_an_empty_accumulator_changes_nothing(self):
+        acc = MomentAccumulator(2)
+        acc.add_batch([[1.0, 2.0], [3.0, 5.0]])
+        before = moment_bits(acc)
+        acc.merge(MomentAccumulator(2))
+        assert moment_bits(acc) == before
 
 
 class TestLeanMoments:
@@ -782,29 +854,93 @@ def _send_plain_bits(connection):
     connection.close()
 
 
-class TestPipeline:
-    """_batches draws the stream on a worker thread; no number may notice."""
+def lane_grid(runs: int, batch_size: int, n: int) -> dict:
+    """report_grid, a pilot boundary in block 1, and sweep_diagnostic, as float.hex."""
+    spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+    grid = report_grid(runs, batch_size, n)
+    late = cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), runs, seed=43, pilot_fraction=0.95, batch_size=batch_size)
+    grid["multi_log_returns/late_pilot"] = report_bits(late)
+    specs = [spec, ContractSpec(kind=ASIAN_FLOATING, days_to_maturity=n)]
+    sweep = sweep_diagnostic(MARKET, specs, runs, seed=43, batch_size=batch_size)
+    grid["sweep"] = [float(v).hex() if isinstance(v, float) else v for row in sweep for v in row.values()]
+    return grid
 
-    @pytest.mark.parametrize(
-        "depth, chunk_normals, runs",
-        [
-            (2, 1, 300),  # one-row chunks
-            (3, 41 * 30, 4500),
-            (3, 300 * 30, 4500),  # at batch 777 a chunk straddles run 4096
-            (3, 2**17, 4500),
-        ],
-    )
+
+def draws_by_thread(monkeypatch) -> list:
+    """Record (thread, block of lo) of every LogReturnSampler.rows call from now on."""
+    calls = []
+    rows = LogReturnSampler.rows
+
+    def recording_rows(self, lo, hi, out=None):
+        calls.append((threading.current_thread(), lo // STREAM_BLOCK_ROWS))
+        return rows(self, lo, hi, out)
+
+    monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
+    return calls
+
+
+class TestPipeline:
+    """_simulate runs large calls on two lanes; no number may notice."""
+
     @pytest.mark.parametrize("batch_size", [777, 4096])
-    def test_chunking_changes_no_bit(self, monkeypatch, depth, chunk_normals, runs, batch_size):
-        specs = [ASIAN, ContractSpec(kind=ASIAN_FLOATING, days_to_maturity=30)]
-        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)  # one thread, one chunk per batch
-        reference = report_grid(runs, batch_size)
-        sweep = sweep_diagnostic(MARKET, specs, runs, seed=43, batch_size=batch_size)
+    @pytest.mark.parametrize("n", [5, 30, 252])
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 225 main runs at n = 252
+    def test_lanes_change_no_bit(self, monkeypatch, n, batch_size):
+        # 4500 runs: block 1 goes to the worker, and batch 777 straddles run 4096
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
+        one_lane = lane_grid(4500, batch_size, n)
+        calls = draws_by_thread(monkeypatch)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
-        monkeypatch.setattr(estimators, "_CHUNK_NORMALS", chunk_normals)
-        monkeypatch.setattr(estimators, "_RING_DEPTH", depth)
-        assert report_grid(runs, batch_size) == reference
-        assert sweep_diagnostic(MARKET, specs, runs, seed=43, batch_size=batch_size) == sweep
+        assert lane_grid(4500, batch_size, n) == one_lane
+        assert {block for thread, block in calls if thread is not threading.current_thread()} == {1}
+
+    def test_lanes_that_wait_for_each_other_change_no_bit(self, monkeypatch):
+        # one-row pieces, and a lane waits for every piece handed over to be merged
+        monkeypatch.setattr(estimators, "_CHUNK_NORMALS", 30)
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
+        one_lane = report_grid(4200, 4096)
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
+        monkeypatch.setattr(estimators, "_UNMERGED_VALUES", 0)
+        unmerged, most = set(), [0]
+        merge = MomentAccumulator.merge
+
+        def counting_merge(self, other):
+            unmerged.discard(id(other))
+            return merge(self, other)
+
+        add_batch = MomentAccumulator.add_batch
+
+        def counting_add_batch(self, xs):
+            if self.count == 0:  # a piece's accumulator
+                unmerged.add(id(self))
+                most[0] = max(most[0], len(unmerged))
+            return add_batch(self, xs)
+
+        monkeypatch.setattr(MomentAccumulator, "merge", counting_merge)
+        monkeypatch.setattr(MomentAccumulator, "add_batch", counting_add_batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as they can
+        try:
+            assert report_grid(4200, 4096) == one_lane
+        finally:
+            sys.setswitchinterval(interval)
+        # the piece each lane has just handed over, and the one it is folding
+        assert most[0] <= 3
+
+    def test_numbers_at_most_32_days_are_those_of_the_batch_pipeline(self):
+        # sha256 of report_bits at n = 30, batch 4096, R = 20 000 on two lanes,
+        # as the earlier pipeline computed them: one add_batch per batch
+        expected = {
+            "plain": "18549ac8402a4ee3adf9e74196061648da0913846f005a807bb06d36c3ca6775",
+            FORM_SINGLE: "bcf27929f1d95df816646cb300729cd6e44d8cb7cb181f22bcd4f88abe7d4d34",
+            FORM_MULTI: "aea6be9fb9a298a2c8fecb3bcdfd34cf27f4735c4f32f9ebe8df489a04cc75be",
+        }
+        reports = {"plain": plain_estimate(MARKET, ASIAN, 20000, seed=11)}
+        for form in (FORM_SINGLE, FORM_MULTI):
+            reports[form] = cv_estimate(MARKET, ASIAN, ControlSpec(form=form), 20000, seed=11)
+        digests = {k: hashlib.sha256(json.dumps(report_bits(r)).encode()).hexdigest() for k, r in reports.items()}
+        assert digests == expected
+        assert report_bits(reports["plain"])[0] == "0x1.c56b32241d378p+0"
 
     def test_reports_do_not_depend_on_blas_threads(self):
         code = (
@@ -823,27 +959,34 @@ class TestPipeline:
         controls = estimators._Controls(MARKET, spec, ControlSpec(form=FORM_CUSTOM, weights=np.linspace(0.5, 1.5, n)))
 
         def per_run(batch_size):
-            batches = estimators._batches(MARKET, spec, 3, 1100, batch_size, controls, 2)
-            return np.concatenate([rows[:, 1].copy() for _, rows in batches])
+            values = []
+
+            def record(rows, lo, hi):
+                values.append(rows[:, 1].copy())
+                return rows
+
+            acc = MomentAccumulator(2, full_covariance=False)
+            estimators._simulate(MARKET, spec, 3, 1100, batch_size, controls, [(1100, acc, lambda: record)])
+            return np.concatenate(values)
 
         reference = per_run(1100)
         for batch_size in (1, 7, 250, 520, 777):
             assert per_run(batch_size).tobytes() == reference.tobytes(), batch_size
 
     def test_only_large_calls_use_the_worker(self, monkeypatch):
-        drawn_on = []
-        rows = LogReturnSampler.rows
-
-        def recording_rows(self, lo, hi, out=None):
-            drawn_on.append(threading.current_thread())
-            return rows(self, lo, hi, out)
-
-        monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
+        calls = draws_by_thread(monkeypatch)
         plain_estimate(MARKET, ASIAN, 4000, seed=3)  # 120 000 normals
-        assert drawn_on == [threading.current_thread()]
-        drawn_on.clear()
-        plain_estimate(MARKET, ASIAN, 20000, seed=3)  # 600 000 normals
-        assert len(drawn_on) > 1 and threading.current_thread() not in drawn_on
+        assert calls == [(threading.current_thread(), 0)]
+        calls.clear()
+        plain_estimate(MARKET, ASIAN, 20000, seed=3)  # 600 000 normals, blocks 0..4
+        caller = threading.current_thread()
+        assert sorted(block for thread, block in calls if thread is caller) == [0, 2, 4]
+        assert sorted(block for thread, block in calls if thread is not caller) == [1, 3]
+        calls.clear()
+        # pieces of a covariance wider than n hold more than _CHUNK_NORMALS at n = 252
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
+        cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI, coefficient_source=SOURCE_IN_SAMPLE), 5000, seed=3)
+        assert {thread for thread, _ in calls} == {caller}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_worker_is_joined_after_return_and_raise(self):
@@ -853,14 +996,15 @@ class TestPipeline:
         model = MarketModel(1e307, 0.05, 50.0)
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
         with pytest.raises(ValueError, match=r"non-finite payoff in runs 0\.\.999 "):
-            cv_estimate(model, spec, ControlSpec(form=FORM_MULTI), 4000, seed=5, batch_size=1000)
+            cv_estimate(model, spec, ControlSpec(form=FORM_MULTI), 9000, seed=5, batch_size=1000)
         assert threading.active_count() == before
 
     def test_worker_exception_is_raised_by_the_caller(self, monkeypatch):
         rows = LogReturnSampler.rows
+        caller = threading.current_thread()
 
         def failing_rows(self, lo, hi, out=None):
-            if lo >= 5000:
+            if lo >= 5000 and threading.current_thread() is not caller:
                 raise MemoryError("worker failed")
             return rows(self, lo, hi, out)
 
@@ -868,6 +1012,44 @@ class TestPipeline:
         before = threading.active_count()
         with pytest.raises(MemoryError, match="worker failed"):
             cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 20000, seed=3)
+        assert threading.active_count() == before
+
+    def test_a_worker_that_fails_before_its_first_piece_is_raised(self, monkeypatch):
+        init = LogReturnSampler.__init__
+        caller = threading.current_thread()
+
+        def failing_init(self, *args):
+            if threading.current_thread() is not caller:
+                raise MemoryError("no sampler")
+            init(self, *args)
+
+        monkeypatch.setattr(LogReturnSampler, "__init__", failing_init)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no sampler"):
+            plain_estimate(MARKET, ASIAN, 20000, seed=3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "failing, raised",
+        [((1, 2), "block 1"), ((2, 3), "block 2"), ((1,), "block 1")],
+        ids=["both-worker-first", "both-caller-first", "worker-only"],
+    )
+    def test_the_first_failure_in_run_order_is_raised(self, monkeypatch, failing, raised):
+        rows = LogReturnSampler.rows
+
+        def failing_rows(self, lo, hi, out=None):
+            block = lo // STREAM_BLOCK_ROWS
+            if block == 2:  # the caller's: by now the worker's block 1 has failed
+                time.sleep(0.2)
+            if block in failing:
+                raise MemoryError(f"block {block}")
+            return rows(self, lo, hi, out)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", failing_rows)
+        before = threading.active_count()
+        for _ in range(2):
+            with pytest.raises(MemoryError, match=raised):
+                plain_estimate(MARKET, ASIAN, 20000, seed=3)
         assert threading.active_count() == before
 
     @pytest.mark.skipif(
@@ -878,17 +1060,19 @@ class TestPipeline:
         allowed = os.sched_getaffinity(0)
         caller_cpu = min(allowed)
         monkeypatch.setattr(estimators, "_sched_getcpu", lambda: caller_cpu)
-        worker_cpus = []
+        cpus_by_thread = {}
         rows = LogReturnSampler.rows
 
         def recording_rows(self, lo, hi, out=None):
-            worker_cpus.append(os.sched_getaffinity(0))
+            cpus_by_thread.setdefault(threading.current_thread(), set()).add(frozenset(os.sched_getaffinity(0)))
             return rows(self, lo, hi, out)
 
         monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
         plain_estimate(MARKET, ASIAN, 20000, seed=3)
-        assert worker_cpus and all(cpus == allowed - {caller_cpu} for cpus in worker_cpus)
-        assert os.sched_getaffinity(0) == allowed  # the caller's thread is left as it was
+        caller = threading.current_thread()
+        assert cpus_by_thread.pop(caller) == {frozenset(allowed)}  # the caller's thread is left as it was
+        assert list(cpus_by_thread.values()) == [{frozenset(allowed - {caller_cpu})}]
+        assert os.sched_getaffinity(0) == allowed
 
     def test_worker_placement_changes_no_bit(self, monkeypatch):
         expected = report_bits(plain_estimate(MARKET, ASIAN, 20000, seed=11))
