@@ -37,6 +37,7 @@ of any report.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import ctypes
 import math
 import os
@@ -418,8 +419,10 @@ def _simulate(
     < n, as for plain Monte Carlo's single column (the moments of a
     strided view round differently from those of a contiguous array).
 
-    The worker keeps off the CPU this thread runs on at the start of the
-    call, if this thread may run on another. Left to itself, a 2-vCPU
+    The worker runs in a copy of this thread's context, so numpy's error
+    state (np.errstate) is the caller's on both lanes. It keeps off the
+    CPU this thread runs on at the start of the call, if this thread may
+    run on another. Left to itself, a 2-vCPU
     VM's scheduler kept waking the worker on the caller's vCPU for whole
     runs of calls, so the two threads took turns on one core.
     """
@@ -585,7 +588,9 @@ def _simulate(
         except BaseException as exc:  # raised on the caller's thread, in run order
             hand_over(worker_next, exc)
 
-    thread = threading.Thread(target=worker, args=(_other_cpus(),))
+    # In a copy of this thread's context, so that the worker computes under
+    # the caller's numpy error state (np.errstate), as this thread does.
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(worker, _other_cpus()))
     try:
         thread.start()
         try:

@@ -1052,6 +1052,20 @@ class TestPipeline:
                 plain_estimate(MARKET, ASIAN, 20000, seed=3)
         assert threading.active_count() == before
 
+    def test_the_worker_computes_under_the_callers_numpy_error_state(self, monkeypatch):
+        states = []
+        fill = estimators._fill_rows
+
+        def recording_fill(*args):
+            states.append((threading.current_thread(), np.geterr()["over"]))
+            return fill(*args)
+
+        monkeypatch.setattr(estimators, "_fill_rows", recording_fill)
+        with np.errstate(over="ignore"):
+            plain_estimate(MARKET, ASIAN, 20000, seed=3)
+        assert len({thread for thread, _ in states}) == 2
+        assert {state for _, state in states} == {"ignore"}
+
     @pytest.mark.skipif(
         estimators._sched_getcpu is None or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
         reason="needs Linux and at least two usable CPUs",
