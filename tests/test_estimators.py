@@ -882,6 +882,31 @@ def draws_by_thread(monkeypatch) -> list:
 class TestPipeline:
     """_simulate runs large calls on two lanes; no number may notice."""
 
+    @pytest.mark.parametrize(
+        "depth, chunk_normals, runs",
+        [
+            (2, 1, 300),  # one-row pieces in one block: the caller's lane alone
+            (3, 41 * 30, 4500),
+            (3, 300 * 30, 4500),  # at batch 777 a piece ends at run 4096, inside a batch
+            (3, 2**17, 4500),
+        ],
+    )
+    @pytest.mark.parametrize("batch_size", [777, 4096])
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 15 main runs of 300
+    def test_chunking_changes_no_bit(self, monkeypatch, depth, chunk_normals, runs, batch_size):
+        # The pieces set the rounding, so each chunking is its own reference:
+        # one lane against two lanes that may hold about `depth` full n x n
+        # covariances unmerged before one waits for the other.
+        monkeypatch.setattr(estimators, "_CHUNK_NORMALS", chunk_normals)
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
+        one_lane = lane_grid(runs, batch_size, 30)
+        calls = draws_by_thread(monkeypatch)
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
+        monkeypatch.setattr(estimators, "_UNMERGED_VALUES", depth * 30 * 30)
+        assert lane_grid(runs, batch_size, 30) == one_lane
+        worker_blocks = {block for thread, block in calls if thread is not threading.current_thread()}
+        assert worker_blocks == ({1} if runs > STREAM_BLOCK_ROWS else set())
+
     @pytest.mark.parametrize("batch_size", [777, 4096])
     @pytest.mark.parametrize("n", [5, 30, 252])
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 225 main runs at n = 252
