@@ -22,25 +22,28 @@ covariance matrix is built only where it is read: in-sample coefficients
 and sweep_diagnostic.
 
 Drawing the normals is the largest stage, so a call that draws many
-(_THREADED_NORMALS or more) in pieces of at most _CHUNK_NORMALS normals
-runs on two lanes: the caller's thread and one worker thread. Block b of
-the stream goes to lane b mod 2, and a lane turns each piece of its
-blocks into prices, payoffs, controls and a fresh accumulator of each
-segment's moments; the caller merges them in run order (_simulate). The
-worker is started per call and joined before the call returns or
-raises. A run's draws depend only on (seed, j, n), every per-run number
-is computed within its own row, and the segments and the order of their
-merge do not depend on the lanes, so the number of lanes changes no bit
-of any report.
+(_THREADED_NORMALS or more) runs on two lanes, the caller's thread and
+one worker thread, unless it tracks a full covariance wider than n at
+n > 32. Block b of the stream goes to lane b mod 2, and a lane turns
+each piece of its blocks into prices, payoffs, controls and a fresh
+accumulator of each segment's moments; the worker hands its own over
+through a queue, and the caller merges them all in run order
+(_simulate). The worker is started per call and joined before the call
+returns or raises. A run's draws depend only on (seed, j, n), every
+per-run number is computed within its own row, and the segments and the
+order of their merge do not depend on the lanes, so the number of lanes
+changes no bit of any report, nor which exception a call raises.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import contextvars
 import ctypes
 import math
 import os
+import queue
 import threading
 import warnings
 from contextlib import suppress
@@ -75,14 +78,20 @@ _CHUNK_NORMALS = 2**17
 # A call that draws fewer normals runs on one lane: below about this,
 # starting the worker costs what the second core saves.
 _THREADED_NORMALS = 2**19
-# Most values that segment accumulators waiting to be merged may hold
-# before a lane waits for the other (2 MiB of doubles): hundreds of lean
-# ones, four full covariances at n = 252.
+# Most values that one lane's segment accumulators waiting to be merged
+# may hold before it waits for the other (2 MiB of doubles): hundreds of
+# lean ones, dozens of full covariances at n <= 32.
 _UNMERGED_VALUES = 2**18
 
 # Values per block when MomentAccumulator centers a batch without the full
 # covariance (256 KiB of doubles, which stays in a typical L2 cache).
 _CENTERED_BLOCK = 2**15
+
+
+def _overflow(total: int) -> ValueError:
+    return ValueError(
+        f"the moments overflow floating point after {total} rows: sums of squared deviations are non-finite"
+    )
 
 
 class MomentAccumulator:
@@ -182,10 +191,7 @@ class MomentAccumulator:
         # min and max propagate NaN and show either infinity without
         # allocating a temporary.
         if not (math.isfinite(m2.min()) and math.isfinite(m2.max())):
-            raise ValueError(
-                f"the moments overflow floating point after {total} rows: "
-                f"sums of squared deviations are non-finite"
-            )
+            raise _overflow(total)
         self._count, self._mean, self._m2 = total, mean, m2
 
     def _denominator(self) -> int:
@@ -364,10 +370,6 @@ def _fill_rows(
         rows[:, 1 : 1 + controls.dim] = controls.values(x)
 
 
-class _Stopped(Exception):
-    """Ends the worker of _simulate when the caller's thread is done."""
-
-
 def _simulate(
     model: MarketModel,
     spec: ContractSpec,
@@ -375,18 +377,20 @@ def _simulate(
     runs: int,
     batch_size: int,
     controls: _Controls | None,
-    phases: list[tuple[int, MomentAccumulator, Callable[[], Callable]]],
+    phases: list[tuple[int, MomentAccumulator, Callable]],
+    at_boundary: Callable[[], None] = lambda: None,
 ) -> None:
     """Simulate runs 0..runs-1 and fold their moment rows into the phases' accumulators.
 
-    phases lists (end, acc, start) in run order, the last end being runs:
+    phases lists (end, acc, fold) in run order, the last end being runs:
     a phase takes the runs from the previous phase's end up to its own.
-    start is called on this thread once every earlier phase is merged,
-    and returns the phase's fold(rows, lo, hi). rows is a view of moment
-    rows [Y | controls], as wide as the widest accumulator: the payoffs in
-    column 0, the q control values in columns 1..q and the fold's columns
-    after them. lo..hi-1 are the runs of their batch, for messages. The
-    fold returns the rows that go into the phase's moments.
+    fold(rows, lo, hi) returns the rows that go into the phase's moments.
+    rows is a view of moment rows [Y | controls], as wide as the widest
+    accumulator: the payoffs in column 0, the q control values in columns
+    1..q and the fold's columns after them. lo..hi-1 are the runs of their
+    batch, for messages. at_boundary is called on this thread at each
+    phase boundary, once every earlier run is in the moments and before
+    any later run is folded.
 
     The runs are drawn in pieces: they are cut at multiples of batch_size
     and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
@@ -397,19 +401,22 @@ def _simulate(
     fresh accumulator's add_batch and then merge, which give the same
     bits. So no number depends on the lanes.
 
-    A call that draws at least _THREADED_NORMALS normals, has more than
-    one block, and whose pieces hold at most _CHUNK_NORMALS normals runs
-    on two lanes, this thread and one worker; any other call runs on
-    this thread alone. Block b goes to lane b mod 2, so each lane's
-    sampler walks its blocks in order without re-keying. This thread
-    merges the segments as soon as every earlier one is in. The worker
-    waits at a phase boundary until this thread has merged the earlier
-    phases and started the next, and a lane that is ahead waits while the
-    accumulators not yet merged hold more than _UNMERGED_VALUES. An
-    exception of either lane is raised on this thread in run order: the
-    first segment that fails, or whose merge overflows, raises. The
-    worker is joined before this returns or raises (a forked child, which
-    has no copy of the thread, runs its own).
+    A call that draws at least _THREADED_NORMALS normals over more than
+    one block runs on two lanes, this thread and one worker, unless it
+    tracks a full covariance of more than n variables and n > 32; any
+    other call runs on this thread alone. Block b goes to lane b mod 2,
+    so each lane's sampler walks its blocks in order without re-keying.
+    The worker hands its segments' accumulators to this thread through a
+    queue, and this thread merges them and its own in run order as soon
+    as every earlier one is in, calling at_boundary as soon as the merged
+    runs reach a boundary; the worker waits there until it has. Each lane
+    holds at most max(1, _UNMERGED_VALUES // the largest accumulator's
+    values) unmerged accumulators before it waits for the other. An
+    exception of either lane is raised on this thread in run order, as on
+    one lane: the first segment that fails, or whose merge overflows,
+    raises, and at_boundary's exception at its boundary. The worker is
+    joined before this returns or raises (a forked child, which has no
+    copy of the thread, runs its own).
 
     Each lane has its own buffers of one piece of log-returns and of
     moment rows, reused from piece to piece. The row buffer is max(width,
@@ -422,9 +429,9 @@ def _simulate(
     The worker runs in a copy of this thread's context, so numpy's error
     state (np.errstate) is the caller's on both lanes. It keeps off the
     CPU this thread runs on at the start of the call, if this thread may
-    run on another. Left to itself, a 2-vCPU
-    VM's scheduler kept waking the worker on the caller's vCPU for whole
-    runs of calls, so the two threads took turns on one core.
+    run on another. Left to itself, a 2-vCPU VM's scheduler kept waking
+    the worker on the caller's vCPU for whole runs of calls, so the two
+    threads took turns on one core.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -432,148 +439,105 @@ def _simulate(
     ends = [end for end, _, _ in phases]
     accs = [acc for _, acc, _ in phases]
     width = max(acc.dim for acc in accs)
-    if any(acc.full_covariance and acc.dim > n for acc in accs):
-        # Its product c.T @ c, on two BLAS threads, and its merge cost more
-        # than drawing the piece, and the more per run the smaller the piece.
-        step = STREAM_BLOCK_ROWS
-    else:
-        step = max(1, _CHUNK_NORMALS // n)
+    # A full covariance of more than n variables: its product c.T @ c, on
+    # two BLAS threads, and its merge cost more than drawing the piece, and
+    # the more per run the smaller the piece. So its pieces are the parts
+    # between the cuts, whole, and beyond 32 days, where a block's part
+    # holds more than _CHUNK_NORMALS normals, the call runs on one lane.
+    wide = any(acc.full_covariance and acc.dim > n for acc in accs)
+    step = STREAM_BLOCK_ROWS if wide else max(1, _CHUNK_NORMALS // n)
     cuts = sorted({*range(0, runs, batch_size), *range(0, runs, STREAM_BLOCK_ROWS), runs})
     pieces = [(a, min(a + step, hi)) for lo, hi in zip(cuts, cuts[1:]) for a in range(lo, hi, step)]
-    size = max(hi - lo for lo, hi in pieces)
-    threaded = runs * n >= _THREADED_NORMALS and runs > STREAM_BLOCK_ROWS and size * n <= _CHUNK_NORMALS
+    size = min(step, batch_size, STREAM_BLOCK_ROWS, runs)  # the longest piece: the first
+    threaded = (
+        runs * n >= _THREADED_NORMALS
+        and runs > STREAM_BLOCK_ROWS
+        and not (wide and STREAM_BLOCK_ROWS * n > _CHUNK_NORMALS)
+    )
     lanes = 2 if threaded else 1
-    segments = []  # (lo, hi, phase) in run order
-    first = []  # index of each piece's first segment, and len(segments)
-    for lo, hi in pieces:
-        first.append(len(segments))
-        while lo < hi:
-            phase = bisect.bisect_right(ends, lo)
-            segments.append((lo, min(hi, ends[phase]), phase))
-            lo = segments[-1][1]
-    first.append(len(segments))
-    folds = []  # the fold of every phase started so far
 
-    def run_lane(k: int, before: Callable, fold_for: Callable, deliver: Callable) -> None:
-        """Draw lane k's pieces in run order and deliver each segment's moment rows.
+    def lane(k: int, gate: Callable[[int], bool]):
+        """Lane k's segments in run order, as (end, phase, the rows its fold returns).
 
-        before(s) is called with a piece's first segment before it is
-        drawn, fold_for(phase) returns the phase's fold, and deliver(s,
-        rows) takes the rows of segment s.
+        gate(phase) is called before a segment of that phase is folded;
+        the lane ends if it returns False.
         """
         sampler = LogReturnSampler(model, n, seed)
         x_buffer, row_buffer = np.empty((size, n)), np.empty((size, max(width, n)))
-        for i, (lo, hi) in enumerate(pieces):
+        for lo, hi in pieces:
             if lo // STREAM_BLOCK_ROWS % lanes != k:
                 continue
-            before(first[i])
             x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
             rows = row_buffer[: hi - lo]
             batch_lo = lo - lo % batch_size
             batch_hi = min(batch_lo + batch_size, runs)
             _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi)
-            for s in range(first[i], first[i + 1]):
-                a, b, phase = segments[s]
-                deliver(s, fold_for(phase)(rows[a - lo : b - lo, :width], batch_lo, batch_hi))
+            a = lo
+            while a < hi:
+                phase = bisect.bisect_right(ends, a)
+                b = min(hi, ends[phase])
+                if not gate(phase):
+                    return
+                yield b, phase, phases[phase][2](rows[a - lo : b - lo, :width], batch_lo, batch_hi)
+                a = b
 
     if not threaded:
-
-        def start_in_order(phase: int) -> Callable:
-            while len(folds) <= phase:
-                folds.append(phases[len(folds)][2]())
-            return folds[phase]
-
-        def add(s: int, rows: np.ndarray) -> None:
-            accs[segments[s][2]].add_batch(rows)
-
-        run_lane(0, lambda s: None, start_in_order, add)
+        for end, phase, rows in lane(0, lambda phase: True):
+            accs[phase].add_batch(rows)
+            if end == ends[phase] < runs:
+                at_boundary()
         return
 
-    done = {}  # segment index -> its accumulator, or the exception it raised
-    merged = 0  # segments merged so far
-    held = 0  # values in the accumulators in done
-    stop = False
-    changed = threading.Condition()
-    # the first segment each lane has not handed over; the worker's first piece is block 1
-    caller_next, worker_next = 0, first[bisect.bisect_left(pieces, (STREAM_BLOCK_ROWS,))]
+    def fresh(end: int, phase: int, rows: np.ndarray) -> tuple[int, int, MomentAccumulator]:
+        acc = MomentAccumulator(accs[phase].dim, accs[phase].full_covariance)
+        try:
+            acc.add_batch(rows)
+        except ValueError:
+            # with the phase's rows so far, as one lane's add_batch reports them
+            raise _overflow(end - (ends[phase - 1] if phase else 0)) from None
+        return end, phase, acc
 
-    def hand_over(s: int, result) -> None:
-        nonlocal held
-        with changed:
-            done[s] = result
-            if isinstance(result, MomentAccumulator):
-                held += result._m2.size
-            changed.notify_all()
-
-    def fresh(s: int, rows: np.ndarray) -> MomentAccumulator:
-        acc = accs[segments[s][2]]
-        piece = MomentAccumulator(acc.dim, acc.full_covariance)
-        piece.add_batch(rows)
-        return piece
+    handed = queue.SimpleQueue()  # the worker's segments in run order, or its exception
+    ready = (collections.deque(), collections.deque())  # each lane's, handed over and not merged
+    slots = max(1, _UNMERGED_VALUES // max(acc._m2.size for acc in accs))
+    free = threading.Semaphore(slots)  # the worker takes one for each segment's accumulator
+    opened = [threading.Event() for _ in ends[:-1]]  # set at each boundary once at_boundary ran
+    stopped = threading.Event()
+    merged, failed = 0, None  # runs merged, and the exception that stopped merging
 
     def merge_until(upto: int, wait: bool) -> None:
-        nonlocal merged, held
-        while merged < upto:
-            with changed:
-                while merged not in done:
-                    if not wait:
+        """Merge the segments of runs below upto in run order, as far as this
+        thread's are in, waiting for the worker's if wait. A failure raises
+        again at every later call."""
+        nonlocal merged, failed
+        if failed is not None:
+            raise failed
+        try:
+            while merged < upto:
+                k = merged // STREAM_BLOCK_ROWS % 2
+                if not ready[k]:
+                    if k == 0 or not (wait or handed.qsize()):
                         return
-                    changed.wait()
-                result = done[merged]
-            # A failed segment stays in done, so that it raises again.
-            if isinstance(result, BaseException):
-                raise result
-            accs[segments[merged][2]].merge(result)
-            with changed:
-                del done[merged]
-                merged += 1
-                held -= result._m2.size
-                changed.notify_all()
+                    ready[1].append(handed.get())
+                if isinstance(ready[k][0], BaseException):
+                    raise ready[k][0]
+                end, phase, acc = ready[k][0]
+                accs[phase].merge(acc)
+                ready[k].popleft()
+                if k:
+                    free.release()
+                merged = end
+                if end == ends[phase] < runs:
+                    at_boundary()
+                    opened[phase].set()
+        except BaseException as exc:
+            failed = exc
+            raise
 
-    def start_phases(phase: int) -> Callable:
-        while len(folds) <= phase:
-            merge_until(bisect.bisect_left([seg[2] for seg in segments], len(folds)), wait=True)
-            fold = phases[len(folds)][2]()
-            with changed:
-                folds.append(fold)
-                changed.notify_all()
-        return folds[phase]
-
-    def caller_before(s: int) -> None:
-        nonlocal caller_next
-        caller_next = s
-
-    def caller_deliver(s: int, rows: np.ndarray) -> None:
-        nonlocal caller_next
-        hand_over(s, fresh(s, rows))
-        caller_next = s + 1
-        merge_until(len(segments), wait=False)
-        # Waits for the worker's segments rather than hold more.
-        while held > _UNMERGED_VALUES and segments[merged][0] // STREAM_BLOCK_ROWS % 2 == 1:
-            merge_until(merged + 1, wait=True)
-
-    def wait_for(ready: Callable[[], bool]) -> None:
-        with changed:
-            while not (stop or ready()):
-                changed.wait()
-        if stop:
-            raise _Stopped
-
-    def worker_before(s: int) -> None:
-        nonlocal worker_next
-        worker_next = s
-        # Waits while the accumulators not yet merged hold more than
-        # _UNMERGED_VALUES, unless the next to merge is this piece's.
-        wait_for(lambda: held <= _UNMERGED_VALUES or merged == s)
-
-    def worker_fold_for(phase: int) -> Callable:
-        wait_for(lambda: len(folds) > phase)
-        return folds[phase]
-
-    def worker_deliver(s: int, rows: np.ndarray) -> None:
-        nonlocal worker_next
-        hand_over(s, fresh(s, rows))
-        worker_next = s + 1
+    def worker_gate(phase: int) -> bool:
+        if phase:
+            opened[phase - 1].wait()
+        return not stopped.is_set()
 
     def worker(cpus: set[int]) -> None:
         try:
@@ -582,28 +546,44 @@ def _simulate(
                 # do not depend on where it runs, so a refusal is let pass.
                 with suppress(OSError):
                     os.sched_setaffinity(0, cpus)
-            run_lane(1, worker_before, worker_fold_for, worker_deliver)
-        except _Stopped:
-            pass
+            for end, phase, rows in lane(1, worker_gate):
+                free.acquire()
+                if stopped.is_set():
+                    return
+                handed.put(fresh(end, phase, rows))
         except BaseException as exc:  # raised on the caller's thread, in run order
-            hand_over(worker_next, exc)
+            handed.put(exc)
+
+    def caller_gate(phase: int) -> bool:
+        if phase:
+            merge_until(ends[phase - 1], wait=True)
+        return True
 
     # In a copy of this thread's context, so that the worker computes under
     # the caller's numpy error state (np.errstate), as this thread does.
     thread = threading.Thread(target=contextvars.copy_context().run, args=(worker, _other_cpus()))
+    reached = 0  # the end of the last segment this thread has handed over
     try:
         thread.start()
         try:
-            run_lane(0, caller_before, start_phases, caller_deliver)
+            for end, phase, rows in lane(0, caller_gate):
+                ready[0].append(fresh(end, phase, rows))
+                reached = end
+                merge_until(runs, wait=False)
+                while len(ready[0]) >= slots:
+                    merge_until(merged + 1, wait=True)
         except Exception:
-            merge_until(caller_next, wait=True)  # an earlier segment's exception comes first
+            # The runs before the segment that failed here, the worker's
+            # too, come first: a failure among them is raised instead.
+            block = reached // STREAM_BLOCK_ROWS
+            merge_until(reached if block % 2 == 0 else min((block + 1) * STREAM_BLOCK_ROWS, runs), wait=True)
             raise
-        start_phases(len(phases) - 1)
-        merge_until(len(segments), wait=True)
+        merge_until(runs, wait=True)
     finally:
-        with changed:
-            stop = True
-            changed.notify_all()
+        stopped.set()
+        for event in opened:
+            event.set()
+        free.release()
         thread.join()
 
 
@@ -623,7 +603,7 @@ def _accumulate(
     """Full moments of (Y, controls...) over runs 0..runs-1, merged in run order."""
     q = controls.dim if controls is not None else 0
     acc = MomentAccumulator(1 + q)
-    _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, lambda: _moment_rows)])
+    _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, _moment_rows)])
     return acc
 
 
@@ -646,22 +626,20 @@ def _pilot_pass(
     q = controls.dim
     pilot = MomentAccumulator(1 + q, full_covariance=False)
     main = MomentAccumulator(2 + q, full_covariance=False)
-    betas, notes = None, []
+    betas, notes, offset = None, [], 0.0
 
     def fix_betas():
-        nonlocal betas, notes
+        nonlocal betas, notes, offset
         betas, notes = optimal_betas(pilot, controls.exact_variances)
         offset = controls.means @ betas
 
-        def with_w(rows, lo, hi):
-            y, c = rows[:, 0], rows[:, 1 : 1 + q]
-            rows[:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
-            return rows
+    def with_w(rows, lo, hi):
+        y, c = rows[:, 0], rows[:, 1 : 1 + q]
+        rows[:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
+        return rows
 
-        return with_w
-
-    phases = [(pilot_runs, pilot, lambda: lambda rows, lo, hi: rows[:, : 1 + q]), (runs, main, fix_betas)]
-    _simulate(model, spec, seed, runs, batch_size, controls, phases)
+    phases = [(pilot_runs, pilot, lambda rows, lo, hi: rows[:, : 1 + q]), (runs, main, with_w)]
+    _simulate(model, spec, seed, runs, batch_size, controls, phases, at_boundary=fix_betas)
     return betas, notes, main
 
 
@@ -884,7 +862,7 @@ def sweep_diagnostic(
             _require_finite(prices, "price", spec, lo, hi)
             return batch
 
-        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, lambda: with_prices)])
+        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, with_prices)])
         cov = acc.covariance()
         var_y = cov[0, 0]
         if var_y == 0.0:

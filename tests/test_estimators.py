@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -926,31 +927,34 @@ class TestPipeline:
         one_lane = report_grid(4200, 4096)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
         monkeypatch.setattr(estimators, "_UNMERGED_VALUES", 0)
-        unmerged, most = set(), [0]
+        events = []  # ("made" or "merged", accumulator), in the order the lanes reach them
         merge = MomentAccumulator.merge
 
-        def counting_merge(self, other):
-            unmerged.discard(id(other))
+        def recording_merge(self, other):
+            events.append(("merged", other))
             return merge(self, other)
 
         add_batch = MomentAccumulator.add_batch
 
-        def counting_add_batch(self, xs):
-            if self.count == 0:  # a piece's accumulator
-                unmerged.add(id(self))
-                most[0] = max(most[0], len(unmerged))
+        def recording_add_batch(self, xs):
+            if self.count == 0:
+                events.append(("made", self))
             return add_batch(self, xs)
 
-        monkeypatch.setattr(MomentAccumulator, "merge", counting_merge)
-        monkeypatch.setattr(MomentAccumulator, "add_batch", counting_add_batch)
+        monkeypatch.setattr(MomentAccumulator, "merge", recording_merge)
+        monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads switch as often as they can
         try:
             assert report_grid(4200, 4096) == one_lane
         finally:
             sys.setswitchinterval(interval)
-        # the piece each lane has just handed over, and the one it is folding
-        assert most[0] <= 3
+        # Segment accumulators are the ones merged; a one-lane call's phase
+        # accumulator (in-sample cv-multi here) is made but never merged.
+        segments = {id(acc) for event, acc in events if event == "merged"}
+        unmerged = np.cumsum([1 if event == "made" else -1 for event, acc in events if id(acc) in segments])
+        # one per lane: each waits until its last one is merged
+        assert unmerged.min() >= 0 and unmerged.max() <= 2
 
     def test_numbers_at_most_32_days_are_those_of_the_batch_pipeline(self):
         # sha256 of report_bits at n = 30, batch 4096, R = 20 000 on two lanes,
@@ -991,7 +995,7 @@ class TestPipeline:
                 return rows
 
             acc = MomentAccumulator(2, full_covariance=False)
-            estimators._simulate(MARKET, spec, 3, 1100, batch_size, controls, [(1100, acc, lambda: record)])
+            estimators._simulate(MARKET, spec, 3, 1100, batch_size, controls, [(1100, acc, record)])
             return np.concatenate(values)
 
         reference = per_run(1100)
@@ -1076,6 +1080,64 @@ class TestPipeline:
             with pytest.raises(MemoryError, match=raised):
                 plain_estimate(MARKET, ASIAN, 20000, seed=3)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failure", ["degenerate", "caller-payoff"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failure_while_the_worker_waits_at_the_pilot_boundary_is_raised(self, monkeypatch, failure):
+        # 50 000 runs: the pilot boundary, run 5000, is in the worker's block 1
+        if failure == "degenerate":
+            market, message = MarketModel(100.0, 0.05, 1e-10), "degenerate control"
+        else:
+            market, message = MARKET, r"non-finite payoff in runs 8192\.\.12287 "
+            fill = estimators._fill_rows
+
+            def failing_in_block_2(model, spec, controls, x, rows, lo, hi):
+                if lo // STREAM_BLOCK_ROWS == 2:
+                    x[0, 0] = np.inf
+                return fill(model, spec, controls, x, rows, lo, hi)
+
+            monkeypatch.setattr(estimators, "_fill_rows", failing_in_block_2)
+        calls = draws_by_thread(monkeypatch)
+        before = threading.active_count()
+        outcome = []
+
+        def call():
+            try:
+                cv_estimate(market, ASIAN, ControlSpec(form=FORM_MULTI), 50000, seed=3)
+            except ValueError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive(), "the call has not returned within 60 s"
+        assert len(outcome) == 1 and re.search(message, str(outcome[0]))
+        assert 1 in {block for thread, block in calls if thread is not caller}
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize("form", [FORM_NONE, FORM_MULTI])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_segment_that_overflows_alone_reads_the_same_on_either_lane_count(self, monkeypatch, block, form):
+        # payoffs of about 1e160 from this block on: their squared deviations overflow
+        fill = estimators._fill_rows
+
+        def huge_from_block(model, spec, controls, x, rows, lo, hi):
+            fill(model, spec, controls, x, rows, lo, hi)
+            if lo // STREAM_BLOCK_ROWS >= block:
+                rows[:, 0] *= 1e160
+
+        monkeypatch.setattr(estimators, "_fill_rows", huge_from_block)
+        messages = []
+        for threshold in (2**62, 0):
+            monkeypatch.setattr(estimators, "_THREADED_NORMALS", threshold)
+            with pytest.raises(ValueError, match="overflow") as raised:
+                cv_estimate(MARKET, ASIAN, ControlSpec(form=form), 20000, seed=3)
+            messages.append(str(raised.value))
+        # as many rows as the phase has up to the end of the block's first piece
+        main_start = 0 if form == FORM_NONE else 2000
+        assert messages == [f"the moments overflow floating point after {(block + 1) * STREAM_BLOCK_ROWS - main_start} rows: "
+                            "sums of squared deviations are non-finite"] * 2
 
     def test_the_worker_computes_under_the_callers_numpy_error_state(self, monkeypatch):
         states = []
