@@ -170,7 +170,8 @@ def parse_scenario(text: str, runs: int | None = None, seed: int | None = None) 
             f"scenario.estimator: unknown estimator {estimator!r}; "
             f"expected one of {list(ESTIMATOR_NAMES)}"
         )
-    if coefficient_source not in COEFFICIENT_SOURCES:
+    # a YAML list or mapping is unhashable: not a member, and no TypeError
+    if not isinstance(coefficient_source, str) or coefficient_source not in COEFFICIENT_SOURCES:
         raise ScenarioError(
             f"scenario.coefficient_source: expected one of {sorted(COEFFICIENT_SOURCES)}, "
             f"got {coefficient_source!r}"

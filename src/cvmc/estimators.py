@@ -12,39 +12,36 @@ Runs are drawn in pieces, and moments are tracked in one pass, piece by
 piece, so large run counts never hold samples in memory. A piece holds
 at most _CHUNK_NORMALS normals and is cut at multiples of batch_size and
 of the stream's block size; a full covariance of more than n variables
-takes the parts between those cuts whole. The pilot boundary cuts a
-piece into two segments, the units whose moments are merged. With pilot
-coefficients, one pass serves both phases: runs below the pilot count
-estimate the coefficients, which are fixed at the boundary, and the
-later runs feed the main-phase moments of (Y, controls, W). Those track
-only the means, cov(Y, .) and the variances, O(runs * n); the full
-covariance matrix is built only where it is read: in-sample coefficients
-and sweep_diagnostic.
+takes the parts between those cuts whole. The unit of the moments is
+the runs of one block that lie in one phase: their rows are folded into
+one accumulator of the unit, and the units are merged into their phases
+in run order. With pilot coefficients, one pass serves both phases: runs
+below the pilot count estimate the coefficients, which are fixed at the
+boundary, and the later runs feed the main-phase moments of (Y,
+controls, W). Those track only the means, cov(Y, .) and the variances,
+O(runs * n); the full covariance matrix is built only where it is read:
+in-sample coefficients and sweep_diagnostic.
 
 Drawing the normals is the largest stage, so a call that draws many
 (_THREADED_NORMALS or more) runs on two lanes, the caller's thread and
-one worker thread, unless it tracks a full covariance wider than n at
-n > 32. Block b of the stream goes to lane b mod 2, and a lane turns
-each piece of its blocks into prices, payoffs, controls and a fresh
-accumulator of each segment's moments; the worker hands its own over
-through a queue, and the caller merges them all in run order
-(_simulate). The worker is started per call and joined before the call
-returns or raises. A run's draws depend only on (seed, j, n), every
-per-run number is computed within its own row, and the segments and the
-order of their merge do not depend on the lanes, so the number of lanes
-changes no bit of any report, nor which exception a call raises.
+one worker thread of a per-call executor, unless it tracks a full
+covariance wider than n at n > 32. Block b of the stream goes to lane
+b mod 2, and a lane turns each unit of its blocks into prices, payoffs,
+controls and the unit's accumulator; the caller merges them all in run
+order (_simulate). The executor is shut down before the call returns or
+raises. A run's draws depend only on (seed, j, n), every per-run number
+is computed within its own row, and the units and the order of their
+merge do not depend on the lanes, so the number of lanes changes no bit
+of any report, nor which exception a call raises.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import contextvars
 import ctypes
 import math
 import os
-import queue
-import threading
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -78,10 +75,6 @@ _CHUNK_NORMALS = 2**17
 # A call that draws fewer normals runs on one lane: below about this,
 # starting the worker costs what the second core saves.
 _THREADED_NORMALS = 2**19
-# Most values that one lane's segment accumulators waiting to be merged
-# may hold before it waits for the other (2 MiB of doubles): hundreds of
-# lean ones, dozens of full covariances at n <= 32.
-_UNMERGED_VALUES = 2**18
 
 # Values per block when MomentAccumulator centers a batch without the full
 # covariance (256 KiB of doubles, which stays in a typical L2 cache).
@@ -172,7 +165,11 @@ class MomentAccumulator:
                 f"cannot merge an accumulator of dim {other.dim} (full_covariance={other.full_covariance}) "
                 f"into one of dim {self.dim} (full_covariance={self.full_covariance})"
             )
-        self._merge(other._count, other._mean, other._m2)
+        if self._count == 0:
+            # adopted as _merge would, without checking again: they are finite
+            self._count, self._mean, self._m2 = other._count, other._mean, other._m2
+        else:
+            self._merge(other._count, other._mean, other._m2)
 
     def _merge(self, runs: int, col_mean: np.ndarray, m2: np.ndarray) -> None:
         """The pairwise update with the count, mean and centered sums of a second sample."""
@@ -188,9 +185,7 @@ class MomentAccumulator:
             delta = col_mean - self._mean
             mean = self._mean + delta * (runs / total)
             m2 = self._m2 + m2 + self._products(delta[None, :], 0.0) * (count * runs / total)
-        # min and max propagate NaN and show either infinity without
-        # allocating a temporary.
-        if not (math.isfinite(m2.min()) and math.isfinite(m2.max())):
+        if not np.isfinite(m2).all():
             raise _overflow(total)
         self._count, self._mean, self._m2 = total, mean, m2
 
@@ -370,6 +365,15 @@ def _fill_rows(
         rows[:, 1 : 1 + controls.dim] = controls.values(x)
 
 
+def _run_on(cpus: set[int]) -> None:
+    """Keep the calling thread to cpus, unless cpus is empty."""
+    if cpus:
+        # On Linux this sets the calling thread's CPUs only. The draws do not
+        # depend on where it runs, so a refusal is let pass.
+        with suppress(OSError):
+            os.sched_setaffinity(0, cpus)
+
+
 def _simulate(
     model: MarketModel,
     spec: ContractSpec,
@@ -395,28 +399,33 @@ def _simulate(
     The runs are drawn in pieces: they are cut at multiples of batch_size
     and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
     _CHUNK_NORMALS normals, except that a call that tracks a full
-    covariance of more than n variables keeps the parts whole. A phase's
-    end cuts a piece into segments. The moments of each segment are added
-    to its phase's accumulator in run order: add_batch, or on two lanes a
-    fresh accumulator's add_batch and then merge, which give the same
-    bits. So no number depends on the lanes.
+    covariance of more than n variables keeps the parts whole. The unit
+    of the moments is the runs of one block that lie in one phase: the
+    part of each of its pieces that lies in the phase is folded by
+    add_batch into one fresh accumulator of the unit, and this thread
+    merges the units into their phases in run order, in one walk for one
+    lane and for two. A piece that a phase boundary cuts is drawn once
+    and serves the units on both sides.
 
     A call that draws at least _THREADED_NORMALS normals over more than
     one block runs on two lanes, this thread and one worker, unless it
     tracks a full covariance of more than n variables and n > 32; any
     other call runs on this thread alone. Block b goes to lane b mod 2,
     so each lane's sampler walks its blocks in order without re-keying.
-    The worker hands its segments' accumulators to this thread through a
-    queue, and this thread merges them and its own in run order as soon
-    as every earlier one is in, calling at_boundary as soon as the merged
-    runs reach a boundary; the worker waits there until it has. Each lane
-    holds at most max(1, _UNMERGED_VALUES // the largest accumulator's
-    values) unmerged accumulators before it waits for the other. An
-    exception of either lane is raised on this thread in run order, as on
-    one lane: the first segment that fails, or whose merge overflows,
-    raises, and at_boundary's exception at its boundary. The worker is
-    joined before this returns or raises (a forked child, which has no
-    copy of the thread, runs its own).
+    This thread hands the worker's units, in run order and at most four
+    ahead of the merge, to a one-thread executor once at_boundary has run
+    at the start of their phase (in a pilot pass: once the coefficients
+    are fixed). While the worker's next unit waits for that, the worker
+    draws and fills that unit's first piece ahead, without folding it.
+    While this thread waits for a unit of the worker's, it folds its own
+    next units, also at most four ahead, so that neither lane idles while
+    the other is held up for a moment (at two ahead, long_paths calls of
+    the benchmark ran about 3% slower). A unit returns its accumulator or
+    the exception it raised, so no task waits for this thread, and the
+    first failure in run order is the one raised, as on one lane (a
+    failed draw ahead is dropped: the unit meets the failure again). The
+    executor is shut down before this returns or raises (a forked child,
+    which has no copy of the thread, starts its own).
 
     Each lane has its own buffers of one piece of log-returns and of
     moment rows, reused from piece to piece. The row buffer is max(width,
@@ -426,17 +435,18 @@ def _simulate(
     < n, as for plain Monte Carlo's single column (the moments of a
     strided view round differently from those of a contiguous array).
 
-    The worker runs in a copy of this thread's context, so numpy's error
-    state (np.errstate) is the caller's on both lanes. It keeps off the
-    CPU this thread runs on at the start of the call, if this thread may
-    run on another. Left to itself, a 2-vCPU VM's scheduler kept waking
-    the worker on the caller's vCPU for whole runs of calls, so the two
-    threads took turns on one core.
+    The worker's tasks run in a copy of this thread's context, so numpy's
+    error state (np.errstate) is the caller's on both lanes. The worker
+    keeps off the CPU this thread runs on at the start of the call, if
+    this thread may run on another. Left to itself, a 2-vCPU VM's
+    scheduler kept waking the worker on the caller's vCPU for whole runs
+    of calls, so the two threads took turns on one core.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = spec.days_to_maturity
     ends = [end for end, _, _ in phases]
+    starts = [0, *ends[:-1]]
     accs = [acc for _, acc, _ in phases]
     width = max(acc.dim for acc in accs)
     # A full covariance of more than n variables: its product c.T @ c, on
@@ -446,145 +456,128 @@ def _simulate(
     # holds more than _CHUNK_NORMALS normals, the call runs on one lane.
     wide = any(acc.full_covariance and acc.dim > n for acc in accs)
     step = STREAM_BLOCK_ROWS if wide else max(1, _CHUNK_NORMALS // n)
-    cuts = sorted({*range(0, runs, batch_size), *range(0, runs, STREAM_BLOCK_ROWS), runs})
-    pieces = [(a, min(a + step, hi)) for lo, hi in zip(cuts, cuts[1:]) for a in range(lo, hi, step)]
-    size = min(step, batch_size, STREAM_BLOCK_ROWS, runs)  # the longest piece: the first
+    size = min(step, batch_size, STREAM_BLOCK_ROWS, runs)  # the longest piece
     threaded = (
         runs * n >= _THREADED_NORMALS
         and runs > STREAM_BLOCK_ROWS
         and not (wide and STREAM_BLOCK_ROWS * n > _CHUNK_NORMALS)
     )
     lanes = 2 if threaded else 1
+    units = [  # (lo, hi, phase) in run order
+        (max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase)
+        for phase, (start, end) in enumerate(zip(starts, ends))
+        for lo in range(start - start % STREAM_BLOCK_ROWS, end, STREAM_BLOCK_ROWS)
+    ]
 
-    def lane(k: int, gate: Callable[[int], bool]):
-        """Lane k's segments in run order, as (end, phase, the rows its fold returns).
+    def piece_of(run: int) -> tuple[int, int, int, int]:
+        """The piece (lo, hi, batch_lo, batch_hi) that holds run; batch_lo..batch_hi-1
+        are the runs of its batch."""
+        block_lo = run - run % STREAM_BLOCK_ROWS
+        batch_lo = run - run % batch_size
+        batch_hi = min(batch_lo + batch_size, runs)
+        lo = run - (run - max(batch_lo, block_lo)) % step
+        return lo, min(lo + step, batch_hi, block_lo + STREAM_BLOCK_ROWS), batch_lo, batch_hi
 
-        gate(phase) is called before a segment of that phase is folded;
-        the lane ends if it returns False.
-        """
-        sampler = LogReturnSampler(model, n, seed)
-        x_buffer, row_buffer = np.empty((size, n)), np.empty((size, max(width, n)))
-        for lo, hi in pieces:
-            if lo // STREAM_BLOCK_ROWS % lanes != k:
-                continue
-            x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
+    def lane() -> Callable:
+        """fill(piece) -> the piece's moment rows before the fold, in buffers of
+        this lane's own. It draws them unless it drew them ahead; its sampler
+        is keyed on the thread that first fills."""
+        sampler, held = None, None  # held: the piece whose rows the buffer holds
+        # One allocation: glibc raises its trim threshold to twice the largest
+        # mmapped block freed, which two such blocks freed together reached, so
+        # the heap was trimmed and faulted in again on every call (about 23 900
+        # minor page faults per pass of the replications benchmark; none now).
+        buffer = np.empty(size * (n + max(width, n)))
+        x_buffer = buffer[: size * n].reshape(size, n)
+        row_buffer = buffer[size * n :].reshape(size, max(width, n))
+
+        def fill(piece: tuple[int, int, int, int]) -> np.ndarray:
+            nonlocal sampler, held
+            lo, hi, batch_lo, batch_hi = piece
             rows = row_buffer[: hi - lo]
-            batch_lo = lo - lo % batch_size
-            batch_hi = min(batch_lo + batch_size, runs)
-            _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi)
-            a = lo
-            while a < hi:
-                phase = bisect.bisect_right(ends, a)
-                b = min(hi, ends[phase])
-                if not gate(phase):
-                    return
-                yield b, phase, phases[phase][2](rows[a - lo : b - lo, :width], batch_lo, batch_hi)
-                a = b
+            if held != piece:
+                held = None
+                if sampler is None:
+                    sampler = LogReturnSampler(model, n, seed)
+                x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
+                _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi)
+                held = piece
+            return rows
 
-    if not threaded:
-        for end, phase, rows in lane(0, lambda phase: True):
-            accs[phase].add_batch(rows)
-            if end == ends[phase] < runs:
-                at_boundary()
-        return
+        return fill
 
-    def fresh(end: int, phase: int, rows: np.ndarray) -> tuple[int, int, MomentAccumulator]:
+    def unit(fill: Callable, lo: int, hi: int, phase: int):
+        """(the moments of runs lo..hi-1 of phase, None), or (None, the exception)."""
         acc = MomentAccumulator(accs[phase].dim, accs[phase].full_covariance)
         try:
-            acc.add_batch(rows)
-        except ValueError:
-            # with the phase's rows so far, as one lane's add_batch reports them
-            raise _overflow(end - (ends[phase - 1] if phase else 0)) from None
-        return end, phase, acc
+            while lo < hi:
+                piece = piece_of(lo)
+                b = min(piece[1], hi)
+                rows = phases[phase][2](fill(piece)[lo - piece[0] : b - piece[0], :width], *piece[2:])
+                try:
+                    acc.add_batch(rows)
+                except ValueError:
+                    # with the phase's rows so far, as its merge would count them
+                    raise _overflow(b - starts[phase]) from None
+                lo = b
+        except Exception as exc:
+            return None, exc
+        return acc, None
 
-    handed = queue.SimpleQueue()  # the worker's segments in run order, or its exception
-    ready = (collections.deque(), collections.deque())  # each lane's, handed over and not merged
-    slots = max(1, _UNMERGED_VALUES // max(acc._m2.size for acc in accs))
-    free = threading.Semaphore(slots)  # the worker takes one for each segment's accumulator
-    opened = [threading.Event() for _ in ends[:-1]]  # set at each boundary once at_boundary ran
-    stopped = threading.Event()
-    merged, failed = 0, None  # runs merged, and the exception that stopped merging
+    fills = [lane() for _ in range(lanes)]  # this thread's, and the worker's
+    ours = collections.deque(u for u in units if not u[0] // STREAM_BLOCK_ROWS % lanes)  # this thread's, to fold
+    folded = collections.deque()  # the results of this thread's units folded ahead, in run order
+    theirs = collections.deque(u for u in units if u[0] // STREAM_BLOCK_ROWS % lanes)  # the worker's, to hand over
+    handed = collections.deque()  # the futures of the worker's units handed over, in run order
+    merged, drawn_ahead = 0, None  # runs merged, and the unit whose first piece the worker drew ahead
 
-    def merge_until(upto: int, wait: bool) -> None:
-        """Merge the segments of runs below upto in run order, as far as this
-        thread's are in, waiting for the worker's if wait. A failure raises
-        again at every later call."""
-        nonlocal merged, failed
-        if failed is not None:
-            raise failed
-        try:
-            while merged < upto:
-                k = merged // STREAM_BLOCK_ROWS % 2
-                if not ready[k]:
-                    if k == 0 or not (wait or handed.qsize()):
-                        return
-                    ready[1].append(handed.get())
-                if isinstance(ready[k][0], BaseException):
-                    raise ready[k][0]
-                end, phase, acc = ready[k][0]
-                accs[phase].merge(acc)
-                ready[k].popleft()
-                if k:
-                    free.release()
-                merged = end
-                if end == ends[phase] < runs:
-                    at_boundary()
-                    opened[phase].set()
-        except BaseException as exc:
-            failed = exc
-            raise
+    def draw_ahead(piece: tuple[int, int, int, int]) -> None:
+        with suppress(Exception):  # met again when the unit draws the piece, in run order
+            fills[1](piece)
 
-    def worker_gate(phase: int) -> bool:
-        if phase:
-            opened[phase - 1].wait()
-        return not stopped.is_set()
+    def hand_over() -> None:
+        nonlocal drawn_ahead
+        while theirs and len(handed) < 4:
+            lo, hi, phase = theirs[0]
+            if merged < starts[phase]:  # at_boundary has not run at its phase's start
+                if drawn_ahead != theirs[0]:
+                    drawn_ahead = theirs[0]
+                    executor.submit(context.run, draw_ahead, piece_of(lo))
+                return
+            handed.append(executor.submit(context.run, unit, fills[1], *theirs.popleft()))
 
-    def worker(cpus: set[int]) -> None:
-        try:
-            if cpus:
-                # On Linux this sets the worker thread's CPUs only. The draws
-                # do not depend on where it runs, so a refusal is let pass.
-                with suppress(OSError):
-                    os.sched_setaffinity(0, cpus)
-            for end, phase, rows in lane(1, worker_gate):
-                free.acquire()
-                if stopped.is_set():
-                    return
-                handed.put(fresh(end, phase, rows))
-        except BaseException as exc:  # raised on the caller's thread, in run order
-            handed.put(exc)
+    # The worker's tasks run in a copy of this thread's context, so that it
+    # computes under the caller's numpy error state (np.errstate).
+    context = contextvars.copy_context()
+    executor = None
+    if threaded:
+        # imported here: importing it takes about 10 ms, which every
+        # command-line run would pay
+        from concurrent.futures import ThreadPoolExecutor
 
-    def caller_gate(phase: int) -> bool:
-        if phase:
-            merge_until(ends[phase - 1], wait=True)
-        return True
-
-    # In a copy of this thread's context, so that the worker computes under
-    # the caller's numpy error state (np.errstate), as this thread does.
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(worker, _other_cpus()))
-    reached = 0  # the end of the last segment this thread has handed over
+        executor = ThreadPoolExecutor(1, initializer=_run_on, initargs=(_other_cpus(),))
     try:
-        thread.start()
-        try:
-            for end, phase, rows in lane(0, caller_gate):
-                ready[0].append(fresh(end, phase, rows))
-                reached = end
-                merge_until(runs, wait=False)
-                while len(ready[0]) >= slots:
-                    merge_until(merged + 1, wait=True)
-        except Exception:
-            # The runs before the segment that failed here, the worker's
-            # too, come first: a failure among them is raised instead.
-            block = reached // STREAM_BLOCK_ROWS
-            merge_until(reached if block % 2 == 0 else min((block + 1) * STREAM_BLOCK_ROWS, runs), wait=True)
-            raise
-        merge_until(runs, wait=True)
+        hand_over()
+        for lo, hi, phase in units:
+            if lo // STREAM_BLOCK_ROWS % lanes:
+                future = handed.popleft()
+                # Until it is done, this thread folds its own next units, at
+                # most four ahead, as far as their phase has started.
+                while not future.done() and ours and len(folded) < 4 and merged >= starts[ours[0][2]]:
+                    folded.append(unit(fills[0], *ours.popleft()))
+                acc, failure = future.result()
+            else:
+                acc, failure = folded.popleft() if folded else unit(fills[0], *ours.popleft())
+            if failure is not None:
+                raise failure
+            accs[phase].merge(acc)
+            merged = hi
+            if hi == ends[phase] < runs:
+                at_boundary()
+            hand_over()
     finally:
-        stopped.set()
-        for event in opened:
-            event.set()
-        free.release()
-        thread.join()
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
 
 
 def _moment_rows(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -198,6 +198,18 @@ class TestMainPrice:
         assert err["error_class"] == "validation"
         assert "overflow" in err["message"]
 
+    @pytest.mark.parametrize("command", ["price", "compare"])
+    @pytest.mark.parametrize("source", ["[pilot]", "{pilot: 1}"], ids=["list", "mapping"])
+    def test_unhashable_coefficient_source_prints_one_json_error(self, scenario_file, command, source):
+        text = BASE_SCENARIO + f"coefficient_source: {source}\n"
+        argv = [sys.executable, "-m", "cvmc", command, "--scenario", scenario_file(text)]
+        out = subprocess.run(argv, capture_output=True, text=True)
+        assert out.returncode == cli.EXIT_VALIDATION
+        assert out.stdout == ""
+        err = json.loads(out.stderr)
+        assert err["error_class"] == "validation"
+        assert err["message"].startswith("scenario.coefficient_source:")
+
     def test_runs_override_below_minimum_rejected(self, scenario_file, capsys):
         # the overrides are checked by parse_scenario, like the file's values
         for field, value in (("runs", "1"), ("seed", "-1")):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -884,26 +885,24 @@ class TestPipeline:
     """_simulate runs large calls on two lanes; no number may notice."""
 
     @pytest.mark.parametrize(
-        "depth, chunk_normals, runs",
+        "chunk_normals, runs",
         [
-            (2, 1, 300),  # one-row pieces in one block: the caller's lane alone
-            (3, 41 * 30, 4500),
-            (3, 300 * 30, 4500),  # at batch 777 a piece ends at run 4096, inside a batch
-            (3, 2**17, 4500),
+            (1, 300),  # one-row pieces in one block: the caller's lane alone
+            (41 * 30, 4500),
+            (300 * 30, 4500),  # at batch 777 a piece ends at run 4096, inside a batch
+            (2**17, 4500),
         ],
     )
     @pytest.mark.parametrize("batch_size", [777, 4096])
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 15 main runs of 300
-    def test_chunking_changes_no_bit(self, monkeypatch, depth, chunk_normals, runs, batch_size):
+    def test_chunking_changes_no_bit(self, monkeypatch, chunk_normals, runs, batch_size):
         # The pieces set the rounding, so each chunking is its own reference:
-        # one lane against two lanes that may hold about `depth` full n x n
-        # covariances unmerged before one waits for the other.
+        # one lane against two.
         monkeypatch.setattr(estimators, "_CHUNK_NORMALS", chunk_normals)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
         one_lane = lane_grid(runs, batch_size, 30)
         calls = draws_by_thread(monkeypatch)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
-        monkeypatch.setattr(estimators, "_UNMERGED_VALUES", depth * 30 * 30)
         assert lane_grid(runs, batch_size, 30) == one_lane
         worker_blocks = {block for thread, block in calls if thread is not threading.current_thread()}
         assert worker_blocks == ({1} if runs > STREAM_BLOCK_ROWS else set())
@@ -921,12 +920,11 @@ class TestPipeline:
         assert {block for thread, block in calls if thread is not threading.current_thread()} == {1}
 
     def test_lanes_that_wait_for_each_other_change_no_bit(self, monkeypatch):
-        # one-row pieces, and a lane waits for every piece handed over to be merged
+        # one-row pieces, and the threads switch as often as they can
         monkeypatch.setattr(estimators, "_CHUNK_NORMALS", 30)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
         one_lane = report_grid(4200, 4096)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
-        monkeypatch.setattr(estimators, "_UNMERGED_VALUES", 0)
         events = []  # ("made" or "merged", accumulator), in the order the lanes reach them
         merge = MomentAccumulator.merge
 
@@ -949,12 +947,36 @@ class TestPipeline:
             assert report_grid(4200, 4096) == one_lane
         finally:
             sys.setswitchinterval(interval)
-        # Segment accumulators are the ones merged; a one-lane call's phase
-        # accumulator (in-sample cv-multi here) is made but never merged.
-        segments = {id(acc) for event, acc in events if event == "merged"}
-        unmerged = np.cumsum([1 if event == "made" else -1 for event, acc in events if id(acc) in segments])
-        # one per lane: each waits until its last one is merged
-        assert unmerged.min() >= 0 and unmerged.max() <= 2
+        # Unit accumulators are the ones merged; a phase's is merged into.
+        units = {id(acc) for event, acc in events if event == "merged"}
+        unmerged = np.cumsum([1 if event == "made" else -1 for event, acc in events if id(acc) in units])
+        # at most four units folded ahead on each lane
+        assert unmerged.min() >= 0 and unmerged.max() <= 8
+
+    def test_the_worker_runs_at_most_four_units_ahead_of_the_merge(self, monkeypatch):
+        # while the caller is held up in block 0, the worker may fold blocks 1 to 7, not 9
+        events = []
+        rows = LogReturnSampler.rows
+        merge = MomentAccumulator.merge
+        caller = threading.current_thread()
+
+        def slow_rows(self, lo, hi, out=None):
+            if threading.current_thread() is caller:
+                if lo < STREAM_BLOCK_ROWS:
+                    time.sleep(0.3)
+            else:
+                events.append(lo // STREAM_BLOCK_ROWS)
+            return rows(self, lo, hi, out)
+
+        def recording_merge(self, other):
+            events.append("merged")
+            return merge(self, other)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", slow_rows)
+        monkeypatch.setattr(MomentAccumulator, "merge", recording_merge)
+        plain_estimate(MARKET, ASIAN, 11 * STREAM_BLOCK_ROWS, seed=3)
+        assert set(events[: events.index("merged")]) <= {1, 3, 5, 7}
+        assert sorted(block for block in events if block != "merged") == [1, 3, 5, 7, 9]
 
     def test_numbers_at_most_32_days_are_those_of_the_batch_pipeline(self):
         # sha256 of report_bits at n = 30, batch 4096, R = 20 000 on two lanes,
@@ -1114,6 +1136,43 @@ class TestPipeline:
         assert len(outcome) == 1 and re.search(message, str(outcome[0]))
         assert 1 in {block for thread, block in calls if thread is not caller}
         assert threading.active_count() == before
+
+    def test_the_worker_draws_past_the_pilot_boundary_before_the_coefficients_are_fixed(self, monkeypatch):
+        # R = 1e5: the boundary, run 10 000, is in the caller's block 2, and
+        # the worker's block 3 is drawn ahead while the caller reaches it
+        events = []
+        rows = LogReturnSampler.rows
+        betas = estimators.optimal_betas
+        caller = threading.current_thread()
+
+        def recording_rows(self, lo, hi, out=None):
+            if threading.current_thread() is not caller:
+                events.append(("worker draws", lo // STREAM_BLOCK_ROWS))
+            elif lo // STREAM_BLOCK_ROWS == 2:
+                time.sleep(0.2)  # the worker is done with block 1 long before
+            return rows(self, lo, hi, out)
+
+        def recording_betas(*args):
+            events.append(("betas", None))
+            return betas(*args)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
+        monkeypatch.setattr(estimators, "optimal_betas", recording_betas)
+        cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 100_000, seed=3)
+        assert events.index(("worker draws", 3)) < events.index(("betas", None))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_call_that_fails_at_once_sets_up_little(self):
+        # batch 1 over 10^6 runs: a million batches, and the second one's
+        # squared deviations overflow
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="overflow floating point after 2 rows"):
+                plain_estimate(MarketModel(1e307, 0.05, 50.0), ASIAN, 10**6, seed=3, batch_size=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("block", [2, 3])
     @pytest.mark.parametrize("form", [FORM_NONE, FORM_MULTI])
