@@ -476,6 +476,10 @@ def main(argv=None) -> int:
         # check-ineq
         if args.trials < 1:
             raise ScenarioError(f"--trials must be >= 1, got {args.trials}")
+        try:
+            check_seed(args.seed)
+        except ValueError as exc:
+            raise ScenarioError(f"--seed: {exc}") from exc
         result = check_inequality(args.trials, args.seed)
         text = (
             json.dumps(result, indent=2)

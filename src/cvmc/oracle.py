@@ -7,6 +7,15 @@ independent X_i) can be checked to near machine precision. The checker
 takes independence as a property of how the distribution was built; on
 dependent variables the inequality can genuinely fail and the checker
 reports that honestly.
+
+`FiniteJointDistribution`, `exact_moments`, `correlation_inequality_check`
+and `brute_force_cv_variance` work on one law at a time and are the
+reference. `run_inequality_trials` draws its random trials in stacks of at
+most 512 and enumerates each stack at once: every X_i is padded to 4 atoms
+of probability 0, so a stack of three-variable trials is one
+(trials, 4 variables, 64 atoms) array and a few einsums give every
+trial's moments and both sides of the inequality. `random_independent_trial`
+is the one-trial view of the same generator, on the trial's live atoms.
 """
 
 from __future__ import annotations
@@ -14,8 +23,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .model import check_seed
 
 PROBABILITY_TOLERANCE = 1e-12
 EXACT_TOLERANCE = 1e-12
@@ -171,31 +183,123 @@ def random_joint_law(
     return FiniteJointDistribution.from_atoms(names, outcomes, probs)
 
 
+# Marginals are padded to this many atoms (probability 0 past their count),
+# so a stack of trials shares one (trials, _MAX_ATOMS**n) atom grid.
+_MAX_ATOMS = 4
+# Trials drawn per stack: bounds a stack's memory to a few MB at any trial count.
+_STACK_TRIALS = 512
+# A trial whose var(Y) or var(sum_i alpha_i X_i) is at most this is dropped.
+_DEGENERATE_VARIANCE = 1e-12
+
+
+class _TrialStack(NamedTuple):
+    """Randomized inequality trials, one per leading index."""
+
+    counts: np.ndarray  # (trials, n) live atoms of each X_i, in {2, 3, 4}
+    values: np.ndarray  # (trials, n, 4) atom values of each X_i
+    probs: np.ndarray  # (trials, n, 4) atom probabilities, 0 past the count
+    tables: np.ndarray  # (trials, 4**n) Y on the padded joint atoms, row-major
+    alpha: np.ndarray  # (trials, n) weights
+
+    def law(self, k: int) -> FiniteJointDistribution:
+        """Trial k as a joint law (Y, X_1..X_n) on its live atoms only."""
+        counts = self.counts[k]
+        base = FiniteJointDistribution.independent(
+            [(self.values[k, i, :c], self.probs[k, i, :c]) for i, c in enumerate(counts)]
+        )
+        grid = self.tables[k].reshape((_MAX_ATOMS,) * counts.size)
+        y = grid[tuple(slice(c) for c in counts)].ravel()
+        return FiniteJointDistribution.from_atoms(
+            ("Y", *base.names), np.column_stack([y, base.outcomes]), base.probabilities
+        )
+
+
+def _draw_stack(rng: np.random.Generator, size: int, n_variables: int) -> _TrialStack:
+    """`size` trials, one generator call per quantity.
+
+    Each X_i gets 2-4 atoms with values in [-1, 1] and flat-simplex
+    probabilities (normalised standard exponentials); Y is an arbitrary
+    function of (X_1..X_n) drawn as a random table over the joint atoms;
+    weights are uniform in [-2, 2].
+    """
+    counts = rng.integers(2, _MAX_ATOMS + 1, size=(size, n_variables))
+    values = rng.uniform(-1.0, 1.0, size=(size, n_variables, _MAX_ATOMS))
+    weights = rng.standard_exponential(size=(size, n_variables, _MAX_ATOMS))
+    weights *= np.arange(_MAX_ATOMS) < counts[..., None]
+    probs = weights / weights.sum(axis=-1, keepdims=True)
+    tables = rng.uniform(-1.0, 1.0, size=(size, _MAX_ATOMS**n_variables))
+    alpha = rng.uniform(-2.0, 2.0, size=(size, n_variables))
+    return _TrialStack(counts, values, probs, tables, alpha)
+
+
+def _stack_checks(stack: _TrialStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the inequality for every trial, and which trials count.
+
+    Exact enumeration over the padded atoms, as `correlation_inequality_check`
+    does over one law's atoms; padding atoms have probability 0 and add
+    nothing. Returns (lhs, rhs, sound), sound False on degenerate trials.
+    """
+    size, n = stack.alpha.shape
+    # joint probabilities, last variable fastest, each the left-to-right
+    # product of its marginal probabilities (as FiniteJointDistribution.independent)
+    p = stack.probs[:, 0]
+    for i in range(1, n):
+        p = (p[:, :, None] * stack.probs[:, i, None, :]).reshape(size, -1)
+    atoms = np.indices((_MAX_ATOMS,) * n).reshape(n, -1)
+    # (trials, variables, atoms): Y first, then X_1..X_n; atoms innermost
+    outcomes = np.empty((size, n + 1, p.shape[1]))
+    outcomes[:, 0] = stack.tables
+    outcomes[:, 1:] = stack.values[:, np.arange(n)[:, None], atoms]
+    if not np.all(np.isfinite(outcomes)):
+        raise ValueError("outcomes must be finite")
+    if np.any(p < 0):
+        raise ValueError("probabilities must be nonnegative")
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > PROBABILITY_TOLERANCE):
+        raise ValueError("a trial's probabilities do not sum to 1")
+
+    mean = np.einsum("ta,tva->tv", p, outcomes)
+    centered = outcomes - mean[:, :, None]
+    cov = np.einsum("tva,twa->tvw", centered * p[:, None, :], centered)
+    var_y = cov[:, 0, 0]
+    cov_yx = cov[:, 0, 1:]
+    combo_var = np.einsum("ti,tij,tj->t", stack.alpha, cov[:, 1:, 1:], stack.alpha)
+    sound = (var_y > _DEGENERATE_VARIANCE) & (combo_var > _DEGENERATE_VARIANCE)
+    x_vars = np.einsum("tii->ti", cov[:, 1:, 1:])
+    if np.any(x_vars[sound] == 0.0):
+        raise ValueError("an X variable has zero variance; correlations undefined")
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate trials only
+        lhs = np.einsum("ti,ti->t", stack.alpha, cov_yx) ** 2 / (var_y * combo_var)
+        rhs = np.sum(cov_yx**2 / (var_y[:, None] * x_vars), axis=1)
+    return lhs, rhs, sound
+
+
+def _trial_stacks(rng: np.random.Generator, trials: int, n_variables: int = 3):
+    """Yield (stack, lhs, rhs) of `trials` sound trials in all, in draw order.
+
+    Stacks hold at most _STACK_TRIALS trials; the degenerate trials of one
+    stack are dropped and made up by the next, drawn just large enough.
+    """
+    remaining = trials
+    while remaining:
+        stack = _draw_stack(rng, min(remaining, _STACK_TRIALS), n_variables)
+        lhs, rhs, sound = _stack_checks(stack)
+        kept = int(np.count_nonzero(sound))
+        if kept:
+            remaining -= kept
+            yield _TrialStack(*(field[sound] for field in stack)), lhs[sound], rhs[sound]
+
+
 def random_independent_trial(
     rng: np.random.Generator, n_variables: int = 3
 ) -> tuple[FiniteJointDistribution, np.ndarray]:
     """One randomized inequality trial: independent X's, table-defined Y, weights.
 
-    Each X_i gets 2-4 atoms with values in [-1, 1] and flat-simplex
-    probabilities; Y is an arbitrary function of (X_1..X_n) drawn as a
-    random table over the joint atoms; weights are uniform in [-2, 2].
-    Degenerate draws (zero-variance Y or combination) are redrawn.
+    The first trial of a one-trial stack (see `_draw_stack`), as a law on
+    its live atoms; degenerate draws (zero-variance Y or combination) are
+    redrawn.
     """
-    while True:
-        marginals = []
-        for _ in range(n_variables):
-            k = int(rng.integers(2, 5))
-            marginals.append((rng.uniform(-1.0, 1.0, size=k), rng.dirichlet(np.ones(k))))
-        base = FiniteJointDistribution.independent(marginals)
-        table = rng.uniform(-1.0, 1.0, size=base.outcomes.shape[0])
-        dist = FiniteJointDistribution.from_atoms(
-            ("Y", *base.names), np.column_stack([table, base.outcomes]), base.probabilities
-        )
-        alpha = rng.uniform(-2.0, 2.0, size=n_variables)
-        m = exact_moments(dist)
-        combo_var = float(alpha @ m.covariance[1:, 1:] @ alpha)
-        if m.variance(0) > 1e-12 and combo_var > 1e-12:
-            return dist, alpha
+    stack, _, _ = next(_trial_stacks(rng, 1, n_variables))
+    return stack.law(0), stack.alpha[0]
 
 
 @dataclass(frozen=True)
@@ -210,15 +314,18 @@ class InequalityTrialSummary:
 
 
 def run_inequality_trials(trials: int, seed: int) -> InequalityTrialSummary:
-    """Randomized exact trials of the correlation inequality (3 independent X's)."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
+    """Randomized exact trials of the correlation inequality (3 independent X's).
+
+    Trials are drawn and checked in stacks (`_trial_stacks`); `seed` follows
+    the rule of `cvmc.model.check_seed`.
+    """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    check_seed(seed)
+    trials = int(trials)
     passes = 0
     max_violation = -math.inf
-    for _ in range(trials):
-        dist, alpha = random_independent_trial(rng)
-        check = correlation_inequality_check(dist, alpha)
-        passes += check.holds
-        max_violation = max(max_violation, check.lhs - check.rhs)
+    for _, lhs, rhs in _trial_stacks(np.random.default_rng(seed), trials):
+        passes += int(np.count_nonzero(lhs <= rhs + EXACT_TOLERANCE))
+        max_violation = max(max_violation, float(np.max(lhs - rhs)))
     return InequalityTrialSummary(trials=trials, passes=passes, max_violation=max_violation)

@@ -291,6 +291,19 @@ class TestMainCheckInequality:
     def test_zero_trials_rejected(self, capsys):
         assert cli.main(["check-ineq", "--trials", "0"]) == cli.EXIT_VALIDATION
 
+    def test_bad_trials_error_names_the_flag(self, capsys):
+        assert cli.main(["check-ineq", "--trials", "-2", "--seed", "1"]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in json.loads(captured.err)["message"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**65)])
+    def test_seed_outside_64_bits_rejected(self, seed, capsys):
+        assert cli.main(["check-ineq", "--trials", "5", "--seed", seed]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in json.loads(captured.err)["message"]
+
 
 def test_import_does_not_load_scipy_stats():
     # scipy.stats costs ~70 MB and ~1 s to import; cvmc needs none of it

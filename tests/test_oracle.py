@@ -14,6 +14,7 @@ from cvmc import (
     run_inequality_trials,
     correlation_inequality_check,
 )
+from cvmc import oracle
 from cvmc.oracle import random_independent_trial, random_joint_law
 
 
@@ -196,6 +197,92 @@ class TestInequality:
         assert dist.n_variables == 4
         assert alpha.shape == (3,)
         assert np.all(np.abs(alpha) <= 2.0)
+
+
+class TestStackedTrials:
+    def test_stack_matches_per_law_reference(self):
+        # every stacked trial, rebuilt on its live atoms, gives the same
+        # sides and verdict through the one-law checker
+        checked = 0
+        for seed in (1, 2, 3, 4):
+            for stack, lhs, rhs in oracle._trial_stacks(np.random.default_rng(seed), 2500):
+                for k in range(lhs.size):
+                    counts = stack.counts[k]
+                    base = FiniteJointDistribution.independent(
+                        [(stack.values[k, i, :c], stack.probs[k, i, :c]) for i, c in enumerate(counts)]
+                    )
+                    y = stack.tables[k].reshape(4, 4, 4)[: counts[0], : counts[1], : counts[2]].ravel()
+                    dist = FiniteJointDistribution.from_atoms(
+                        ("Y", "X1", "X2", "X3"), np.column_stack([y, base.outcomes]), base.probabilities
+                    )
+                    check = correlation_inequality_check(dist, stack.alpha[k])
+                    assert abs(check.lhs - lhs[k]) <= 1e-14
+                    assert abs(check.rhs - rhs[k]) <= 1e-14
+                    assert check.holds == bool(lhs[k] <= rhs[k] + oracle.EXACT_TOLERANCE)
+                    checked += 1
+        assert checked == 10_000
+
+    def test_degenerate_trials_are_refilled_in_draw_order(self, monkeypatch):
+        # every third trial drawn, counted across stacks, gets a constant Y
+        drawn = []
+        draw = oracle._draw_stack
+
+        def constant_every_third_y(rng, size, n_variables):
+            stack = draw(rng, size, n_variables)
+            start = sum(len(alpha) for alpha, _ in drawn)
+            constant = (start + np.arange(size)) % 3 == 0
+            stack.tables[constant] = 0.25
+            drawn.append((stack.alpha, constant))
+            return stack
+
+        monkeypatch.setattr(oracle, "_draw_stack", constant_every_third_y)
+        kept = [stack.alpha for stack, _, _ in oracle._trial_stacks(np.random.default_rng(43), 1100)]
+        expected = [alpha[~constant] for alpha, constant in drawn]
+        assert np.array_equal(np.concatenate(kept), np.concatenate(expected))
+        assert len(drawn) > 3
+
+        first = run_inequality_trials(1100, seed=43)
+        second = run_inequality_trials(1100, seed=43)
+        assert first.trials == first.passes == 1100
+        assert (second.trials, second.passes) == (first.trials, first.passes)
+        assert second.max_violation.hex() == first.max_violation.hex()
+
+    def test_trials_spanning_several_stacks_repeat_bit_for_bit(self):
+        trials = 3 * oracle._STACK_TRIALS + 7
+        sizes = [lhs.size for _, lhs, _ in oracle._trial_stacks(np.random.default_rng(47), trials)]
+        assert sum(sizes) == trials and len(sizes) >= 4
+        assert max(sizes) <= oracle._STACK_TRIALS
+        first = run_inequality_trials(trials, seed=47)
+        second = run_inequality_trials(trials, seed=47)
+        assert first.trials == first.passes == trials
+        assert second.max_violation.hex() == first.max_violation.hex()
+
+    @pytest.mark.parametrize("seed", [0, 41, 2**64 - 1])
+    def test_one_trial_view_is_the_first_trial_of_a_one_trial_stack(self, seed):
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        dist, alpha = random_independent_trial(rng)
+        stack = oracle._draw_stack(twin, 1, 3)
+        assert np.array_equal(alpha, stack.alpha[0])
+        reference = stack.law(0)
+        assert np.array_equal(dist.outcomes, reference.outcomes)
+        assert np.array_equal(dist.probabilities, reference.probabilities)
+        # one draw of each quantity, so both generators end in one state
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # the live atoms only: 2-4 per marginal, none with probability 0
+        assert 8 <= dist.outcomes.shape[0] <= 64
+        assert np.all(dist.probabilities > 0)
+
+    @pytest.mark.parametrize(
+        "trials, seed",
+        [(5, True), (5, 2**70), (5, -1), (5, 1.0), (True, 3), (0, 3), (2.0, 3)],
+    )
+    def test_invalid_trials_or_seed_rejected(self, trials, seed):
+        with pytest.raises(ValueError):
+            run_inequality_trials(trials, seed)
+
+    def test_numpy_integer_trials_and_seed_accepted(self):
+        assert run_inequality_trials(np.int64(5), np.uint64(3)) == run_inequality_trials(5, 3)
 
 
 class TestBruteForceVariance:
