@@ -20,7 +20,8 @@ below the pilot count estimate the coefficients, which are fixed at the
 boundary, and the later runs feed the main-phase moments of (Y,
 controls, W). Those track only the means, cov(Y, .) and the variances,
 O(runs * n); the full covariance matrix is built only where it is read:
-in-sample coefficients and sweep_diagnostic.
+in-sample coefficients, the least-squares pilot of multi_log_returns
+(n <= 32 and a pilot of at least 2(n + 1) runs) and sweep_diagnostic.
 
 Drawing the normals is the largest stage, so a call that draws many
 (_THREADED_NORMALS or more) runs on two lanes, the caller's thread and
@@ -153,7 +154,9 @@ class MomentAccumulator:
         # covariance only variable 0 (the payoff) is checked: the others
         # are controls, never constant, and W, constant only with it.
         if self.full_covariance:
-            col_mean = np.where(np.all(xs == xs[0], axis=0), xs[0], col_mean)
+            # a column can be constant only where its last row equals its first
+            if (xs[-1] == xs[0]).any():
+                col_mean = np.where(np.all(xs == xs[0], axis=0), xs[0], col_mean)
         elif (xs[:, 0] == xs[0, 0]).all():
             col_mean[0] = xs[0, 0]
         self._merge(runs, col_mean, self._products(xs, col_mean))
@@ -316,6 +319,20 @@ class _Controls:
         return np.einsum("ij,j->i", log_returns, self._weights)[:, None]
 
 
+def _check_counts(runs: int, batch_size: int) -> None:
+    """Raise ValueError unless runs and batch_size are integers and batch_size >= 1.
+
+    Python and numpy integers qualify; bool and float do not, as for
+    seeds: a bool is no count, and a float would fail deep inside the
+    simulation with an error that names neither argument.
+    """
+    for name, value in (("runs", runs), ("batch_size", batch_size)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def _require_finite(values: np.ndarray, what: str, spec: ContractSpec, lo: int, hi: int) -> None:
     if not np.isfinite(values).all():
         strike = "" if spec.strike is None else f", strike {spec.strike}"
@@ -403,9 +420,13 @@ def _simulate(
     of the moments is the runs of one block that lie in one phase: the
     part of each of its pieces that lies in the phase is folded by
     add_batch into one fresh accumulator of the unit, and this thread
-    merges the units into their phases in run order, in one walk for one
-    lane and for two. A piece that a phase boundary cuts is drawn once
-    and serves the units on both sides.
+    merges the units into their phases in run order. On one lane, a unit
+    of one piece is added straight to its phase's accumulator instead,
+    which gives the same bits (add_batch is a fresh accumulator's
+    add_batch followed by merge) without the unit's accumulator and
+    merge; that is every unit of a call with the default batch up to
+    n = 32. A piece that a phase boundary cuts is drawn once and serves
+    the units on both sides.
 
     A call that draws at least _THREADED_NORMALS normals over more than
     one block runs on two lanes, this thread and one worker, unless it
@@ -442,8 +463,6 @@ def _simulate(
     scheduler kept waking the worker on the caller's vCPU for whole runs
     of calls, so the two threads took turns on one core.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = spec.days_to_maturity
     ends = [end for end, _, _ in phases]
     starts = [0, *ends[:-1]]
@@ -462,7 +481,6 @@ def _simulate(
         and runs > STREAM_BLOCK_ROWS
         and not (wide and STREAM_BLOCK_ROWS * n > _CHUNK_NORMALS)
     )
-    lanes = 2 if threaded else 1
     units = [  # (lo, hi, phase) in run order
         (max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase)
         for phase, (start, end) in enumerate(zip(starts, ends))
@@ -506,28 +524,48 @@ def _simulate(
 
         return fill
 
+    def fold(acc: MomentAccumulator, fill: Callable, lo: int, hi: int, phase: int) -> None:
+        """Add the moment rows of runs lo..hi-1 of phase to acc, piece by piece."""
+        while lo < hi:
+            piece = piece_of(lo)
+            b = min(piece[1], hi)
+            rows = phases[phase][2](fill(piece)[lo - piece[0] : b - piece[0], :width], *piece[2:])
+            try:
+                acc.add_batch(rows)
+            except ValueError:
+                # with the phase's rows so far, as its merge would count them
+                raise _overflow(b - starts[phase]) from None
+            lo = b
+
     def unit(fill: Callable, lo: int, hi: int, phase: int):
         """(the moments of runs lo..hi-1 of phase, None), or (None, the exception)."""
         acc = MomentAccumulator(accs[phase].dim, accs[phase].full_covariance)
         try:
-            while lo < hi:
-                piece = piece_of(lo)
-                b = min(piece[1], hi)
-                rows = phases[phase][2](fill(piece)[lo - piece[0] : b - piece[0], :width], *piece[2:])
-                try:
-                    acc.add_batch(rows)
-                except ValueError:
-                    # with the phase's rows so far, as its merge would count them
-                    raise _overflow(b - starts[phase]) from None
-                lo = b
+            fold(acc, fill, lo, hi, phase)
         except Exception as exc:
             return None, exc
         return acc, None
 
-    fills = [lane() for _ in range(lanes)]  # this thread's, and the worker's
-    ours = collections.deque(u for u in units if not u[0] // STREAM_BLOCK_ROWS % lanes)  # this thread's, to fold
+    if not threaded:
+        fill = lane()
+        for lo, hi, phase in units:
+            if piece_of(lo)[1] >= hi:
+                # A unit of one piece goes straight into its phase: add_batch
+                # is a fresh accumulator's add_batch followed by merge.
+                fold(accs[phase], fill, lo, hi, phase)
+            else:
+                acc, failure = unit(fill, lo, hi, phase)
+                if failure is not None:
+                    raise failure
+                accs[phase].merge(acc)
+            if hi == ends[phase] < runs:
+                at_boundary()
+        return
+
+    fills = [lane(), lane()]  # this thread's, and the worker's
+    ours = collections.deque(u for u in units if not u[0] // STREAM_BLOCK_ROWS % 2)  # this thread's, to fold
     folded = collections.deque()  # the results of this thread's units folded ahead, in run order
-    theirs = collections.deque(u for u in units if u[0] // STREAM_BLOCK_ROWS % lanes)  # the worker's, to hand over
+    theirs = collections.deque(u for u in units if u[0] // STREAM_BLOCK_ROWS % 2)  # the worker's, to hand over
     handed = collections.deque()  # the futures of the worker's units handed over, in run order
     merged, drawn_ahead = 0, None  # runs merged, and the unit whose first piece the worker drew ahead
 
@@ -549,17 +587,15 @@ def _simulate(
     # The worker's tasks run in a copy of this thread's context, so that it
     # computes under the caller's numpy error state (np.errstate).
     context = contextvars.copy_context()
-    executor = None
-    if threaded:
-        # imported here: importing it takes about 10 ms, which every
-        # command-line run would pay
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: importing it takes about 10 ms, which every
+    # command-line run would pay
+    from concurrent.futures import ThreadPoolExecutor
 
-        executor = ThreadPoolExecutor(1, initializer=_run_on, initargs=(_other_cpus(),))
+    executor = ThreadPoolExecutor(1, initializer=_run_on, initargs=(_other_cpus(),))
     try:
         hand_over()
         for lo, hi, phase in units:
-            if lo // STREAM_BLOCK_ROWS % lanes:
+            if lo // STREAM_BLOCK_ROWS % 2:
                 future = handed.popleft()
                 # Until it is done, this thread folds its own next units, at
                 # most four ahead, as far as their phase has started.
@@ -576,8 +612,7 @@ def _simulate(
                 at_boundary()
             hand_over()
     finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
+        executor.shutdown(cancel_futures=True)
 
 
 def _moment_rows(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -600,6 +635,26 @@ def _accumulate(
     return acc
 
 
+def _least_squares_pilot(controls: _Controls, pilot_runs: int, n: int) -> bool:
+    """Whether a pilot of pilot_runs runs fits its coefficients by least squares.
+
+    Only multi_log_returns, whose q = n controls the exact-variance fit
+    serves worst: each coefficient's error there adds about q/p to
+    var(W)/var(Y), against the loss factor (p - 2)/(p - q - 2) of least
+    squares on the floor (Lavenberg & Welch 1981; Nelson 1990). The pilot
+    needs p >= 2(q + 1) runs, where that factor is at most 2 (with q = 30
+    and p = 40, least squares lost to the exact-variance fit for three of
+    the four contract kinds), and n <= 32, where a block's runs fit in one
+    piece, so the full pilot covariance keeps the call's pieces and both
+    lanes.
+    """
+    return (
+        controls.form == FORM_MULTI
+        and pilot_runs >= 2 * (controls.dim + 1)
+        and STREAM_BLOCK_ROWS * n <= _CHUNK_NORMALS
+    )
+
+
 def _pilot_pass(
     model: MarketModel,
     spec: ContractSpec,
@@ -611,19 +666,34 @@ def _pilot_pass(
 ) -> tuple[np.ndarray, list[str], MomentAccumulator]:
     """One pass over runs 0..runs-1 for pilot-phase coefficients.
 
-    Runs below pilot_runs feed the lean moments of (Y, controls); the
+    Runs below pilot_runs feed the moments of (Y, controls); the
     coefficients are fixed from them at the boundary. The later runs feed
     the lean moments of (Y, controls, W), W = Y + C @ beta - E[C] @ beta,
     so the estimate and var(W) are read straight from the main moments.
+
+    The pilot fits each coefficient on its own, with the exact control
+    variance as denominator, from lean moments, except where
+    _least_squares_pilot holds: then it tracks the full covariance and
+    fits the coefficients jointly by least squares, and a note gives the
+    loss factor (p - 2)/(p - q - 2) of that fit.
     """
     q = controls.dim
-    pilot = MomentAccumulator(1 + q, full_covariance=False)
+    least_squares = _least_squares_pilot(controls, pilot_runs, spec.days_to_maturity)
+    pilot = MomentAccumulator(1 + q, full_covariance=least_squares)
     main = MomentAccumulator(2 + q, full_covariance=False)
     betas, notes, offset = None, [], 0.0
 
     def fix_betas():
         nonlocal betas, notes, offset
-        betas, notes = optimal_betas(pilot, controls.exact_variances)
+        if least_squares:
+            betas, notes = optimal_betas(pilot)
+            notes.append(
+                f"least-squares pilot coefficients: q = {q} controls fitted jointly on p = {pilot_runs} "
+                f"pilot runs; their error raises var(W) by about the factor "
+                f"(p - 2)/(p - q - 2) = {(pilot_runs - 2) / (pilot_runs - q - 2):.4g} over its floor"
+            )
+        else:
+            betas, notes = optimal_betas(pilot, controls.exact_variances)
         offset = controls.means @ betas
 
     def with_w(rows, lo, hi):
@@ -644,6 +714,7 @@ def plain_estimate(
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> EstimatorReport:
     """Plain Monte Carlo: mean of Y over `runs` independent paths."""
+    _check_counts(runs, batch_size)
     if runs < 2:
         raise ValueError(f"runs must be >= 2 (variance undefined below that), got {runs}")
     acc = _accumulate(model, spec, seed, runs, None, batch_size)
@@ -657,31 +728,44 @@ def plain_estimate(
     )
 
 
-def optimal_betas(acc: MomentAccumulator, variances: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Per-control multipliers -cov(Y, C_i)/var(C_i), and notes on dropped controls.
+def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -> tuple[np.ndarray, list[str]]:
+    """Control coefficients from the moments in acc, and notes on dropped controls.
 
     The accumulator's first variable is Y; the rest are the controls.
-    `variances` are the denominators var(C_i): cv_estimate passes the
-    exact model values of the log-return controls, acc.variances()[1:]
-    gives the sample ones. A control whose variance is below
-    DEGENERATE_CONTROL_TOLERANCE times its second moment gets
-    coefficient 0, with a warning and a note; if every control is
-    degenerate, raises ValueError.
+    With `variances`, each control is fitted on its own:
+    beta_i = -cov(Y, C_i)/variances[i]. cv_estimate passes the exact model
+    variances of the controls; acc.variances()[1:] gives the sample ones.
+    Without, the controls are fitted jointly by least squares,
+    beta = -S_CC^-1 cov(C, Y), from acc's full sample covariance S, with
+    one solve of the whole matrix: the coefficients that minimise the
+    sample variance of W. A control whose variance (variances[i], or its
+    sample variance) is below DEGENERATE_CONTROL_TOLERANCE times its
+    second moment gets coefficient 0 and leaves the fit, with a warning
+    and a note; if every control is degenerate, raises ValueError.
     """
-    denominators = np.array(variances, dtype=float)
-    if denominators.shape != (acc.dim - 1,):
-        raise ValueError(f"expected {acc.dim - 1} variances, got shape {denominators.shape}")
+    if variances is None:
+        cov = acc.covariance()
+        denominators = np.diag(cov)[1:]
+    else:
+        denominators = np.array(variances, dtype=float)
+        if denominators.shape != (acc.dim - 1,):
+            raise ValueError(f"expected {acc.dim - 1} variances, got shape {denominators.shape}")
     # the stored means, without the copy the public property makes
     second_moment = denominators + acc._mean[1:] ** 2
     usable = denominators > DEGENERATE_CONTROL_TOLERANCE * np.maximum(second_moment, 1e-300)
     if usable.all():
+        if variances is None:
+            return -np.linalg.solve(cov[1:, 1:], cov[1:, 0]), []
         return -acc.cross()[1:] / denominators, []
     if not usable.any():
         raise ValueError("degenerate control: every control variance is (numerically) zero")
     message = f"{int((~usable).sum())} degenerate control(s) dropped (coefficient set to 0)"
     warnings.warn(message)
     betas = np.zeros(len(denominators))
-    betas[usable] = -acc.cross()[1:][usable] / denominators[usable]
+    if variances is None:
+        betas[usable] = -np.linalg.solve(cov[1:, 1:][np.ix_(usable, usable)], cov[1:, 0][usable])
+    else:
+        betas[usable] = -acc.cross()[1:][usable] / denominators[usable]
     return betas, [message]
 
 
@@ -752,11 +836,17 @@ def cv_estimate(
     construction, small-sample biased).
 
     Coefficients come from optimal_betas with the exact model variances of
-    the controls as denominators; degenerate controls are dropped with a
-    note. A predicted variance ratio below -0.05, which sampling bias
+    the controls as denominators, except that multi_log_returns in pilot
+    mode fits them jointly by least squares from the pilot's full sample
+    covariance when the pilot has p >= 2(q + 1) runs for its q = n
+    controls and n <= 32 (_least_squares_pilot); a note then gives q, p
+    and the loss factor (p - 2)/(p - q - 2). Degenerate controls are
+    dropped with a note. runs and batch_size must be integers (not bool).
+    A predicted variance ratio below -0.05, which sampling bias
     gives with few runs per control, is reported as it is, with a note
     and a UserWarning.
     """
+    _check_counts(runs, batch_size)
     if control.form == FORM_NONE:
         return plain_estimate(model, spec, runs, seed, batch_size)
     if runs < 4:
@@ -839,6 +929,7 @@ def sweep_diagnostic(
     next to sum_i corr^2(Y, X(i)). No ordering between the two is asserted;
     whether one bounds the other is an open question.
     """
+    _check_counts(runs, batch_size)
     if model.volatility <= 0.0:
         raise ValueError("sweep_diagnostic requires volatility > 0")
     if runs < 2:

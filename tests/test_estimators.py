@@ -627,6 +627,83 @@ class TestCvEstimate:
             ControlSpec(form=FORM_SINGLE, weights=np.ones(3))
 
 
+def record_fits(monkeypatch) -> list:
+    """Record (pilot accumulator, variances) of every optimal_betas call of the pilot from now on."""
+    fits = []
+    fit = estimators.optimal_betas
+
+    def recording_fit(acc, variances=None):
+        fits.append((acc, variances))
+        return fit(acc, variances)
+
+    monkeypatch.setattr(estimators, "optimal_betas", recording_fit)
+    return fits
+
+
+class TestLeastSquaresPilot:
+    """cv-multi's pilot fits its coefficients jointly by least squares at
+    n <= 32 when it has p >= 2(q + 1) runs for its q = n controls."""
+
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
+    @pytest.mark.parametrize(
+        "n, runs, pilot_fraction, least_squares",
+        [
+            (30, 610, 0.1, False),  # p = 61 = 2q + 1
+            (30, 620, 0.1, True),  # p = 62 = 2q + 2
+            (30, 100_000, 0.1, True),
+            (33, 1000, 0.5, False),  # n > 32 at any p
+            (33, 20_000, 0.1, False),
+        ],
+    )
+    def test_the_rule_and_its_bits(self, monkeypatch, n, runs, pilot_fraction, least_squares):
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        fits = record_fits(monkeypatch)
+        report = cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), runs, seed=29, pilot_fraction=pilot_fraction)
+        p = report.pilot_runs_used
+        ((pilot, variances),) = fits
+        assert pilot.count == p and pilot.full_covariance == least_squares
+        values = report.coefficients.values
+        if not least_squares:
+            assert variances.tolist() == [MARKET.daily_variance] * n
+            reference, _ = optimal_betas(pilot, variances)
+            assert values.tobytes() == reference.tobytes()
+            assert not any(note.startswith("least-squares") for note in report.notes)
+            return
+        assert variances is None
+        assert values.tobytes() == optimal_betas(pilot)[0].tobytes()
+        # the least-squares solution on the pilot runs, recomputed from their draws
+        x = LogReturnSampler(MARKET, n, 29).rows(0, p)
+        y = discounted_payoff(MARKET, spec, prices_from_log_returns(MARKET, x))
+        cov = np.cov(np.column_stack([y, x]), rowvar=False)
+        assert np.allclose(values, -np.linalg.solve(cov[1:, 1:], cov[1:, 0]), rtol=1e-9, atol=1e-12)
+        factor = (p - 2) / (p - n - 2)
+        assert report.notes == (
+            f"least-squares pilot coefficients: q = {n} controls fitted jointly on p = {p} pilot runs; "
+            f"their error raises var(W) by about the factor (p - 2)/(p - q - 2) = {factor:.4g} over its floor",
+        )
+
+    @pytest.mark.parametrize("runs", [650, 1000])
+    @pytest.mark.parametrize("kind", sorted(CONTRACT_KINDS))
+    def test_beats_the_exact_variance_fit_on_paired_seeds(self, monkeypatch, kind, runs):
+        # var(W)/var(Y) on the main runs, which the pilot's coefficients do
+        # not see; 60 paired seeds per contract kind and run count
+        spec = ContractSpec(kind=kind, days_to_maturity=30, strike=100.0 if kind in STRIKE_KINDS else None)
+
+        def ratios():
+            return np.array(
+                [
+                    cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), runs, seed=seed).empirical_variance_ratio
+                    for seed in range(500, 560)
+                ]
+            )
+
+        least_squares = ratios()
+        monkeypatch.setattr(estimators, "_least_squares_pilot", lambda *args: False)
+        exact_variance = ratios()
+        assert np.median(least_squares - exact_variance) < 0.0
+        assert np.median(least_squares) < np.median(exact_variance)
+
+
 def _finite_report(report) -> bool:
     fields = [
         report.estimate,
@@ -801,27 +878,36 @@ class TestSweepDiagnostic:
             sweep_diagnostic(model, [ASIAN], runs=100, seed=0)
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize(
+    "argument, value, message",
+    [
+        pytest.param("batch_size", 0, "batch_size must be >= 1, got -?[01]", id="0"),
+        pytest.param("batch_size", -1, "batch_size must be >= 1, got -?[01]", id="-1"),
+        pytest.param("batch_size", 512.0, r"^batch_size must be an integer, got 512\.0$", id="batch_size=512.0"),
+        pytest.param("batch_size", True, "^batch_size must be an integer, got True$", id="batch_size=True"),
+        pytest.param("runs", 1000.0, r"^runs must be an integer, got 1000\.0$", id="runs=1000.0"),
+        pytest.param("runs", True, "^runs must be an integer, got True$", id="runs=True"),
+        pytest.param("runs", np.float64(100), r"^runs must be an integer, got (np\.float64\()?100\.0\)?$", id="runs=float64"),
+    ],
+)
 @pytest.mark.parametrize(
     "estimate",
     [
-        lambda b: plain_estimate(MARKET, ASIAN, 100, seed=0, batch_size=b),
-        lambda b: cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 100, seed=0, batch_size=b),
-        lambda b: cv_estimate(
+        lambda **kw: plain_estimate(MARKET, ASIAN, **{"runs": 100, "seed": 0, **kw}),
+        lambda **kw: cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), **{"runs": 100, "seed": 0, **kw}),
+        lambda **kw: cv_estimate(
             MARKET,
             ASIAN,
             ControlSpec(form=FORM_SINGLE, coefficient_source="in_sample"),
-            100,
-            seed=0,
-            batch_size=b,
+            **{"runs": 100, "seed": 0, **kw},
         ),
-        lambda b: sweep_diagnostic(MARKET, [ASIAN], runs=100, seed=0, batch_size=b),
+        lambda **kw: sweep_diagnostic(MARKET, [ASIAN], **{"runs": 100, "seed": 0, **kw}),
     ],
     ids=["plain", "cv_pilot", "cv_in_sample", "sweep"],
 )
-def test_batch_size_below_one_rejected(estimate, batch_size):
-    with pytest.raises(ValueError, match="batch_size must be >= 1, got -?[01]"):
-        estimate(batch_size)
+def test_batch_size_below_one_rejected(estimate, argument, value, message):
+    with pytest.raises(ValueError, match=message):
+        estimate(**{argument: value})
 
 
 def report_bits(report) -> list:
@@ -848,6 +934,17 @@ def report_grid(runs: int, batch_size: int, n: int = 30) -> dict:
             control = ControlSpec(form=form, coefficient_source=source, weights=weights)
             report = cv_estimate(MARKET, spec, control, runs, seed=43, batch_size=batch_size)
             grid[f"{form}/{source}"] = report_bits(report)
+    return grid
+
+
+def blas_grid() -> dict:
+    """report_grid at n = 252, and cv-multi's least-squares pilot at n = 30
+    (a 31-wide covariance product and a LAPACK solve) on one lane and on two."""
+    grid = report_grid(2100, 777, n=252)
+    for runs in (1000, 20000):
+        report = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), runs, seed=5)
+        assert report.notes[-1].startswith("least-squares pilot coefficients")
+        grid[f"least_squares/{runs}"] = report_bits(report)
     return grid
 
 
@@ -984,7 +1081,8 @@ class TestPipeline:
         expected = {
             "plain": "18549ac8402a4ee3adf9e74196061648da0913846f005a807bb06d36c3ca6775",
             FORM_SINGLE: "bcf27929f1d95df816646cb300729cd6e44d8cb7cb181f22bcd4f88abe7d4d34",
-            FORM_MULTI: "aea6be9fb9a298a2c8fecb3bcdfd34cf27f4735c4f32f9ebe8df489a04cc75be",
+            # least-squares pilot coefficients since cvmc 0.2.0
+            FORM_MULTI: "372a8cc81c97d3d3d8f766076fc95273d179ae7d5bf500f190ca04721c600019",
         }
         reports = {"plain": plain_estimate(MARKET, ASIAN, 20000, seed=11)}
         for form in (FORM_SINGLE, FORM_MULTI):
@@ -997,12 +1095,21 @@ class TestPipeline:
         code = (
             "import json, sys\n"
             f"sys.path[:0] = [{str(Path(estimators.__file__).parents[1])!r}, {str(Path(__file__).parent)!r}]\n"
-            "from test_estimators import report_grid\n"
-            "print(json.dumps(report_grid(2100, 777, n=252)))\n"
+            "from test_estimators import blas_grid\n"
+            "print(json.dumps(blas_grid()))\n"
         )
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-        assert json.loads(out.stdout) == json.loads(json.dumps(report_grid(2100, 777, n=252)))
+        # one BLAS thread, and (where the platform allows) one CPU for the whole process
+        children = [({"OPENBLAS_NUM_THREADS": "1"}, None)]
+        if hasattr(os, "sched_setaffinity"):
+            cpu = min(os.sched_getaffinity(0))
+            children.append(({}, lambda: os.sched_setaffinity(0, {cpu})))
+        expected = json.loads(json.dumps(blas_grid()))
+        for variables, pin in children:
+            env = {**os.environ, **variables}
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, preexec_fn=pin
+            )
+            assert json.loads(out.stdout) == expected, variables
 
     @pytest.mark.parametrize("n", [30, 252])
     def test_custom_control_of_a_run_does_not_depend_on_batch_size(self, n):

@@ -14,7 +14,8 @@ from cvmc import (
     run_inequality_trials,
     correlation_inequality_check,
 )
-from cvmc import oracle
+from cvmc import ASIAN_FIXED, ContractSpec, ControlSpec, MarketModel, cv_estimate, estimators, oracle
+from cvmc.estimators import FORM_MULTI
 from cvmc.oracle import random_independent_trial, random_joint_law
 
 
@@ -131,6 +132,86 @@ class TestExactMoments:
         assert insample_variance(acc, betas) * (n - 1) / n == pytest.approx(
             brute_force_cv_variance(dist, float(betas[0])), rel=1e-12
         )
+
+
+def expanded_sample(dist, copies):
+    """An accumulator over the atoms of dist, each repeated probability * copies times."""
+    counts = np.rint(dist.probabilities * copies).astype(int)
+    assert counts.sum() == copies and np.allclose(counts / copies, dist.probabilities, rtol=0, atol=1e-15)
+    acc = MomentAccumulator(dist.n_variables)
+    acc.add_batch(np.repeat(dist.outcomes, counts, axis=0))
+    return acc
+
+
+def least_squares_betas(dist):
+    """-Sigma_XX^-1 cov(X, Y) of the finite law: its variance-minimising coefficients."""
+    cov = exact_moments(dist).covariance
+    return -np.linalg.solve(cov[1:, 1:], cov[1:, 0])
+
+
+class TestLeastSquaresFit:
+    """optimal_betas(acc) without variances: the joint least-squares fit."""
+
+    # two controls correlated in the sample (corr(V1, V2) ~ 0.55), probabilities in eighths
+    ATOMS = [[0.0, 1.0, 0.5], [1.0, -1.0, -0.5], [2.0, 0.5, 1.0], [-1.0, 0.25, -1.0], [0.5, -0.75, 0.0]]
+    PROBABILITIES = [0.125, 0.25, 0.375, 0.125, 0.125]
+
+    def law(self, *extra_columns):
+        outcomes = np.column_stack([np.array(self.ATOMS), *extra_columns])
+        names = ("Y", *(f"V{i}" for i in range(1, outcomes.shape[1])))
+        return FiniteJointDistribution.from_atoms(names, outcomes, self.PROBABILITIES)
+
+    def test_matches_the_finite_law_on_expanded_sample(self):
+        dist = self.law()
+        assert abs(exact_moments(dist).correlation(1, 2)) > 0.5
+        acc = expanded_sample(dist, 8)
+        betas, notes = optimal_betas(acc)
+        assert notes == []
+        exact = least_squares_betas(dist)
+        assert np.max(np.abs(betas - exact)) <= 1e-10
+        # var(W) of W = Y + beta . (V - E[V]), by enumeration of the law of (Y, beta . V)
+        combined = FiniteJointDistribution.from_atoms(
+            ("Y", "V"), np.column_stack([dist.outcomes[:, 0], dist.outcomes[:, 1:] @ betas]), dist.probabilities
+        )
+        n = acc.count
+        assert abs(insample_variance(acc, betas) * (n - 1) / n - brute_force_cv_variance(combined, 1.0)) <= 1e-10
+        # and it beats each control fitted on its own
+        own, _ = optimal_betas(acc, acc.variances()[1:])
+        assert insample_variance(acc, betas) < insample_variance(acc, own)
+
+    def test_a_degenerate_control_is_dropped_with_a_note(self):
+        dist = self.law(np.full(len(self.ATOMS), 4.0))
+        acc = expanded_sample(dist, 8)
+        with pytest.warns(UserWarning, match="degenerate") as record:
+            betas, notes = optimal_betas(acc)
+        assert len(record) == 1
+        assert notes == ["1 degenerate control(s) dropped (coefficient set to 0)"]
+        assert betas[2] == 0.0
+        assert np.max(np.abs(betas[:2] - least_squares_betas(self.law()))) <= 1e-10
+
+    def test_every_control_degenerate_raises(self):
+        dist = FiniteJointDistribution.from_atoms(
+            ("Y", "V1", "V2"), [[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]], [0.5, 0.5]
+        )
+        with pytest.raises(ValueError, match="degenerate control"):
+            optimal_betas(expanded_sample(dist, 2))
+
+    def test_a_tiny_volatility_through_the_pilot_raises(self, monkeypatch):
+        # sigma = 1e-10: each daily log-return's variance is about 1e-15 of its
+        # second moment, so the least-squares pilot drops every control
+        fits = []
+        fit = estimators.optimal_betas
+
+        def recording_fit(acc, variances=None):
+            fits.append(variances)
+            return fit(acc, variances)
+
+        monkeypatch.setattr(estimators, "optimal_betas", recording_fit)
+        model = MarketModel(initial_price=100.0, rate=0.05, volatility=1e-10)
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=30, strike=100.0)
+        with pytest.raises(ValueError, match="degenerate control"):
+            cv_estimate(model, spec, ControlSpec(form=FORM_MULTI), 1000, seed=3)
+        assert fits == [None]  # the least-squares branch
 
 
 class TestInequality:
