@@ -6,8 +6,9 @@ Subcommands:
     check-ineq randomized exact trials of the correlation inequality
 
 Scenario files are YAML; the exact schema is documented in the README.
-Unknown fields are errors. Exit codes: 0 success, 2 validation error,
-3 inequality violation, 4 I/O error.
+Unknown fields are errors. Exit codes: 0 success, 2 validation error (a
+scenario too large for memory included), 3 inequality violation, 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -493,6 +494,10 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (ScenarioError, ValueError) as exc:
         _error("validation", str(exc))
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # a scenario too large for memory, such as days_to_maturity: 1e15
+        _error("validation", f"the scenario does not fit in memory: {exc}")
         return EXIT_VALIDATION
     except OSError as exc:
         _error("io", str(exc))

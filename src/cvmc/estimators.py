@@ -28,8 +28,10 @@ Drawing the normals is the largest stage, so a call that draws many
 one worker thread of a per-call executor, unless it tracks a full
 covariance wider than n at n > 32. Block b of the stream goes to lane
 b mod 2, and a lane turns each unit of its blocks into prices, payoffs,
-controls and the unit's accumulator; the caller merges them all in run
-order (_simulate). The executor is shut down before the call returns or
+controls and moments. One walk over the phases serves one lane and two
+(_simulate): at the start of a phase the worker is given all of its
+units in the phase, and the caller computes its own and merges every
+unit in run order. The executor is shut down before the call returns or
 raises. A run's draws depend only on (seed, j, n), every per-run number
 is computed within its own row, and the units and the order of their
 merge do not depend on the lanes, so the number of lanes changes no bit
@@ -38,7 +40,6 @@ of any report, nor which exception a call raises.
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import ctypes
 import math
@@ -420,29 +421,33 @@ def _simulate(
     of the moments is the runs of one block that lie in one phase: the
     part of each of its pieces that lies in the phase is folded by
     add_batch into one fresh accumulator of the unit, and this thread
-    merges the units into their phases in run order. On one lane, a unit
-    of one piece is added straight to its phase's accumulator instead,
-    which gives the same bits (add_batch is a fresh accumulator's
-    add_batch followed by merge) without the unit's accumulator and
-    merge; that is every unit of a call with the default batch up to
-    n = 32. A piece that a phase boundary cuts is drawn once and serves
-    the units on both sides.
+    merges the units into their phases in run order. A unit of one piece
+    whose turn in that order has come (on one lane, every unit's) is
+    added straight to its phase's accumulator instead, which gives the
+    same bits (add_batch is a fresh accumulator's add_batch followed by
+    merge) without the unit's accumulator and merge; every unit of a call
+    with the default batch up to n = 32 is one piece. A piece that a
+    phase boundary cuts is drawn once and serves the units on both sides.
 
     A call that draws at least _THREADED_NORMALS normals over more than
     one block runs on two lanes, this thread and one worker, unless it
     tracks a full covariance of more than n variables and n > 32; any
     other call runs on this thread alone. Block b goes to lane b mod 2,
     so each lane's sampler walks its blocks in order without re-keying.
-    This thread hands the worker's units, in run order and at most four
-    ahead of the merge, to a one-thread executor once at_boundary has run
-    at the start of their phase (in a pilot pass: once the coefficients
-    are fixed). While the worker's next unit waits for that, the worker
-    draws and fills that unit's first piece ahead, without folding it.
-    While this thread waits for a unit of the worker's, it folds its own
-    next units, also at most four ahead, so that neither lane idles while
-    the other is held up for a moment (at two ahead, long_paths calls of
-    the benchmark ran about 3% slower). A unit returns its accumulator or
-    the exception it raised, so no task waits for this thread, and the
+    One walk over the phases serves one lane and two. At the start of a
+    phase, once at_boundary has run (in a pilot pass: once the
+    coefficients are fixed), every unit of the worker's in the phase goes
+    to a one-thread executor, and then a task that draws and fills the
+    first piece of the worker's next unit in a later phase ahead, without
+    folding it. This thread computes its own units in run order, and
+    before each one it merges the ready units at the head of the phase,
+    so that a failure of the worker's stops it early. A unit whose turn
+    has not come is folded ahead into an accumulator of its own, so this
+    thread keeps busy while the worker's unit before it is not done
+    (waiting for it instead ran n = 252 calls about 3% slower). At the
+    end of the phase it waits for the rest in run order. A unit returns
+    its accumulator or raises: the worker's failures come back through
+    their futures, and this thread keeps its own until its turn, so the
     first failure in run order is the one raised, as on one lane (a
     failed draw ahead is dropped: the unit meets the failure again). The
     executor is shut down before this returns or raises (a forked child,
@@ -481,10 +486,12 @@ def _simulate(
         and runs > STREAM_BLOCK_ROWS
         and not (wide and STREAM_BLOCK_ROWS * n > _CHUNK_NORMALS)
     )
-    units = [  # (lo, hi, phase) in run order
-        (max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase)
-        for phase, (start, end) in enumerate(zip(starts, ends))
-        for lo in range(start - start % STREAM_BLOCK_ROWS, end, STREAM_BLOCK_ROWS)
+    units = [  # per phase, the (lo, hi) of its units in run order
+        [
+            (max(lo, start), min(lo + STREAM_BLOCK_ROWS, end))
+            for lo in range(start - start % STREAM_BLOCK_ROWS, end, STREAM_BLOCK_ROWS)
+        ]
+        for start, end in zip(starts, ends)
     ]
 
     def piece_of(run: int) -> tuple[int, int, int, int]:
@@ -537,82 +544,74 @@ def _simulate(
                 raise _overflow(b - starts[phase]) from None
             lo = b
 
-    def unit(fill: Callable, lo: int, hi: int, phase: int):
-        """(the moments of runs lo..hi-1 of phase, None), or (None, the exception)."""
+    def unit(fill: Callable, lo: int, hi: int, phase: int) -> MomentAccumulator:
+        """The moments of runs lo..hi-1 of phase, in a fresh accumulator."""
         acc = MomentAccumulator(accs[phase].dim, accs[phase].full_covariance)
-        try:
-            fold(acc, fill, lo, hi, phase)
-        except Exception as exc:
-            return None, exc
-        return acc, None
+        fold(acc, fill, lo, hi, phase)
+        return acc
 
-    if not threaded:
-        fill = lane()
-        for lo, hi, phase in units:
-            if piece_of(lo)[1] >= hi:
-                # A unit of one piece goes straight into its phase: add_batch
-                # is a fresh accumulator's add_batch followed by merge.
-                fold(accs[phase], fill, lo, hi, phase)
-            else:
-                acc, failure = unit(fill, lo, hi, phase)
-                if failure is not None:
-                    raise failure
-                accs[phase].merge(acc)
-            if hi == ends[phase] < runs:
-                at_boundary()
-        return
-
-    fills = [lane(), lane()]  # this thread's, and the worker's
-    ours = collections.deque(u for u in units if not u[0] // STREAM_BLOCK_ROWS % 2)  # this thread's, to fold
-    folded = collections.deque()  # the results of this thread's units folded ahead, in run order
-    theirs = collections.deque(u for u in units if u[0] // STREAM_BLOCK_ROWS % 2)  # the worker's, to hand over
-    handed = collections.deque()  # the futures of the worker's units handed over, in run order
-    merged, drawn_ahead = 0, None  # runs merged, and the unit whose first piece the worker drew ahead
+    def on_worker(lo: int) -> bool:
+        """Whether the unit that starts at run lo is the worker's."""
+        return threaded and lo // STREAM_BLOCK_ROWS % 2 == 1
 
     def draw_ahead(piece: tuple[int, int, int, int]) -> None:
         with suppress(Exception):  # met again when the unit draws the piece, in run order
             fills[1](piece)
 
-    def hand_over() -> None:
-        nonlocal drawn_ahead
-        while theirs and len(handed) < 4:
-            lo, hi, phase = theirs[0]
-            if merged < starts[phase]:  # at_boundary has not run at its phase's start
-                if drawn_ahead != theirs[0]:
-                    drawn_ahead = theirs[0]
-                    executor.submit(context.run, draw_ahead, piece_of(lo))
-                return
-            handed.append(executor.submit(context.run, unit, fills[1], *theirs.popleft()))
+    def take(result) -> MomentAccumulator:
+        """The accumulator of a unit from its result; a failure is raised."""
+        if isinstance(result, Exception):
+            raise result
+        return result if isinstance(result, MomentAccumulator) else result.result()
 
-    # The worker's tasks run in a copy of this thread's context, so that it
-    # computes under the caller's numpy error state (np.errstate).
-    context = contextvars.copy_context()
-    # imported here: importing it takes about 10 ms, which every
-    # command-line run would pay
-    from concurrent.futures import ThreadPoolExecutor
+    fills = [lane()]  # this thread's, and on two lanes the worker's
+    if threaded:
+        fills.append(lane())
+        # The worker's tasks run in a copy of this thread's context, so that it
+        # computes under the caller's numpy error state (np.errstate).
+        context = contextvars.copy_context()
+        # imported here: importing it takes about 10 ms, which every
+        # command-line run would pay
+        from concurrent.futures import ThreadPoolExecutor
 
-    executor = ThreadPoolExecutor(1, initializer=_run_on, initargs=(_other_cpus(),))
+        executor = ThreadPoolExecutor(1, initializer=_run_on, initargs=(_other_cpus(),))
     try:
-        hand_over()
-        for lo, hi, phase in units:
-            if lo // STREAM_BLOCK_ROWS % 2:
-                future = handed.popleft()
-                # Until it is done, this thread folds its own next units, at
-                # most four ahead, as far as their phase has started.
-                while not future.done() and ours and len(folded) < 4 and merged >= starts[ours[0][2]]:
-                    folded.append(unit(fills[0], *ours.popleft()))
-                acc, failure = future.result()
-            else:
-                acc, failure = folded.popleft() if folded else unit(fills[0], *ours.popleft())
-            if failure is not None:
-                raise failure
-            accs[phase].merge(acc)
-            merged = hi
-            if hi == ends[phase] < runs:
+        for phase, end in enumerate(ends):
+            # per unit: the worker's future, or this thread's accumulator or failure once it is computed
+            results = [
+                executor.submit(context.run, unit, fills[1], lo, hi, phase) if on_worker(lo) else None
+                for lo, hi in units[phase]
+            ]
+            # the first run of the worker's in a later phase
+            later = end if on_worker(end) else end - end % STREAM_BLOCK_ROWS + STREAM_BLOCK_ROWS
+            if threaded and later < runs:
+                executor.submit(context.run, draw_ahead, piece_of(later))
+            merged = 0  # the phase's units merged so far
+            for i, (lo, hi) in enumerate(units[phase]):
+                if on_worker(lo):
+                    continue
+                # the ready units at the head first, so that a failure of the worker's stops this thread early
+                while merged < i and (isinstance(results[merged], MomentAccumulator) or results[merged].done()):
+                    accs[phase].merge(take(results[merged]))
+                    merged += 1
+                if merged == i and piece_of(lo)[1] >= hi:
+                    # A unit of one piece whose turn has come goes straight into its
+                    # phase: add_batch is a fresh accumulator's add_batch followed by merge.
+                    fold(accs[phase], fills[0], lo, hi, phase)
+                    merged += 1
+                    continue
+                try:
+                    results[i] = unit(fills[0], lo, hi, phase)
+                except Exception as exc:  # raised at its turn, after any earlier failure of the worker's
+                    results[i] = exc
+                    break
+            for result in results[merged:]:
+                accs[phase].merge(take(result))
+            if end < runs:
                 at_boundary()
-            hand_over()
     finally:
-        executor.shutdown(cancel_futures=True)
+        if threaded:
+            executor.shutdown(cancel_futures=True)
 
 
 def _moment_rows(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -737,7 +736,7 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
     variances of the controls; acc.variances()[1:] gives the sample ones.
     Without, the controls are fitted jointly by least squares,
     beta = -S_CC^-1 cov(C, Y), from acc's full sample covariance S, with
-    one solve of the whole matrix: the coefficients that minimise the
+    one solve over the usable controls: the coefficients that minimise the
     sample variance of W. A control whose variance (variances[i], or its
     sample variance) is below DEGENERATE_CONTROL_TOLERANCE times its
     second moment gets coefficient 0 and leaves the fit, with a warning
@@ -753,20 +752,19 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
     # the stored means, without the copy the public property makes
     second_moment = denominators + acc._mean[1:] ** 2
     usable = denominators > DEGENERATE_CONTROL_TOLERANCE * np.maximum(second_moment, 1e-300)
-    if usable.all():
-        if variances is None:
-            return -np.linalg.solve(cov[1:, 1:], cov[1:, 0]), []
-        return -acc.cross()[1:] / denominators, []
-    if not usable.any():
+    dropped = len(usable) - np.count_nonzero(usable)
+    if dropped == len(usable):
         raise ValueError("degenerate control: every control variance is (numerically) zero")
-    message = f"{int((~usable).sum())} degenerate control(s) dropped (coefficient set to 0)"
-    warnings.warn(message)
-    betas = np.zeros(len(denominators))
+    notes = []
+    if dropped:
+        notes.append(f"{dropped} degenerate control(s) dropped (coefficient set to 0)")
+        warnings.warn(notes[0])
+    betas = np.zeros(len(usable))
     if variances is None:
-        betas[usable] = -np.linalg.solve(cov[1:, 1:][np.ix_(usable, usable)], cov[1:, 0][usable])
+        betas[usable] = -np.linalg.solve(cov[1:, 1:][usable][:, usable], cov[1:, 0][usable])
     else:
-        betas[usable] = -acc.cross()[1:][usable] / denominators[usable]
-    return betas, [message]
+        np.divide(-acc.cross()[1:], denominators, out=betas, where=usable)
+    return betas, notes
 
 
 def insample_variance(acc: MomentAccumulator, betas: np.ndarray) -> float:

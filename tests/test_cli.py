@@ -198,6 +198,17 @@ class TestMainPrice:
         assert err["error_class"] == "validation"
         assert "overflow" in err["message"]
 
+    def test_a_scenario_too_large_for_memory_prints_one_json_error(self, scenario_file):
+        # 10^15 days: numpy refuses the petabyte arrays at once, touching no memory
+        text = BASE_SCENARIO.replace("days_to_maturity: 30", "days_to_maturity: 1000000000000000")
+        argv = [sys.executable, "-m", "cvmc", "price", "--scenario", scenario_file(text)]
+        out = subprocess.run(argv, capture_output=True, text=True)
+        assert out.returncode == cli.EXIT_VALIDATION
+        assert out.stdout == ""
+        err = json.loads(out.stderr)
+        assert err["error_class"] == "validation"
+        assert err["message"].startswith("the scenario does not fit in memory: ")
+
     @pytest.mark.parametrize("command", ["price", "compare"])
     @pytest.mark.parametrize("source", ["[pilot]", "{pilot: 1}"], ids=["list", "mapping"])
     def test_unhashable_coefficient_source_prints_one_json_error(self, scenario_file, command, source):

@@ -1050,30 +1050,57 @@ class TestPipeline:
         # at most four units folded ahead on each lane
         assert unmerged.min() >= 0 and unmerged.max() <= 8
 
-    def test_the_worker_runs_at_most_four_units_ahead_of_the_merge(self, monkeypatch):
-        # while the caller is held up in block 0, the worker may fold blocks 1 to 7, not 9
-        events = []
+    def test_the_worker_folds_its_units_of_a_phase_while_the_caller_is_held(self, monkeypatch):
+        # 11 blocks in one phase: while the caller is held in block 0, the
+        # worker folds all five of its blocks, 1, 3, 5, 7 and 9
+        folded = []  # the rows of each of the worker's add_batch calls, once done
+        held = []  # how many the worker had folded when the caller's hold ended
         rows = LogReturnSampler.rows
-        merge = MomentAccumulator.merge
+        add_batch = MomentAccumulator.add_batch
         caller = threading.current_thread()
 
-        def slow_rows(self, lo, hi, out=None):
-            if threading.current_thread() is caller:
-                if lo < STREAM_BLOCK_ROWS:
-                    time.sleep(0.3)
-            else:
-                events.append(lo // STREAM_BLOCK_ROWS)
+        def holding_rows(self, lo, hi, out=None):
+            if threading.current_thread() is caller and lo < STREAM_BLOCK_ROWS:
+                deadline = time.monotonic() + 10
+                while len(folded) < 5 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                held.append(len(folded))
             return rows(self, lo, hi, out)
 
-        def recording_merge(self, other):
-            events.append("merged")
-            return merge(self, other)
+        def recording_add_batch(self, xs):
+            add_batch(self, xs)
+            if threading.current_thread() is not caller:
+                folded.append(len(xs))
 
-        monkeypatch.setattr(LogReturnSampler, "rows", slow_rows)
-        monkeypatch.setattr(MomentAccumulator, "merge", recording_merge)
+        monkeypatch.setattr(LogReturnSampler, "rows", holding_rows)
+        monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
         plain_estimate(MARKET, ASIAN, 11 * STREAM_BLOCK_ROWS, seed=3)
-        assert set(events[: events.index("merged")]) <= {1, 3, 5, 7}
-        assert sorted(block for block in events if block != "merged") == [1, 3, 5, 7, 9]
+        assert held == [5]
+        assert folded == [STREAM_BLOCK_ROWS] * 5
+
+    def test_a_failure_of_the_workers_stops_the_caller_early(self, monkeypatch):
+        # 60 blocks in one phase: the caller, held in block 0 while the
+        # worker fails in block 1, draws no block after 0
+        rows = LogReturnSampler.rows
+        caller = threading.current_thread()
+        drawn = []  # the caller's blocks
+
+        def failing_rows(self, lo, hi, out=None):
+            block = lo // STREAM_BLOCK_ROWS
+            if threading.current_thread() is caller:
+                drawn.append(block)
+                if block == 0:
+                    time.sleep(0.2)
+            elif block == 1:
+                raise MemoryError("block 1")
+            return rows(self, lo, hi, out)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", failing_rows)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="block 1"):
+            plain_estimate(MARKET, ASIAN, 60 * STREAM_BLOCK_ROWS, seed=3)
+        assert drawn == [0]
+        assert threading.active_count() == before
 
     def test_numbers_at_most_32_days_are_those_of_the_batch_pipeline(self):
         # sha256 of report_bits at n = 30, batch 4096, R = 20 000 on two lanes,
