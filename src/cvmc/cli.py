@@ -33,12 +33,12 @@ from .estimators import (
     FORM_NONE,
     FORM_SINGLE,
     SOURCE_PILOT,
-    COEFFICIENT_SOURCES,
     ControlSpec,
     EstimatorReport,
+    check_arguments,
     cv_estimate,
 )
-from .model import MarketModel, check_seed
+from .model import ArgumentError, MarketModel, check_seed
 from .oracle import FiniteJointDistribution, run_inequality_trials, correlation_inequality_check
 from .payoffs import ContractSpec
 
@@ -72,151 +72,122 @@ class Scenario:
     custom_weights: tuple[float, ...] | None
     batch_size: int
 
-
-def _require_mapping(value, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{context}: expected a mapping, got {type(value).__name__}")
-    return dict(value)
-
-
-def _pop(mapping: dict, key: str, context: str, required: bool = True, default=None):
-    if key in mapping:
-        return mapping.pop(key)
-    if required:
-        raise ScenarioError(f"{context}.{key}: missing required field")
-    return default
-
-def _reject_unknown(mapping: dict, context: str) -> None:
-    if mapping:
-        unknown = ", ".join(sorted(map(str, mapping)))
-        raise ScenarioError(f"{context}: unknown field(s): {unknown}")
+    @property
+    def arguments(self) -> tuple:
+        """The scenario's estimator call: the arguments of cv_estimate, and of check_arguments."""
+        control = ControlSpec(_ESTIMATOR_FORMS[self.estimator], self.coefficient_source, self.custom_weights)
+        return self.market, self.contract, control, self.runs, self.seed, self.pilot_fraction, self.batch_size
 
 
-def _as_number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+def _of(types, expected: str, convert=lambda value: value, show=repr):
+    """The check of a field whose YAML value is one of types, not a bool; it returns convert(value)."""
+
+    def check(value, context: str):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ScenarioError(f"{context}: expected {expected}, got {show(value)}")
+        return convert(value)
+
+    return check
 
 
-def _as_int(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{context}: expected an integer, got {value!r}")
+_NUMBER = _of((int, float), "a number", float)
+_INTEGER = _of(int, "an integer")
+_STRING = _of(str, "a string")
+_MAPPING = _of(dict, "a mapping", show=lambda value: type(value).__name__)
+_WEIGHTS = _of(
+    list,
+    "a nonempty list of numbers",
+    lambda weights: tuple(_NUMBER(w, f"scenario.custom_weights[{i}]") for i, w in enumerate(weights)),
+)
+_REQUIRED = object()
+
+
+def _estimator(value, context: str) -> str:
+    if value not in ESTIMATOR_NAMES:
+        raise ScenarioError(f"{context}: unknown estimator {value!r}; expected one of {list(ESTIMATOR_NAMES)}")
     return value
 
 
-def parse_scenario(text: str, runs: int | None = None, seed: int | None = None) -> Scenario:
-    """Parse and validate a scenario document; every invariant checked here.
+# Per section, what its fields make, and each field's check of its YAML
+# type and its default, or _REQUIRED. The engine checks their values.
+_SECTIONS = {
+    "scenario": (dict, {
+        "market": (lambda raw, context: _read(raw, "market"), _REQUIRED),
+        "contract": (lambda raw, context: _read(raw, "contract"), _REQUIRED),
+        "runs": (_INTEGER, _REQUIRED),
+        "seed": (_INTEGER, _REQUIRED),
+        "estimator": (_estimator, _REQUIRED),
+        "pilot_fraction": (_NUMBER, DEFAULT_PILOT_FRACTION),
+        "coefficient_source": (_STRING, SOURCE_PILOT),
+        "custom_weights": (_WEIGHTS, None),
+        "batch_size": (_INTEGER, DEFAULT_BATCH_SIZE),
+    }),
+    "market": (MarketModel, {
+        "initial_price": (_NUMBER, _REQUIRED),
+        "rate": (_NUMBER, _REQUIRED),
+        "volatility": (_NUMBER, _REQUIRED),
+        "trading_days_per_year": (_INTEGER, 252),
+    }),
+    "contract": (ContractSpec, {
+        "kind": (_STRING, _REQUIRED),
+        "days_to_maturity": (_INTEGER, _REQUIRED),
+        "strike": (_NUMBER, None),
+    }),
+}
+# The scenario field of each engine argument not named as its field.
+_FIELDS = {
+    "form": "scenario.estimator",
+    "weights": "scenario.custom_weights",
+    "volatility": "market.volatility",
+}
 
-    ``runs`` and ``seed``, if given, replace the document's values before
-    the checks.
+
+def _read(raw, section: str):
+    """What a section makes of its fields, type-checked, with the defaults of those it omits."""
+    mapping = _MAPPING(raw, section)
+    make, fields = _SECTIONS[section]
+    values = {}
+    for name, (check, default) in fields.items():
+        value = mapping.get(name, default)
+        if value is _REQUIRED:
+            raise ScenarioError(f"{section}.{name}: missing required field")
+        # a default is not checked, nor a YAML null where the default is None
+        values[name] = value if value is default else check(value, f"{section}.{name}")
+    unknown = ", ".join(sorted(map(str, set(mapping) - set(fields))))
+    if unknown:
+        raise ScenarioError(f"{section}: unknown field(s): {unknown}")
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{section}: {exc}") from exc
+
+
+def _check(scenario: Scenario) -> None:
+    """The engine's check of the scenario's estimator call; a refusal names the field."""
+    try:
+        check_arguments(*scenario.arguments)
+    except ArgumentError as exc:
+        raise ScenarioError(f"{_FIELDS.get(exc.argument, 'scenario.' + exc.argument)}: {exc}") from exc
+
+
+def parse_scenario(text: str, runs: int | None = None, seed: int | None = None) -> Scenario:
+    """Parse a scenario document and check it; a refusal is a ScenarioError that names the field.
+
+    This checks the document's shape: its sections, their fields and each
+    one's YAML type. ``runs`` and ``seed``, if given, replace the
+    document's values; then the engine's check_arguments checks the values.
     """
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
-    doc = _require_mapping(raw, "scenario")
-
-    market_raw = _require_mapping(_pop(doc, "market", "scenario"), "market")
-    contract_raw = _require_mapping(_pop(doc, "contract", "scenario"), "contract")
-    file_runs = _as_int(_pop(doc, "runs", "scenario"), "scenario.runs")
-    file_seed = _as_int(_pop(doc, "seed", "scenario"), "scenario.seed")
-    runs = file_runs if runs is None else runs
-    seed = file_seed if seed is None else seed
-    estimator = _pop(doc, "estimator", "scenario")
-    pilot_fraction = _as_number(
-        _pop(doc, "pilot_fraction", "scenario", required=False, default=DEFAULT_PILOT_FRACTION),
-        "scenario.pilot_fraction",
-    )
-    coefficient_source = _pop(
-        doc, "coefficient_source", "scenario", required=False, default=SOURCE_PILOT
-    )
-    custom_weights = _pop(doc, "custom_weights", "scenario", required=False)
-    batch_size = _as_int(
-        _pop(doc, "batch_size", "scenario", required=False, default=DEFAULT_BATCH_SIZE),
-        "scenario.batch_size",
-    )
-    _reject_unknown(doc, "scenario")
-
-    try:
-        market = MarketModel(
-            initial_price=_as_number(
-                _pop(market_raw, "initial_price", "market"), "market.initial_price"
-            ),
-            rate=_as_number(_pop(market_raw, "rate", "market"), "market.rate"),
-            volatility=_as_number(_pop(market_raw, "volatility", "market"), "market.volatility"),
-            trading_days_per_year=_as_int(
-                _pop(market_raw, "trading_days_per_year", "market", required=False, default=252),
-                "market.trading_days_per_year",
-            ),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"market: {exc}") from exc
-    _reject_unknown(market_raw, "market")
-
-    strike = _pop(contract_raw, "strike", "contract", required=False)
-    try:
-        contract = ContractSpec(
-            kind=str(_pop(contract_raw, "kind", "contract")),
-            days_to_maturity=_as_int(
-                _pop(contract_raw, "days_to_maturity", "contract"), "contract.days_to_maturity"
-            ),
-            strike=None if strike is None else _as_number(strike, "contract.strike"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"contract: {exc}") from exc
-    _reject_unknown(contract_raw, "contract")
-
-    if estimator not in ESTIMATOR_NAMES:
-        raise ScenarioError(
-            f"scenario.estimator: unknown estimator {estimator!r}; "
-            f"expected one of {list(ESTIMATOR_NAMES)}"
-        )
-    # a YAML list or mapping is unhashable: not a member, and no TypeError
-    if not isinstance(coefficient_source, str) or coefficient_source not in COEFFICIENT_SOURCES:
-        raise ScenarioError(
-            f"scenario.coefficient_source: expected one of {sorted(COEFFICIENT_SOURCES)}, "
-            f"got {coefficient_source!r}"
-        )
-    if runs < 2:
-        raise ScenarioError(f"scenario.runs: must be >= 2, got {runs}")
-    if batch_size < 1:
-        raise ScenarioError(f"scenario.batch_size: must be >= 1, got {batch_size}")
-    if not 0.0 < pilot_fraction < 1.0:
-        raise ScenarioError(f"scenario.pilot_fraction: must be in (0, 1), got {pilot_fraction}")
-    try:
-        check_seed(seed)
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.seed: {exc}") from exc
-
-    if estimator == "custom":
-        if custom_weights is None:
-            raise ScenarioError("scenario.custom_weights: required when estimator is 'custom'")
-        if not isinstance(custom_weights, list) or not custom_weights:
-            raise ScenarioError("scenario.custom_weights: expected a nonempty list of numbers")
-        weights = tuple(
-            _as_number(w, f"scenario.custom_weights[{i}]") for i, w in enumerate(custom_weights)
-        )
-        if len(weights) != contract.days_to_maturity:
-            raise ScenarioError(
-                f"scenario.custom_weights: expected {contract.days_to_maturity} weights, "
-                f"got {len(weights)}"
-            )
-    elif custom_weights is not None:
-        raise ScenarioError("scenario.custom_weights: only allowed when estimator is 'custom'")
-    else:
-        weights = None
-
-    return Scenario(
-        market=market,
-        contract=contract,
-        runs=runs,
-        seed=seed,
-        estimator=estimator,
-        pilot_fraction=pilot_fraction,
-        coefficient_source=coefficient_source,
-        custom_weights=weights,
-        batch_size=batch_size,
-    )
+    doc = _read(raw, "scenario")
+    for name, value in (("runs", runs), ("seed", seed)):
+        if value is not None:
+            doc[name] = value
+    scenario = Scenario(**doc)
+    _check(scenario)
+    return scenario
 
 
 def load_scenario(path: str, runs: int | None = None, seed: int | None = None) -> Scenario:
@@ -292,28 +263,11 @@ class RunReport(_Report):
         return "\n".join(lines)
 
 
-def _run_estimator(scenario: Scenario) -> EstimatorReport:
-    control = ControlSpec(
-        form=_ESTIMATOR_FORMS[scenario.estimator],
-        coefficient_source=scenario.coefficient_source,
-        weights=scenario.custom_weights,
-    )
-    return cv_estimate(
-        scenario.market,
-        scenario.contract,
-        control,
-        scenario.runs,
-        pilot_fraction=scenario.pilot_fraction,
-        seed=scenario.seed,
-        batch_size=scenario.batch_size,
-    )
-
-
 def run_scenario(path: str, runs: int | None = None, seed: int | None = None) -> RunReport:
     """Execute one scenario file end to end and return its report."""
     scenario = load_scenario(path, runs=runs, seed=seed)
     started = time.perf_counter()
-    report = _run_estimator(scenario)
+    report = cv_estimate(*scenario.arguments)
     duration = time.perf_counter() - started
     return RunReport(
         scenario=asdict(scenario),
@@ -367,15 +321,18 @@ def compare_estimators(
     path: str, runs: int | None = None, seed: int | None = None
 ) -> ComparisonReport:
     """Run plain, cv-single, and cv-multi on paired seeds (identical paths
-    per run index) and tabulate their estimates and variance ratios."""
+    per run index) and tabulate their estimates and variance ratios. Each
+    estimator's call is checked before any of them runs."""
     scenario = load_scenario(path, runs=runs, seed=seed)
-    if scenario.market.volatility <= 0.0:
-        raise ScenarioError("compare requires market.volatility > 0")
+    names = ("plain", "cv-single", "cv-multi")
+    compared = [replace(scenario, estimator=name, custom_weights=None) for name in names]
+    for each in compared:
+        _check(each)
     started = time.perf_counter()
     rows = []
-    for name in ("plain", "cv-single", "cv-multi"):
-        results = _results_dict(_run_estimator(replace(scenario, estimator=name, custom_weights=None)))
-        rows.append({"estimator": name, **{k: results[k] for k in _COMPARE_COLUMNS[1:]}})
+    for each in compared:
+        results = _results_dict(cv_estimate(*each.arguments))
+        rows.append({"estimator": each.estimator, **{k: results[k] for k in _COMPARE_COLUMNS[1:]}})
     duration = time.perf_counter() - started
     return ComparisonReport(
         scenario=asdict(scenario),

@@ -51,7 +51,9 @@ from typing import Callable
 
 import numpy as np
 
-from .model import STREAM_BLOCK_ROWS, LogReturnSampler, MarketModel, prices_from_log_returns
+from .model import (
+    STREAM_BLOCK_ROWS, ArgumentError, LogReturnSampler, MarketModel, check_seed, prices_from_log_returns
+)
 from .payoffs import ContractSpec, discounted_payoff
 
 FORM_NONE = "none"
@@ -231,25 +233,31 @@ class ControlSpec:
 
     def __post_init__(self):
         if self.form not in CONTROL_FORMS:
-            raise ValueError(f"unknown control form {self.form!r}; expected one of {sorted(CONTROL_FORMS)}")
+            raise ArgumentError(
+                "form", f"unknown control form {self.form!r}; expected one of {sorted(CONTROL_FORMS)}"
+            )
         if self.coefficient_source not in COEFFICIENT_SOURCES:
-            raise ValueError(
+            raise ArgumentError(
+                "coefficient_source",
                 f"unknown coefficient_source {self.coefficient_source!r}; "
-                f"expected one of {sorted(COEFFICIENT_SOURCES)}"
+                f"expected one of {sorted(COEFFICIENT_SOURCES)}",
             )
         if self.form == FORM_CUSTOM:
             if self.weights is None:
-                raise ValueError("custom_linear requires weights")
+                raise ArgumentError("weights", "custom_linear requires weights")
             w = np.asarray(self.weights, dtype=float)
             if w.ndim != 1 or w.size == 0:
-                raise ValueError("weights must be a nonempty 1-D sequence")
+                raise ArgumentError("weights", "weights must be a nonempty 1-D sequence")
             if not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite")
+                raise ArgumentError("weights", "weights must be finite")
             if np.all(w == 0.0):
-                raise ValueError("weights must not be all zero")
+                raise ArgumentError("weights", "weights must not be all zero")
             object.__setattr__(self, "weights", w)
         elif self.weights is not None:
-            raise ValueError(f"{self.form} takes no weights")
+            raise ArgumentError("weights", f"{self.form} takes no weights")
+
+
+_PLAIN = ControlSpec(form=FORM_NONE)
 
 
 @dataclass(frozen=True)
@@ -288,8 +296,6 @@ class _Controls:
         n = spec.days_to_maturity
         mean = model.daily_mean
         var = model.daily_variance
-        if var == 0.0:
-            raise ValueError("degenerate control: zero volatility makes every log-return constant")
         if control.form == FORM_SINGLE:
             self.dim = 1
             self.means = np.array([n * mean])
@@ -298,15 +304,11 @@ class _Controls:
             self.dim = n
             self.means = np.full(n, mean)
             self.exact_variances = np.full(n, var)
-        elif control.form == FORM_CUSTOM:
+        else:  # custom_linear: ControlSpec admits no other form, and form none never gets here
             w = control.weights
-            if w.size != n:
-                raise ValueError(f"custom weights have length {w.size}, contract has n={n}")
             self.dim = 1
             self.means = np.array([mean * w.sum()])
             self.exact_variances = np.array([var * float(w @ w)])
-        else:
-            raise ValueError(f"no control values for form {control.form!r}")
         self.form = control.form
         self._weights = control.weights
 
@@ -320,18 +322,51 @@ class _Controls:
         return np.einsum("ij,j->i", log_returns, self._weights)[:, None]
 
 
-def _check_counts(runs: int, batch_size: int) -> None:
-    """Raise ValueError unless runs and batch_size are integers and batch_size >= 1.
+def check_arguments(
+    model: MarketModel,
+    spec: ContractSpec | None,
+    control: ControlSpec | None,
+    runs: int,
+    seed: int,
+    pilot_fraction: float = DEFAULT_PILOT_FRACTION,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> None:
+    """Raise ArgumentError, which names the argument, unless an estimator call may take these.
 
-    Python and numpy integers qualify; bool and float do not, as for
-    seeds: a bool is no count, and a float would fail deep inside the
-    simulation with an error that names neither argument.
+    The rules of plain_estimate (control of form none), cv_estimate and
+    sweep_diagnostic (control and spec None), which call it first, as does
+    the command line. runs and batch_size are integers, not bool or float:
+    a bool is no count, and a float would fail deep inside the simulation
+    with an error that names neither. pilot_fraction is in (0, 1) always.
     """
     for name, value in (("runs", runs), ("batch_size", batch_size)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ArgumentError(name, f"{name} must be an integer, got {value!r}")
     if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        raise ArgumentError("batch_size", f"batch_size must be >= 1, got {batch_size}")
+    estimate = control is not None and control.form != FORM_NONE  # a control-variate estimate
+    if estimate and runs < 4:
+        raise ArgumentError("runs", f"runs must be >= 4 for a control-variate estimate, got {runs}")
+    if runs < 2:
+        raise ArgumentError("runs", f"runs must be >= 2 (variance undefined below that), got {runs}")
+    if (estimate or control is None) and model.daily_variance == 0.0:
+        raise ArgumentError("volatility", "degenerate control: zero volatility makes every log-return constant")
+    if estimate and control.form == FORM_CUSTOM and control.weights.size != spec.days_to_maturity:
+        raise ArgumentError(
+            "weights",
+            f"custom weights have length {control.weights.size}, contract has n={spec.days_to_maturity}",
+        )
+    if not 0.0 < pilot_fraction < 1.0:
+        raise ArgumentError("pilot_fraction", f"pilot_fraction must be in (0, 1), got {pilot_fraction}")
+    if estimate and control.coefficient_source == SOURCE_PILOT:
+        pilot_runs = math.ceil(pilot_fraction * runs)
+        if pilot_runs < 2 or runs - pilot_runs < 2:
+            raise ArgumentError(
+                "pilot_fraction",
+                f"pilot split too small: {pilot_runs} pilot / {runs - pilot_runs} main runs "
+                "(both must be >= 2)",
+            )
+    check_seed(seed)
 
 
 def _require_finite(values: np.ndarray, what: str, spec: ContractSpec, lo: int, hi: int) -> None:
@@ -449,9 +484,10 @@ def _simulate(
     its accumulator or raises: the worker's failures come back through
     their futures, and this thread keeps its own until its turn, so the
     first failure in run order is the one raised, as on one lane (a
-    failed draw ahead is dropped: the unit meets the failure again). The
-    executor is shut down before this returns or raises (a forked child,
-    which has no copy of the thread, starts its own).
+    failed draw ahead is dropped: the unit meets the failure again).
+    The worker starts no unit after a failed one: none would be merged.
+    The executor is shut down before this returns or raises (a forked
+    child, which has no copy of the thread, starts its own).
 
     Each lane has its own buffers of one piece of log-returns and of
     moment rows, reused from piece to piece. The row buffer is max(width,
@@ -550,6 +586,16 @@ def _simulate(
         fold(acc, fill, lo, hi, phase)
         return acc
 
+    failed = []  # the worker's failed unit, once there is one; only the worker's thread uses it
+
+    def worker_unit(lo: int, hi: int, phase: int) -> MomentAccumulator | None:
+        """unit on the worker's lane; None, with no draw, once one of its units raised."""
+        try:
+            return None if failed else unit(fills[1], lo, hi, phase)
+        except Exception:
+            failed.append((lo, hi))
+            raise
+
     def on_worker(lo: int) -> bool:
         """Whether the unit that starts at run lo is the worker's."""
         return threaded and lo // STREAM_BLOCK_ROWS % 2 == 1
@@ -579,7 +625,7 @@ def _simulate(
         for phase, end in enumerate(ends):
             # per unit: the worker's future, or this thread's accumulator or failure once it is computed
             results = [
-                executor.submit(context.run, unit, fills[1], lo, hi, phase) if on_worker(lo) else None
+                executor.submit(context.run, worker_unit, lo, hi, phase) if on_worker(lo) else None
                 for lo, hi in units[phase]
             ]
             # the first run of the worker's in a later phase
@@ -713,9 +759,7 @@ def plain_estimate(
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> EstimatorReport:
     """Plain Monte Carlo: mean of Y over `runs` independent paths."""
-    _check_counts(runs, batch_size)
-    if runs < 2:
-        raise ValueError(f"runs must be >= 2 (variance undefined below that), got {runs}")
+    check_arguments(model, spec, _PLAIN, runs, seed, batch_size=batch_size)
     acc = _accumulate(model, spec, seed, runs, None, batch_size)
     variance = acc.variances()[0]
     return EstimatorReport(
@@ -839,29 +883,20 @@ def cv_estimate(
     covariance when the pilot has p >= 2(q + 1) runs for its q = n
     controls and n <= 32 (_least_squares_pilot); a note then gives q, p
     and the loss factor (p - 2)/(p - q - 2). Degenerate controls are
-    dropped with a note. runs and batch_size must be integers (not bool).
+    dropped with a note. check_arguments holds the rules on the arguments.
     A predicted variance ratio below -0.05, which sampling bias
     gives with few runs per control, is reported as it is, with a note
     and a UserWarning.
     """
-    _check_counts(runs, batch_size)
+    check_arguments(model, spec, control, runs, seed, pilot_fraction, batch_size)
     if control.form == FORM_NONE:
         return plain_estimate(model, spec, runs, seed, batch_size)
-    if runs < 4:
-        raise ValueError(f"runs must be >= 4 for a control-variate estimate, got {runs}")
     controls = _Controls(model, spec, control)
     notes: list[str] = []
 
     if control.coefficient_source == SOURCE_PILOT:
-        if not 0.0 < pilot_fraction < 1.0:
-            raise ValueError(f"pilot_fraction must be in (0, 1), got {pilot_fraction}")
         pilot_runs = math.ceil(pilot_fraction * runs)
         main_runs = runs - pilot_runs
-        if pilot_runs < 2 or main_runs < 2:
-            raise ValueError(
-                f"pilot split too small: {pilot_runs} pilot / {main_runs} main runs "
-                f"(both must be >= 2)"
-            )
         betas, beta_notes, acc = _pilot_pass(model, spec, seed, runs, pilot_runs, controls, batch_size)
         notes.extend(beta_notes)
         variances = acc.variances()
@@ -927,11 +962,7 @@ def sweep_diagnostic(
     next to sum_i corr^2(Y, X(i)). No ordering between the two is asserted;
     whether one bounds the other is an open question.
     """
-    _check_counts(runs, batch_size)
-    if model.volatility <= 0.0:
-        raise ValueError("sweep_diagnostic requires volatility > 0")
-    if runs < 2:
-        raise ValueError(f"runs must be >= 2, got {runs}")
+    check_arguments(model, None, None, runs, seed, batch_size=batch_size)
     rows = []
     for spec in specs:
         n = spec.days_to_maturity

@@ -93,14 +93,25 @@ class MarketModel:
         return self.volatility / math.sqrt(self.trading_days_per_year)
 
 
+class ArgumentError(ValueError):
+    """A refused argument of a call; ``argument`` is its name."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+    def __reduce__(self):  # pickled as its arguments, so that it can cross processes
+        return ArgumentError, (self.argument, str(self))
+
+
 def check_seed(seed: int) -> None:
-    """Raise ValueError unless seed is a 64-bit unsigned integer.
+    """Raise ArgumentError unless seed is a 64-bit unsigned integer.
 
     Python and numpy integers qualify; bool and float do not, since True
     and 1.7 would otherwise draw the stream of seed 1.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < _U64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        raise ArgumentError("seed", f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def prices_from_log_returns(

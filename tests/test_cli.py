@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,63 @@ class TestScenarioParsing:
         text = BASE_SCENARIO.replace("estimator: cv-multi", "estimator: custom")
         with pytest.raises(cli.ScenarioError, match="30"):
             cli.parse_scenario(text + "custom_weights: [1.0, 2.0]\n")
+
+
+    def test_no_section_prefix_is_doubled(self):
+        with pytest.raises(cli.ScenarioError, match="^market.volatility: missing required field$"):
+            cli.parse_scenario(BASE_SCENARIO.replace("  volatility: 0.2\n", ""))
+        with pytest.raises(cli.ScenarioError, match="^contract.days_to_maturity: expected an integer, got 3.5$"):
+            cli.parse_scenario(BASE_SCENARIO.replace("days_to_maturity: 30", "days_to_maturity: 3.5"))
+
+    def test_null_optional_fields_are_their_defaults(self):
+        text = BASE_SCENARIO.replace("  strike: 100.0\n", "  strike: null\n").replace("asian_fixed_strike", "lookback_floating")
+        scenario = cli.parse_scenario(text + "custom_weights: null\n")
+        assert scenario.contract.strike is None and scenario.custom_weights is None
+
+
+# Scenarios whose values the engine refuses; the parse refuses them, and names the field.
+ENGINE_REFUSED = {
+    "pilot-split": (BASE_SCENARIO.replace("runs: 2000", "runs: 10"), "scenario.pilot_fraction: pilot split too small"),
+    "nan-weights": (
+        BASE_SCENARIO.replace("days_to_maturity: 30", "days_to_maturity: 3").replace("cv-multi", "custom")
+        + "custom_weights: [.nan, 1, 1]\n",
+        "scenario.custom_weights: weights must be finite",
+    ),
+    "zero-weights": (
+        BASE_SCENARIO.replace("days_to_maturity: 30", "days_to_maturity: 3").replace("cv-multi", "custom")
+        + "custom_weights: [0, 0, 0]\n",
+        "scenario.custom_weights: weights must not be all zero",
+    ),
+}
+
+
+class TestEngineRefusals:
+    @pytest.mark.parametrize("case", sorted(ENGINE_REFUSED))
+    def test_load_scenario_refuses(self, scenario_file, case):
+        text, message = ENGINE_REFUSED[case]
+        with pytest.raises(cli.ScenarioError, match=f"^{re.escape(message)}"):
+            cli.load_scenario(scenario_file(text))
+
+    @pytest.mark.parametrize("command", ["price", "compare"])
+    @pytest.mark.parametrize("case", sorted(ENGINE_REFUSED))
+    def test_price_and_compare_refuse_with_one_json_error(self, scenario_file, capsys, command, case):
+        text, message = ENGINE_REFUSED[case]
+        assert cli.main([command, "--scenario", scenario_file(text)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error_class"] == "validation"
+        assert err["message"].startswith(message)
+
+    def test_compare_refuses_before_any_estimator_runs(self, scenario_file, capsys, monkeypatch):
+        # plain takes 3 runs, but cv-single and cv-multi need 4
+        calls = []
+        monkeypatch.setattr(cli, "cv_estimate", lambda *args, **kwargs: calls.append(args))
+        path = scenario_file(BASE_SCENARIO.replace("cv-multi", "plain").replace("runs: 2000", "runs: 3"))
+        assert cli.main(["compare", "--scenario", path]) == cli.EXIT_VALIDATION
+        assert calls == []
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == "scenario.runs: runs must be >= 4 for a control-variate estimate, got 3"
 
 
 class TestRunScenario:

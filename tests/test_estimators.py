@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -42,8 +43,9 @@ from cvmc.estimators import (
     SOURCE_PILOT,
     _correlations,
     _predicted,
+    check_arguments,
 )
-from cvmc.model import STREAM_BLOCK_ROWS
+from cvmc.model import STREAM_BLOCK_ROWS, ArgumentError
 from cvmc.payoffs import CONTRACT_KINDS, STRIKE_KINDS, discounted_payoff
 
 MARKET = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
@@ -98,6 +100,10 @@ class TestMomentAccumulator:
         acc.add_batch([[1.0]])
         with pytest.raises(ValueError):
             acc.covariance()
+
+    def test_no_variables_refused(self):
+        with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+            MomentAccumulator(0)
 
     def test_add_batch_dimension_mismatch(self):
         acc = MomentAccumulator(2)
@@ -285,6 +291,11 @@ class TestOptimalCoefficients:
         acc = acc_of(np.array([1.0, 2.0, 3.0]), np.array([4.0, 4.0, 4.0]))
         with pytest.raises(ValueError, match="degenerate"):
             sample_betas(acc)
+
+    def test_variances_of_another_shape_refused(self):
+        acc = acc_of(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 7.0]))
+        with pytest.raises(ValueError, match=r"expected 1 variances, got shape \(2,\)"):
+            optimal_betas(acc, [1.0, 2.0])
 
     def test_degenerate_control_dropped_with_a_note(self):
         # a constant control next to usable ones gets coefficient 0
@@ -910,6 +921,73 @@ def test_batch_size_below_one_rejected(estimate, argument, value, message):
         estimate(**{argument: value})
 
 
+@pytest.mark.parametrize(
+    "kwargs, argument, message",
+    [
+        pytest.param(dict(form="all_of_them"), "form", "unknown control form 'all_of_them'", id="form"),
+        pytest.param(dict(coefficient_source="oracle"), "coefficient_source", "unknown coefficient_source", id="source"),
+        pytest.param(dict(form=FORM_CUSTOM), "weights", "custom_linear requires weights", id="custom-none"),
+        pytest.param(dict(form=FORM_CUSTOM, weights=np.ones((2, 3))), "weights", "nonempty 1-D", id="2-D"),
+        pytest.param(dict(form=FORM_CUSTOM, weights=[]), "weights", "nonempty 1-D", id="empty"),
+        pytest.param(dict(form=FORM_CUSTOM, weights=[1.0, math.nan]), "weights", "must be finite", id="nan"),
+        pytest.param(dict(form=FORM_CUSTOM, weights=[math.inf, 1.0]), "weights", "must be finite", id="inf"),
+        pytest.param(dict(form=FORM_CUSTOM, weights=np.zeros(30)), "weights", "all zero", id="zeros"),
+        pytest.param(dict(weights=np.ones(3)), "weights", "takes no weights", id="weights-elsewhere"),
+    ],
+)
+def test_control_spec_refusal_names_the_argument(kwargs, argument, message):
+    with pytest.raises(ArgumentError, match=message) as refused:
+        ControlSpec(**{"form": FORM_SINGLE, **kwargs})
+    assert refused.value.argument == argument
+
+
+ZERO_VOLATILITY = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, argument, message",
+    [
+        pytest.param(dict(runs=1), "runs", r"^runs must be >= 2 \(variance undefined below that\), got 1$", id="plain-runs"),
+        pytest.param(
+            dict(control=ControlSpec(FORM_MULTI), runs=3), "runs", "^runs must be >= 4 for a control-variate", id="cv-runs"
+        ),
+        pytest.param(dict(control=None, runs=1), "runs", "^runs must be >= 2", id="sweep-runs"),
+        pytest.param(dict(model=ZERO_VOLATILITY, control=ControlSpec(FORM_SINGLE)), "volatility", "zero volatility", id="cv-zero-vol"),
+        pytest.param(dict(model=ZERO_VOLATILITY, control=None), "volatility", "zero volatility", id="sweep-zero-vol"),
+        pytest.param(
+            dict(control=ControlSpec(FORM_CUSTOM, weights=np.ones(7))), "weights", "length 7, contract has n=30", id="weights-length"
+        ),
+        pytest.param(dict(control=ControlSpec(FORM_MULTI), runs=10), "pilot_fraction", "^pilot split too small: 1 pilot / 9 main", id="split"),
+        pytest.param(dict(pilot_fraction=1.5), "pilot_fraction", r"^pilot_fraction must be in \(0, 1\)", id="plain-fraction"),
+        pytest.param(
+            dict(control=ControlSpec(FORM_MULTI, SOURCE_IN_SAMPLE), pilot_fraction=0.0),
+            "pilot_fraction",
+            r"^pilot_fraction must be in \(0, 1\)",
+            id="in-sample-fraction",
+        ),
+        pytest.param(dict(seed=-1), "seed", "^seed must be a 64-bit unsigned integer", id="seed"),
+        pytest.param(dict(batch_size=0), "batch_size", "^batch_size must be >= 1", id="batch_size"),
+        pytest.param(dict(runs=10.0), "runs", "^runs must be an integer", id="runs-float"),
+    ],
+)
+def test_check_arguments_names_the_argument(call, argument, message):
+    arguments = {"model": MARKET, "spec": ASIAN, "control": ControlSpec(FORM_NONE), "runs": 100, "seed": 0, **call}
+    with pytest.raises(ArgumentError, match=message) as refused:
+        check_arguments(**arguments)
+    assert refused.value.argument == argument
+    # it crosses processes, as from a worker of a process pool
+    copy = pickle.loads(pickle.dumps(refused.value))
+    assert (copy.argument, str(copy)) == (argument, str(refused.value))
+
+
+def test_check_arguments_passes_what_the_estimators_run():
+    for control in (ControlSpec(FORM_NONE), ControlSpec(FORM_MULTI), ControlSpec(FORM_MULTI, SOURCE_IN_SAMPLE), None):
+        check_arguments(MARKET, ASIAN, control, 20, seed=0)
+    # in-sample coefficients need no pilot split, and plain Monte Carlo no controls
+    check_arguments(MARKET, ASIAN, ControlSpec(FORM_SINGLE, SOURCE_IN_SAMPLE), 4, seed=0)
+    check_arguments(ZERO_VOLATILITY, ASIAN, ControlSpec(FORM_NONE), 2, seed=0)
+
+
 def report_bits(report) -> list:
     """Every number of a report, as float.hex strings."""
     numbers = [
@@ -1047,8 +1125,9 @@ class TestPipeline:
         # Unit accumulators are the ones merged; a phase's is merged into.
         units = {id(acc) for event, acc in events if event == "merged"}
         unmerged = np.cumsum([1 if event == "made" else -1 for event, acc in events if id(acc) in units])
-        # at most four units folded ahead on each lane
-        assert unmerged.min() >= 0 and unmerged.max() <= 8
+        # one unit accumulator per lane: each phase holds at most one unit of
+        # each of the call's two blocks, and a phase's units are merged at its end
+        assert unmerged.min() >= 0 and unmerged.max() <= 2
 
     def test_the_worker_folds_its_units_of_a_phase_while_the_caller_is_held(self, monkeypatch):
         # 11 blocks in one phase: while the caller is held in block 0, the
@@ -1101,6 +1180,29 @@ class TestPipeline:
             plain_estimate(MARKET, ASIAN, 60 * STREAM_BLOCK_ROWS, seed=3)
         assert drawn == [0]
         assert threading.active_count() == before
+
+    def test_a_failure_of_the_workers_stops_the_worker(self, monkeypatch):
+        # 60 blocks in one phase: the worker fails in block 1 while the
+        # caller is held in block 0, and starts none of its later blocks
+        rows = LogReturnSampler.rows
+        caller = threading.current_thread()
+        drawn = []  # the worker's blocks
+
+        def failing_rows(self, lo, hi, out=None):
+            block = lo // STREAM_BLOCK_ROWS
+            if threading.current_thread() is caller:
+                if block == 0:
+                    time.sleep(0.2)
+            else:
+                drawn.append(block)
+                if block == 1:
+                    raise MemoryError("block 1")
+            return rows(self, lo, hi, out)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", failing_rows)
+        with pytest.raises(MemoryError, match="block 1"):
+            plain_estimate(MARKET, ASIAN, 60 * STREAM_BLOCK_ROWS, seed=3)
+        assert drawn == [1]
 
     def test_numbers_at_most_32_days_are_those_of_the_batch_pipeline(self):
         # sha256 of report_bits at n = 30, batch 4096, R = 20 000 on two lanes,

@@ -81,6 +81,10 @@ class TestSampleLogReturns:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_rejects_an_out_of_another_shape(self, market):
+        with pytest.raises(ValueError, match=r"out has shape \(2, 5\), expected \(2, 4\)"):
+            LogReturnSampler(market, 4, 0).rows(0, 2, out=np.empty((2, 5)))
+
     def test_rejects_zero_length(self, market):
         with pytest.raises(ValueError):
             run_log_returns(market, 0, 1, 0)

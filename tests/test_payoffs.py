@@ -200,6 +200,11 @@ class TestBlackScholes:
         high = black_scholes_call(MarketModel(100.0, 0.05, 0.3), spec)
         assert high > low
 
+    def test_rejects_a_contract_without_strike(self):
+        spec = ContractSpec(kind=ASIAN_FLOATING, days_to_maturity=5)
+        with pytest.raises(ValueError, match="requires a strike"):
+            black_scholes_call(MARKET, spec)
+
     def test_rejects_zero_volatility(self):
         model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
         spec = ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=252, strike=100.0)
