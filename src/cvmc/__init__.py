@@ -16,7 +16,6 @@ from .estimators import (
     ControlSpec,
     EstimatorReport,
     MomentAccumulator,
-    best_linear_variance_ratio,
     cv_estimate,
     insample_variance,
     optimal_betas,
@@ -68,7 +67,6 @@ __all__ = [
     "cv_estimate",
     "optimal_betas",
     "insample_variance",
-    "best_linear_variance_ratio",
     "sweep_diagnostic",
     "FiniteJointDistribution",
     "ExactMoments",

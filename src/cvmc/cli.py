@@ -38,7 +38,7 @@ from .estimators import (
     check_arguments,
     cv_estimate,
 )
-from .model import ArgumentError, MarketModel, check_seed
+from .model import ArgumentError, MarketModel
 from .oracle import FiniteJointDistribution, run_inequality_trials, correlation_inequality_check
 from .payoffs import ContractSpec
 
@@ -432,13 +432,10 @@ def main(argv=None) -> int:
             _emit(text, args.output)
             return EXIT_OK
         # check-ineq
-        if args.trials < 1:
-            raise ScenarioError(f"--trials must be >= 1, got {args.trials}")
         try:
-            check_seed(args.seed)
-        except ValueError as exc:
-            raise ScenarioError(f"--seed: {exc}") from exc
-        result = check_inequality(args.trials, args.seed)
+            result = check_inequality(args.trials, args.seed)
+        except ArgumentError as exc:
+            raise ScenarioError(f"--{exc.argument}: {exc}") from exc
         text = (
             json.dumps(result, indent=2)
             if args.format == "json-like"

@@ -24,18 +24,15 @@ in-sample coefficients, the least-squares pilot of multi_log_returns
 (n <= 32 and a pilot of at least 2(n + 1) runs) and sweep_diagnostic.
 
 Drawing the normals is the largest stage, so a call that draws many
-(_THREADED_NORMALS or more) runs on two lanes, the caller's thread and
-one worker thread of a per-call executor, unless it tracks a full
-covariance wider than n at n > 32. Block b of the stream goes to lane
-b mod 2, and a lane turns each unit of its blocks into prices, payoffs,
-controls and moments. One walk over the phases serves one lane and two
-(_simulate): at the start of a phase the worker is given all of its
-units in the phase, and the caller computes its own and merges every
-unit in run order. The executor is shut down before the call returns or
-raises. A run's draws depend only on (seed, j, n), every per-run number
-is computed within its own row, and the units and the order of their
-merge do not depend on the lanes, so the number of lanes changes no bit
-of any report, nor which exception a call raises.
+(_THREADED_NORMALS or more) runs on two lanes, one-thread executors made
+per call, unless it tracks a full covariance wider than n at n > 32.
+Block b of the stream goes to lane b mod 2, which turns each unit of its
+blocks into prices, payoffs, controls and moments; the caller's thread
+only merges the units in run order (_simulate). A run's draws depend
+only on (seed, j, n), every per-run number is computed within its own
+row, and the units and the order of their merge do not depend on the
+lanes, so the number of lanes changes no bit of any report, nor which
+exception a call raises.
 """
 
 from __future__ import annotations
@@ -77,7 +74,7 @@ DEFAULT_PILOT_FRACTION = 0.1
 # moment rows at a time (1 MiB of doubles).
 _CHUNK_NORMALS = 2**17
 # A call that draws fewer normals runs on one lane: below about this,
-# starting the worker costs what the second core saves.
+# starting the lanes costs what the second core saves.
 _THREADED_NORMALS = 2**19
 
 # Values per block when MomentAccumulator centers a batch without the full
@@ -434,20 +431,20 @@ def _simulate(
     runs: int,
     batch_size: int,
     controls: _Controls | None,
-    phases: list[tuple[int, MomentAccumulator, Callable]],
+    phases: list[tuple[int, MomentAccumulator, Callable | None]],
     at_boundary: Callable[[], None] = lambda: None,
 ) -> None:
     """Simulate runs 0..runs-1 and fold their moment rows into the phases' accumulators.
 
     phases lists (end, acc, fold) in run order, the last end being runs:
     a phase takes the runs from the previous phase's end up to its own.
-    fold(rows, lo, hi) returns the rows that go into the phase's moments.
-    rows is a view of moment rows [Y | controls], as wide as the widest
-    accumulator: the payoffs in column 0, the q control values in columns
-    1..q and the fold's columns after them. lo..hi-1 are the runs of their
-    batch, for messages. at_boundary is called on this thread at each
-    phase boundary, once every earlier run is in the moments and before
-    any later run is folded.
+    fold(rows, lo, hi), unless None, returns the rows that go into acc.
+    rows is a view of moment rows [Y | controls] as wide as acc: the
+    payoffs in column 0, the q control values in columns 1..q and the
+    fold's columns after them. lo..hi-1 are the runs of their batch, for
+    messages. at_boundary is called on this thread at each phase
+    boundary, once every earlier run is in the moments and before any
+    later run is folded.
 
     The runs are drawn in pieces: they are cut at multiples of batch_size
     and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
@@ -456,38 +453,29 @@ def _simulate(
     of the moments is the runs of one block that lie in one phase: the
     part of each of its pieces that lies in the phase is folded by
     add_batch into one fresh accumulator of the unit, and this thread
-    merges the units into their phases in run order. A unit of one piece
-    whose turn in that order has come (on one lane, every unit's) is
-    added straight to its phase's accumulator instead, which gives the
-    same bits (add_batch is a fresh accumulator's add_batch followed by
-    merge) without the unit's accumulator and merge; every unit of a call
-    with the default batch up to n = 32 is one piece. A piece that a
-    phase boundary cuts is drawn once and serves the units on both sides.
+    merges the units into their phases in run order. A piece that a phase
+    boundary cuts is drawn once and serves the units on both sides.
 
     A call that draws at least _THREADED_NORMALS normals over more than
-    one block runs on two lanes, this thread and one worker, unless it
-    tracks a full covariance of more than n variables and n > 32; any
-    other call runs on this thread alone. Block b goes to lane b mod 2,
-    so each lane's sampler walks its blocks in order without re-keying.
-    One walk over the phases serves one lane and two. At the start of a
-    phase, once at_boundary has run (in a pilot pass: once the
-    coefficients are fixed), every unit of the worker's in the phase goes
-    to a one-thread executor, and then a task that draws and fills the
-    first piece of the worker's next unit in a later phase ahead, without
-    folding it. This thread computes its own units in run order, and
-    before each one it merges the ready units at the head of the phase,
-    so that a failure of the worker's stops it early. A unit whose turn
-    has not come is folded ahead into an accumulator of its own, so this
-    thread keeps busy while the worker's unit before it is not done
-    (waiting for it instead ran n = 252 calls about 3% slower). At the
-    end of the phase it waits for the rest in run order. A unit returns
-    its accumulator or raises: the worker's failures come back through
-    their futures, and this thread keeps its own until its turn, so the
-    first failure in run order is the one raised, as on one lane (a
-    failed draw ahead is dropped: the unit meets the failure again).
-    The worker starts no unit after a failed one: none would be merged.
-    The executor is shut down before this returns or raises (a forked
-    child, which has no copy of the thread, starts its own).
+    one block runs on two lanes, unless it tracks a full covariance of
+    more than n variables and n > 32. Lane b, a one-thread executor,
+    computes the units of the blocks b, b + 2, ..., so its sampler walks
+    them in order without re-keying. At the start of a phase (in a pilot
+    pass, once the coefficients are fixed) each lane is given its units of
+    the phase in run order, then a task that draws the first piece of its
+    next unit in a later phase ahead. This thread only merges the units in
+    run order, so the first failure in run order is the one raised, as on
+    one lane, and a lane starts no unit after the earliest failed one:
+    none would be merged (a failed draw ahead is dropped: the unit meets
+    the failure again). The executors are made per call and shut down
+    before this returns or raises. Lane 0 keeps to the CPU this thread
+    runs on at the start of the call and lane 1 to the others, if this
+    thread may run on more than one: unpinned, a 2-vCPU VM's scheduler
+    kept both on one vCPU for whole runs of calls. Each lane computes in a
+    copy of this thread's context, so numpy's error state (np.errstate) is
+    the caller's. Any other call runs on this thread, which adds a unit of
+    one piece straight to its phase's accumulator: add_batch is a fresh
+    accumulator's add_batch followed by merge.
 
     Each lane has its own buffers of one piece of log-returns and of
     moment rows, reused from piece to piece. The row buffer is max(width,
@@ -496,13 +484,6 @@ def _simulate(
     moments read the rows, and its row stride stays the same when width
     < n, as for plain Monte Carlo's single column (the moments of a
     strided view round differently from those of a contiguous array).
-
-    The worker's tasks run in a copy of this thread's context, so numpy's
-    error state (np.errstate) is the caller's on both lanes. The worker
-    keeps off the CPU this thread runs on at the start of the call, if
-    this thread may run on another. Left to itself, a 2-vCPU VM's
-    scheduler kept waking the worker on the caller's vCPU for whole runs
-    of calls, so the two threads took turns on one core.
     """
     n = spec.days_to_maturity
     ends = [end for end, _, _ in phases]
@@ -572,7 +553,9 @@ def _simulate(
         while lo < hi:
             piece = piece_of(lo)
             b = min(piece[1], hi)
-            rows = phases[phase][2](fill(piece)[lo - piece[0] : b - piece[0], :width], *piece[2:])
+            rows = fill(piece)[lo - piece[0] : b - piece[0], : acc.dim]
+            if phases[phase][2] is not None:
+                rows = phases[phase][2](rows, *piece[2:])
             try:
                 acc.add_batch(rows)
             except ValueError:
@@ -586,83 +569,63 @@ def _simulate(
         fold(acc, fill, lo, hi, phase)
         return acc
 
-    failed = []  # the worker's failed unit, once there is one; only the worker's thread uses it
+    failed = []  # the first run of each failed unit, appended by both lanes
 
-    def worker_unit(lo: int, hi: int, phase: int) -> MomentAccumulator | None:
-        """unit on the worker's lane; None, with no draw, once one of its units raised."""
+    def lane_unit(fill: Callable, lo: int, hi: int, phase: int) -> MomentAccumulator | None:
+        """unit on a lane; None, with no draw, once a unit before it failed."""
+        if min(failed, default=runs) < lo:
+            return None
         try:
-            return None if failed else unit(fills[1], lo, hi, phase)
+            return unit(fill, lo, hi, phase)
         except Exception:
-            failed.append((lo, hi))
+            failed.append(lo)
             raise
 
-    def on_worker(lo: int) -> bool:
-        """Whether the unit that starts at run lo is the worker's."""
-        return threaded and lo // STREAM_BLOCK_ROWS % 2 == 1
-
-    def draw_ahead(piece: tuple[int, int, int, int]) -> None:
+    def draw_ahead(fill: Callable, piece: tuple[int, int, int, int]) -> None:
         with suppress(Exception):  # met again when the unit draws the piece, in run order
-            fills[1](piece)
+            if not failed:
+                fill(piece)
 
-    def take(result) -> MomentAccumulator:
-        """The accumulator of a unit from its result; a failure is raised."""
-        if isinstance(result, Exception):
-            raise result
-        return result if isinstance(result, MomentAccumulator) else result.result()
-
-    fills = [lane()]  # this thread's, and on two lanes the worker's
     if threaded:
-        fills.append(lane())
-        # The worker's tasks run in a copy of this thread's context, so that it
-        # computes under the caller's numpy error state (np.errstate).
-        context = contextvars.copy_context()
         # imported here: importing it takes about 10 ms, which every
         # command-line run would pay
         from concurrent.futures import ThreadPoolExecutor
 
-        executor = ThreadPoolExecutor(1, initializer=_run_on, initargs=(_other_cpus(),))
+        others = _other_cpus()
+        lanes = [  # per lane: its fill, its copy of this thread's context and its executor
+            (lane(), contextvars.copy_context(), ThreadPoolExecutor(1, initializer=_run_on, initargs=(cpus,)))
+            for cpus in (os.sched_getaffinity(0) - others if others else set(), others)
+        ]
+    else:
+        fill = lane()
+
+    def submit(run: int, task: Callable, *args):
+        """task(fill, *args) on the lane of run's block, with that lane's fill."""
+        lane_fill, context, executor = lanes[run // STREAM_BLOCK_ROWS % 2]
+        return executor.submit(context.run, task, lane_fill, *args)
+
     try:
         for phase, end in enumerate(ends):
-            # per unit: the worker's future, or this thread's accumulator or failure once it is computed
-            results = [
-                executor.submit(context.run, worker_unit, lo, hi, phase) if on_worker(lo) else None
-                for lo, hi in units[phase]
-            ]
-            # the first run of the worker's in a later phase
-            later = end if on_worker(end) else end - end % STREAM_BLOCK_ROWS + STREAM_BLOCK_ROWS
-            if threaded and later < runs:
-                executor.submit(context.run, draw_ahead, piece_of(later))
-            merged = 0  # the phase's units merged so far
-            for i, (lo, hi) in enumerate(units[phase]):
-                if on_worker(lo):
-                    continue
-                # the ready units at the head first, so that a failure of the worker's stops this thread early
-                while merged < i and (isinstance(results[merged], MomentAccumulator) or results[merged].done()):
-                    accs[phase].merge(take(results[merged]))
-                    merged += 1
-                if merged == i and piece_of(lo)[1] >= hi:
-                    # A unit of one piece whose turn has come goes straight into its
-                    # phase: add_batch is a fresh accumulator's add_batch followed by merge.
-                    fold(accs[phase], fills[0], lo, hi, phase)
-                    merged += 1
-                    continue
-                try:
-                    results[i] = unit(fills[0], lo, hi, phase)
-                except Exception as exc:  # raised at its turn, after any earlier failure of the worker's
-                    results[i] = exc
-                    break
-            for result in results[merged:]:
-                accs[phase].merge(take(result))
+            if threaded:
+                futures = [submit(lo, lane_unit, lo, hi, phase) for lo, hi in units[phase]]
+                # the first run of each lane in a later phase: run end, and the next block's first
+                for later in (end, end - end % STREAM_BLOCK_ROWS + STREAM_BLOCK_ROWS):
+                    if later < runs:
+                        submit(later, draw_ahead, piece_of(later))
+                for future in futures:
+                    accs[phase].merge(future.result())
+            else:
+                for lo, hi in units[phase]:
+                    if piece_of(lo)[1] >= hi:
+                        fold(accs[phase], fill, lo, hi, phase)
+                    else:
+                        accs[phase].merge(unit(fill, lo, hi, phase))
             if end < runs:
                 at_boundary()
     finally:
         if threaded:
-            executor.shutdown(cancel_futures=True)
-
-
-def _moment_rows(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The fold that adds a piece's moment rows as they are."""
-    return rows
+            for _, _, executor in lanes:
+                executor.shutdown(cancel_futures=True)
 
 
 def _accumulate(
@@ -676,7 +639,7 @@ def _accumulate(
     """Full moments of (Y, controls...) over runs 0..runs-1, merged in run order."""
     q = controls.dim if controls is not None else 0
     acc = MomentAccumulator(1 + q)
-    _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, _moment_rows)])
+    _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, None)])
     return acc
 
 
@@ -746,7 +709,7 @@ def _pilot_pass(
         rows[:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
         return rows
 
-    phases = [(pilot_runs, pilot, lambda rows, lo, hi: rows[:, : 1 + q]), (runs, main, with_w)]
+    phases = [(pilot_runs, pilot, None), (runs, main, with_w)]
     _simulate(model, spec, seed, runs, batch_size, controls, phases, at_boundary=fix_betas)
     return betas, notes, main
 
@@ -816,26 +779,6 @@ def insample_variance(acc: MomentAccumulator, betas: np.ndarray) -> float:
     betas = np.asarray(betas, dtype=float)
     cov = acc.covariance()
     return float(cov[0, 0] + betas @ cov[1:, 1:] @ betas + 2.0 * (betas @ cov[1:, 0]))
-
-
-def best_linear_variance_ratio(acc: MomentAccumulator) -> float:
-    """min over all betas of var(W)/var(Y) on acc's sample.
-
-    Solved jointly from the sample covariance matrix, so it is the exact
-    in-sample optimum even when the controls are correlated; no linear
-    control can do better on the same sample.
-    """
-    cov = acc.covariance()
-    var_y = cov[0, 0]
-    if var_y == 0.0:
-        raise ValueError("variance of Y is zero; ratio undefined")
-    return 1.0 - _explained_fraction(cov[1:, 1:], cov[1:, 0], var_y)
-
-
-def _explained_fraction(cov_xx: np.ndarray, cross: np.ndarray, var_y: float) -> float:
-    """R^2 of the least-squares fit of Y on the regressors, from their moments."""
-    weights, *_ = np.linalg.lstsq(cov_xx, cross, rcond=None)
-    return float((cross @ weights) / var_y)
 
 
 def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> np.ndarray:
@@ -982,7 +925,10 @@ def sweep_diagnostic(
             raise ValueError(f"payoff variance is zero for {spec.kind}; diagnostic undefined")
         x_vars = np.diag(cov)[1 : 1 + n]
         sum_corr_sq = float(np.sum(cov[0, 1 : 1 + n] ** 2 / (var_y * x_vars)))
-        price_corr_sq = _explained_fraction(cov[1 + n :, 1 + n :], cov[1 + n :, 0], var_y)
+        # R^2 of the least-squares fit of Y on the prices
+        cross = cov[1 + n :, 0]
+        weights, *_ = np.linalg.lstsq(cov[1 + n :, 1 + n :], cross, rcond=None)
+        price_corr_sq = float((cross @ weights) / var_y)
         rows.append(
             {
                 "kind": spec.kind,

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import check_seed
+from .model import ArgumentError, check_seed
 
 PROBABILITY_TOLERANCE = 1e-12
 EXACT_TOLERANCE = 1e-12
@@ -317,10 +317,11 @@ def run_inequality_trials(trials: int, seed: int) -> InequalityTrialSummary:
     """Randomized exact trials of the correlation inequality (3 independent X's).
 
     Trials are drawn and checked in stacks (`_trial_stacks`); `seed` follows
-    the rule of `cvmc.model.check_seed`.
+    the rule of `cvmc.model.check_seed`. A refused `trials` or `seed` raises
+    ArgumentError, which names it.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        raise ArgumentError("trials", f"trials must be an integer >= 1, got {trials!r}")
     check_seed(seed)
     trials = int(trials)
     passes = 0

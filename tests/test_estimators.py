@@ -25,7 +25,6 @@ from cvmc import (
     LogReturnSampler,
     MarketModel,
     MomentAccumulator,
-    best_linear_variance_ratio,
     cv_estimate,
     insample_variance,
     optimal_betas,
@@ -833,7 +832,7 @@ class TestInSampleOptimality:
     @settings(max_examples=300, deadline=None)
     def test_custom_linear_never_beats_joint_optimum(self, weights, c):
         acc = self.accumulator()
-        optimum = best_linear_variance_ratio(acc)
+        optimum = insample_variance(acc, optimal_betas(acc)[0]) / acc.variances()[0]
         betas = c * np.asarray(weights)
         ratio = insample_variance(acc, betas) / acc.variances()[0]
         assert ratio >= optimum - 1e-9
@@ -843,7 +842,8 @@ class TestInSampleOptimality:
         # near-optimal on sample data
         acc = self.accumulator()
         ratio_componentwise = insample_variance(acc, sample_betas(acc)[0]) / acc.variances()[0]
-        assert ratio_componentwise <= best_linear_variance_ratio(acc) + 0.01
+        optimum = insample_variance(acc, optimal_betas(acc)[0]) / acc.variances()[0]
+        assert ratio_componentwise <= optimum + 0.01
 
 
 class TestSweepDiagnostic:
@@ -1056,13 +1056,24 @@ def draws_by_thread(monkeypatch) -> list:
     return calls
 
 
+def lane_blocks(calls) -> set:
+    """The blocks that each thread other than the caller's drew, one frozenset per thread.
+
+    Across the calls of a grid: each call has lanes of its own."""
+    blocks = {}
+    for thread, block in calls:
+        if thread is not threading.current_thread():
+            blocks.setdefault(thread, set()).add(block)
+    return {frozenset(drawn) for drawn in blocks.values()}
+
+
 class TestPipeline:
     """_simulate runs large calls on two lanes; no number may notice."""
 
     @pytest.mark.parametrize(
         "chunk_normals, runs",
         [
-            (1, 300),  # one-row pieces in one block: the caller's lane alone
+            (1, 300),  # one-row pieces in one block: this thread alone
             (41 * 30, 4500),
             (300 * 30, 4500),  # at batch 777 a piece ends at run 4096, inside a batch
             (2**17, 4500),
@@ -1079,20 +1090,39 @@ class TestPipeline:
         calls = draws_by_thread(monkeypatch)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
         assert lane_grid(runs, batch_size, 30) == one_lane
-        worker_blocks = {block for thread, block in calls if thread is not threading.current_thread()}
-        assert worker_blocks == ({1} if runs > STREAM_BLOCK_ROWS else set())
+        # a lane per block parity
+        assert lane_blocks(calls) == ({frozenset({0}), frozenset({1})} if runs > STREAM_BLOCK_ROWS else set())
 
     @pytest.mark.parametrize("batch_size", [777, 4096])
     @pytest.mark.parametrize("n", [5, 30, 252])
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 225 main runs at n = 252
     def test_lanes_change_no_bit(self, monkeypatch, n, batch_size):
-        # 4500 runs: block 1 goes to the worker, and batch 777 straddles run 4096
+        # 4500 runs: block 0 goes to lane 0, block 1 to lane 1, and batch 777 straddles run 4096
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
         one_lane = lane_grid(4500, batch_size, n)
         calls = draws_by_thread(monkeypatch)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
         assert lane_grid(4500, batch_size, n) == one_lane
-        assert {block for thread, block in calls if thread is not threading.current_thread()} == {1}
+        # (at n = 252 the calls that track a full covariance wider than n run on the caller's thread)
+        assert lane_blocks(calls) == {frozenset({0}), frozenset({1})}
+
+    @pytest.mark.parametrize("n", [30, 252])
+    @pytest.mark.parametrize("pilot_fraction, pilot_runs", [(0.1, 4096), (0.2, 8192)])
+    def test_a_pilot_boundary_on_a_block_edge_changes_no_bit(self, monkeypatch, n, pilot_fraction, pilot_runs):
+        # R = 40 960: the pilot ends at the first run of block 1 or 2, where
+        # both lanes draw the first piece of their next unit ahead
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+
+        def report():
+            control = ControlSpec(form=FORM_MULTI)
+            return cv_estimate(MARKET, spec, control, 40960, seed=43, pilot_fraction=pilot_fraction)
+
+        calls = draws_by_thread(monkeypatch)
+        two_lanes = report()
+        assert two_lanes.pilot_runs_used == pilot_runs
+        assert lane_blocks(calls) == {frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2))}
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
+        assert report_bits(report()) == report_bits(two_lanes)
 
     def test_lanes_that_wait_for_each_other_change_no_bit(self, monkeypatch):
         # one-row pieces, and the threads switch as often as they can
@@ -1129,17 +1159,20 @@ class TestPipeline:
         # each of the call's two blocks, and a phase's units are merged at its end
         assert unmerged.min() >= 0 and unmerged.max() <= 2
 
-    def test_the_worker_folds_its_units_of_a_phase_while_the_caller_is_held(self, monkeypatch):
-        # 11 blocks in one phase: while the caller is held in block 0, the
-        # worker folds all five of its blocks, 1, 3, 5, 7 and 9
-        folded = []  # the rows of each of the worker's add_batch calls, once done
-        held = []  # how many the worker had folded when the caller's hold ended
+    def test_the_odd_lane_folds_its_units_of_a_phase_while_the_even_lane_is_held(self, monkeypatch):
+        # 11 blocks in one phase: while lane 0 is held in block 0, lane 1
+        # folds all five of its blocks, 1, 3, 5, 7 and 9
+        folded = []  # the rows of each of lane 1's add_batch calls, once done
+        held = []  # how many lane 1 had folded when lane 0's hold ended
+        odd = set()  # the threads that drew an odd block
         rows = LogReturnSampler.rows
         add_batch = MomentAccumulator.add_batch
-        caller = threading.current_thread()
 
         def holding_rows(self, lo, hi, out=None):
-            if threading.current_thread() is caller and lo < STREAM_BLOCK_ROWS:
+            block = lo // STREAM_BLOCK_ROWS
+            if block % 2 == 1:
+                odd.add(threading.current_thread())
+            if block == 0:
                 deadline = time.monotonic() + 10
                 while len(folded) < 5 and time.monotonic() < deadline:
                     time.sleep(0.01)
@@ -1148,7 +1181,7 @@ class TestPipeline:
 
         def recording_add_batch(self, xs):
             add_batch(self, xs)
-            if threading.current_thread() is not caller:
+            if threading.current_thread() in odd:
                 folded.append(len(xs))
 
         monkeypatch.setattr(LogReturnSampler, "rows", holding_rows)
@@ -1157,52 +1190,39 @@ class TestPipeline:
         assert held == [5]
         assert folded == [STREAM_BLOCK_ROWS] * 5
 
-    def test_a_failure_of_the_workers_stops_the_caller_early(self, monkeypatch):
-        # 60 blocks in one phase: the caller, held in block 0 while the
-        # worker fails in block 1, draws no block after 0
+    def _fail_block_1_while_block_0_is_held(self, monkeypatch) -> list:
+        """Run a 60-block plain call whose block 1 fails while block 0 is held
+        0.2 s; the (thread, block) of every draw it tried."""
         rows = LogReturnSampler.rows
-        caller = threading.current_thread()
-        drawn = []  # the caller's blocks
 
         def failing_rows(self, lo, hi, out=None):
             block = lo // STREAM_BLOCK_ROWS
-            if threading.current_thread() is caller:
-                drawn.append(block)
-                if block == 0:
-                    time.sleep(0.2)
+            if block == 0:
+                time.sleep(0.2)
             elif block == 1:
                 raise MemoryError("block 1")
             return rows(self, lo, hi, out)
 
         monkeypatch.setattr(LogReturnSampler, "rows", failing_rows)
+        calls = draws_by_thread(monkeypatch)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="block 1"):
             plain_estimate(MARKET, ASIAN, 60 * STREAM_BLOCK_ROWS, seed=3)
-        assert drawn == [0]
         assert threading.active_count() == before
+        # the blocks of each parity on a lane of their own
+        assert len({thread for thread, _ in calls}) == 2 and threading.current_thread() not in dict(calls)
+        return calls
 
-    def test_a_failure_of_the_workers_stops_the_worker(self, monkeypatch):
-        # 60 blocks in one phase: the worker fails in block 1 while the
-        # caller is held in block 0, and starts none of its later blocks
-        rows = LogReturnSampler.rows
-        caller = threading.current_thread()
-        drawn = []  # the worker's blocks
+    def test_a_failure_on_the_odd_lane_stops_the_even_lane_early(self, monkeypatch):
+        # lane 0, held in block 0 while lane 1 fails in block 1, draws no block after 0
+        calls = self._fail_block_1_while_block_0_is_held(monkeypatch)
+        assert [block for _, block in calls if block % 2 == 0] == [0]
 
-        def failing_rows(self, lo, hi, out=None):
-            block = lo // STREAM_BLOCK_ROWS
-            if threading.current_thread() is caller:
-                if block == 0:
-                    time.sleep(0.2)
-            else:
-                drawn.append(block)
-                if block == 1:
-                    raise MemoryError("block 1")
-            return rows(self, lo, hi, out)
-
-        monkeypatch.setattr(LogReturnSampler, "rows", failing_rows)
-        with pytest.raises(MemoryError, match="block 1"):
-            plain_estimate(MARKET, ASIAN, 60 * STREAM_BLOCK_ROWS, seed=3)
-        assert drawn == [1]
+    def test_a_failure_on_the_odd_lane_stops_the_odd_lane(self, monkeypatch):
+        # lane 1 fails in block 1 while lane 0 is held in block 0, and starts
+        # none of its later blocks
+        calls = self._fail_block_1_while_block_0_is_held(monkeypatch)
+        assert [block for _, block in calls if block % 2 == 1] == [1]
 
     def test_numbers_at_most_32_days_are_those_of_the_batch_pipeline(self):
         # sha256 of report_bits at n = 30, batch 4096, R = 20 000 on two lanes,
@@ -1260,15 +1280,15 @@ class TestPipeline:
         for batch_size in (1, 7, 250, 520, 777):
             assert per_run(batch_size).tobytes() == reference.tobytes(), batch_size
 
-    def test_only_large_calls_use_the_worker(self, monkeypatch):
+    def test_only_large_calls_use_two_lanes(self, monkeypatch):
         calls = draws_by_thread(monkeypatch)
         plain_estimate(MARKET, ASIAN, 4000, seed=3)  # 120 000 normals
-        assert calls == [(threading.current_thread(), 0)]
+        caller = threading.current_thread()
+        assert calls == [(caller, 0)]
         calls.clear()
         plain_estimate(MARKET, ASIAN, 20000, seed=3)  # 600 000 normals, blocks 0..4
-        caller = threading.current_thread()
-        assert sorted(block for thread, block in calls if thread is caller) == [0, 2, 4]
-        assert sorted(block for thread, block in calls if thread is not caller) == [1, 3]
+        assert caller not in dict(calls)
+        assert lane_blocks(calls) == {frozenset({0, 2, 4}), frozenset({1, 3})}
         calls.clear()
         # pieces of a covariance wider than n hold more than _CHUNK_NORMALS at n = 252
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
@@ -1339,6 +1359,40 @@ class TestPipeline:
                 plain_estimate(MARKET, ASIAN, 20000, seed=3)
         assert threading.active_count() == before
 
+    def test_failures_on_both_lanes_under_fast_switching(self, monkeypatch):
+        # 20 blocks in one-row pieces, threads switching as often as they
+        # can: the first failure in run order is raised, and a lane draws
+        # nothing after a failure of its own
+        monkeypatch.setattr(estimators, "_CHUNK_NORMALS", 30 * 512)
+        rows = LogReturnSampler.rows
+        rng = np.random.default_rng(5)
+        failing = set()
+
+        def failing_rows(self, lo, hi, out=None):
+            block = lo // STREAM_BLOCK_ROWS
+            if block in failing:
+                raise MemoryError(f"block {block}")
+            return rows(self, lo, hi, out)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", failing_rows)
+        calls = draws_by_thread(monkeypatch)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):
+                failing = set(rng.choice(20, size=3, replace=False).tolist())
+                calls.clear()
+                with pytest.raises(MemoryError, match=f"block {min(failing)}$"):
+                    plain_estimate(MARKET, ASIAN, 20 * STREAM_BLOCK_ROWS, seed=3)
+                for lane in {thread for thread, _ in calls}:
+                    drawn = [block for thread, block in calls if thread is lane]
+                    own = [block for block in drawn if block in failing]
+                    assert not own or drawn[-1] == own[0], (failing, drawn)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("failure", ["degenerate", "caller-payoff"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_failure_while_the_worker_waits_at_the_pilot_boundary_is_raised(self, monkeypatch, failure):
@@ -1374,18 +1428,16 @@ class TestPipeline:
         assert threading.active_count() == before
 
     def test_the_worker_draws_past_the_pilot_boundary_before_the_coefficients_are_fixed(self, monkeypatch):
-        # R = 1e5: the boundary, run 10 000, is in the caller's block 2, and
-        # the worker's block 3 is drawn ahead while the caller reaches it
+        # R = 1e5: the boundary, run 10 000, is in lane 0's block 2, and lane
+        # 1's block 3 is drawn ahead while lane 0 reaches it
         events = []
         rows = LogReturnSampler.rows
         betas = estimators.optimal_betas
-        caller = threading.current_thread()
 
         def recording_rows(self, lo, hi, out=None):
-            if threading.current_thread() is not caller:
-                events.append(("worker draws", lo // STREAM_BLOCK_ROWS))
-            elif lo // STREAM_BLOCK_ROWS == 2:
-                time.sleep(0.2)  # the worker is done with block 1 long before
+            events.append(("draws", lo // STREAM_BLOCK_ROWS))
+            if lo // STREAM_BLOCK_ROWS == 2:
+                time.sleep(0.2)  # lane 1 is done with block 1 long before
             return rows(self, lo, hi, out)
 
         def recording_betas(*args):
@@ -1395,7 +1447,7 @@ class TestPipeline:
         monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
         monkeypatch.setattr(estimators, "optimal_betas", recording_betas)
         cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 100_000, seed=3)
-        assert events.index(("worker draws", 3)) < events.index(("betas", None))
+        assert events.index(("draws", 3)) < events.index(("betas", None))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_call_that_fails_at_once_sets_up_little(self):
@@ -1452,23 +1504,24 @@ class TestPipeline:
         estimators._sched_getcpu is None or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
         reason="needs Linux and at least two usable CPUs",
     )
-    def test_worker_keeps_off_the_callers_cpu(self, monkeypatch):
+    def test_lanes_keep_to_disjoint_cpus(self, monkeypatch):
         allowed = os.sched_getaffinity(0)
         caller_cpu = min(allowed)
         monkeypatch.setattr(estimators, "_sched_getcpu", lambda: caller_cpu)
-        cpus_by_thread = {}
+        cpus_by_parity = {}  # per block parity: the (thread, CPUs) of its draws
         rows = LogReturnSampler.rows
 
         def recording_rows(self, lo, hi, out=None):
-            cpus_by_thread.setdefault(threading.current_thread(), set()).add(frozenset(os.sched_getaffinity(0)))
+            parity = lo // STREAM_BLOCK_ROWS % 2
+            cpus_by_parity.setdefault(parity, set()).add((threading.current_thread(), frozenset(os.sched_getaffinity(0))))
             return rows(self, lo, hi, out)
 
         monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
         plain_estimate(MARKET, ASIAN, 20000, seed=3)
-        caller = threading.current_thread()
-        assert cpus_by_thread.pop(caller) == {frozenset(allowed)}  # the caller's thread is left as it was
-        assert list(cpus_by_thread.values()) == [{frozenset(allowed - {caller_cpu})}]
-        assert os.sched_getaffinity(0) == allowed
+        ((even_thread, even_cpus),), ((odd_thread, odd_cpus),) = cpus_by_parity[0], cpus_by_parity[1]
+        assert even_thread is not odd_thread and threading.current_thread() not in (even_thread, odd_thread)
+        assert (even_cpus, odd_cpus) == ({caller_cpu}, allowed - {caller_cpu})
+        assert os.sched_getaffinity(0) == allowed  # the caller's thread is left as it was
 
     def test_worker_placement_changes_no_bit(self, monkeypatch):
         expected = report_bits(plain_estimate(MARKET, ASIAN, 20000, seed=11))

@@ -16,6 +16,7 @@ from cvmc import (
 )
 from cvmc import ASIAN_FIXED, ContractSpec, ControlSpec, MarketModel, cv_estimate, estimators, oracle
 from cvmc.estimators import FORM_MULTI
+from cvmc.model import ArgumentError
 from cvmc.oracle import random_independent_trial, random_joint_law
 
 
@@ -361,6 +362,12 @@ class TestStackedTrials:
     def test_invalid_trials_or_seed_rejected(self, trials, seed):
         with pytest.raises(ValueError):
             run_inequality_trials(trials, seed)
+
+    @pytest.mark.parametrize("trials, seed, argument", [(0, 3, "trials"), (2.0, 3, "trials"), (5, -1, "seed")])
+    def test_refusals_name_the_argument(self, trials, seed, argument):
+        with pytest.raises(ArgumentError) as raised:
+            run_inequality_trials(trials, seed)
+        assert raised.value.argument == argument
 
     def test_numpy_integer_trials_and_seed_accepted(self):
         assert run_inequality_trials(np.int64(5), np.uint64(3)) == run_inequality_trials(5, 3)
