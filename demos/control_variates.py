@@ -35,8 +35,9 @@ for name, rep in (("plain", plain), ("single", single), ("multi", multi)):
 speedup = plain.standard_error**2 / multi.standard_error**2 * plain.runs_used / multi.runs_used
 print(f"\nmulti-control variance reduction is worth ~{speedup:.1f}x more runs of plain MC")
 
-# The fitted multipliers shrink with the day index: early log-returns enter
-# more of the running average, so they correlate more with the payoff.
+# The pilot fits the multipliers on a line in the day index, a + b*i/n, and
+# they shrink along it: early log-returns enter more of the running average,
+# so they correlate more with the payoff.
 betas = multi.coefficients.values
 corrs = multi.per_control_correlations
 print("\nday   beta       corr(Y, X(i))")

@@ -20,8 +20,8 @@ below the pilot count estimate the coefficients, which are fixed at the
 boundary, and the later runs feed the main-phase moments of (Y,
 controls, W). Those track only the means, cov(Y, .) and the variances,
 O(runs * n); the full covariance matrix is built only where it is read:
-in-sample coefficients, the least-squares pilot of multi_log_returns
-(n <= 32 and a pilot of at least 2(n + 1) runs) and sweep_diagnostic.
+in-sample coefficients, sweep_diagnostic and, of its k <= 2 basis
+controls, the pilot of multi_log_returns (_pilot_pass).
 
 Drawing the normals is the largest stage, so a call that draws many
 (_THREADED_NORMALS or more) runs on two lanes, one-thread executors made
@@ -438,13 +438,14 @@ def _simulate(
 
     phases lists (end, acc, fold) in run order, the last end being runs:
     a phase takes the runs from the previous phase's end up to its own.
-    fold(rows, lo, hi), unless None, returns the rows that go into acc.
-    rows is a view of moment rows [Y | controls] as wide as acc: the
+    fold(rows, lo, hi), unless None, returns the rows that go into acc:
+    rows is a view of the moment rows, max(1 + q, acc.dim) wide, with the
     payoffs in column 0, the q control values in columns 1..q and the
-    fold's columns after them. lo..hi-1 are the runs of their batch, for
-    messages. at_boundary is called on this thread at each phase
-    boundary, once every earlier run is in the moments and before any
-    later run is folded.
+    columns of a wider acc, which the fold fills in place, after them. A
+    narrower acc's fold (cv-multi's pilot) returns a fresh array. lo..hi-1
+    are the runs of their batch, for messages. at_boundary is called on
+    this thread at each phase boundary, once every earlier run is in the
+    moments and before any later run is folded.
 
     The runs are drawn in pieces: they are cut at multiples of batch_size
     and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
@@ -458,7 +459,8 @@ def _simulate(
 
     A call that draws at least _THREADED_NORMALS normals over more than
     one block runs on two lanes, unless it tracks a full covariance of
-    more than n variables and n > 32. Lane b, a one-thread executor,
+    more than n variables and n > 32 (wide: in-sample multi_log_returns
+    and sweep_diagnostic). Lane b, a one-thread executor,
     computes the units of the blocks b, b + 2, ..., so its sampler walks
     them in order without re-keying. At the start of a phase (in a pilot
     pass, once the coefficients are fixed) each lane is given its units of
@@ -479,17 +481,19 @@ def _simulate(
 
     Each lane has its own buffers of one piece of log-returns and of
     moment rows, reused from piece to piece. The row buffer is max(width,
-    n) wide: each piece's prices are laid out contiguously in its rows
-    until its payoffs are taken, so they are still warm in cache when the
-    moments read the rows, and its row stride stays the same when width
-    < n, as for plain Monte Carlo's single column (the moments of a
-    strided view round differently from those of a contiguous array).
+    n) wide, width being that of the widest rows a phase folds: each
+    piece's prices are laid out contiguously in its rows until its payoffs
+    are taken, so they are still warm in cache when the moments read the
+    rows, and its row stride stays the same when width < n, as for plain
+    Monte Carlo's single column (the moments of a strided view round
+    differently from those of a contiguous array).
     """
     n = spec.days_to_maturity
     ends = [end for end, _, _ in phases]
     starts = [0, *ends[:-1]]
     accs = [acc for _, acc, _ in phases]
-    width = max(acc.dim for acc in accs)
+    widths = [max(1 + (controls.dim if controls is not None else 0), acc.dim) for acc in accs]
+    width = max(widths)
     # A full covariance of more than n variables: its product c.T @ c, on
     # two BLAS threads, and its merge cost more than drawing the piece, and
     # the more per run the smaller the piece. So its pieces are the parts
@@ -553,7 +557,7 @@ def _simulate(
         while lo < hi:
             piece = piece_of(lo)
             b = min(piece[1], hi)
-            rows = fill(piece)[lo - piece[0] : b - piece[0], : acc.dim]
+            rows = fill(piece)[lo - piece[0] : b - piece[0], : widths[phase]]
             if phases[phase][2] is not None:
                 rows = phases[phase][2](rows, *piece[2:])
             try:
@@ -643,26 +647,6 @@ def _accumulate(
     return acc
 
 
-def _least_squares_pilot(controls: _Controls, pilot_runs: int, n: int) -> bool:
-    """Whether a pilot of pilot_runs runs fits its coefficients by least squares.
-
-    Only multi_log_returns, whose q = n controls the exact-variance fit
-    serves worst: each coefficient's error there adds about q/p to
-    var(W)/var(Y), against the loss factor (p - 2)/(p - q - 2) of least
-    squares on the floor (Lavenberg & Welch 1981; Nelson 1990). The pilot
-    needs p >= 2(q + 1) runs, where that factor is at most 2 (with q = 30
-    and p = 40, least squares lost to the exact-variance fit for three of
-    the four contract kinds), and n <= 32, where a block's runs fit in one
-    piece, so the full pilot covariance keeps the call's pieces and both
-    lanes.
-    """
-    return (
-        controls.form == FORM_MULTI
-        and pilot_runs >= 2 * (controls.dim + 1)
-        and STREAM_BLOCK_ROWS * n <= _CHUNK_NORMALS
-    )
-
-
 def _pilot_pass(
     model: MarketModel,
     spec: ContractSpec,
@@ -679,37 +663,53 @@ def _pilot_pass(
     the lean moments of (Y, controls, W), W = Y + C @ beta - E[C] @ beta,
     so the estimate and var(W) are read straight from the main moments.
 
-    The pilot fits each coefficient on its own, with the exact control
-    variance as denominator, from lean moments, except where
-    _least_squares_pilot holds: then it tracks the full covariance and
-    fits the coefficients jointly by least squares, and a note gives the
-    loss factor (p - 2)/(p - q - 2) of that fit.
+    The one-control forms divide by the exact control variance, from lean
+    moments. multi_log_returns fits its n daily coefficients as
+    beta = B.T @ (a, b) on the k <= 2 rows of B, from the full moments of
+    (Y, Z), Z = X @ B.T: by least squares with p >= k + 3 pilot runs, with
+    a note of its loss factor (p - 2)/(p - k - 2) on the floor (Lavenberg
+    & Welch 1981; Nelson 1990), else each Z_c on its own with its exact
+    variance sigma_d^2 * sum_i B_ci^2.
     """
     q = controls.dim
-    least_squares = _least_squares_pilot(controls, pilot_runs, spec.days_to_maturity)
-    pilot = MomentAccumulator(1 + q, full_covariance=least_squares)
+    basis = None
+    if controls.form == FORM_MULTI:
+        # 1 and i/n, i = 1..n, or 1 alone at n = 1, where they coincide. Not a
+        # centred ramp, whose Z would have mean 0 and never read as degenerate.
+        basis = np.array([np.ones(q), np.arange(1, q + 1) / q])[: min(q, 2)]
+    k = q if basis is None else len(basis)
+    pilot = MomentAccumulator(1 + k, full_covariance=basis is not None)
     main = MomentAccumulator(2 + q, full_covariance=False)
     betas, notes, offset = None, [], 0.0
 
     def fix_betas():
         nonlocal betas, notes, offset
-        if least_squares:
+        if basis is None:
+            betas, notes = optimal_betas(pilot, controls.exact_variances)
+        elif pilot_runs >= k + 3:
             betas, notes = optimal_betas(pilot)
             notes.append(
-                f"least-squares pilot coefficients: q = {q} controls fitted jointly on p = {pilot_runs} "
-                f"pilot runs; their error raises var(W) by about the factor "
-                f"(p - 2)/(p - q - 2) = {(pilot_runs - 2) / (pilot_runs - q - 2):.4g} over its floor"
+                f"least-squares pilot coefficients on the span of {'{1, i/n}' if k == 2 else '{1}'}: "
+                f"k = {k} fitted jointly on p = {pilot_runs} pilot runs for the n = {q} daily ones; their "
+                f"error raises var(W) by about the factor (p - 2)/(p - k - 2) = "
+                f"{(pilot_runs - 2) / (pilot_runs - k - 2):.4g} over its floor"
             )
         else:
-            betas, notes = optimal_betas(pilot, controls.exact_variances)
+            betas, notes = optimal_betas(pilot, model.daily_variance * np.einsum("ci,ci->c", basis, basis))
+        betas = betas if basis is None else np.einsum("ci,c->i", basis, betas)
         offset = controls.means @ betas
+
+    def with_z(rows, lo, hi):
+        # a fresh [Y | Z]; einsum, not BLAS, whose bits of a row depend on the rows in the product
+        x = rows[:, 1 : 1 + q]
+        return np.column_stack([rows[:, 0], *(np.einsum("ij,j->i", x, b) for b in basis)])
 
     def with_w(rows, lo, hi):
         y, c = rows[:, 0], rows[:, 1 : 1 + q]
         rows[:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
         return rows
 
-    phases = [(pilot_runs, pilot, None), (runs, main, with_w)]
+    phases = [(pilot_runs, pilot, None if basis is None else with_z), (runs, main, with_w)]
     _simulate(model, spec, seed, runs, batch_size, controls, phases, at_boundary=fix_betas)
     return betas, notes, main
 
@@ -822,11 +822,11 @@ def cv_estimate(
 
     Coefficients come from optimal_betas with the exact model variances of
     the controls as denominators, except that multi_log_returns in pilot
-    mode fits them jointly by least squares from the pilot's full sample
-    covariance when the pilot has p >= 2(q + 1) runs for its q = n
-    controls and n <= 32 (_least_squares_pilot); a note then gives q, p
-    and the loss factor (p - 2)/(p - q - 2). Degenerate controls are
-    dropped with a note. check_arguments holds the rules on the arguments.
+    mode fits its n daily coefficients on the span of {1, i/n} ({1} at
+    n = 1), by least squares from the pilot's full sample covariance when
+    the pilot has p >= k + 3 runs, with a note of k, p and the loss factor
+    (p - 2)/(p - k - 2) (_pilot_pass). Degenerate controls are dropped
+    with a note. check_arguments holds the rules on the arguments.
     A predicted variance ratio below -0.05, which sampling bias
     gives with few runs per control, is reported as it is, with a note
     and a UserWarning.

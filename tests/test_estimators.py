@@ -650,68 +650,182 @@ def record_fits(monkeypatch) -> list:
     return fits
 
 
-class TestLeastSquaresPilot:
-    """cv-multi's pilot fits its coefficients jointly by least squares at
-    n <= 32 when it has p >= 2(q + 1) runs for its q = n controls."""
+def span_basis(n):
+    """B, the (k, n) basis of cv-multi's pilot fit: rows 1 and i/n, or 1 alone at n = 1."""
+    days = np.arange(1, n + 1) / n
+    return np.array([np.ones(n), days]) if n > 1 else np.ones((1, 1))
+
+
+def pilot_and_main(spec, runs, seed, pilot_fraction=0.1):
+    """(y, x) of the pilot runs and of the main runs of a call, from fresh draws."""
+    n = spec.days_to_maturity
+    x = LogReturnSampler(MARKET, n, seed).rows(0, runs)
+    y = discounted_payoff(MARKET, spec, prices_from_log_returns(MARKET, x))
+    p = math.ceil(pilot_fraction * runs)
+    return (y[:p], x[:p]), (y[p:], x[p:])
+
+
+def fitted_on(y, controls, variances=None):
+    """The numpy fit on (y, controls): least squares, or each control over its variance."""
+    cov = np.atleast_2d(np.cov(np.column_stack([y, controls]), rowvar=False))
+    if variances is None:
+        return -np.linalg.solve(cov[1:, 1:], cov[1:, 0])
+    return -cov[1:, 0] / variances
+
+
+def main_ratio(main, betas):
+    """var(W)/var(Y) on the main runs, W = Y + X @ betas."""
+    y, x = main
+    return np.var(y + x @ betas, ddof=1) / np.var(y, ddof=1)
+
+
+class TestSpanPilot:
+    """cv-multi's pilot fits its n daily coefficients as beta = B.T @ (a, b):
+    by least squares on the pilot's (Y, X @ B.T) when p >= k + 3, else with
+    the exact variances of the k <= 2 controls."""
 
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
     @pytest.mark.parametrize(
-        "n, runs, pilot_fraction, least_squares",
+        "n, runs, pilot_fraction",
         [
-            (30, 610, 0.1, False),  # p = 61 = 2q + 1
-            (30, 620, 0.1, True),  # p = 62 = 2q + 2
-            (30, 100_000, 0.1, True),
-            (33, 1000, 0.5, False),  # n > 32 at any p
-            (33, 20_000, 0.1, False),
+            (30, 20, 0.1),  # p = 2
+            (30, 30, 0.1),  # p = 3
+            (30, 40, 0.1),  # p = 4 = k + 2
+            (30, 50, 0.1),  # p = 5 = k + 3
+            (30, 100_000, 0.1),
+            (252, 1000, 0.1),
+            (252, 20_000, 0.5),
+            (2, 600, 0.1),
+            (1, 30, 0.1),  # p = 3 = k + 2
+            (1, 40, 0.1),  # p = 4 = k + 3
+            (1, 5000, 0.1),
         ],
     )
-    def test_the_rule_and_its_bits(self, monkeypatch, n, runs, pilot_fraction, least_squares):
+    def test_the_rule_and_its_bits(self, monkeypatch, n, runs, pilot_fraction):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
         fits = record_fits(monkeypatch)
         report = cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), runs, seed=29, pilot_fraction=pilot_fraction)
         p = report.pilot_runs_used
+        basis = span_basis(n)
+        k = len(basis)
         ((pilot, variances),) = fits
-        assert pilot.count == p and pilot.full_covariance == least_squares
+        assert pilot.count == p and pilot.dim == 1 + k and pilot.full_covariance
         values = report.coefficients.values
+        assert values.shape == (n,)
+        # the engine's bits: B.T @ (a, b) of optimal_betas on the pilot's moments
+        span, _ = optimal_betas(pilot, variances)
+        assert values.tobytes() == np.einsum("ci,c->i", basis, span).tobytes()
+        # (a, b) recomputed from the pilot runs' draws
+        (y, x), _ = pilot_and_main(spec, runs, 29, pilot_fraction)
+        least_squares = p >= k + 3
+        if least_squares:
+            assert variances is None
+            expected = fitted_on(y, x @ basis.T)
+        else:
+            exact = MARKET.daily_variance * (basis**2).sum(axis=1)
+            assert np.allclose(variances, exact, rtol=1e-15, atol=0)
+            expected = fitted_on(y, x @ basis.T, exact)
+        assert np.allclose(span, expected, rtol=1e-9, atol=1e-12)
+        assert np.allclose(values, basis.T @ expected, rtol=1e-9, atol=1e-12)
+        fit_notes = [note for note in report.notes if note.startswith("least-squares")]
         if not least_squares:
-            assert variances.tolist() == [MARKET.daily_variance] * n
-            reference, _ = optimal_betas(pilot, variances)
-            assert values.tobytes() == reference.tobytes()
-            assert not any(note.startswith("least-squares") for note in report.notes)
+            assert fit_notes == []
             return
-        assert variances is None
-        assert values.tobytes() == optimal_betas(pilot)[0].tobytes()
-        # the least-squares solution on the pilot runs, recomputed from their draws
-        x = LogReturnSampler(MARKET, n, 29).rows(0, p)
-        y = discounted_payoff(MARKET, spec, prices_from_log_returns(MARKET, x))
-        cov = np.cov(np.column_stack([y, x]), rowvar=False)
-        assert np.allclose(values, -np.linalg.solve(cov[1:, 1:], cov[1:, 0]), rtol=1e-9, atol=1e-12)
-        factor = (p - 2) / (p - n - 2)
-        assert report.notes == (
-            f"least-squares pilot coefficients: q = {n} controls fitted jointly on p = {p} pilot runs; "
-            f"their error raises var(W) by about the factor (p - 2)/(p - q - 2) = {factor:.4g} over its floor",
-        )
+        factor = (p - 2) / (p - k - 2)
+        span_name = "{1, i/n}" if k == 2 else "{1}"
+        assert fit_notes == [
+            f"least-squares pilot coefficients on the span of {span_name}: k = {k} fitted jointly on "
+            f"p = {p} pilot runs for the n = {n} daily ones; their error raises var(W) by about the factor "
+            f"(p - 2)/(p - k - 2) = {factor:.4g} over its floor"
+        ]
 
-    @pytest.mark.parametrize("runs", [650, 1000])
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
+    @pytest.mark.parametrize("n, runs", [(30, 250), (30, 1000), (252, 250), (252, 1000)])
     @pytest.mark.parametrize("kind", sorted(CONTRACT_KINDS))
-    def test_beats_the_exact_variance_fit_on_paired_seeds(self, monkeypatch, kind, runs):
+    def test_beats_both_earlier_fits_on_paired_seeds(self, kind, n, runs):
         # var(W)/var(Y) on the main runs, which the pilot's coefficients do
-        # not see; 60 paired seeds per contract kind and run count
-        spec = ContractSpec(kind=kind, days_to_maturity=30, strike=100.0 if kind in STRIKE_KINDS else None)
+        # not see, is lower on each of 40 paired seeds than with the per-day
+        # fits of cvmc 0.2.0, recomputed from the same draws: each
+        # coefficient over its exact variance, and (where p >= n + 3)
+        # per-day least squares
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=100.0 if kind in STRIKE_KINDS else None)
+        ratios = {"span": [], "exact_variance": [], "least_squares": []}
+        for seed in range(600, 640):
+            report = cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), runs, seed=seed)
+            (y, x), main = pilot_and_main(spec, runs, seed)
+            # the recomputation reads the report's own ratio back
+            ratio = report.empirical_variance_ratio
+            assert main_ratio(main, report.coefficients.values) == pytest.approx(ratio, rel=1e-9)
+            ratios["span"].append(ratio)
+            ratios["exact_variance"].append(main_ratio(main, fitted_on(y, x, np.full(n, MARKET.daily_variance))))
+            if len(y) >= n + 3:
+                ratios["least_squares"].append(main_ratio(main, fitted_on(y, x)))
+        span = np.array(ratios["span"])
+        for earlier in ("exact_variance", "least_squares"):
+            if not ratios[earlier]:
+                continue
+            assert (span < np.array(ratios[earlier])).all(), earlier
 
-        def ratios():
-            return np.array(
-                [
-                    cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), runs, seed=seed).empirical_variance_ratio
-                    for seed in range(500, 560)
-                ]
-            )
 
-        least_squares = ratios()
-        monkeypatch.setattr(estimators, "_least_squares_pilot", lambda *args: False)
-        exact_variance = ratios()
-        assert np.median(least_squares - exact_variance) < 0.0
-        assert np.median(least_squares) < np.median(exact_variance)
+class TestSpanPilotCorners:
+    """The span fit at one day (k = 1), at pilots of 2..5 runs and at extreme
+    volatility returns finite numbers; its refusals are the old ones."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("volatility", [0.01, 3.0])
+    @pytest.mark.parametrize("runs", [20, 30, 40, 50])  # p = 2, 3, 4, 5
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    @pytest.mark.parametrize("kind", sorted(CONTRACT_KINDS))
+    def test_small_pilots_return_finite_reports(self, kind, n, runs, volatility):
+        model = MarketModel(initial_price=100.0, rate=0.05, volatility=volatility)
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=100.0 if kind in STRIKE_KINDS else None)
+        report = cv_estimate(model, spec, ControlSpec(form=FORM_MULTI), runs, seed=runs + n)
+        assert _finite_report(report)
+        k = 1 if n == 1 else 2
+        least_squares = [note for note in report.notes if note.startswith("least-squares")]
+        assert len(least_squares) == (report.pilot_runs_used >= k + 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("runs", [20, 1000])  # the exact-variance fit and least squares
+    @pytest.mark.parametrize("n", [1, 2, 30, 252])
+    def test_refusals_are_those_of_the_per_day_fit(self, n, runs):
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        control = ControlSpec(form=FORM_MULTI)
+        with pytest.raises(ArgumentError, match="degenerate control"):
+            cv_estimate(MarketModel(initial_price=100.0, rate=0.05, volatility=0.0), spec, control, runs, seed=3)
+        with pytest.raises(ValueError, match="degenerate control: every control variance"):
+            cv_estimate(MarketModel(initial_price=100.0, rate=0.05, volatility=1e-10), spec, control, runs, seed=3)
+        huge = MarketModel(initial_price=1e160, rate=0.05, volatility=0.2)
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=1e160)
+        with pytest.raises(ValueError, match="overflow"):
+            cv_estimate(huge, spec, control, runs, seed=3)
+
+    @pytest.mark.parametrize("n", [30, 252])
+    def test_the_span_controls_of_a_run_do_not_depend_on_batch_size(self, monkeypatch, n):
+        # the pilot's (Y, Z) rows, run by run, over 4500 pilot runs that cross a block edge
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        add_batch = MomentAccumulator.add_batch
+
+        def pilot_rows(batch_size):
+            rows = []
+
+            def recording_add_batch(self, xs):
+                if self.full_covariance:
+                    rows.append(np.array(xs))
+                return add_batch(self, xs)
+
+            monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
+            control = ControlSpec(form=FORM_MULTI)
+            cv_estimate(MARKET, spec, control, 9000, seed=3, pilot_fraction=0.5, batch_size=batch_size)
+            return np.concatenate(rows)
+
+        reference = pilot_rows(4096)
+        assert reference.shape == (4500, 3)
+        x = LogReturnSampler(MARKET, n, 3).rows(0, 4500)
+        assert np.allclose(reference[:, 1:], x @ span_basis(n).T, rtol=1e-12, atol=1e-15)
+        for batch_size in (1, 250, 777):
+            assert pilot_rows(batch_size).tobytes() == reference.tobytes(), batch_size
 
 
 def _finite_report(report) -> bool:
@@ -766,7 +880,11 @@ class TestValidInputsReturn:
         assert report.predicted_variance_ratio < -0.05
         assert _finite_report(report)
         main_runs = runs - math.ceil(0.1 * runs)
-        (note,) = report.notes
+        # after the pilot fit's note, where its p = ceil(0.1 * runs) >= 5 runs allow least squares
+        *fit_notes, note = report.notes
+        p = runs - main_runs
+        prefix = f"least-squares pilot coefficients on the span of {{1, i/n}}: k = 2 fitted jointly on p = {p} "
+        assert [fit_note.startswith(prefix) for fit_note in fit_notes] == ([True] if p >= 5 else [])
         predicted = report.predicted_variance_ratio
         assert note.startswith(f"predicted variance ratio {predicted:.6g} is below -0.05")
         assert f"q = {n} controls and R = {main_runs} runs" in note
@@ -1016,13 +1134,16 @@ def report_grid(runs: int, batch_size: int, n: int = 30) -> dict:
 
 
 def blas_grid() -> dict:
-    """report_grid at n = 252, and cv-multi's least-squares pilot at n = 30
-    (a 31-wide covariance product and a LAPACK solve) on one lane and on two."""
+    """report_grid at n = 252, and cv-multi's least-squares pilot (a 3-wide
+    covariance product and a 2x2 LAPACK solve) at n = 30 and 252, on one
+    lane and on two."""
     grid = report_grid(2100, 777, n=252)
-    for runs in (1000, 20000):
-        report = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), runs, seed=5)
-        assert report.notes[-1].startswith("least-squares pilot coefficients")
-        grid[f"least_squares/{runs}"] = report_bits(report)
+    for n in (30, 252):
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        for runs in (1000, 20000):
+            report = cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), runs, seed=5)
+            assert report.notes[-1].startswith("least-squares pilot coefficients on the span of {1, i/n}: k = 2")
+            grid[f"least_squares/{n}/{runs}"] = report_bits(report)
     return grid
 
 
@@ -1230,8 +1351,8 @@ class TestPipeline:
         expected = {
             "plain": "18549ac8402a4ee3adf9e74196061648da0913846f005a807bb06d36c3ca6775",
             FORM_SINGLE: "bcf27929f1d95df816646cb300729cd6e44d8cb7cb181f22bcd4f88abe7d4d34",
-            # least-squares pilot coefficients since cvmc 0.2.0
-            FORM_MULTI: "372a8cc81c97d3d3d8f766076fc95273d179ae7d5bf500f190ca04721c600019",
+            # pilot coefficients on the span of {1, i/n} since cvmc 0.3.0
+            FORM_MULTI: "6f41822333aaa049726efab2bd3f71281b369faa117a1d1b4f102ce83e9b2184",
         }
         reports = {"plain": plain_estimate(MARKET, ASIAN, 20000, seed=11)}
         for form in (FORM_SINGLE, FORM_MULTI):

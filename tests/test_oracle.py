@@ -16,7 +16,8 @@ from cvmc import (
 )
 from cvmc import ASIAN_FIXED, ContractSpec, ControlSpec, MarketModel, cv_estimate, estimators, oracle
 from cvmc.estimators import FORM_MULTI
-from cvmc.model import ArgumentError
+from cvmc.model import ArgumentError, LogReturnSampler, prices_from_log_returns
+from cvmc.payoffs import ASIAN_FLOATING, EUROPEAN_CALL, LOOKBACK_FLOATING, STRIKE_KINDS, discounted_payoff
 from cvmc.oracle import random_independent_trial, random_joint_law
 
 
@@ -213,6 +214,65 @@ class TestLeastSquaresFit:
         with pytest.raises(ValueError, match="degenerate control"):
             cv_estimate(model, spec, ControlSpec(form=FORM_MULTI), 1000, seed=3)
         assert fits == [None]  # the least-squares branch
+
+
+class TestSpanPilotFit:
+    """cv-multi's pilot fit on the span of {1, i/n} against the finite law of
+    two-point daily log-returns mu_d +- sigma_d, all 2^n paths enumerated."""
+
+    MODEL = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(ASIAN_FIXED, 1), (EUROPEAN_CALL, 1)]  # the floating-strike payoffs are 0 at n = 1
+        + [(kind, n) for kind in (ASIAN_FIXED, ASIAN_FLOATING, EUROPEAN_CALL, LOOKBACK_FLOATING) for n in (2, 5, 10)],
+    )
+    def test_matches_the_finite_law_and_keeps_to_the_per_day_floor(self, monkeypatch, kind, n):
+        model = self.MODEL
+        mu, sigma = model.daily_mean, math.sqrt(model.daily_variance)
+        paths = np.array(list(itertools.product([mu - sigma, mu + sigma], repeat=n)))
+        # every path equally often, at least 8 times in all, in the pilot and again in the main phase
+        sample = np.repeat(paths, max(1, 8 // len(paths)), axis=0)
+        monkeypatch.setattr(
+            LogReturnSampler, "rows", lambda self, lo, hi, out=None: sample[np.arange(lo, hi) % len(sample)]
+        )
+        fits = []
+        fit = estimators.optimal_betas
+
+        def recording_fit(acc, variances=None):
+            fits.append(fit(acc, variances)[0])
+            return fits[-1], []
+
+        monkeypatch.setattr(estimators, "optimal_betas", recording_fit)
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=100.0 if kind in STRIKE_KINDS else None)
+        report = cv_estimate(model, spec, ControlSpec(form=FORM_MULTI), 2 * len(sample), seed=0, pilot_fraction=0.5)
+        assert report.pilot_runs_used == len(sample) and report.notes[0].startswith("least-squares")
+
+        # the finite law of (Y, Z), Z = X @ B.T, and its least-squares (a, b)
+        basis = np.array([np.ones(n), np.arange(1, n + 1) / n])[: min(n, 2)]
+        y = discounted_payoff(model, spec, prices_from_log_returns(model, paths))
+        probabilities = np.full(len(paths), 0.5**n)
+        law = FiniteJointDistribution.from_atoms(
+            ("Y", *(f"Z{c}" for c in range(len(basis)))), np.column_stack([y, paths @ basis.T]), probabilities
+        )
+        (span,) = fits
+        exact = least_squares_betas(law)
+        assert np.max(np.abs(span - exact)) <= 1e-10
+        assert np.max(np.abs(report.coefficients.values - basis.T @ exact)) <= 1e-10
+        # var(W) on the main runs, every path equally often, against the law's:
+        # SE^2 * (R - 1) is the sample variance times (R - 1)/R
+        yv = np.column_stack([y, paths @ basis.T @ span])
+        combined = FiniteJointDistribution.from_atoms(("Y", "V"), yv, probabilities)
+        var_w = report.standard_error**2 * (report.runs_used - 1)
+        assert abs(var_w - brute_force_cv_variance(combined, 1.0)) <= 1e-10
+        # the paper's inequality as a guard: no combination of the X(i) beats
+        # the per-day optimum 1 - sum_i corr^2(Y, X(i)) of independent X(i)
+        names = ("Y", *(f"X{i}" for i in range(n)))
+        per_day = exact_moments(FiniteJointDistribution.from_atoms(names, np.column_stack([y, paths]), probabilities))
+        floor = 1.0 - sum(per_day.correlation(0, i) ** 2 for i in range(1, n + 1))
+        assert report.empirical_variance_ratio >= floor - 1e-12
+        if n <= 2:  # B spans every direction of X
+            assert report.empirical_variance_ratio == pytest.approx(floor, abs=1e-12)
 
 
 class TestInequality:
