@@ -20,7 +20,6 @@ from .estimators import (
     insample_variance,
     optimal_betas,
     plain_estimate,
-    sweep_diagnostic,
 )
 from .model import LogReturnSampler, MarketModel, prices_from_log_returns
 from .oracle import (
@@ -67,7 +66,6 @@ __all__ = [
     "cv_estimate",
     "optimal_betas",
     "insample_variance",
-    "sweep_diagnostic",
     "FiniteJointDistribution",
     "ExactMoments",
     "InequalityCheck",

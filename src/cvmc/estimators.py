@@ -20,8 +20,8 @@ below the pilot count estimate the coefficients, which are fixed at the
 boundary, and the later runs feed the main-phase moments of (Y,
 controls, W). Those track only the means, cov(Y, .) and the variances,
 O(runs * n); the full covariance matrix is built only where it is read:
-in-sample coefficients, sweep_diagnostic and, of its k <= 2 basis
-controls, the pilot of multi_log_returns (_pilot_pass).
+in-sample coefficients and, of its k <= 2 basis controls, the pilot of
+multi_log_returns (_pilot_pass).
 
 Drawing the normals is the largest stage, so a call that draws many
 (_THREADED_NORMALS or more) runs on two lanes, one-thread executors made
@@ -271,8 +271,8 @@ class EstimatorReport:
 
     empirical_variance_ratio is var(W)/var(Y) on the runs that produced
     the estimate; predicted_variance_ratio is 1 - sum_i corr^2(Y, C_i)
-    for the multi-control form and 1 - corr^2(Y, V) otherwise, from the
-    same runs. standard_error is sqrt(var(W)/runs_used).
+    over the controls C_i, from the same runs. standard_error is
+    sqrt(var(W)/runs_used).
     """
 
     estimate: float
@@ -321,8 +321,8 @@ class _Controls:
 
 def check_arguments(
     model: MarketModel,
-    spec: ContractSpec | None,
-    control: ControlSpec | None,
+    spec: ContractSpec,
+    control: ControlSpec,
     runs: int,
     seed: int,
     pilot_fraction: float = DEFAULT_PILOT_FRACTION,
@@ -330,29 +330,31 @@ def check_arguments(
 ) -> None:
     """Raise ArgumentError, which names the argument, unless an estimator call may take these.
 
-    The rules of plain_estimate (control of form none), cv_estimate and
-    sweep_diagnostic (control and spec None), which call it first, as does
-    the command line. runs and batch_size are integers, not bool or float:
-    a bool is no count, and a float would fail deep inside the simulation
-    with an error that names neither. pilot_fraction is in (0, 1) always.
+    The rules of plain_estimate (control of form none) and cv_estimate,
+    which call it first, as does the command line. runs and batch_size are
+    integers, not bool or float: a bool is no count, and a float would fail
+    deep inside the simulation with an error that names neither.
+    pilot_fraction is a real number in (0, 1) always, not a bool.
     """
     for name, value in (("runs", runs), ("batch_size", batch_size)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ArgumentError(name, f"{name} must be an integer, got {value!r}")
     if batch_size < 1:
         raise ArgumentError("batch_size", f"batch_size must be >= 1, got {batch_size}")
-    estimate = control is not None and control.form != FORM_NONE  # a control-variate estimate
+    estimate = control.form != FORM_NONE  # a control-variate estimate
     if estimate and runs < 4:
         raise ArgumentError("runs", f"runs must be >= 4 for a control-variate estimate, got {runs}")
     if runs < 2:
         raise ArgumentError("runs", f"runs must be >= 2 (variance undefined below that), got {runs}")
-    if (estimate or control is None) and model.daily_variance == 0.0:
+    if estimate and model.daily_variance == 0.0:
         raise ArgumentError("volatility", "degenerate control: zero volatility makes every log-return constant")
     if estimate and control.form == FORM_CUSTOM and control.weights.size != spec.days_to_maturity:
         raise ArgumentError(
             "weights",
             f"custom weights have length {control.weights.size}, contract has n={spec.days_to_maturity}",
         )
+    if isinstance(pilot_fraction, bool) or not isinstance(pilot_fraction, (float, int, np.floating, np.integer)):
+        raise ArgumentError("pilot_fraction", f"pilot_fraction must be a real number, got {pilot_fraction!r}")
     if not 0.0 < pilot_fraction < 1.0:
         raise ArgumentError("pilot_fraction", f"pilot_fraction must be in (0, 1), got {pilot_fraction}")
     if estimate and control.coefficient_source == SOURCE_PILOT:
@@ -364,15 +366,6 @@ def check_arguments(
                 "(both must be >= 2)",
             )
     check_seed(seed)
-
-
-def _require_finite(values: np.ndarray, what: str, spec: ContractSpec, lo: int, hi: int) -> None:
-    if not np.isfinite(values).all():
-        strike = "" if spec.strike is None else f", strike {spec.strike}"
-        raise ValueError(
-            f"non-finite {what} in runs {lo}..{hi - 1} of {spec.kind} "
-            f"({spec.days_to_maturity} days{strike}): the simulated prices overflow floating point"
-        )
 
 
 try:
@@ -409,7 +402,12 @@ def _fill_rows(
     """
     prices = prices_from_log_returns(model, x, out=rows.reshape(-1)[: x.size].reshape(x.shape))
     y = discounted_payoff(model, spec, prices)
-    _require_finite(y, "payoff", spec, lo, hi)
+    if not np.isfinite(y).all():
+        strike = "" if spec.strike is None else f", strike {spec.strike}"
+        raise ValueError(
+            f"non-finite payoff in runs {lo}..{hi - 1} of {spec.kind} "
+            f"({spec.days_to_maturity} days{strike}): the simulated prices overflow floating point"
+        )
     rows[:, 0] = y
     if controls is not None:
         rows[:, 1 : 1 + controls.dim] = controls.values(x)
@@ -438,14 +436,13 @@ def _simulate(
 
     phases lists (end, acc, fold) in run order, the last end being runs:
     a phase takes the runs from the previous phase's end up to its own.
-    fold(rows, lo, hi), unless None, returns the rows that go into acc:
-    rows is a view of the moment rows, max(1 + q, acc.dim) wide, with the
-    payoffs in column 0, the q control values in columns 1..q and the
-    columns of a wider acc, which the fold fills in place, after them. A
-    narrower acc's fold (cv-multi's pilot) returns a fresh array. lo..hi-1
-    are the runs of their batch, for messages. at_boundary is called on
-    this thread at each phase boundary, once every earlier run is in the
-    moments and before any later run is folded.
+    fold(rows), unless None, returns the rows that go into acc: rows is a
+    view of the moment rows, max(1 + q, acc.dim) wide, with the payoffs in
+    column 0, the q control values in columns 1..q and the columns of a
+    wider acc, which the fold fills in place, after them. A narrower acc's
+    fold (cv-multi's pilot) returns a fresh array. at_boundary is called
+    on this thread at each phase boundary, once every earlier run is in
+    the moments and before any later run is folded.
 
     The runs are drawn in pieces: they are cut at multiples of batch_size
     and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
@@ -460,24 +457,24 @@ def _simulate(
     A call that draws at least _THREADED_NORMALS normals over more than
     one block runs on two lanes, unless it tracks a full covariance of
     more than n variables and n > 32 (wide: in-sample multi_log_returns
-    and sweep_diagnostic). Lane b, a one-thread executor,
-    computes the units of the blocks b, b + 2, ..., so its sampler walks
-    them in order without re-keying. At the start of a phase (in a pilot
-    pass, once the coefficients are fixed) each lane is given its units of
-    the phase in run order, then a task that draws the first piece of its
-    next unit in a later phase ahead. This thread only merges the units in
-    run order, so the first failure in run order is the one raised, as on
-    one lane, and a lane starts no unit after the earliest failed one:
-    none would be merged (a failed draw ahead is dropped: the unit meets
-    the failure again). The executors are made per call and shut down
-    before this returns or raises. Lane 0 keeps to the CPU this thread
-    runs on at the start of the call and lane 1 to the others, if this
-    thread may run on more than one: unpinned, a 2-vCPU VM's scheduler
-    kept both on one vCPU for whole runs of calls. Each lane computes in a
-    copy of this thread's context, so numpy's error state (np.errstate) is
-    the caller's. Any other call runs on this thread, which adds a unit of
-    one piece straight to its phase's accumulator: add_batch is a fresh
-    accumulator's add_batch followed by merge.
+    only). Lane b, a one-thread executor, computes the units of the blocks
+    b, b + 2, ..., so its sampler walks them in order without re-keying.
+    At the start of a phase (in a pilot pass, once the coefficients are
+    fixed) each lane is given its units of the phase in run order, then a
+    task that draws the first piece of its next unit in a later phase
+    ahead. This thread only merges the units in run order, so the first
+    failure in run order is the one raised, as on one lane, and a lane
+    starts no unit after the earliest failed one: none would be merged (a
+    failed draw ahead is dropped: the unit meets the failure again). The
+    executors are made per call and shut down before this returns or
+    raises. Lane 0 keeps to the CPU this thread runs on at the start of
+    the call and lane 1 to the others, if this thread may run on more than
+    one: unpinned, a 2-vCPU VM's scheduler kept both on one vCPU for whole
+    runs of calls. Each lane computes in a copy of this thread's context,
+    so numpy's error state (np.errstate) is the caller's. Any other call
+    runs on this thread, which adds a unit of one piece straight to its
+    phase's accumulator: add_batch is a fresh accumulator's add_batch
+    followed by merge.
 
     Each lane has its own buffers of one piece of log-returns and of
     moment rows, reused from piece to piece. The row buffer is max(width,
@@ -559,7 +556,7 @@ def _simulate(
             b = min(piece[1], hi)
             rows = fill(piece)[lo - piece[0] : b - piece[0], : widths[phase]]
             if phases[phase][2] is not None:
-                rows = phases[phase][2](rows, *piece[2:])
+                rows = phases[phase][2](rows)
             try:
                 acc.add_batch(rows)
             except ValueError:
@@ -699,12 +696,12 @@ def _pilot_pass(
         betas = betas if basis is None else np.einsum("ci,c->i", basis, betas)
         offset = controls.means @ betas
 
-    def with_z(rows, lo, hi):
+    def with_z(rows):
         # a fresh [Y | Z]; einsum, not BLAS, whose bits of a row depend on the rows in the product
         x = rows[:, 1 : 1 + q]
         return np.column_stack([rows[:, 0], *(np.einsum("ij,j->i", x, b) for b in basis)])
 
-    def with_w(rows, lo, hi):
+    def with_w(rows):
         y, c = rows[:, 0], rows[:, 1 : 1 + q]
         rows[:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
         return rows
@@ -789,18 +786,14 @@ def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> 
 
 
 def _predicted(var_y: float, correlations: np.ndarray, control_vars: np.ndarray, form: str) -> float:
-    """Variance ratio predicted from sample correlations.
-
-    1 - sum_i corr^2(Y, C_i) for multi_log_returns; 1 - corr^2(Y, V) for
-    the one-control forms; 1 for no control.
-    """
-    if form == FORM_NONE or var_y == 0.0:
+    """Variance ratio predicted from sample correlations, 1 - sum_i corr^2(Y, C_i)."""
+    if var_y == 0.0:
         return 1.0
     if not (control_vars > 0.0).any():
         raise ValueError("degenerate control: every control has zero sample variance")
     if form == FORM_MULTI:
         return float(1.0 - correlations @ correlations)
-    return float(1.0 - correlations[0] ** 2)
+    return float(1.0 - correlations[0] ** 2)  # libm's pow: its last bit may differ from corr @ corr's
 
 
 def cv_estimate(
@@ -890,52 +883,3 @@ def cv_estimate(
         per_control_correlations=correlations,
         notes=tuple(notes),
     )
-
-
-def sweep_diagnostic(
-    model: MarketModel,
-    specs,
-    runs: int,
-    seed: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> list[dict]:
-    """Empirical comparison of price-level versus log-return controls.
-
-    For each contract, reports the best linear fit corr^2(Y, sum_i b_i S_d(i))
-    next to sum_i corr^2(Y, X(i)). No ordering between the two is asserted;
-    whether one bounds the other is an open question.
-    """
-    check_arguments(model, None, None, runs, seed, batch_size=batch_size)
-    rows = []
-    for spec in specs:
-        n = spec.days_to_maturity
-        controls = _Controls(model, spec, ControlSpec(form=FORM_MULTI))
-        acc = MomentAccumulator(1 + 2 * n)
-
-        def with_prices(batch, lo, hi):
-            # columns 1..n hold the multi-form controls, the log-returns
-            prices = prices_from_log_returns(model, batch[:, 1 : 1 + n], out=batch[:, 1 + n :])
-            _require_finite(prices, "price", spec, lo, hi)
-            return batch
-
-        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, with_prices)])
-        cov = acc.covariance()
-        var_y = cov[0, 0]
-        if var_y == 0.0:
-            raise ValueError(f"payoff variance is zero for {spec.kind}; diagnostic undefined")
-        x_vars = np.diag(cov)[1 : 1 + n]
-        sum_corr_sq = float(np.sum(cov[0, 1 : 1 + n] ** 2 / (var_y * x_vars)))
-        # R^2 of the least-squares fit of Y on the prices
-        cross = cov[1 + n :, 0]
-        weights, *_ = np.linalg.lstsq(cov[1 + n :, 1 + n :], cross, rcond=None)
-        price_corr_sq = float((cross @ weights) / var_y)
-        rows.append(
-            {
-                "kind": spec.kind,
-                "days_to_maturity": n,
-                "runs": runs,
-                "corr2_price_combination": price_corr_sq,
-                "sum_corr2_log_returns": sum_corr_sq,
-            }
-        )
-    return rows

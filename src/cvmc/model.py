@@ -67,11 +67,9 @@ class MarketModel:
                 f"volatility must be <= {_MAX_VOLATILITY:.6g} (its square overflows floating point), "
                 f"got {self.volatility}"
             )
-        if not isinstance(self.trading_days_per_year, int) or self.trading_days_per_year < 1:
-            raise ValueError(
-                f"trading_days_per_year must be a positive integer, "
-                f"got {self.trading_days_per_year!r}"
-            )
+        object.__setattr__(
+            self, "trading_days_per_year", positive_integer("trading_days_per_year", self.trading_days_per_year)
+        )
 
     @property
     def drift(self) -> float:
@@ -102,6 +100,13 @@ class ArgumentError(ValueError):
 
     def __reduce__(self):  # pickled as its arguments, so that it can cross processes
         return ArgumentError, (self.argument, str(self))
+
+
+def positive_integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is a Python or numpy integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def check_seed(seed: int) -> None:

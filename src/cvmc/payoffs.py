@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarketModel
+from .model import MarketModel, positive_integer
 
 ASIAN_FLOATING = "asian_floating_strike"
 ASIAN_FIXED = "asian_fixed_strike"
@@ -38,10 +38,7 @@ class ContractSpec:
             raise ValueError(
                 f"unknown contract kind {self.kind!r}; expected one of {sorted(CONTRACT_KINDS)}"
             )
-        if not isinstance(self.days_to_maturity, int) or self.days_to_maturity < 1:
-            raise ValueError(
-                f"days_to_maturity must be a positive integer, got {self.days_to_maturity!r}"
-            )
+        object.__setattr__(self, "days_to_maturity", positive_integer("days_to_maturity", self.days_to_maturity))
         if self.kind in STRIKE_KINDS:
             if self.strike is None:
                 raise ValueError(f"{self.kind} requires a strike")

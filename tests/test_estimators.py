@@ -30,7 +30,6 @@ from cvmc import (
     optimal_betas,
     plain_estimate,
     prices_from_log_returns,
-    sweep_diagnostic,
 )
 from cvmc import estimators
 from cvmc.estimators import (
@@ -398,10 +397,6 @@ class TestPredictedRatio:
             expected, rel=1e-12
         )
 
-    def test_no_control_is_one(self):
-        acc = _asian_sample_accumulator(FORM_SINGLE, runs=50)
-        assert predicted_ratio(acc, FORM_NONE) == 1.0
-
 
 class TestPlainEstimate:
     def test_degenerate_model_is_exact(self):
@@ -462,6 +457,12 @@ class TestCvEstimate:
         assert through_cv.estimate == plain.estimate
         assert through_cv.standard_error == plain.standard_error
         assert through_cv.coefficients is None
+
+    def test_one_control_ratio_squares_its_correlation_with_pow(self):
+        # at this seed, corr ** 2 (libm's pow) and corr @ corr differ in the last bit
+        report = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_SINGLE), 100, seed=2336)
+        (corr,) = report.per_control_correlations
+        assert report.predicted_variance_ratio == 1.0 - corr**2
 
     def test_report_matches_direct_recomputation(self):
         runs, n = 400, 30
@@ -964,49 +965,6 @@ class TestInSampleOptimality:
         assert ratio_componentwise <= optimum + 0.01
 
 
-class TestSweepDiagnostic:
-    def test_rows_and_ranges(self):
-        from cvmc import LOOKBACK_FLOATING
-
-        specs = [
-            ContractSpec(kind=ASIAN_FIXED, days_to_maturity=5, strike=100.0),
-            ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=5),
-        ]
-        rows = sweep_diagnostic(MARKET, specs, runs=4000, seed=83)
-        assert [row["kind"] for row in rows] == [ASIAN_FIXED, LOOKBACK_FLOATING]
-        for row in rows:
-            assert -0.02 <= row["corr2_price_combination"] <= 1.02
-            assert -0.02 <= row["sum_corr2_log_returns"] <= 1.02
-
-    def test_deterministic_given_seed(self):
-        specs = [ContractSpec(kind=ASIAN_FIXED, days_to_maturity=4, strike=100.0)]
-        first = sweep_diagnostic(MARKET, specs, runs=2000, seed=89)
-        second = sweep_diagnostic(MARKET, specs, runs=2000, seed=89)
-        assert first == second
-
-    def test_single_day_contract_bounded(self):
-        specs = [ContractSpec(kind=ASIAN_FIXED, days_to_maturity=1, strike=100.0)]
-        (row,) = sweep_diagnostic(MARKET, specs, runs=4000, seed=97)
-        assert row["corr2_price_combination"] <= 1.0 + 1e-9
-        assert row["sum_corr2_log_returns"] <= 1.0 + 1e-9
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_price_raises(self):
-        # the terminal and the minimum underflow to 0, so every lookback
-        # payoff is finite, but early prices are inf and enter the moments
-        from cvmc import LOOKBACK_FLOATING
-
-        model = MarketModel(initial_price=1e307, rate=0.05, volatility=50.0)
-        specs = [ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=252)]
-        with pytest.raises(ValueError, match="non-finite price in runs 0..999 of lookback_floating"):
-            sweep_diagnostic(model, specs, runs=4000, seed=5, batch_size=1000)
-
-    def test_requires_volatility(self):
-        model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
-        with pytest.raises(ValueError):
-            sweep_diagnostic(model, [ASIAN], runs=100, seed=0)
-
-
 @pytest.mark.parametrize(
     "argument, value, message",
     [
@@ -1030,9 +988,8 @@ class TestSweepDiagnostic:
             ControlSpec(form=FORM_SINGLE, coefficient_source="in_sample"),
             **{"runs": 100, "seed": 0, **kw},
         ),
-        lambda **kw: sweep_diagnostic(MARKET, [ASIAN], **{"runs": 100, "seed": 0, **kw}),
     ],
-    ids=["plain", "cv_pilot", "cv_in_sample", "sweep"],
+    ids=["plain", "cv_pilot", "cv_in_sample"],
 )
 def test_batch_size_below_one_rejected(estimate, argument, value, message):
     with pytest.raises(ValueError, match=message):
@@ -1069,9 +1026,7 @@ ZERO_VOLATILITY = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
         pytest.param(
             dict(control=ControlSpec(FORM_MULTI), runs=3), "runs", "^runs must be >= 4 for a control-variate", id="cv-runs"
         ),
-        pytest.param(dict(control=None, runs=1), "runs", "^runs must be >= 2", id="sweep-runs"),
         pytest.param(dict(model=ZERO_VOLATILITY, control=ControlSpec(FORM_SINGLE)), "volatility", "zero volatility", id="cv-zero-vol"),
-        pytest.param(dict(model=ZERO_VOLATILITY, control=None), "volatility", "zero volatility", id="sweep-zero-vol"),
         pytest.param(
             dict(control=ControlSpec(FORM_CUSTOM, weights=np.ones(7))), "weights", "length 7, contract has n=30", id="weights-length"
         ),
@@ -1082,6 +1037,15 @@ ZERO_VOLATILITY = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
             "pilot_fraction",
             r"^pilot_fraction must be in \(0, 1\)",
             id="in-sample-fraction",
+        ),
+        pytest.param(dict(pilot_fraction="0.1"), "pilot_fraction", "^pilot_fraction must be a real number, got '0.1'$", id="fraction-str"),
+        pytest.param(dict(pilot_fraction=None), "pilot_fraction", "^pilot_fraction must be a real number, got None$", id="fraction-none"),
+        pytest.param(dict(pilot_fraction=True), "pilot_fraction", "^pilot_fraction must be a real number, got True$", id="fraction-bool"),
+        pytest.param(
+            dict(control=ControlSpec(FORM_MULTI), pilot_fraction=np.True_),
+            "pilot_fraction",
+            "^pilot_fraction must be a real number",
+            id="fraction-numpy-bool",
         ),
         pytest.param(dict(seed=-1), "seed", "^seed must be a 64-bit unsigned integer", id="seed"),
         pytest.param(dict(batch_size=0), "batch_size", "^batch_size must be >= 1", id="batch_size"),
@@ -1099,7 +1063,7 @@ def test_check_arguments_names_the_argument(call, argument, message):
 
 
 def test_check_arguments_passes_what_the_estimators_run():
-    for control in (ControlSpec(FORM_NONE), ControlSpec(FORM_MULTI), ControlSpec(FORM_MULTI, SOURCE_IN_SAMPLE), None):
+    for control in (ControlSpec(FORM_NONE), ControlSpec(FORM_MULTI), ControlSpec(FORM_MULTI, SOURCE_IN_SAMPLE)):
         check_arguments(MARKET, ASIAN, control, 20, seed=0)
     # in-sample coefficients need no pilot split, and plain Monte Carlo no controls
     check_arguments(MARKET, ASIAN, ControlSpec(FORM_SINGLE, SOURCE_IN_SAMPLE), 4, seed=0)
@@ -1153,14 +1117,11 @@ def _send_plain_bits(connection):
 
 
 def lane_grid(runs: int, batch_size: int, n: int) -> dict:
-    """report_grid, a pilot boundary in block 1, and sweep_diagnostic, as float.hex."""
+    """report_grid and a pilot boundary in block 1, as float.hex."""
     spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
     grid = report_grid(runs, batch_size, n)
     late = cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), runs, seed=43, pilot_fraction=0.95, batch_size=batch_size)
     grid["multi_log_returns/late_pilot"] = report_bits(late)
-    specs = [spec, ContractSpec(kind=ASIAN_FLOATING, days_to_maturity=n)]
-    sweep = sweep_diagnostic(MARKET, specs, runs, seed=43, batch_size=batch_size)
-    grid["sweep"] = [float(v).hex() if isinstance(v, float) else v for row in sweep for v in row.values()]
     return grid
 
 
@@ -1361,6 +1322,30 @@ class TestPipeline:
         assert digests == expected
         assert report_bits(reports["plain"])[0] == "0x1.c56b32241d378p+0"
 
+    def test_numbers_of_custom_and_in_sample_coefficients_are_pinned(self):
+        # sha256 of report_bits as cvmc 0.3.0 computes them: n = 30 and
+        # R = 20 000 on two lanes, and in-sample multi at n = 252 (a
+        # covariance wider than n, on one lane) with R = 5000
+        expected = {
+            f"{FORM_CUSTOM}/{SOURCE_PILOT}": "62a6b06d19139cd48fa2e641a008212b594685643c645f11a04e825d5b870d25",
+            f"{FORM_SINGLE}/{SOURCE_IN_SAMPLE}": "82abdc9680546ad9dcc18bcff1006ad2b7ab9f6ff07259c021be1477f94c419b",
+            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}": "99c7908dd43e4563bba2877f852486730529a70c583ba5a65e5437f7c3d9735b",
+            f"{FORM_CUSTOM}/{SOURCE_IN_SAMPLE}": "7d9b7a55cbf1c15795e532ee7e44307b47a72a2bb133cab95fbd3ce2043b412d",
+            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}/252": "bacd642fa6be9b0e3b601fb34490def9b4a1b45b7ad7ab3257b206bf73fdca2c",
+        }
+        reports = {}
+        for key in expected:
+            form, source, *n = key.split("/")
+            weights = np.linspace(0.5, 1.5, 30) if form == FORM_CUSTOM else None
+            control = ControlSpec(form=form, coefficient_source=source, weights=weights)
+            if n:
+                spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
+                reports[key] = cv_estimate(MARKET, spec, control, 5000, seed=11)
+            else:
+                reports[key] = cv_estimate(MARKET, ASIAN, control, 20000, seed=11)
+        digests = {k: hashlib.sha256(json.dumps(report_bits(r)).encode()).hexdigest() for k, r in reports.items()}
+        assert digests == expected
+
     def test_reports_do_not_depend_on_blas_threads(self):
         code = (
             "import json, sys\n"
@@ -1389,7 +1374,7 @@ class TestPipeline:
         def per_run(batch_size):
             values = []
 
-            def record(rows, lo, hi):
+            def record(rows):
                 values.append(rows[:, 1].copy())
                 return rows
 

@@ -35,11 +35,21 @@ class TestMarketModel:
             # volatility^2 overflows: the first float above sqrt(max float), and far above it
             dict(initial_price=100.0, rate=0.05, volatility=math.nextafter(SQRT_MAX_FLOAT, math.inf)),
             dict(initial_price=100.0, rate=0.05, volatility=1e200),
+            # a count is a Python or numpy integer, not a bool or a float
+            dict(initial_price=100.0, rate=0.05, volatility=0.2, trading_days_per_year=True),
+            dict(initial_price=100.0, rate=0.05, volatility=0.2, trading_days_per_year=np.True_),
+            dict(initial_price=100.0, rate=0.05, volatility=0.2, trading_days_per_year=252.0),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             MarketModel(**kwargs)
+
+    @pytest.mark.parametrize("days", [np.int64(250), np.int32(250), np.uint16(250)], ids=["int64", "int32", "uint16"])
+    def test_numpy_integer_day_count_is_stored_as_int(self, days):
+        model = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2, trading_days_per_year=days)
+        assert type(model.trading_days_per_year) is int and model.trading_days_per_year == 250
+        assert model == MarketModel(initial_price=100.0, rate=0.05, volatility=0.2, trading_days_per_year=250)
 
     def test_seed_bounds(self, market):
         check_seed(0)

@@ -38,12 +38,29 @@ class TestContractSpec:
         with pytest.raises(ValueError):
             ContractSpec(kind=ASIAN_FLOATING, days_to_maturity=5, strike=100.0)
 
-    @pytest.mark.parametrize("bad", [dict(kind="asian"), dict(days_to_maturity=0), dict(strike=-5.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(kind="asian"),
+            dict(days_to_maturity=0),
+            dict(strike=-5.0),
+            # a count is a Python or numpy integer, not a bool or a float
+            dict(days_to_maturity=True),
+            dict(days_to_maturity=np.True_),
+            dict(days_to_maturity=30.0),
+        ],
+    )
     def test_rejects_bad_fields(self, bad):
         kwargs = dict(kind=ASIAN_FIXED, days_to_maturity=5, strike=100.0)
         kwargs.update(bad)
         with pytest.raises(ValueError):
             ContractSpec(**kwargs)
+
+    @pytest.mark.parametrize("days", [np.int64(30), np.int32(30), np.uint8(30)], ids=["int64", "int32", "uint8"])
+    def test_numpy_integer_days_are_stored_as_int(self, days):
+        spec = ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=days)
+        assert type(spec.days_to_maturity) is int and spec.days_to_maturity == 30
+        assert spec == ContractSpec(kind=LOOKBACK_FLOATING, days_to_maturity=30)
 
 
 class TestAsianFloating:
