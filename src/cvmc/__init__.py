@@ -9,7 +9,7 @@ underlying correlation inequality and the optimal-coefficient identities
 by enumeration.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .estimators import (
     ControlCoefficients,

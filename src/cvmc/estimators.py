@@ -217,11 +217,14 @@ class MomentAccumulator:
 class ControlSpec:
     """Which control variables to use and where their coefficients come from.
 
-    Forms:
+    Every form but none is rows B of day weights, one row of n per
+    fitted column Z = X @ B.T of the daily log-returns X:
         none               no control; identical to the plain estimator.
-        single_terminal_log V = sum_i X(i) = ln(S_d(n)/S(0)), one coefficient.
-        multi_log_returns  one control per daily log-return X(i).
-        custom_linear      V = sum_i weights[i] * X(i) with caller weights.
+        custom_linear      V = sum_i weights[i] * X(i): B is the caller's weights.
+        single_terminal_log V = sum_i X(i) = ln(S_d(n)/S(0)): custom_linear
+                           with unit weights, bit for bit.
+        multi_log_returns  one control per daily log-return X(i); its pilot
+                           fits them on the span of the rows 1 and i/n.
     """
 
     form: str
@@ -287,36 +290,30 @@ class EstimatorReport:
 
 
 class _Controls:
-    """Control values, exact means, and exact variances for one form."""
+    """One form as data (ControlSpec): rows, n day weights per fitted column X @ rows.T.
+
+    The controls are the n days themselves where daily (multi_log_returns,
+    whose pilot fits the span of its rows), else the fitted columns. means
+    are the controls' exact means, exact_variances the fitted columns'.
+    """
 
     def __init__(self, model: MarketModel, spec: ContractSpec, control: ControlSpec):
         n = spec.days_to_maturity
-        mean = model.daily_mean
-        var = model.daily_variance
-        if control.form == FORM_SINGLE:
-            self.dim = 1
-            self.means = np.array([n * mean])
-            self.exact_variances = np.array([n * var])
-        elif control.form == FORM_MULTI:
-            self.dim = n
-            self.means = np.full(n, mean)
-            self.exact_variances = np.full(n, var)
-        else:  # custom_linear: ControlSpec admits no other form, and form none never gets here
-            w = control.weights
-            self.dim = 1
-            self.means = np.array([mean * w.sum()])
-            self.exact_variances = np.array([var * float(w @ w)])
-        self.form = control.form
-        self._weights = control.weights
+        self.daily = control.form == FORM_MULTI
+        if self.daily:
+            # Not a centred ramp, whose column would have mean 0 and never read as degenerate.
+            self.rows = np.array([np.ones(n), np.arange(1, n + 1) / n])[: min(n, 2)]
+        else:  # ControlSpec admits no other form, and form none never gets here
+            self.rows = (control.weights if control.form == FORM_CUSTOM else np.ones(n))[None, :]
+        self.dim = n if self.daily else len(self.rows)
+        self.means = model.daily_mean * (np.ones(n) if self.daily else self.rows.sum(axis=1))
+        self.exact_variances = model.daily_variance * np.einsum("ci,ci->c", self.rows, self.rows)
 
     def values(self, log_returns: np.ndarray) -> np.ndarray:
-        if self.form == FORM_SINGLE:
-            return log_returns.sum(axis=1, keepdims=True)
-        if self.form == FORM_MULTI:
+        if self.daily:
             return log_returns
-        # not BLAS: a matrix-vector product's bits depend on the number of
-        # rows in it, einsum's do not
-        return np.einsum("ij,j->i", log_returns, self._weights)[:, None]
+        # not BLAS: a matrix product's bits of a row depend on the rows in it, einsum's do not
+        return np.einsum("ij,cj->ic", log_returns, self.rows)
 
 
 def check_arguments(
@@ -660,30 +657,23 @@ def _pilot_pass(
     the lean moments of (Y, controls, W), W = Y + C @ beta - E[C] @ beta,
     so the estimate and var(W) are read straight from the main moments.
 
-    The one-control forms divide by the exact control variance, from lean
-    moments. multi_log_returns fits its n daily coefficients as
-    beta = B.T @ (a, b) on the k <= 2 rows of B, from the full moments of
-    (Y, Z), Z = X @ B.T: by least squares with p >= k + 3 pilot runs, with
-    a note of its loss factor (p - 2)/(p - k - 2) on the floor (Lavenberg
-    & Welch 1981; Nelson 1990), else each Z_c on its own with its exact
-    variance sigma_d^2 * sum_i B_ci^2.
+    Every form fits the k columns Z = X @ B.T of its rows B (_Controls):
+    the one-control forms' Z is their control, from lean moments; the
+    daily controls of multi_log_returns take beta = B.T @ (a, b) on the
+    k <= 2 rows of its span, from the full moments of (Y, Z). The fit is
+    by least squares where the controls are daily and the pilot has
+    p >= k + 3 runs, with a note of its loss factor (p - 2)/(p - k - 2) on
+    the floor (Lavenberg & Welch 1981; Nelson 1990), else each Z_c on its
+    own with its exact variance sigma_d^2 * sum_i B_ci^2.
     """
-    q = controls.dim
-    basis = None
-    if controls.form == FORM_MULTI:
-        # 1 and i/n, i = 1..n, or 1 alone at n = 1, where they coincide. Not a
-        # centred ramp, whose Z would have mean 0 and never read as degenerate.
-        basis = np.array([np.ones(q), np.arange(1, q + 1) / q])[: min(q, 2)]
-    k = q if basis is None else len(basis)
-    pilot = MomentAccumulator(1 + k, full_covariance=basis is not None)
+    q, basis, k = controls.dim, controls.rows, len(controls.rows)
+    pilot = MomentAccumulator(1 + k, full_covariance=controls.daily)
     main = MomentAccumulator(2 + q, full_covariance=False)
     betas, notes, offset = None, [], 0.0
 
     def fix_betas():
         nonlocal betas, notes, offset
-        if basis is None:
-            betas, notes = optimal_betas(pilot, controls.exact_variances)
-        elif pilot_runs >= k + 3:
+        if controls.daily and pilot_runs >= k + 3:
             betas, notes = optimal_betas(pilot)
             notes.append(
                 f"least-squares pilot coefficients on the span of {'{1, i/n}' if k == 2 else '{1}'}: "
@@ -692,21 +682,24 @@ def _pilot_pass(
                 f"{(pilot_runs - 2) / (pilot_runs - k - 2):.4g} over its floor"
             )
         else:
-            betas, notes = optimal_betas(pilot, model.daily_variance * np.einsum("ci,ci->c", basis, basis))
-        betas = betas if basis is None else np.einsum("ci,c->i", basis, betas)
+            betas, notes = optimal_betas(pilot, controls.exact_variances)
+        if controls.daily:
+            betas = np.einsum("ci,c->i", basis, betas)
         offset = controls.means @ betas
 
     def with_z(rows):
         # a fresh [Y | Z]; einsum, not BLAS, whose bits of a row depend on the rows in the product
-        x = rows[:, 1 : 1 + q]
-        return np.column_stack([rows[:, 0], *(np.einsum("ij,j->i", x, b) for b in basis)])
+        yz = np.empty((len(rows), 1 + k))
+        yz[:, 0] = rows[:, 0]
+        np.einsum("ij,cj->ic", rows[:, 1 : 1 + q], basis, out=yz[:, 1:])
+        return yz
 
     def with_w(rows):
         y, c = rows[:, 0], rows[:, 1 : 1 + q]
         rows[:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
         return rows
 
-    phases = [(pilot_runs, pilot, None if basis is None else with_z), (runs, main, with_w)]
+    phases = [(pilot_runs, pilot, with_z if controls.daily else None), (runs, main, with_w)]
     _simulate(model, spec, seed, runs, batch_size, controls, phases, at_boundary=fix_betas)
     return betas, notes, main
 
@@ -785,15 +778,13 @@ def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> 
     return np.clip(correlations, -1.0, 1.0, out=correlations)
 
 
-def _predicted(var_y: float, correlations: np.ndarray, control_vars: np.ndarray, form: str) -> float:
+def _predicted(var_y: float, correlations: np.ndarray, control_vars: np.ndarray) -> float:
     """Variance ratio predicted from sample correlations, 1 - sum_i corr^2(Y, C_i)."""
     if var_y == 0.0:
         return 1.0
     if not (control_vars > 0.0).any():
         raise ValueError("degenerate control: every control has zero sample variance")
-    if form == FORM_MULTI:
-        return float(1.0 - correlations @ correlations)
-    return float(1.0 - correlations[0] ** 2)  # libm's pow: its last bit may differ from corr @ corr's
+    return float(1.0 - correlations @ correlations)
 
 
 def cv_estimate(
@@ -813,13 +804,16 @@ def cv_estimate(
     the runs. With "in_sample" all runs serve both purposes (the textbook
     construction, small-sample biased).
 
-    Coefficients come from optimal_betas with the exact model variances of
-    the controls as denominators, except that multi_log_returns in pilot
-    mode fits its n daily coefficients on the span of {1, i/n} ({1} at
-    n = 1), by least squares from the pilot's full sample covariance when
-    the pilot has p >= k + 3 runs, with a note of k, p and the loss factor
-    (p - 2)/(p - k - 2) (_pilot_pass). Degenerate controls are dropped
-    with a note. check_arguments holds the rules on the arguments.
+    A form is rows B of day weights (ControlSpec), single_terminal_log
+    being custom_linear with unit weights. Coefficients come from
+    optimal_betas with the exact model variances of the controls as
+    denominators, sigma_d^2 * sum_i B_ci^2 (sigma_d^2 for a day), except
+    that multi_log_returns in pilot mode fits its n daily coefficients on
+    the span of its rows {1, i/n} ({1} at n = 1), by least squares from
+    the pilot's full sample covariance when the pilot has p >= k + 3 runs,
+    with a note of k, p and the loss factor (p - 2)/(p - k - 2)
+    (_pilot_pass). Degenerate controls are dropped with a note.
+    check_arguments holds the rules on the arguments.
     A predicted variance ratio below -0.05, which sampling bias
     gives with few runs per control, is reported as it is, with a note
     and a UserWarning.
@@ -843,7 +837,9 @@ def cv_estimate(
         pilot_runs = 0
         main_runs = runs
         acc = _accumulate(model, spec, seed, runs, controls, batch_size)
-        betas, beta_notes = optimal_betas(acc, controls.exact_variances)
+        # each daily control is fitted on its own: its row of day weights is its day's unit vector
+        exact = np.full(controls.dim, model.daily_variance) if controls.daily else controls.exact_variances
+        betas, beta_notes = optimal_betas(acc, exact)
         notes.extend(beta_notes)
         notes.append(
             "in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias"
@@ -858,7 +854,7 @@ def cv_estimate(
 
     ratio = var_w / var_y if var_y > 0.0 else 1.0
     correlations = _correlations(var_y, cross, control_vars)
-    predicted = _predicted(var_y, correlations, control_vars, control.form)
+    predicted = _predicted(var_y, correlations, control_vars)
     if predicted < -0.05:
         notes.append(
             f"predicted variance ratio {predicted:.6g} is below -0.05: each sample "

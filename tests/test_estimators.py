@@ -62,11 +62,11 @@ def acc_of(*columns):
     return acc
 
 
-def predicted_ratio(acc, form):
+def predicted_ratio(acc):
     """The report's predicted variance ratio from the moments in acc."""
     variances = acc.variances()
     var_y, control_vars = variances[0], variances[1:]
-    return _predicted(var_y, _correlations(var_y, acc.cross()[1:], control_vars), control_vars, form)
+    return _predicted(var_y, _correlations(var_y, acc.cross()[1:], control_vars), control_vars)
 
 
 def sample_betas(acc):
@@ -370,7 +370,7 @@ def _asian_sample_accumulator(form, runs=2000, n=5, seed=123):
 class TestPredictedRatio:
     def test_uncorrelated_controls_predict_one(self):
         acc = acc_of(np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
-        assert predicted_ratio(acc, FORM_SINGLE) == 1.0
+        assert predicted_ratio(acc) == 1.0
 
     def test_single_control_correlation_point_eight(self):
         # sample correlation exactly 16/20 = 0.8, so the ratio is 0.36
@@ -378,14 +378,14 @@ class TestPredictedRatio:
         var_y, var_x = acc.variances()
         corr = acc.cross()[1] / math.sqrt(var_y * var_x)
         assert corr == pytest.approx(0.8, abs=1e-15)
-        assert predicted_ratio(acc, FORM_SINGLE) == pytest.approx(0.36, abs=1e-12)
+        assert predicted_ratio(acc) == pytest.approx(0.36, abs=1e-12)
 
     def test_multi_control_sum_of_squares(self):
         # orthogonal design with corr(Y,X1)=0.6, corr(Y,X2)=0.5 -> 1-0.36-0.25
         signs = np.array([[s1, s2, s3] for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)])
         y = 0.6 * signs[:, 0] + 0.5 * signs[:, 1] + math.sqrt(0.39) * signs[:, 2]
         acc = acc_of(y, signs[:, 0].astype(float), signs[:, 1].astype(float))
-        assert predicted_ratio(acc, FORM_MULTI) == pytest.approx(0.39, abs=1e-12)
+        assert predicted_ratio(acc) == pytest.approx(0.39, abs=1e-12)
 
     def test_matches_correlation_identity_on_noise(self):
         acc = _asian_sample_accumulator(FORM_MULTI, runs=500)
@@ -393,7 +393,7 @@ class TestPredictedRatio:
         expected = 1.0 - sum(
             cov[0, i] ** 2 / (cov[0, 0] * cov[i, i]) for i in range(1, acc.dim)
         )
-        assert predicted_ratio(acc, FORM_MULTI) == pytest.approx(
+        assert predicted_ratio(acc) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -458,11 +458,23 @@ class TestCvEstimate:
         assert through_cv.standard_error == plain.standard_error
         assert through_cv.coefficients is None
 
-    def test_one_control_ratio_squares_its_correlation_with_pow(self):
-        # at this seed, corr ** 2 (libm's pow) and corr @ corr differ in the last bit
-        report = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_SINGLE), 100, seed=2336)
-        (corr,) = report.per_control_correlations
-        assert report.predicted_variance_ratio == 1.0 - corr**2
+    @pytest.mark.parametrize("source", [SOURCE_PILOT, SOURCE_IN_SAMPLE])
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below -0.05")
+    def test_every_form_predicts_one_minus_corr_dot_corr(self, source):
+        # at seed 1963, the single control's corr ** 2 (libm's pow) and
+        # corr @ corr differ in the last bit: the ratio takes the dot product
+        reports = {
+            form: cv_estimate(
+                MARKET, ASIAN, ControlSpec(form, source, np.linspace(0.5, 1.5, 30) if form == FORM_CUSTOM else None), 100, seed=1963
+            )
+            for form in (FORM_SINGLE, FORM_CUSTOM, FORM_MULTI)
+        }
+        if source == SOURCE_PILOT:
+            (corr,) = reports[FORM_SINGLE].per_control_correlations
+            assert 1.0 - corr**2 != 1.0 - np.array([corr]) @ np.array([corr])
+        for report in reports.values():
+            corr = report.per_control_correlations
+            assert report.predicted_variance_ratio == float(1.0 - corr @ corr)
 
     def test_report_matches_direct_recomputation(self):
         runs, n = 400, 30
@@ -496,16 +508,14 @@ class TestCvEstimate:
         assert multi.empirical_variance_ratio <= single.empirical_variance_ratio + 0.02
         assert single.empirical_variance_ratio <= 1.0 + 0.02
 
-    def test_custom_with_unit_weights_matches_single(self):
-        weights = np.ones(30)
-        single = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_SINGLE), 4000, seed=71)
-        custom = cv_estimate(
-            MARKET, ASIAN, ControlSpec(form=FORM_CUSTOM, weights=weights), 4000, seed=71
-        )
-        assert custom.estimate == pytest.approx(single.estimate, rel=1e-9)
-        assert custom.empirical_variance_ratio == pytest.approx(
-            single.empirical_variance_ratio, rel=1e-9
-        )
+    @pytest.mark.parametrize("n", [1, 30, 252])
+    @pytest.mark.parametrize("source", [SOURCE_PILOT, SOURCE_IN_SAMPLE])
+    def test_custom_with_unit_weights_matches_single(self, n, source):
+        # single_terminal_log is custom_linear with unit weights, bit for bit
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        single = cv_estimate(MARKET, spec, ControlSpec(FORM_SINGLE, source), 4000, seed=71)
+        custom = cv_estimate(MARKET, spec, ControlSpec(FORM_CUSTOM, source, np.ones(n)), 4000, seed=71)
+        assert report_bits(custom) == report_bits(single)
 
     def test_sample_variance_denominator_toggle(self):
         # the engine divides the pilot cov(Y, V) by the exact model var(V);
@@ -543,7 +553,7 @@ class TestCvEstimate:
             full.mean[0] + betas @ (full.mean[1:] - report.coefficients.control_means), rel=1e-12
         )
         assert report.predicted_variance_ratio == pytest.approx(
-            predicted_ratio(full, FORM_MULTI), rel=1e-10
+            predicted_ratio(full), rel=1e-10
         )
 
     def test_batch_size_changes_rounding_only(self):
@@ -1311,7 +1321,8 @@ class TestPipeline:
         # as the earlier pipeline computed them: one add_batch per batch
         expected = {
             "plain": "18549ac8402a4ee3adf9e74196061648da0913846f005a807bb06d36c3ca6775",
-            FORM_SINGLE: "bcf27929f1d95df816646cb300729cd6e44d8cb7cb181f22bcd4f88abe7d4d34",
+            # custom_linear with unit weights since cvmc 0.4.0
+            FORM_SINGLE: "fe46b0c91aa71bca60e92b1c3a35bcac0bdf0af53cf3aaf7d6a27eaf49c0ca33",
             # pilot coefficients on the span of {1, i/n} since cvmc 0.3.0
             FORM_MULTI: "6f41822333aaa049726efab2bd3f71281b369faa117a1d1b4f102ce83e9b2184",
         }
@@ -1323,12 +1334,13 @@ class TestPipeline:
         assert report_bits(reports["plain"])[0] == "0x1.c56b32241d378p+0"
 
     def test_numbers_of_custom_and_in_sample_coefficients_are_pinned(self):
-        # sha256 of report_bits as cvmc 0.3.0 computes them: n = 30 and
+        # sha256 of report_bits as cvmc 0.3.0 computes them (single_terminal_log
+        # as 0.4.0 does, custom_linear with unit weights): n = 30 and
         # R = 20 000 on two lanes, and in-sample multi at n = 252 (a
         # covariance wider than n, on one lane) with R = 5000
         expected = {
             f"{FORM_CUSTOM}/{SOURCE_PILOT}": "62a6b06d19139cd48fa2e641a008212b594685643c645f11a04e825d5b870d25",
-            f"{FORM_SINGLE}/{SOURCE_IN_SAMPLE}": "82abdc9680546ad9dcc18bcff1006ad2b7ab9f6ff07259c021be1477f94c419b",
+            f"{FORM_SINGLE}/{SOURCE_IN_SAMPLE}": "623405d279499f93e254cc5bf20f9ad4c16e4cd7028c31589e5a09c0d4850561",
             f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}": "99c7908dd43e4563bba2877f852486730529a70c583ba5a65e5437f7c3d9735b",
             f"{FORM_CUSTOM}/{SOURCE_IN_SAMPLE}": "7d9b7a55cbf1c15795e532ee7e44307b47a72a2bb133cab95fbd3ce2043b412d",
             f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}/252": "bacd642fa6be9b0e3b601fb34490def9b4a1b45b7ad7ab3257b206bf73fdca2c",
@@ -1343,6 +1355,22 @@ class TestPipeline:
                 reports[key] = cv_estimate(MARKET, spec, control, 5000, seed=11)
             else:
                 reports[key] = cv_estimate(MARKET, ASIAN, control, 20000, seed=11)
+        digests = {k: hashlib.sha256(json.dumps(report_bits(r)).encode()).hexdigest() for k, r in reports.items()}
+        assert digests == expected
+
+    def test_numbers_of_the_long_paths_estimators_are_pinned(self):
+        # sha256 of report_bits as cvmc 0.3.0 computes them: plain and
+        # pilot cv-multi at n = 252, R = 5000, the estimators of the
+        # benchmark's long_paths workload
+        expected = {
+            "plain": "12acd17eb038eb360ac1aa78948d07febc661cc793f3766f1244ddbca1ed08d2",
+            FORM_MULTI: "4c645d6141891f8fc3b4132fd5c3cd289586f3e1dd720413b2cc205539127559",
+        }
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
+        reports = {
+            "plain": plain_estimate(MARKET, spec, 5000, seed=11),
+            FORM_MULTI: cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), 5000, seed=11),
+        }
         digests = {k: hashlib.sha256(json.dumps(report_bits(r)).encode()).hexdigest() for k, r in reports.items()}
         assert digests == expected
 
