@@ -7,11 +7,13 @@ Compare three estimators of an Asian fixed-strike call price:
   plain      sample mean of the discounted payoff Y
   single     W = Y + c (V - E[V]) with V = ln(S_d(n)/S(0)) = sum_i X(i),
              the custom weighting w = (1, ..., 1)
-  multi      W = Y + sum_i beta_i (X(i) - E[X(i)]), the variance-optimal
-             linear control over the daily log-returns
+  multi      W = Y + sum_i beta_i (X(i) - E[X(i)]), one control per daily
+             log-return, with beta_i = a + b*i/n fitted by least squares
+             on the pilot
 
-The multi-control variance ratio should approach 1 - sum_i corr^2(Y, X(i)),
-and no weighting of the X(i) can beat it.
+No weighting of the X(i) can beat the per-day bound
+1 - sum_i corr^2(Y, X(i)); the pilot's fit on the span of {1, i/n} comes
+close to it.
 """
 
 import numpy as np
@@ -45,7 +47,8 @@ print("\nday   beta       corr(Y, X(i))")
 for i in (0, 4, 9, 19, 29):
     print(f"{i + 1:<6}{betas[i]:>8.1f}   {corrs[i]:>8.4f}")
 
-# A hand-picked weighting cannot beat the optimal per-day coefficients.
+# Equal weights are the line a + b*i/n at b = 0, which the pilot's
+# least-squares fit ranges over.
 # Every form is rows of day weights, and the single control is the custom
 # one with unit weights: this equal-weight report *is* single's, bit for bit.
 custom = cv_estimate(

@@ -168,11 +168,7 @@ class MomentAccumulator:
                 f"cannot merge an accumulator of dim {other.dim} (full_covariance={other.full_covariance}) "
                 f"into one of dim {self.dim} (full_covariance={self.full_covariance})"
             )
-        if self._count == 0:
-            # adopted as _merge would, without checking again: they are finite
-            self._count, self._mean, self._m2 = other._count, other._mean, other._m2
-        else:
-            self._merge(other._count, other._mean, other._m2)
+        self._merge(other._count, other._mean, other._m2)
 
     def _merge(self, runs: int, col_mean: np.ndarray, m2: np.ndarray) -> None:
         """The pairwise update with the count, mean and centered sums of a second sample."""
@@ -393,12 +389,12 @@ def _fill_rows(
 ) -> None:
     """Payoffs into column 0 of rows and control values after it, from log-returns x.
 
-    rows is C-contiguous and at least n wide: it holds the prices, laid
-    out contiguously, until the payoffs are taken. A non-finite payoff
-    raises, naming the runs lo..hi-1 of the batch.
+    The controls are taken first, then x becomes the prices in place. A
+    non-finite payoff raises, naming the runs lo..hi-1 of the batch.
     """
-    prices = prices_from_log_returns(model, x, out=rows.reshape(-1)[: x.size].reshape(x.shape))
-    y = discounted_payoff(model, spec, prices)
+    if controls is not None:
+        rows[:, 1 : 1 + controls.dim] = controls.values(x)
+    y = discounted_payoff(model, spec, prices_from_log_returns(model, x, out=x))
     if not np.isfinite(y).all():
         strike = "" if spec.strike is None else f", strike {spec.strike}"
         raise ValueError(
@@ -406,8 +402,6 @@ def _fill_rows(
             f"({spec.days_to_maturity} days{strike}): the simulated prices overflow floating point"
         )
     rows[:, 0] = y
-    if controls is not None:
-        rows[:, 1 : 1 + controls.dim] = controls.values(x)
 
 
 def _run_on(cpus: set[int]) -> None:
@@ -445,11 +439,11 @@ def _simulate(
     and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
     _CHUNK_NORMALS normals, except that a call that tracks a full
     covariance of more than n variables keeps the parts whole. The unit
-    of the moments is the runs of one block that lie in one phase: the
-    part of each of its pieces that lies in the phase is folded by
-    add_batch into one fresh accumulator of the unit, and this thread
-    merges the units into their phases in run order. A piece that a phase
-    boundary cuts is drawn once and serves the units on both sides.
+    of the moments is the runs of one block that lie in one phase: unit
+    folds the part of each of its pieces that lies in the phase by
+    add_batch into one fresh accumulator, and this thread merges the
+    units into their phases in run order. A piece that a phase boundary
+    cuts is drawn once and serves the units on both sides.
 
     A call that draws at least _THREADED_NORMALS normals over more than
     one block runs on two lanes, unless it tracks a full covariance of
@@ -469,18 +463,14 @@ def _simulate(
     one: unpinned, a 2-vCPU VM's scheduler kept both on one vCPU for whole
     runs of calls. Each lane computes in a copy of this thread's context,
     so numpy's error state (np.errstate) is the caller's. Any other call
-    runs on this thread, which adds a unit of one piece straight to its
-    phase's accumulator: add_batch is a fresh accumulator's add_batch
-    followed by merge.
+    computes the same units by the same unit on this thread and merges
+    them in the same order: only who computes a unit, and the draw ahead,
+    differ.
 
-    Each lane has its own buffers of one piece of log-returns and of
-    moment rows, reused from piece to piece. The row buffer is max(width,
-    n) wide, width being that of the widest rows a phase folds: each
-    piece's prices are laid out contiguously in its rows until its payoffs
-    are taken, so they are still warm in cache when the moments read the
-    rows, and its row stride stays the same when width < n, as for plain
-    Monte Carlo's single column (the moments of a strided view round
-    differently from those of a contiguous array).
+    Each lane has its own buffers of one piece, reused from piece to
+    piece: n wide for the log-returns, which become the prices in place
+    once the controls are taken from them, and width wide for the moment
+    rows, width being that of the widest rows a phase folds.
     """
     n = spec.days_to_maturity
     ends = [end for end, _, _ in phases]
@@ -519,17 +509,18 @@ def _simulate(
         return lo, min(lo + step, batch_hi, block_lo + STREAM_BLOCK_ROWS), batch_lo, batch_hi
 
     def lane() -> Callable:
-        """fill(piece) -> the piece's moment rows before the fold, in buffers of
-        this lane's own. It draws them unless it drew them ahead; its sampler
-        is keyed on the thread that first fills."""
+        """fill(piece) -> the piece's moment rows before the fold, in buffers
+        of this lane's own: size by n for the draws and their prices, size by
+        width for the rows. It draws them unless it drew them ahead; its
+        sampler is keyed on the thread that first fills."""
         sampler, held = None, None  # held: the piece whose rows the buffer holds
         # One allocation: glibc raises its trim threshold to twice the largest
         # mmapped block freed, which two such blocks freed together reached, so
         # the heap was trimmed and faulted in again on every call (about 23 900
         # minor page faults per pass of the replications benchmark; none now).
-        buffer = np.empty(size * (n + max(width, n)))
+        buffer = np.empty(size * (n + width))
         x_buffer = buffer[: size * n].reshape(size, n)
-        row_buffer = buffer[size * n :].reshape(size, max(width, n))
+        row_buffer = buffer[size * n :].reshape(size, width)
 
         def fill(piece: tuple[int, int, int, int]) -> np.ndarray:
             nonlocal sampler, held
@@ -546,8 +537,9 @@ def _simulate(
 
         return fill
 
-    def fold(acc: MomentAccumulator, fill: Callable, lo: int, hi: int, phase: int) -> None:
-        """Add the moment rows of runs lo..hi-1 of phase to acc, piece by piece."""
+    def unit(fill: Callable, lo: int, hi: int, phase: int) -> MomentAccumulator:
+        """The moments of runs lo..hi-1 of phase in a fresh accumulator, piece by piece."""
+        acc = MomentAccumulator(accs[phase].dim, accs[phase].full_covariance)
         while lo < hi:
             piece = piece_of(lo)
             b = min(piece[1], hi)
@@ -560,11 +552,6 @@ def _simulate(
                 # with the phase's rows so far, as its merge would count them
                 raise _overflow(b - starts[phase]) from None
             lo = b
-
-    def unit(fill: Callable, lo: int, hi: int, phase: int) -> MomentAccumulator:
-        """The moments of runs lo..hi-1 of phase, in a fresh accumulator."""
-        acc = MomentAccumulator(accs[phase].dim, accs[phase].full_covariance)
-        fold(acc, fill, lo, hi, phase)
         return acc
 
     failed = []  # the first run of each failed unit, appended by both lanes
@@ -610,14 +597,11 @@ def _simulate(
                 for later in (end, end - end % STREAM_BLOCK_ROWS + STREAM_BLOCK_ROWS):
                     if later < runs:
                         submit(later, draw_ahead, piece_of(later))
-                for future in futures:
-                    accs[phase].merge(future.result())
+                done = (future.result() for future in futures)
             else:
-                for lo, hi in units[phase]:
-                    if piece_of(lo)[1] >= hi:
-                        fold(accs[phase], fill, lo, hi, phase)
-                    else:
-                        accs[phase].merge(unit(fill, lo, hi, phase))
+                done = (unit(fill, lo, hi, phase) for lo, hi in units[phase])
+            for acc in done:
+                accs[phase].merge(acc)
             if end < runs:
                 at_boundary()
     finally:
@@ -772,8 +756,13 @@ def insample_variance(acc: MomentAccumulator, betas: np.ndarray) -> float:
 
 
 def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> np.ndarray:
-    """corr(Y, C_i) from the moments, 0 where a variance is 0."""
-    scale = np.sqrt(var_y * control_vars)
+    """corr(Y, C_i) from the moments, 0 where a variance is 0. The scale is
+    sqrt(var_y) * sqrt(var_c) where var_y * var_c is not a finite normal
+    double, as for variances far apart in scale."""
+    with np.errstate(over="ignore"):
+        product = var_y * control_vars
+    normal = np.isfinite(product) & (product >= np.finfo(float).tiny)
+    scale = np.where(normal, np.sqrt(product), np.sqrt(var_y) * np.sqrt(control_vars))
     correlations = np.divide(cross, scale, out=np.zeros(len(cross)), where=scale > 0.0)
     return np.clip(correlations, -1.0, 1.0, out=correlations)
 

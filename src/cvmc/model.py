@@ -126,7 +126,8 @@ def prices_from_log_returns(
 
     Works on a single path (n,) or a batch of paths (runs, n); day i's
     price depends only on the first i log-returns. ``out``, if given, is
-    a float array of the same shape that receives the prices.
+    a float array of the same shape that receives the prices; it may be
+    log_returns itself.
     """
     prices = np.cumsum(log_returns, axis=-1, dtype=float, out=out)
     np.exp(prices, out=prices)

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import cvmc
 from cvmc import cli
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 BASE_SCENARIO = """\
 market:
@@ -392,3 +394,9 @@ def test_import_does_not_load_scipy_stats():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[0, 0]"
+
+
+def test_package_version_is_the_project_version():
+    # by a regex: Python 3.10 has no tomllib
+    project = (ROOT / "pyproject.toml").read_text().split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]+)"$', project, re.MULTILINE)[1] == cvmc.__version__

@@ -595,6 +595,24 @@ class TestCvEstimate:
         report = plain_estimate(model, spec, 2000, seed=5)
         assert math.isfinite(report.estimate) and math.isfinite(report.standard_error)
 
+    @pytest.mark.parametrize("source", [SOURCE_PILOT, SOURCE_IN_SAMPLE])
+    @pytest.mark.parametrize("price, scale", [(1e10, 1e150), (1e-150, 1e-150)])
+    def test_variances_far_apart_in_scale_report_as_unit_weights(self, source, price, scale):
+        # var(Y) * var(C) overflows (1e10 prices, 1e150 weights) or underflows
+        # (1e-150 both), though each variance is an ordinary double
+        model = MarketModel(initial_price=price, rate=0.05, volatility=0.2)
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=30, strike=price)
+
+        def report(weights):
+            return cv_estimate(model, spec, ControlSpec(FORM_CUSTOM, source, weights), 20000, seed=1)
+
+        far, unit = report(scale * np.ones(30)), report(np.ones(30))
+        assert unit.per_control_correlations[0] > 0.7
+        for name in ("estimate", "standard_error", "empirical_variance_ratio", "predicted_variance_ratio"):
+            assert getattr(far, name) == pytest.approx(getattr(unit, name), rel=1e-12)
+        assert far.per_control_correlations == pytest.approx(unit.per_control_correlations, rel=1e-12)
+        assert far.coefficients.values * scale == pytest.approx(unit.coefficients.values, rel=1e-12)
+
     def test_in_sample_mode_documents_bias(self):
         report = cv_estimate(
             MARKET,
@@ -1320,7 +1338,9 @@ class TestPipeline:
         # sha256 of report_bits at n = 30, batch 4096, R = 20 000 on two lanes,
         # as the earlier pipeline computed them: one add_batch per batch
         expected = {
-            "plain": "18549ac8402a4ee3adf9e74196061648da0913846f005a807bb06d36c3ca6775",
+            # since cvmc 0.5.0 plain's payoff column is a contiguous (rows, 1)
+            # array, not a strided view, and einsum sums it in another order
+            "plain": "64cb8924268dc6f0b73d4d06e5545e952b1c8727c738e691f6ea8a011afa7720",
             # custom_linear with unit weights since cvmc 0.4.0
             FORM_SINGLE: "fe46b0c91aa71bca60e92b1c3a35bcac0bdf0af53cf3aaf7d6a27eaf49c0ca33",
             # pilot coefficients on the span of {1, i/n} since cvmc 0.3.0
@@ -1331,7 +1351,7 @@ class TestPipeline:
             reports[form] = cv_estimate(MARKET, ASIAN, ControlSpec(form=form), 20000, seed=11)
         digests = {k: hashlib.sha256(json.dumps(report_bits(r)).encode()).hexdigest() for k, r in reports.items()}
         assert digests == expected
-        assert report_bits(reports["plain"])[0] == "0x1.c56b32241d378p+0"
+        assert report_bits(reports["plain"])[0] == "0x1.c56b32241d375p+0"
 
     def test_numbers_of_custom_and_in_sample_coefficients_are_pinned(self):
         # sha256 of report_bits as cvmc 0.3.0 computes them (single_terminal_log
@@ -1359,18 +1379,20 @@ class TestPipeline:
         assert digests == expected
 
     def test_numbers_of_the_long_paths_estimators_are_pinned(self):
-        # sha256 of report_bits as cvmc 0.3.0 computes them: plain and
-        # pilot cv-multi at n = 252, R = 5000, the estimators of the
-        # benchmark's long_paths workload
+        # sha256 of report_bits as cvmc 0.3.0 computes them: plain (as cvmc
+        # 0.5.0 does, from a contiguous payoff column) and pilot cv-multi at
+        # n = 252, R = 5000, the estimators of the benchmark's long_paths
+        # workload; and pilot cv-single as cvmc 0.4.0 computes it, whose
+        # moment rows are 3 wide against n = 252 days
         expected = {
-            "plain": "12acd17eb038eb360ac1aa78948d07febc661cc793f3766f1244ddbca1ed08d2",
+            "plain": "b1a97b9890bf422c993810089b5a6924fb25180b9041e5f855e93e84f22c9868",
+            FORM_SINGLE: "f12eef00068f9763087e475dab0274e2662360d40de969b01f94349c25814265",
             FORM_MULTI: "4c645d6141891f8fc3b4132fd5c3cd289586f3e1dd720413b2cc205539127559",
         }
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
-        reports = {
-            "plain": plain_estimate(MARKET, spec, 5000, seed=11),
-            FORM_MULTI: cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), 5000, seed=11),
-        }
+        reports = {"plain": plain_estimate(MARKET, spec, 5000, seed=11)}
+        for form in (FORM_SINGLE, FORM_MULTI):
+            reports[form] = cv_estimate(MARKET, spec, ControlSpec(form=form), 5000, seed=11)
         digests = {k: hashlib.sha256(json.dumps(report_bits(r)).encode()).hexdigest() for k, r in reports.items()}
         assert digests == expected
 

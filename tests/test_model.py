@@ -208,6 +208,12 @@ class TestBuildPath:
         truncated = prices_from_log_returns(market, x[:17])
         assert np.array_equal(truncated, prices[:17])
 
+    def test_prices_in_place_over_the_log_returns_keep_their_bits(self, market):
+        x = LogReturnSampler(market, 30, 5).rows(0, 100)
+        expected = prices_from_log_returns(market, x)
+        assert prices_from_log_returns(market, x, out=x) is x
+        assert np.array_equal(x, expected)
+
     def test_reconstruction_recovers_log_returns(self, market):
         for stream in range(5):
             x = run_log_returns(market, 60, 31, stream)
