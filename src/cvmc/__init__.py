@@ -11,7 +11,7 @@ underlying correlation inequality and the optimal-coefficient identities
 by enumeration.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"
 
 from .estimators import (
     ControlCoefficients,

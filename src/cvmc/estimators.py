@@ -39,8 +39,10 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import functools
 import math
 import os
+import sys
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -82,6 +84,14 @@ _THREADED_NORMALS = 2**19
 _CENTERED_BLOCK = 2**15
 
 
+@functools.lru_cache(maxsize=64)
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only array of zeros of this shape, made once."""
+    zeros = np.zeros(shape)
+    zeros.flags.writeable = False
+    return zeros
+
+
 def _overflow(total: int) -> ValueError:
     return ValueError(
         f"the moments overflow floating point after {total} rows: sums of squared deviations are non-finite"
@@ -113,10 +123,11 @@ class MomentAccumulator:
         self.dim = dim
         self.full_covariance = full_covariance
         self._count = 0
-        self._mean = np.zeros(dim)
         # Sums of centered products: the (dim, dim) matrix, or its row 0
-        # stacked on its diagonal.
-        self._m2 = np.zeros((dim, dim) if full_covariance else (2, dim))
+        # stacked on its diagonal. No accumulator updates its moment arrays
+        # in place, so an empty one shares read-only zeros.
+        self._mean = _zeros((dim,))
+        self._m2 = _zeros((dim, dim) if full_covariance else (2, dim))
 
     @property
     def count(self) -> int:
@@ -168,7 +179,11 @@ class MomentAccumulator:
                 f"cannot merge an accumulator of dim {other.dim} (full_covariance={other.full_covariance}) "
                 f"into one of dim {self.dim} (full_covariance={self.full_covariance})"
             )
-        self._merge(other._count, other._mean, other._m2)
+        if self._count == 0:
+            # other's moments passed the finiteness check when they were formed
+            self._count, self._mean, self._m2 = other._count, other._mean, other._m2
+        else:
+            self._merge(other._count, other._mean, other._m2)
 
     def _merge(self, runs: int, col_mean: np.ndarray, m2: np.ndarray) -> None:
         """The pairwise update with the count, mean and centered sums of a second sample."""
@@ -298,12 +313,20 @@ class _Controls:
         self.daily = control.form == FORM_MULTI
         if self.daily:
             # Not a centred ramp, whose column would have mean 0 and never read as degenerate.
-            self.rows = np.array([np.ones(n), np.arange(1, n + 1) / n])[: min(n, 2)]
+            self.rows = np.ones((min(n, 2), n))
+            if n > 1:
+                np.divide(np.arange(1, n + 1), n, out=self.rows[1])
+            self.means = np.full(n, model.daily_mean)
         else:  # ControlSpec admits no other form, and form none never gets here
             self.rows = (control.weights if control.form == FORM_CUSTOM else np.ones(n))[None, :]
+            self.means = model.daily_mean * self.rows.sum(axis=1)
         self.dim = n if self.daily else len(self.rows)
-        self.means = model.daily_mean * (np.ones(n) if self.daily else self.rows.sum(axis=1))
-        self.exact_variances = model.daily_variance * np.einsum("ci,ci->c", self.rows, self.rows)
+        self._daily_variance = model.daily_variance
+
+    @functools.cached_property
+    def exact_variances(self) -> np.ndarray:
+        # read by every form but the daily one, whose pilot needs it only with p < k + 3 runs
+        return self._daily_variance * np.einsum("ci,ci->c", self.rows, self.rows)
 
     def values(self, log_returns: np.ndarray) -> np.ndarray:
         if self.daily:
@@ -740,6 +763,8 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
     if dropped:
         notes.append(f"{dropped} degenerate control(s) dropped (coefficient set to 0)")
         warnings.warn(notes[0])
+    if variances is None and not dropped:  # the same solve, without the masks' copies
+        return -np.linalg.solve(cov[1:, 1:], cov[1:, 0]), notes
     betas = np.zeros(len(usable))
     if variances is None:
         betas[usable] = -np.linalg.solve(cov[1:, 1:][usable][:, usable], cov[1:, 0][usable])
@@ -759,6 +784,12 @@ def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> 
     """corr(Y, C_i) from the moments, 0 where a variance is 0. The scale is
     sqrt(var_y) * sqrt(var_c) where var_y * var_c is not a finite normal
     double, as for variances far apart in scale."""
+    # var_y * var_c is monotone in var_c: where both extremes give a finite
+    # normal product, every control does, and each scale is sqrt(var_y * var_c)
+    extremes = (control_vars.min(), control_vars.max())
+    if all(sys.float_info.min <= float(var_y) * float(v) < math.inf for v in extremes):
+        correlations = cross / np.sqrt(var_y * control_vars)
+        return np.clip(correlations, -1.0, 1.0, out=correlations)
     with np.errstate(over="ignore"):
         product = var_y * control_vars
     normal = np.isfinite(product) & (product >= np.finfo(float).tiny)

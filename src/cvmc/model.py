@@ -29,6 +29,10 @@ STREAM_BLOCK_ROWS = 4096
 _SKIP_NORMALS = 2**20
 # The largest volatility whose square is finite (about 1.34e154).
 _MAX_VOLATILITY = math.sqrt(sys.float_info.max)
+# Batches of at least this many paths take their prefix sums day by day
+# (prices_from_log_returns): below it np.cumsum's loop along each path is
+# faster. The crossover lies near 1000 paths for n from 5 to 252 days.
+_DAY_LOOP_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -127,9 +131,22 @@ def prices_from_log_returns(
     Works on a single path (n,) or a batch of paths (runs, n); day i's
     price depends only on the first i log-returns. ``out``, if given, is
     a float array of the same shape that receives the prices; it may be
-    log_returns itself.
+    log_returns itself. Without it the prices are a fresh float array and
+    log_returns is left as it is.
+
+    The log-price of day i is ((X(1) + X(2)) + ...) + X(i), summed in that
+    order on every path: by np.cumsum, or, for a batch of at least
+    _DAY_LOOP_ROWS paths, day by day across the batch, which is faster
+    there and gives the same bits.
     """
-    prices = np.cumsum(log_returns, axis=-1, dtype=float, out=out)
+    if np.ndim(log_returns) == 2 and len(log_returns) >= _DAY_LOOP_ROWS:
+        prices = np.array(log_returns, dtype=float) if out is None else out
+        if out is not None and out is not log_returns:
+            out[...] = log_returns
+        for day in range(1, prices.shape[1]):
+            np.add(prices[:, day - 1], prices[:, day], out=prices[:, day])
+    else:
+        prices = np.cumsum(log_returns, axis=-1, dtype=float, out=out)
     np.exp(prices, out=prices)
     prices *= model.initial_price
     return prices

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from cvmc import (
     ASIAN_FIXED,
     ASIAN_FLOATING,
+    LOOKBACK_FLOATING,
     ContractSpec,
     ControlSpec,
     LogReturnSampler,
@@ -1234,6 +1235,15 @@ class TestPipeline:
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
         assert report_bits(report()) == report_bits(two_lanes)
 
+    @pytest.mark.parametrize("n", [5, 30])
+    def test_prefix_sums_day_by_day_change_no_bit(self, monkeypatch, n):
+        # 4500 runs at batch 777 and 4096: pieces of 4096, 777 and 404 rows,
+        # on both sides of the row count from which the prices' sums go day by day
+        monkeypatch.setattr("cvmc.model._DAY_LOOP_ROWS", 2**62)
+        short_only = lane_grid(4500, 777, n) | report_grid(4500, 4096, n)
+        monkeypatch.setattr("cvmc.model._DAY_LOOP_ROWS", 1)
+        assert lane_grid(4500, 777, n) | report_grid(4500, 4096, n) == short_only
+
     def test_lanes_that_wait_for_each_other_change_no_bit(self, monkeypatch):
         # one-row pieces, and the threads switch as often as they can
         monkeypatch.setattr(estimators, "_CHUNK_NORMALS", 30)
@@ -1395,6 +1405,41 @@ class TestPipeline:
             reports[form] = cv_estimate(MARKET, spec, ControlSpec(form=form), 5000, seed=11)
         digests = {k: hashlib.sha256(json.dumps(report_bits(r)).encode()).hexdigest() for k, r in reports.items()}
         assert digests == expected
+
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 90 main runs at R = 100
+    def test_numbers_of_one_block_calls_are_pinned(self, monkeypatch):
+        # sha256 of report_bits as cvmc 0.5.0 computes them: plain and pilot
+        # cv-multi at n = 30, seed 11, one piece of R rows on one lane, the
+        # calls of the benchmark's replications workload, with R on both
+        # sides of the row count from which the prices' prefix sums go day
+        # by day (1024); and plain at R = 4000 for the payoffs that read
+        # every day's price
+        expected = {
+            "plain/100": "36640be133d83dd5392f46c9122b58007a8dc2c6d0992a1e3c81a07e0e1ef0c6",
+            "plain/250": "d1a4e97f392d40a4b59d9a2a27f6728f680c2ac1f5d216e7c26f572e8e0a56fc",
+            "plain/1000": "eab326501196b6200d83bf769c9c0f20e94bf09b46a40cc3cfbddb0b34bda8c9",
+            "plain/1023": "a804bd69f6783358cb8a45b88f0141de38898916a11a57f50030eef88def6334",
+            "plain/1024": "4c3bceb1af88d7e4c1f6365630c3e516396845895d6491978e1c08c9f076287e",
+            "plain/4000": "26c7dc2ea26cd48b52afb6bf911e7882d1f5ea2aa6cd8090e465f98474216932",
+            f"{FORM_MULTI}/100": "6dde1ca6d5003c9d4848205d47aa674862ad7dceaaa3a103d2a6f733d235e359",
+            f"{FORM_MULTI}/250": "82e858f0f67bd34fa15bf03cb4270ff6441c31171381a835bf443ff67d8b8454",
+            f"{FORM_MULTI}/1000": "2686e5c743344cf08e64051a3bdbd182fc3c6033d44ea564e1bf15c6210191dd",
+            f"{FORM_MULTI}/1023": "e55619db326228ea65e87a8a7d7b38b743f7d0d8a34b59b4af30c035f8e61b7d",
+            f"{FORM_MULTI}/1024": "37131135a169c1e4d180b8083c081cf02649d98639ae4558b5bda18c94963ffb",
+            f"{FORM_MULTI}/4000": "926483dce51c8e686814c398288cfd0d29f2039901037e2c65fc61d8fa4da993",
+            f"plain/{LOOKBACK_FLOATING}": "56a580e1e85e1b9e56d5e26a616c820d0ef009391086c411445fe3b4ada51234",
+            f"plain/{ASIAN_FLOATING}": "d6c5ee505ef0b2e28f66cd70c6bbf2670f467aedd689b8907151656f40b442df",
+        }
+        calls = draws_by_thread(monkeypatch)
+        reports = {}
+        for runs in (100, 250, 1000, 1023, 1024, 4000):
+            reports[f"plain/{runs}"] = plain_estimate(MARKET, ASIAN, runs, seed=11)
+            reports[f"{FORM_MULTI}/{runs}"] = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), runs, seed=11)
+        for kind in (LOOKBACK_FLOATING, ASIAN_FLOATING):
+            reports[f"plain/{kind}"] = plain_estimate(MARKET, ContractSpec(kind=kind, days_to_maturity=30), 4000, seed=11)
+        digests = {k: hashlib.sha256(json.dumps(report_bits(r)).encode()).hexdigest() for k, r in reports.items()}
+        assert digests == expected
+        assert lane_blocks(calls) == set()  # every call on the caller's thread
 
     def test_reports_do_not_depend_on_blas_threads(self):
         code = (

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvmc import LogReturnSampler, MarketModel, prices_from_log_returns
+from cvmc import (
+    ASIAN_FIXED,
+    ContractSpec,
+    ControlSpec,
+    LogReturnSampler,
+    MarketModel,
+    cv_estimate,
+    plain_estimate,
+    prices_from_log_returns,
+)
+from cvmc import model as model_module
 from cvmc.model import STREAM_BLOCK_ROWS, STREAM_CONTRACT_VERSION, check_seed
 
 
@@ -229,3 +239,72 @@ class TestBuildPath:
         model = MarketModel(initial_price=s0, rate=0.0, volatility=0.1)
         prices = prices_from_log_returns(model, np.array(xs))
         assert np.allclose(log_returns_of(model, prices), xs, rtol=1e-10, atol=1e-12)
+
+
+# From this many paths a batch takes its prefix sums day by day; never and always.
+SHORT_ONLY, TALL_ONLY = 2**62, 1
+
+
+class TestTallBatches:
+    """Batches of at least _DAY_LOOP_ROWS paths sum their log-prices day by
+    day; every price keeps the bits of np.cumsum's path-by-path sums."""
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 252])
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 4096])
+    def test_both_prefix_sums_give_the_same_bits(self, monkeypatch, market, rows, n):
+        x = LogReturnSampler(market, n, 17).rows(0, rows)
+        untouched = x.copy()
+        monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", SHORT_ONLY)
+        expected = prices_from_log_returns(market, x)
+        monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", TALL_ONLY)
+        fresh = prices_from_log_returns(market, x)
+        assert fresh.tobytes() == expected.tobytes() and x.tobytes() == untouched.tobytes()
+        for threshold in (SHORT_ONLY, TALL_ONLY):
+            monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", threshold)
+            in_place = untouched.copy()
+            assert prices_from_log_returns(market, in_place, out=in_place) is in_place
+            assert in_place.tobytes() == expected.tobytes()
+            into = np.empty_like(x)
+            assert prices_from_log_returns(market, x, out=into) is into
+            assert into.tobytes() == expected.tobytes() and x.tobytes() == untouched.tobytes()
+
+    def test_the_threshold_is_the_default_between_the_sizes_checked(self):
+        assert 1023 < model_module._DAY_LOOP_ROWS <= 1024
+
+    @pytest.mark.parametrize("threshold", [SHORT_ONLY, TALL_ONLY])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    def test_fresh_prices_leave_the_log_returns_as_they_are(self, monkeypatch, market, threshold, dtype):
+        monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", threshold)
+        x = (np.arange(1200 * 5).reshape(1200, 5) % 3 - 1).astype(dtype)
+        untouched = x.copy()
+        prices = prices_from_log_returns(market, x)
+        assert prices.dtype == np.float64 and prices is not x
+        assert x.dtype == dtype and np.array_equal(x, untouched)
+        expected = 100.0 * np.exp(np.cumsum(untouched.astype(float), axis=-1))
+        assert prices.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("threshold", [SHORT_ONLY, TALL_ONLY])
+    def test_a_single_path_keeps_its_shape_and_bits(self, monkeypatch, market, threshold):
+        monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", threshold)
+        x = run_log_returns(market, 30, 4, 0)
+        prices = prices_from_log_returns(market, x)
+        assert prices.shape == (30,)
+        assert prices.tobytes() == (100.0 * np.exp(np.cumsum(x))).tobytes()
+
+    @pytest.mark.parametrize("threshold", [SHORT_ONLY, TALL_ONLY])
+    def test_an_overflowing_batch_warns_and_its_payoffs_raise(self, monkeypatch, threshold):
+        monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", threshold)
+        # a spot at the float limit and a daily drift of about 0.08 overflow
+        # every path within 30 days, while the discount factor stays normal
+        huge = MarketModel(initial_price=1e308, rate=20.0, volatility=0.2)
+        x = LogReturnSampler(huge, 30, 3).rows(0, 4096)
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            prices = prices_from_log_returns(huge, x)
+        assert np.isinf(prices[:, -1]).all() and np.isfinite(prices[:, 0]).all()
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=30, strike=1e308)
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            with pytest.raises(ValueError, match=r"non-finite payoff in runs 0\.\.4095 of asian_fixed_strike"):
+                plain_estimate(huge, spec, 4096, seed=3)
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            with pytest.raises(ValueError, match=r"non-finite payoff in runs 0\.\.4095 of asian_fixed_strike"):
+                cv_estimate(huge, spec, ControlSpec(form="multi_log_returns"), 4096, seed=3)
