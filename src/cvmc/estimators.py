@@ -28,15 +28,18 @@ Drawing the normals is the largest stage, so a call that draws many
 per call, unless it tracks a full covariance wider than n at n > 32.
 Block b of the stream goes to lane b mod 2, which turns each unit of its
 blocks into prices, payoffs, controls and moments; the caller's thread
-only merges the units in run order (_simulate). A run's draws depend
-only on (seed, j, n), every per-run number is computed within its own
-row, and the units and the order of their merge do not depend on the
-lanes, so the number of lanes changes no bit of any report, nor which
-exception a call raises.
+hands out the units in run order and merges them in that order, with at
+most _UNITS_AHEAD of them unmerged, so a call's memory does not grow
+with its run count (_simulate). A run's draws depend only on (seed, j,
+n), every per-run number is computed within its own row, and the units
+and the order of their merge do not depend on the lanes, so the number
+of lanes changes no bit of any report, nor which exception a call
+raises.
 """
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import ctypes
 import functools
@@ -51,7 +54,8 @@ from typing import Callable
 import numpy as np
 
 from .model import (
-    STREAM_BLOCK_ROWS, ArgumentError, LogReturnSampler, MarketModel, check_seed, prices_from_log_returns
+    STREAM_BLOCK_ROWS, ArgumentError, LogReturnSampler, MarketModel, check_seed, positive_integer,
+    prices_from_log_returns,
 )
 from .payoffs import ContractSpec, discounted_payoff
 
@@ -78,6 +82,8 @@ _CHUNK_NORMALS = 2**17
 # A call that draws fewer normals runs on one lane: below about this,
 # starting the lanes costs what the second core saves.
 _THREADED_NORMALS = 2**19
+# Most units computed or queued ahead of the merge, four per lane.
+_UNITS_AHEAD = 8
 
 # Values per block when MomentAccumulator centers a batch without the full
 # covariance (256 KiB of doubles, which stays in a typical L2 cache).
@@ -118,9 +124,7 @@ class MomentAccumulator:
     """
 
     def __init__(self, dim: int, full_covariance: bool = True):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
+        self.dim = dim = positive_integer("dim", dim)
         self.full_covariance = full_covariance
         self._count = 0
         # Sums of centered products: the (dim, dim) matrix, or its row 0
@@ -472,23 +476,28 @@ def _simulate(
     one block runs on two lanes, unless it tracks a full covariance of
     more than n variables and n > 32 (wide: in-sample multi_log_returns
     only). Lane b, a one-thread executor, computes the units of the blocks
-    b, b + 2, ..., so its sampler walks them in order without re-keying.
-    At the start of a phase (in a pilot pass, once the coefficients are
-    fixed) each lane is given its units of the phase in run order, then a
-    task that draws the first piece of its next unit in a later phase
-    ahead. This thread only merges the units in run order, so the first
-    failure in run order is the one raised, as on one lane, and a lane
-    starts no unit after the earliest failed one: none would be merged (a
-    failed draw ahead is dropped: the unit meets the failure again). The
-    executors are made per call and shut down before this returns or
-    raises. Lane 0 keeps to the CPU this thread runs on at the start of
-    the call and lane 1 to the others, if this thread may run on more than
-    one: unpinned, a 2-vCPU VM's scheduler kept both on one vCPU for whole
-    runs of calls. Each lane computes in a copy of this thread's context,
-    so numpy's error state (np.errstate) is the caller's. Any other call
-    computes the same units by the same unit on this thread and merges
-    them in the same order: only who computes a unit, and the draw ahead,
-    differ.
+    b, b + 2, ..., so its sampler walks them in order without re-keying;
+    any other call has one lane, this thread. Either way the units are
+    handed out in run order, each to the lane of its block (submitted on
+    two lanes, deferred on one), and wait in one window of at most
+    _UNITS_AHEAD unmerged units: before it hands out another, this thread
+    merges the oldest, which on one lane it computes first. After a
+    phase's last unit, each lane is handed a task that draws the first
+    piece of its next unit in a later phase ahead (deferred on one lane,
+    where nothing makes it); then the window is drained and at_boundary
+    called. So a call holds at most _UNITS_AHEAD unit accumulators, however
+    many runs it has, and the first failure in run order is the one
+    raised, as on one lane. A lane starts no unit beyond the window after
+    a failure: the executors, made per call, are shut down and their
+    queued tasks dropped before this returns or raises (a failed draw
+    ahead is dropped: the unit meets the failure again). Lane 0 keeps to
+    the CPU this thread runs on at the start of the call and lane 1 to the
+    others, if this thread may run on more than one: unpinned, a 2-vCPU
+    VM's scheduler kept both on one vCPU for whole runs of calls. Each
+    lane computes in a copy of this thread's context, so numpy's error
+    state (np.errstate) is the caller's. The lanes change only who
+    computes a unit, and the draw ahead: the units and the order of their
+    merge are the same.
 
     Each lane has its own buffers of one piece, reused from piece to
     piece: n wide for the log-returns, which become the prices in place
@@ -514,13 +523,6 @@ def _simulate(
         and runs > STREAM_BLOCK_ROWS
         and not (wide and STREAM_BLOCK_ROWS * n > _CHUNK_NORMALS)
     )
-    units = [  # per phase, the (lo, hi) of its units in run order
-        [
-            (max(lo, start), min(lo + STREAM_BLOCK_ROWS, end))
-            for lo in range(start - start % STREAM_BLOCK_ROWS, end, STREAM_BLOCK_ROWS)
-        ]
-        for start, end in zip(starts, ends)
-    ]
 
     def piece_of(run: int) -> tuple[int, int, int, int]:
         """The piece (lo, hi, batch_lo, batch_hi) that holds run; batch_lo..batch_hi-1
@@ -577,22 +579,9 @@ def _simulate(
             lo = b
         return acc
 
-    failed = []  # the first run of each failed unit, appended by both lanes
-
-    def lane_unit(fill: Callable, lo: int, hi: int, phase: int) -> MomentAccumulator | None:
-        """unit on a lane; None, with no draw, once a unit before it failed."""
-        if min(failed, default=runs) < lo:
-            return None
-        try:
-            return unit(fill, lo, hi, phase)
-        except Exception:
-            failed.append(lo)
-            raise
-
-    def draw_ahead(fill: Callable, piece: tuple[int, int, int, int]) -> None:
+    def draw_ahead(fill: Callable, run: int) -> None:
         with suppress(Exception):  # met again when the unit draws the piece, in run order
-            if not failed:
-                fill(piece)
+            fill(piece_of(run))
 
     if threaded:
         # imported here: importing it takes about 10 ms, which every
@@ -607,45 +596,33 @@ def _simulate(
     else:
         fill = lane()
 
-    def submit(run: int, task: Callable, *args):
-        """task(fill, *args) on the lane of run's block, with that lane's fill."""
+    def hand(run: int, task: Callable, *args) -> Callable:
+        """task(fill, *args) for the lane of run's block: submitted on two lanes,
+        deferred on one; calling what this returns gives its result."""
+        if not threaded:
+            return functools.partial(task, fill, *args)
         lane_fill, context, executor = lanes[run // STREAM_BLOCK_ROWS % 2]
-        return executor.submit(context.run, task, lane_fill, *args)
+        return executor.submit(context.run, task, lane_fill, *args).result
 
+    window = collections.deque()  # the unmerged units of the phase, in run order
     try:
-        for phase, end in enumerate(ends):
-            if threaded:
-                futures = [submit(lo, lane_unit, lo, hi, phase) for lo, hi in units[phase]]
-                # the first run of each lane in a later phase: run end, and the next block's first
-                for later in (end, end - end % STREAM_BLOCK_ROWS + STREAM_BLOCK_ROWS):
-                    if later < runs:
-                        submit(later, draw_ahead, piece_of(later))
-                done = (future.result() for future in futures)
-            else:
-                done = (unit(fill, lo, hi, phase) for lo, hi in units[phase])
-            for acc in done:
-                accs[phase].merge(acc)
+        for phase, (start, end) in enumerate(zip(starts, ends)):
+            for lo in range(start - start % STREAM_BLOCK_ROWS, end, STREAM_BLOCK_ROWS):
+                if len(window) == _UNITS_AHEAD:
+                    accs[phase].merge(window.popleft()())
+                window.append(hand(lo, unit, max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase))
+            # the first run of each lane in a later phase: run end, and the next block's first
+            for later in (end, end - end % STREAM_BLOCK_ROWS + STREAM_BLOCK_ROWS):
+                if later < runs:
+                    hand(later, draw_ahead, later)
+            while window:
+                accs[phase].merge(window.popleft()())
             if end < runs:
                 at_boundary()
     finally:
         if threaded:
             for _, _, executor in lanes:
                 executor.shutdown(cancel_futures=True)
-
-
-def _accumulate(
-    model: MarketModel,
-    spec: ContractSpec,
-    seed: int,
-    runs: int,
-    controls: _Controls | None,
-    batch_size: int,
-) -> MomentAccumulator:
-    """Full moments of (Y, controls...) over runs 0..runs-1, merged in run order."""
-    q = controls.dim if controls is not None else 0
-    acc = MomentAccumulator(1 + q)
-    _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, None)])
-    return acc
 
 
 def _pilot_pass(
@@ -720,7 +697,8 @@ def plain_estimate(
 ) -> EstimatorReport:
     """Plain Monte Carlo: mean of Y over `runs` independent paths."""
     check_arguments(model, spec, _PLAIN, runs, seed, batch_size=batch_size)
-    acc = _accumulate(model, spec, seed, runs, None, batch_size)
+    acc = MomentAccumulator(1)
+    _simulate(model, spec, seed, runs, batch_size, None, [(runs, acc, None)])
     variance = acc.variances()[0]
     return EstimatorReport(
         estimate=float(acc.mean[0]),
@@ -856,7 +834,8 @@ def cv_estimate(
     else:
         pilot_runs = 0
         main_runs = runs
-        acc = _accumulate(model, spec, seed, runs, controls, batch_size)
+        acc = MomentAccumulator(1 + controls.dim)
+        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, None)])
         # each daily control is fitted on its own: its row of day weights is its day's unit vector
         exact = np.full(controls.dim, model.daily_variance) if controls.daily else controls.exact_variances
         betas, beta_notes = optimal_betas(acc, exact)

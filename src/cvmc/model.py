@@ -163,11 +163,9 @@ class LogReturnSampler:
     """
 
     def __init__(self, model: MarketModel, n: int, seed: int):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        self.n = positive_integer("n", n)
         check_seed(seed)
         self.model = model
-        self.n = n
         self.seed = seed
         self._gen = None
         self._block = -1

@@ -396,6 +396,19 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.splitlines()[-1] == "[0, 0]"
 
 
+def test_one_lane_runs_do_not_import_concurrent_futures():
+    # importing concurrent.futures takes about 9 ms: only a call on two lanes pays it
+    scenario = SCENARIOS / "asian_fixed_benchmark.yaml"
+    code = (
+        "import sys, cvmc, cvmc.cli\n"
+        "loaded = ['concurrent.futures' in sys.modules]\n"
+        f"code = cvmc.cli.main(['price', '--scenario', {str(scenario)!r}, '--runs', '2000'])\n"
+        "print(code, loaded + ['concurrent.futures' in sys.modules])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 [False, False]"
+
+
 def test_package_version_is_the_project_version():
     # by a regex: Python 3.10 has no tomllib
     project = (ROOT / "pyproject.toml").read_text().split("[project]", 1)[1].split("\n[", 1)[0]

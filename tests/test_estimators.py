@@ -100,9 +100,14 @@ class TestMomentAccumulator:
         with pytest.raises(ValueError):
             acc.covariance()
 
-    def test_no_variables_refused(self):
-        with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
-            MomentAccumulator(0)
+    @pytest.mark.parametrize("dim", [0, 2.0, True], ids=["zero", "float", "bool"])
+    def test_no_variables_refused(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be a positive integer, got {dim!r}$"):
+            MomentAccumulator(dim)
+
+    def test_numpy_integer_dim_is_stored_as_int(self):
+        acc = MomentAccumulator(np.int64(3))
+        assert type(acc.dim) is int and acc.dim == 3
 
     def test_add_batch_dimension_mismatch(self):
         acc = MomentAccumulator(2)
@@ -1205,10 +1210,12 @@ class TestPipeline:
         assert lane_blocks(calls) == ({frozenset({0}), frozenset({1})} if runs > STREAM_BLOCK_ROWS else set())
 
     @pytest.mark.parametrize("batch_size", [777, 4096])
-    @pytest.mark.parametrize("n", [5, 30, 252])
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 252])
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 225 main runs at n = 252
     def test_lanes_change_no_bit(self, monkeypatch, n, batch_size):
-        # 4500 runs: block 0 goes to lane 0, block 1 to lane 1, and batch 777 straddles run 4096
+        # 4500 runs: block 0 goes to lane 0, block 1 to lane 1, and batch 777
+        # straddles run 4096; at n = 1 and 2 the pilot's covariance is wider
+        # than n, so its pieces are whole parts on two lanes
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
         one_lane = lane_grid(4500, batch_size, n)
         calls = draws_by_thread(monkeypatch)
@@ -1279,40 +1286,44 @@ class TestPipeline:
         # each of the call's two blocks, and a phase's units are merged at its end
         assert unmerged.min() >= 0 and unmerged.max() <= 2
 
-    def test_the_odd_lane_folds_its_units_of_a_phase_while_the_even_lane_is_held(self, monkeypatch):
+    def test_while_the_even_lane_is_held_the_odd_lane_folds_only_its_units_in_the_window(self, monkeypatch):
         # 11 blocks in one phase: while lane 0 is held in block 0, lane 1
-        # folds all five of its blocks, 1, 3, 5, 7 and 9
-        folded = []  # the rows of each of lane 1's add_batch calls, once done
-        held = []  # how many lane 1 had folded when lane 0's hold ended
-        odd = set()  # the threads that drew an odd block
+        # folds its blocks among the first _UNITS_AHEAD, 1, 3, 5 and 7, and
+        # then waits for the merge; block 9 follows once the hold ends
+        folded = []  # the blocks of lane 1's add_batch calls, once done
+        held = []  # what lane 1 had folded when lane 0's hold ended
+        window = list(range(1, min(estimators._UNITS_AHEAD, 11), 2))  # lane 1's blocks in the window
         rows = LogReturnSampler.rows
         add_batch = MomentAccumulator.add_batch
+        drawn = {}  # per thread, the block it drew last
 
         def holding_rows(self, lo, hi, out=None):
             block = lo // STREAM_BLOCK_ROWS
-            if block % 2 == 1:
-                odd.add(threading.current_thread())
+            drawn[threading.current_thread()] = block
             if block == 0:
                 deadline = time.monotonic() + 10
-                while len(folded) < 5 and time.monotonic() < deadline:
+                while len(folded) < len(window) and time.monotonic() < deadline:
                     time.sleep(0.01)
-                held.append(len(folded))
+                time.sleep(0.2)  # time for lane 1 to start another block, were it handed one
+                held.append(list(folded))
             return rows(self, lo, hi, out)
 
         def recording_add_batch(self, xs):
             add_batch(self, xs)
-            if threading.current_thread() in odd:
-                folded.append(len(xs))
+            block = drawn.get(threading.current_thread(), 0)  # the caller's thread draws nothing
+            if block % 2 == 1:
+                folded.append(block)
 
         monkeypatch.setattr(LogReturnSampler, "rows", holding_rows)
         monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
         plain_estimate(MARKET, ASIAN, 11 * STREAM_BLOCK_ROWS, seed=3)
-        assert held == [5]
-        assert folded == [STREAM_BLOCK_ROWS] * 5
+        assert held == [window]
+        assert folded == [1, 3, 5, 7, 9]
 
-    def _fail_block_1_while_block_0_is_held(self, monkeypatch) -> list:
-        """Run a 60-block plain call whose block 1 fails while block 0 is held
-        0.2 s; the (thread, block) of every draw it tried."""
+    def test_after_a_failure_each_lane_starts_no_block_beyond_the_window(self, monkeypatch):
+        # a 60-block plain call whose block 1 fails while block 0 is held
+        # 0.2 s: lane 1 goes on with the blocks already handed to it, but no
+        # lane starts a block that is _UNITS_AHEAD or more after block 1
         rows = LogReturnSampler.rows
 
         def failing_rows(self, lo, hi, out=None):
@@ -1326,23 +1337,14 @@ class TestPipeline:
         monkeypatch.setattr(LogReturnSampler, "rows", failing_rows)
         calls = draws_by_thread(monkeypatch)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="block 1"):
+        with pytest.raises(MemoryError, match="block 1$"):
             plain_estimate(MARKET, ASIAN, 60 * STREAM_BLOCK_ROWS, seed=3)
         assert threading.active_count() == before
         # the blocks of each parity on a lane of their own
         assert len({thread for thread, _ in calls}) == 2 and threading.current_thread() not in dict(calls)
-        return calls
-
-    def test_a_failure_on_the_odd_lane_stops_the_even_lane_early(self, monkeypatch):
-        # lane 0, held in block 0 while lane 1 fails in block 1, draws no block after 0
-        calls = self._fail_block_1_while_block_0_is_held(monkeypatch)
-        assert [block for _, block in calls if block % 2 == 0] == [0]
-
-    def test_a_failure_on_the_odd_lane_stops_the_odd_lane(self, monkeypatch):
-        # lane 1 fails in block 1 while lane 0 is held in block 0, and starts
-        # none of its later blocks
-        calls = self._fail_block_1_while_block_0_is_held(monkeypatch)
-        assert [block for _, block in calls if block % 2 == 1] == [1]
+        for lane in {thread for thread, _ in calls}:
+            drawn = [block for thread, block in calls if thread is lane]
+            assert drawn == sorted(drawn) and drawn[-1] < 1 + estimators._UNITS_AHEAD, drawn
 
     def test_numbers_at_most_32_days_are_those_of_the_batch_pipeline(self):
         # sha256 of report_bits at n = 30, batch 4096, R = 20 000 on two lanes,
@@ -1562,8 +1564,8 @@ class TestPipeline:
 
     def test_failures_on_both_lanes_under_fast_switching(self, monkeypatch):
         # 20 blocks in one-row pieces, threads switching as often as they
-        # can: the first failure in run order is raised, and a lane draws
-        # nothing after a failure of its own
+        # can: the first failure in run order is raised, and no lane starts
+        # a block _UNITS_AHEAD or more after it
         monkeypatch.setattr(estimators, "_CHUNK_NORMALS", 30 * 512)
         rows = LogReturnSampler.rows
         rng = np.random.default_rng(5)
@@ -1586,10 +1588,8 @@ class TestPipeline:
                 calls.clear()
                 with pytest.raises(MemoryError, match=f"block {min(failing)}$"):
                     plain_estimate(MARKET, ASIAN, 20 * STREAM_BLOCK_ROWS, seed=3)
-                for lane in {thread for thread, _ in calls}:
-                    drawn = [block for thread, block in calls if thread is lane]
-                    own = [block for block in drawn if block in failing]
-                    assert not own or drawn[-1] == own[0], (failing, drawn)
+                drawn = {block for _, block in calls}
+                assert max(drawn) < min(failing) + estimators._UNITS_AHEAD, (failing, sorted(drawn))
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
@@ -1649,6 +1649,21 @@ class TestPipeline:
         monkeypatch.setattr(estimators, "optimal_betas", recording_betas)
         cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 100_000, seed=3)
         assert events.index(("draws", 3)) < events.index(("betas", None))
+
+    def test_memory_does_not_grow_with_runs(self):
+        # plain european_call at n = 1 on two lanes: 489 units against 1954,
+        # of which at most _UNITS_AHEAD are held at a time
+        spec = ContractSpec(kind="european_call", days_to_maturity=1, strike=100.0)
+        plain_estimate(MARKET, spec, 600_000, seed=3)  # on two lanes, so that their imports are done
+        peaks = []
+        for runs in (2 * 10**6, 8 * 10**6):
+            tracemalloc.start()
+            try:
+                plain_estimate(MARKET, spec, runs, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 2**19, peaks
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_call_that_fails_at_once_sets_up_little(self):

@@ -105,9 +105,14 @@ class TestSampleLogReturns:
         with pytest.raises(ValueError, match=r"out has shape \(2, 5\), expected \(2, 4\)"):
             LogReturnSampler(market, 4, 0).rows(0, 2, out=np.empty((2, 5)))
 
-    def test_rejects_zero_length(self, market):
-        with pytest.raises(ValueError):
-            run_log_returns(market, 0, 1, 0)
+    @pytest.mark.parametrize("n", [0, 2.0, True], ids=["zero", "float", "bool"])
+    def test_rejects_zero_length(self, market, n):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n!r}$"):
+            LogReturnSampler(market, n, 1)
+
+    def test_numpy_integer_length_is_stored_as_int(self, market):
+        sampler = LogReturnSampler(market, np.int64(3), 1)
+        assert type(sampler.n) is int and sampler.n == 3
 
     def test_large_sample_moments(self, market):
         # law-of-large-numbers check against the exact normal moments
