@@ -3,15 +3,14 @@
 The package prices Asian and lookback options under risk-neutral GBM by
 simulating daily log-returns, and reduces estimator variance with control
 variates built from those log-returns: a single terminal-log control, a
-caller-weighted linear combination, or one control per day, whose pilot
-fits the daily coefficients by least squares on the span of {1, i/n} and
-whose in-sample fit gives each day its own coefficient on the day's exact
-variance. An exact finite-distribution oracle verifies the
+caller-weighted linear combination, or one control per day, whose daily
+coefficients are fitted by least squares on the span of {1, i/n}, on a
+pilot or in-sample. An exact finite-distribution oracle verifies the
 underlying correlation inequality and the optimal-coefficient identities
 by enumeration.
 """
 
-__version__ = "0.5.2"
+__version__ = "0.6.0"
 
 from .estimators import (
     ControlCoefficients,

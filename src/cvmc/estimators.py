@@ -11,30 +11,30 @@ O(1/R) bias.
 Runs are drawn in pieces, and moments are tracked in one pass, piece by
 piece, so large run counts never hold samples in memory. A piece holds
 at most _CHUNK_NORMALS normals and is cut at multiples of batch_size and
-of the stream's block size; a full covariance of more than n variables
-takes the parts between those cuts whole. The unit of the moments is
-the runs of one block that lie in one phase: their rows are folded into
-one accumulator of the unit, and the units are merged into their phases
-in run order. With pilot coefficients, one pass serves both phases: runs
-below the pilot count estimate the coefficients, which are fixed at the
-boundary, and the later runs feed the main-phase moments of (Y,
-controls, W). Those track only the means, cov(Y, .) and the variances,
-O(runs * n); the full covariance matrix is built only where it is read:
-in-sample coefficients and, of its k <= 2 basis controls, the pilot of
-multi_log_returns (_pilot_pass).
+of the stream's block size. The unit of the moments is the runs of one
+block that lie in one phase: their rows are folded into one accumulator
+of the unit, and the units are merged into their phases in run order.
+Every form fits the coefficients of its k <= 2 columns Z = X @ B.T
+(_fit), from the full covariance of [Y | Z], at most 3 wide: over the
+pilot runs, or over every run in-sample. With pilot coefficients, one
+pass serves both phases: runs below the pilot count estimate the
+coefficients, which are fixed at the boundary, and the later runs feed
+the main-phase moments of (Y, controls, W). Those, and the per-day
+moments of in-sample multi_log_returns, track only the means, cov(Y, .)
+and the variances, O(runs * n). Every product of the moments is an
+einsum; the one BLAS-backed step left is the LAPACK solve of the fit.
 
 Drawing the normals is the largest stage, so a call that draws many
 (_THREADED_NORMALS or more) runs on two lanes, one-thread executors made
-per call, unless it tracks a full covariance wider than n at n > 32.
-Block b of the stream goes to lane b mod 2, which turns each unit of its
-blocks into prices, payoffs, controls and moments; the caller's thread
-hands out the units in run order and merges them in that order, with at
-most _UNITS_AHEAD of them unmerged, so a call's memory does not grow
-with its run count (_simulate). A run's draws depend only on (seed, j,
-n), every per-run number is computed within its own row, and the units
-and the order of their merge do not depend on the lanes, so the number
-of lanes changes no bit of any report, nor which exception a call
-raises.
+per call. Block b of the stream goes to lane b mod 2, which turns each
+unit of its blocks into prices, payoffs, controls and moments; the
+caller's thread hands out the units in run order and merges them in that
+order, with at most _UNITS_AHEAD of them unmerged, so a call's memory
+does not grow with its run count (_simulate). A run's draws depend only
+on (seed, j, n), every per-run number is computed within its own row,
+and the units and the order of their merge do not depend on the lanes,
+so the number of lanes changes no bit of any report, nor which
+exception a call raises.
 """
 
 from __future__ import annotations
@@ -107,10 +107,11 @@ def _overflow(total: int) -> ValueError:
 class MomentAccumulator:
     """One-pass mean and covariance tracker for a fixed set of variables.
 
-    With ``full_covariance`` (the default) it tracks the whole covariance
-    matrix. Without it, it tracks only what the control-variate pass
-    reads, at O(dim) cost per row: row 0 of the covariance (variable 0
-    against every variable) and the diagonal.
+    It tracks the whole covariance of its leading ``full`` variables (all
+    dim of them by default), and of the rest only what the control-variate
+    pass reads, at O(dim) cost per row each: row 0 of the covariance
+    (variable 0 against every variable) and the diagonal. full = 1 is the
+    lean layout of the main phase, row 0 and the diagonal alone.
 
     Observations arrive through ``add_batch``, which folds each batch in
     with the pairwise update, or through ``merge``, which folds in another
@@ -123,15 +124,18 @@ class MomentAccumulator:
     inf or NaN.
     """
 
-    def __init__(self, dim: int, full_covariance: bool = True):
+    def __init__(self, dim: int, full: int | None = None):
         self.dim = dim = positive_integer("dim", dim)
-        self.full_covariance = full_covariance
+        self.full = full = dim if full is None else positive_integer("full", full)
+        if full > dim:
+            raise ValueError(f"full must be at most dim = {dim}, got {full}")
         self._count = 0
-        # Sums of centered products: the (dim, dim) matrix, or its row 0
-        # stacked on its diagonal. No accumulator updates its moment arrays
-        # in place, so an empty one shares read-only zeros.
+        # Sums of centered products: row 0 of the (dim, dim) matrix, rows
+        # 1..full-1 of its leading full columns (zeros after them) and its
+        # diagonal. No accumulator updates its moment arrays in place, so an
+        # empty one shares read-only zeros.
         self._mean = _zeros((dim,))
-        self._m2 = _zeros((dim, dim) if full_covariance else (2, dim))
+        self._m2 = _zeros((full + 1, dim))
 
     @property
     def count(self) -> int:
@@ -142,18 +146,21 @@ class MomentAccumulator:
         return self._mean.copy()
 
     def _products(self, xs: np.ndarray, center: np.ndarray) -> np.ndarray:
-        """Sums of products of the rows of xs centered on center."""
-        if self.full_covariance:
-            centered = xs - center
-            return centered.T @ centered
+        """Sums of products of the rows of xs centered on center: row 0 of the
+        matrix, rows 1..full-1 of its leading full columns, then its
+        diagonal. Each is an einsum, not BLAS, whose bits of a sum depend on
+        the other sums in the product."""
+        full = self.full
         # Centered in row blocks of at most _CENTERED_BLOCK values, so that
-        # the temporary stays in cache for the two products that read it.
-        out = np.zeros((2, self.dim))
+        # the temporary stays in cache for the products that read it.
+        out = np.zeros((full + 1, self.dim))
         step = max(1, _CENTERED_BLOCK // self.dim)
         for lo in range(0, xs.shape[0], step):
             centered = xs[lo : lo + step] - center
             out[0] += np.einsum("i,ij->j", centered[:, 0], centered)
-            out[1] += np.einsum("ij,ij->j", centered, centered)
+            for a in range(1, full):
+                out[a, :full] += np.einsum("i,ij->j", centered[:, a], centered[:, :full])
+            out[-1] += np.einsum("ij,ij->j", centered, centered)
         return out
 
     def add_batch(self, xs) -> None:
@@ -165,23 +172,21 @@ class MomentAccumulator:
             return
         col_mean = np.einsum("ij->j", xs) / runs
         # A constant column must yield exactly zero variance, so center it
-        # on the exact value rather than the rounded mean. Without the full
-        # covariance only variable 0 (the payoff) is checked: the others
-        # are controls, never constant, and W, constant only with it.
-        if self.full_covariance:
-            # a column can be constant only where its last row equals its first
-            if (xs[-1] == xs[0]).any():
-                col_mean = np.where(np.all(xs == xs[0], axis=0), xs[0], col_mean)
-        elif (xs[:, 0] == xs[0, 0]).all():
-            col_mean[0] = xs[0, 0]
+        # on the exact value rather than the rounded mean. Only the leading
+        # full columns are checked: the others are controls, never
+        # constant, and W, constant only with the payoff.
+        block = xs[:, : self.full]
+        # a column can be constant only where its last row equals its first
+        if (block[-1] == block[0]).any():
+            col_mean[: self.full] = np.where(np.all(block == block[0], axis=0), block[0], col_mean[: self.full])
         self._merge(runs, col_mean, self._products(xs, col_mean))
 
     def merge(self, other: MomentAccumulator) -> None:
         """Fold in the moments of other, as if its rows followed this one's."""
-        if other.dim != self.dim or other.full_covariance != self.full_covariance:
+        if other.dim != self.dim or other.full != self.full:
             raise ValueError(
-                f"cannot merge an accumulator of dim {other.dim} (full_covariance={other.full_covariance}) "
-                f"into one of dim {self.dim} (full_covariance={self.full_covariance})"
+                f"cannot merge an accumulator of dim {other.dim} (full={other.full}) "
+                f"into one of dim {self.dim} (full={self.full})"
             )
         if self._count == 0:
             # other's moments passed the finiteness check when they were formed
@@ -213,10 +218,8 @@ class MomentAccumulator:
         return self._count - 1
 
     def covariance(self) -> np.ndarray:
-        """Unbiased (count-1 denominator) covariance matrix."""
-        if not self.full_covariance:
-            raise ValueError("this accumulator tracks only row 0 and the diagonal of the covariance")
-        return self._m2 / self._denominator()
+        """Unbiased (count-1 denominator) covariance matrix of the leading full variables."""
+        return self._m2[: self.full, : self.full] / self._denominator()
 
     def cross(self) -> np.ndarray:
         """Unbiased covariances of variable 0 with every variable (row 0)."""
@@ -224,8 +227,7 @@ class MomentAccumulator:
 
     def variances(self) -> np.ndarray:
         """Unbiased variances of every variable (the diagonal)."""
-        diagonal = np.diag(self._m2) if self.full_covariance else self._m2[1]
-        return diagonal / self._denominator()
+        return self._m2[-1] / self._denominator()
 
 
 @dataclass(frozen=True)
@@ -238,8 +240,8 @@ class ControlSpec:
         custom_linear      V = sum_i weights[i] * X(i): B is the caller's weights.
         single_terminal_log V = sum_i X(i) = ln(S_d(n)/S(0)): custom_linear
                            with unit weights, bit for bit.
-        multi_log_returns  one control per daily log-return X(i); its pilot
-                           fits them on the span of the rows 1 and i/n.
+        multi_log_returns  one control per daily log-return X(i), fitted on
+                           the span of the rows 1 and i/n.
     """
 
     form: str
@@ -308,8 +310,9 @@ class _Controls:
     """One form as data (ControlSpec): rows, n day weights per fitted column X @ rows.T.
 
     The controls are the n days themselves where daily (multi_log_returns,
-    whose pilot fits the span of its rows), else the fitted columns. means
-    are the controls' exact means, exact_variances the fitted columns'.
+    whose coefficients are fitted on the span of its rows), else the fitted
+    columns. means are the controls' exact means, exact_variances the
+    fitted columns'.
     """
 
     def __init__(self, model: MarketModel, spec: ContractSpec, control: ControlSpec):
@@ -329,8 +332,19 @@ class _Controls:
 
     @functools.cached_property
     def exact_variances(self) -> np.ndarray:
-        # read by every form but the daily one, whose pilot needs it only with p < k + 3 runs
+        # read by every form but the daily one, whose fit needs it only with fewer than k + 3 runs
         return self._daily_variance * np.einsum("ci,ci->c", self.rows, self.rows)
+
+    def with_z(self, rows: np.ndarray, days: bool = False) -> np.ndarray:
+        """A fresh [Y | Z], or [Y | Z | X] with days, from the daily form's moment rows [Y | X]."""
+        k, q = len(self.rows), self.dim
+        out = np.empty((len(rows), 1 + k + (q if days else 0)))
+        out[:, 0] = rows[:, 0]
+        # einsum, not BLAS, whose bits of a row depend on the rows in the product
+        np.einsum("ij,cj->ic", rows[:, 1 : 1 + q], self.rows, out=out[:, 1 : 1 + k])
+        if days:
+            out[:, 1 + k :] = rows[:, 1 : 1 + q]
+        return out
 
     def values(self, log_returns: np.ndarray) -> np.ndarray:
         if self.daily:
@@ -457,47 +471,44 @@ def _simulate(
     fold(rows), unless None, returns the rows that go into acc: rows is a
     view of the moment rows, max(1 + q, acc.dim) wide, with the payoffs in
     column 0, the q control values in columns 1..q and the columns of a
-    wider acc, which the fold fills in place, after them. A narrower acc's
-    fold (cv-multi's pilot) returns a fresh array. at_boundary is called
-    on this thread at each phase boundary, once every earlier run is in
-    the moments and before any later run is folded.
+    wider acc after them. A fold fills those in place (the main phase's W)
+    or returns a fresh array (multi_log_returns' [Y | Z] and [Y | Z | X]).
+    at_boundary is called on this thread at each phase boundary, once
+    every earlier run is in the moments and before any later run is folded.
 
     The runs are drawn in pieces: they are cut at multiples of batch_size
     and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
-    _CHUNK_NORMALS normals, except that a call that tracks a full
-    covariance of more than n variables keeps the parts whole. The unit
-    of the moments is the runs of one block that lie in one phase: unit
-    folds the part of each of its pieces that lies in the phase by
-    add_batch into one fresh accumulator, and this thread merges the
-    units into their phases in run order. A piece that a phase boundary
-    cuts is drawn once and serves the units on both sides.
+    _CHUNK_NORMALS normals. The unit of the moments is the runs of one
+    block that lie in one phase: unit folds the part of each of its pieces
+    that lies in the phase by add_batch into one fresh accumulator, and
+    this thread merges the units into their phases in run order. A piece
+    that a phase boundary cuts is drawn once and serves the units on both
+    sides.
 
     A call that draws at least _THREADED_NORMALS normals over more than
-    one block runs on two lanes, unless it tracks a full covariance of
-    more than n variables and n > 32 (wide: in-sample multi_log_returns
-    only). Lane b, a one-thread executor, computes the units of the blocks
-    b, b + 2, ..., so its sampler walks them in order without re-keying;
-    any other call has one lane, this thread. Either way the units are
-    handed out in run order, each to the lane of its block (submitted on
-    two lanes, deferred on one), and wait in one window of at most
-    _UNITS_AHEAD unmerged units: before it hands out another, this thread
-    merges the oldest, which on one lane it computes first. After a
-    phase's last unit, each lane is handed a task that draws the first
-    piece of its next unit in a later phase ahead (deferred on one lane,
-    where nothing makes it); then the window is drained and at_boundary
-    called. So a call holds at most _UNITS_AHEAD unit accumulators, however
-    many runs it has, and the first failure in run order is the one
-    raised, as on one lane. A lane starts no unit beyond the window after
-    a failure: the executors, made per call, are shut down and their
-    queued tasks dropped before this returns or raises (a failed draw
-    ahead is dropped: the unit meets the failure again). Lane 0 keeps to
-    the CPU this thread runs on at the start of the call and lane 1 to the
-    others, if this thread may run on more than one: unpinned, a 2-vCPU
-    VM's scheduler kept both on one vCPU for whole runs of calls. Each
-    lane computes in a copy of this thread's context, so numpy's error
-    state (np.errstate) is the caller's. The lanes change only who
-    computes a unit, and the draw ahead: the units and the order of their
-    merge are the same.
+    one block runs on two lanes. Lane b, a one-thread executor, computes
+    the units of the blocks b, b + 2, ..., so its sampler walks them in
+    order without re-keying; any other call has one lane, this thread.
+    Either way the units are handed out in run order, each to the lane of
+    its block (submitted on two lanes, deferred on one), and wait in one
+    window of at most _UNITS_AHEAD unmerged units: before it hands out
+    another, this thread merges the oldest, which on one lane it computes
+    first. After a phase's last unit, each lane is handed a task that
+    draws the first piece of its next unit in a later phase ahead
+    (deferred on one lane, where nothing makes it); then the window is
+    drained and at_boundary called. So a call holds at most _UNITS_AHEAD
+    unit accumulators, however many runs it has, and the first failure in
+    run order is the one raised, as on one lane. A lane starts no unit
+    beyond the window after a failure: the executors, made per call, are
+    shut down and their queued tasks dropped before this returns or raises
+    (a failed draw ahead is dropped: the unit meets the failure again).
+    Lane 0 keeps to the CPU this thread runs on at the start of the call
+    and lane 1 to the others, if this thread may run on more than one:
+    unpinned, a 2-vCPU VM's scheduler kept both on one vCPU for whole runs
+    of calls. Each lane computes in a copy of this thread's context, so
+    numpy's error state (np.errstate) is the caller's. The lanes change
+    only who computes a unit, and the draw ahead: the units and the order
+    of their merge are the same.
 
     Each lane has its own buffers of one piece, reused from piece to
     piece: n wide for the log-returns, which become the prices in place
@@ -510,19 +521,9 @@ def _simulate(
     accs = [acc for _, acc, _ in phases]
     widths = [max(1 + (controls.dim if controls is not None else 0), acc.dim) for acc in accs]
     width = max(widths)
-    # A full covariance of more than n variables: its product c.T @ c, on
-    # two BLAS threads, and its merge cost more than drawing the piece, and
-    # the more per run the smaller the piece. So its pieces are the parts
-    # between the cuts, whole, and beyond 32 days, where a block's part
-    # holds more than _CHUNK_NORMALS normals, the call runs on one lane.
-    wide = any(acc.full_covariance and acc.dim > n for acc in accs)
-    step = STREAM_BLOCK_ROWS if wide else max(1, _CHUNK_NORMALS // n)
+    step = max(1, _CHUNK_NORMALS // n)
     size = min(step, batch_size, STREAM_BLOCK_ROWS, runs)  # the longest piece
-    threaded = (
-        runs * n >= _THREADED_NORMALS
-        and runs > STREAM_BLOCK_ROWS
-        and not (wide and STREAM_BLOCK_ROWS * n > _CHUNK_NORMALS)
-    )
+    threaded = runs * n >= _THREADED_NORMALS and runs > STREAM_BLOCK_ROWS
 
     def piece_of(run: int) -> tuple[int, int, int, int]:
         """The piece (lo, hi, batch_lo, batch_hi) that holds run; batch_lo..batch_hi-1
@@ -564,7 +565,7 @@ def _simulate(
 
     def unit(fill: Callable, lo: int, hi: int, phase: int) -> MomentAccumulator:
         """The moments of runs lo..hi-1 of phase in a fresh accumulator, piece by piece."""
-        acc = MomentAccumulator(accs[phase].dim, accs[phase].full_covariance)
+        acc = MomentAccumulator(accs[phase].dim, accs[phase].full)
         while lo < hi:
             piece = piece_of(lo)
             b = min(piece[1], hi)
@@ -625,6 +626,37 @@ def _simulate(
                 executor.shutdown(cancel_futures=True)
 
 
+def _fit(acc: MomentAccumulator, controls: _Controls, source: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Coefficients of the k fitted columns Z = X @ B.T (_Controls), of the controls, and notes.
+
+    acc holds the moments of [Y | Z] in its leading 1 + k variables, full,
+    over R runs: the pilot's, or every run in-sample. The fit is by least
+    squares where the controls are daily and R >= k + 3, with a note of
+    the factor by which the coefficients' error moves var(W) (Lavenberg &
+    Welch 1981; Nelson 1990): up by about (R - 2)/(R - k - 2) over its
+    floor on the main runs of a pilot, down by about (R - k - 1)/(R - 1)
+    in-sample. Otherwise each Z_c is fitted on its own with its exact
+    variance sigma_d^2 * sum_i B_ci^2. The daily controls' coefficients
+    are B.T @ (those of Z), the others' those of Z.
+    """
+    k, q, runs = len(controls.rows), controls.dim, acc.count
+    if controls.daily and runs >= k + 3:
+        fitted, notes = optimal_betas(acc)
+        if source == SOURCE_PILOT:
+            on, moves = f"p = {runs} pilot runs", "raises var(W)"
+            factor = f"(p - 2)/(p - k - 2) = {(runs - 2) / (runs - k - 2):.4g} over its floor"
+        else:
+            on, moves = f"all R = {runs} runs", "lowers the sample var(W)"
+            factor = f"(R - k - 1)/(R - 1) = {(runs - k - 1) / (runs - 1):.4g}"
+        notes.append(
+            f"least-squares {source} coefficients on the span of {'{1, i/n}' if k == 2 else '{1}'}: k = {k} "
+            f"fitted jointly on {on} for the n = {q} daily ones; their error {moves} by about the factor {factor}"
+        )
+    else:
+        fitted, notes = optimal_betas(acc, controls.exact_variances)
+    return fitted, (np.einsum("ci,c->i", controls.rows, fitted) if controls.daily else fitted), notes
+
+
 def _pilot_pass(
     model: MarketModel,
     spec: ContractSpec,
@@ -636,54 +668,27 @@ def _pilot_pass(
 ) -> tuple[np.ndarray, list[str], MomentAccumulator]:
     """One pass over runs 0..runs-1 for pilot-phase coefficients.
 
-    Runs below pilot_runs feed the moments of (Y, controls); the
-    coefficients are fixed from them at the boundary. The later runs feed
-    the lean moments of (Y, controls, W), W = Y + C @ beta - E[C] @ beta,
-    so the estimate and var(W) are read straight from the main moments.
-
-    Every form fits the k columns Z = X @ B.T of its rows B (_Controls):
-    the one-control forms' Z is their control, from lean moments; the
-    daily controls of multi_log_returns take beta = B.T @ (a, b) on the
-    k <= 2 rows of its span, from the full moments of (Y, Z). The fit is
-    by least squares where the controls are daily and the pilot has
-    p >= k + 3 runs, with a note of its loss factor (p - 2)/(p - k - 2) on
-    the floor (Lavenberg & Welch 1981; Nelson 1990), else each Z_c on its
-    own with its exact variance sigma_d^2 * sum_i B_ci^2.
+    Runs below pilot_runs feed the full moments of [Y | Z], from which
+    _fit fixes the coefficients at the boundary. The later runs feed the
+    lean moments of (Y, controls, W), W = Y + C @ beta - E[C] @ beta, so
+    the estimate and var(W) are read straight from the main moments.
     """
-    q, basis, k = controls.dim, controls.rows, len(controls.rows)
-    pilot = MomentAccumulator(1 + k, full_covariance=controls.daily)
-    main = MomentAccumulator(2 + q, full_covariance=False)
+    q, k = controls.dim, len(controls.rows)
+    pilot = MomentAccumulator(1 + k)
+    main = MomentAccumulator(2 + q, full=1)
     betas, notes, offset = None, [], 0.0
 
     def fix_betas():
         nonlocal betas, notes, offset
-        if controls.daily and pilot_runs >= k + 3:
-            betas, notes = optimal_betas(pilot)
-            notes.append(
-                f"least-squares pilot coefficients on the span of {'{1, i/n}' if k == 2 else '{1}'}: "
-                f"k = {k} fitted jointly on p = {pilot_runs} pilot runs for the n = {q} daily ones; their "
-                f"error raises var(W) by about the factor (p - 2)/(p - k - 2) = "
-                f"{(pilot_runs - 2) / (pilot_runs - k - 2):.4g} over its floor"
-            )
-        else:
-            betas, notes = optimal_betas(pilot, controls.exact_variances)
-        if controls.daily:
-            betas = np.einsum("ci,c->i", basis, betas)
+        _, betas, notes = _fit(pilot, controls, SOURCE_PILOT)
         offset = controls.means @ betas
-
-    def with_z(rows):
-        # a fresh [Y | Z]; einsum, not BLAS, whose bits of a row depend on the rows in the product
-        yz = np.empty((len(rows), 1 + k))
-        yz[:, 0] = rows[:, 0]
-        np.einsum("ij,cj->ic", rows[:, 1 : 1 + q], basis, out=yz[:, 1:])
-        return yz
 
     def with_w(rows):
         y, c = rows[:, 0], rows[:, 1 : 1 + q]
         rows[:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
         return rows
 
-    phases = [(pilot_runs, pilot, with_z if controls.daily else None), (runs, main, with_w)]
+    phases = [(pilot_runs, pilot, controls.with_z if controls.daily else None), (runs, main, with_w)]
     _simulate(model, spec, seed, runs, batch_size, controls, phases, at_boundary=fix_betas)
     return betas, notes, main
 
@@ -712,7 +717,8 @@ def plain_estimate(
 def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -> tuple[np.ndarray, list[str]]:
     """Control coefficients from the moments in acc, and notes on dropped controls.
 
-    The accumulator's first variable is Y; the rest are the controls.
+    The accumulator's first variable is Y; the controls are the other
+    variables of its leading acc.full, whose whole covariance it tracks.
     With `variances`, each control is fitted on its own:
     beta_i = -cov(Y, C_i)/variances[i]. cv_estimate passes the exact model
     variances of the controls; acc.variances()[1:] gives the sample ones.
@@ -729,10 +735,10 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
         denominators = np.diag(cov)[1:]
     else:
         denominators = np.array(variances, dtype=float)
-        if denominators.shape != (acc.dim - 1,):
-            raise ValueError(f"expected {acc.dim - 1} variances, got shape {denominators.shape}")
+        if denominators.shape != (acc.full - 1,):
+            raise ValueError(f"expected {acc.full - 1} variances, got shape {denominators.shape}")
     # the stored means, without the copy the public property makes
-    second_moment = denominators + acc._mean[1:] ** 2
+    second_moment = denominators + acc._mean[1 : acc.full] ** 2
     usable = denominators > DEGENERATE_CONTROL_TOLERANCE * np.maximum(second_moment, 1e-300)
     dropped = len(usable) - np.count_nonzero(usable)
     if dropped == len(usable):
@@ -747,12 +753,13 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
     if variances is None:
         betas[usable] = -np.linalg.solve(cov[1:, 1:][usable][:, usable], cov[1:, 0][usable])
     else:
-        np.divide(-acc.cross()[1:], denominators, out=betas, where=usable)
+        np.divide(-acc.cross()[1 : acc.full], denominators, out=betas, where=usable)
     return betas, notes
 
 
 def insample_variance(acc: MomentAccumulator, betas: np.ndarray) -> float:
-    """Sample variance of W = Y + sum_i betas[i]*(C_i - const) on acc's sample."""
+    """Sample variance of W = Y + sum_i betas[i]*(C_i - const) on acc's sample,
+    over the controls C_i of acc's leading acc.full variables (optimal_betas)."""
     betas = np.asarray(betas, dtype=float)
     cov = acc.covariance()
     return float(cov[0, 0] + betas @ cov[1:, 1:] @ betas + 2.0 * (betas @ cov[1:, 0]))
@@ -799,18 +806,21 @@ def cv_estimate(
     With coefficient_source="pilot" the first ceil(pilot_fraction*runs)
     runs estimate the coefficients and the remaining runs produce the
     estimate, so E[W] = E[Y] exactly; both phases come from one pass over
-    the runs. With "in_sample" all runs serve both purposes (the textbook
-    construction, small-sample biased).
+    the runs. With "in_sample" all runs serve both purposes (small-sample
+    biased), and var(W) follows exactly from the sample covariance of
+    [Y | Z] (insample_variance).
 
     A form is rows B of day weights (ControlSpec), single_terminal_log
-    being custom_linear with unit weights. Coefficients come from
-    optimal_betas with the exact model variances of the controls as
-    denominators, sigma_d^2 * sum_i B_ci^2 (sigma_d^2 for a day), except
-    that multi_log_returns in pilot mode fits its n daily coefficients on
-    the span of its rows {1, i/n} ({1} at n = 1), by least squares from
-    the pilot's full sample covariance when the pilot has p >= k + 3 runs,
-    with a note of k, p and the loss factor (p - 2)/(p - k - 2)
-    (_pilot_pass). Degenerate controls are dropped with a note.
+    being custom_linear with unit weights. Both sources fit the same way
+    (_fit): coefficients come from optimal_betas with the exact model
+    variances of the fitted columns as denominators,
+    sigma_d^2 * sum_i B_ci^2, except that multi_log_returns fits its n
+    daily coefficients on the span of its rows {1, i/n} ({1} at n = 1) by
+    least squares from the full sample covariance of [Y | Z] when it has
+    R >= k + 3 runs, with a note of k, R and the factor by which the fit
+    moves var(W). The report keeps the n daily coefficients a + b * i/n,
+    the per-day correlations and the bound 1 - sum_i corr^2(Y, X(i)).
+    Degenerate controls are dropped with a note.
     check_arguments holds the rules on the arguments.
     A predicted variance ratio below -0.05, which sampling bias
     gives with few runs per control, is reported as it is, with a note
@@ -820,36 +830,30 @@ def cv_estimate(
     if control.form == FORM_NONE:
         return plain_estimate(model, spec, runs, seed, batch_size)
     controls = _Controls(model, spec, control)
-    notes: list[str] = []
-
     if control.coefficient_source == SOURCE_PILOT:
         pilot_runs = math.ceil(pilot_fraction * runs)
         main_runs = runs - pilot_runs
-        betas, beta_notes, acc = _pilot_pass(model, spec, seed, runs, pilot_runs, controls, batch_size)
-        notes.extend(beta_notes)
+        betas, notes, acc = _pilot_pass(model, spec, seed, runs, pilot_runs, controls, batch_size)
         variances = acc.variances()
         var_y, control_vars, var_w = variances[0], variances[1:-1], variances[-1]
         cross = acc.cross()[1:-1]
         estimate = float(acc.mean[-1])
     else:
-        pilot_runs = 0
-        main_runs = runs
-        acc = MomentAccumulator(1 + controls.dim)
-        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, None)])
-        # each daily control is fitted on its own: its row of day weights is its day's unit vector
-        exact = np.full(controls.dim, model.daily_variance) if controls.daily else controls.exact_variances
-        betas, beta_notes = optimal_betas(acc, exact)
-        notes.extend(beta_notes)
-        notes.append(
-            "in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias"
-        )
+        pilot_runs, main_runs = 0, runs
+        # [Y | Z | X] where daily, else [Y | Z]: the controls are the last q columns
+        q, k = controls.dim, len(controls.rows)
+        acc = MomentAccumulator(1 + k + (q if controls.daily else 0), full=1 + k)
+        fold = functools.partial(controls.with_z, days=True) if controls.daily else None
+        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, fold)])
+        fitted, betas, notes = _fit(acc, controls, SOURCE_IN_SAMPLE)
+        notes.append("in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias")
         variances = acc.variances()
-        var_y, control_vars = variances[0], variances[1:]
-        cross = acc.cross()[1:]
-        estimate = float(acc.mean[0] + betas @ (acc.mean[1:] - controls.means))
-        # var(W) follows exactly from the sample covariance of (Y, controls)
+        var_y, control_vars = variances[0], variances[-q:]
+        cross = acc.cross()[-q:]
+        estimate = float(acc.mean[0] + betas @ (acc.mean[-q:] - controls.means))
+        # var(W) follows exactly from the sample covariance of [Y | Z]
         # because W is a fixed linear combination of them.
-        var_w = max(insample_variance(acc, betas), 0.0)
+        var_w = max(insample_variance(acc, fitted), 0.0)
 
     ratio = var_w / var_y if var_y > 0.0 else 1.0
     correlations = _correlations(var_y, cross, control_vars)

@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 from cvmc import (
     ASIAN_FIXED,
     ASIAN_FLOATING,
+    EUROPEAN_CALL,
     LOOKBACK_FLOATING,
     ContractSpec,
     ControlSpec,
     LogReturnSampler,
     MarketModel,
     MomentAccumulator,
+    black_scholes_call,
     cv_estimate,
     insample_variance,
     optimal_betas,
@@ -46,6 +48,8 @@ from cvmc.estimators import (
 )
 from cvmc.model import STREAM_BLOCK_ROWS, ArgumentError
 from cvmc.payoffs import CONTRACT_KINDS, STRIKE_KINDS, discounted_payoff
+
+from bit_contract import report_bits
 
 MARKET = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
 ASIAN = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=30, strike=100.0)
@@ -116,10 +120,10 @@ class TestMomentAccumulator:
         with pytest.raises(ValueError, match="expected shape"):
             acc.add_batch(np.zeros(2))
 
-    @pytest.mark.parametrize("full_covariance", [True, False])
+    @pytest.mark.parametrize("full", [2, 1])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_moments_raise_and_leave_the_state(self, full_covariance):
-        acc = MomentAccumulator(2, full_covariance=full_covariance)
+    def test_overflowing_moments_raise_and_leave_the_state(self, full):
+        acc = MomentAccumulator(2, full)
         acc.add_batch([[1.0, 2.0], [3.0, 5.0]])
         with pytest.raises(ValueError, match="overflow"):
             acc.add_batch([[1e155, 0.0], [-1e155, 1.0]])
@@ -174,50 +178,50 @@ def moment_bits(acc) -> tuple:
 class TestMerge:
     """MomentAccumulator.merge is add_batch's merge: the one merge routine."""
 
-    @pytest.mark.parametrize("full_covariance", [True, False])
-    def test_add_batch_is_a_fresh_add_batch_then_merge(self, full_covariance):
+    @pytest.mark.parametrize("full", [4, 1, 2])
+    def test_add_batch_is_a_fresh_add_batch_then_merge(self, full):
         data = np.random.default_rng(5).normal(size=(90, 4)) * [3.0, 1.0, 0.1, 7.0]
-        batched = MomentAccumulator(4, full_covariance)
-        merged = MomentAccumulator(4, full_covariance)
+        batched = MomentAccumulator(4, full)
+        merged = MomentAccumulator(4, full)
         for xs in (data[:31], data[31:32], data[32:]):
             batched.add_batch(xs)
-            piece = MomentAccumulator(4, full_covariance)
+            piece = MomentAccumulator(4, full)
             piece.add_batch(xs)
             merged.merge(piece)
             assert moment_bits(merged) == moment_bits(batched)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
-        st.booleans(),
+        st.sampled_from([3, 1, 2]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_pieces_merged_in_order_match_add_batch_calls(self, sizes, full_covariance, data_seed):
+    def test_pieces_merged_in_order_match_add_batch_calls(self, sizes, full, data_seed):
         data = np.random.default_rng(data_seed).normal(size=(sum(sizes), 3)) + [1e3, 0.0, -5.0]
         bounds = np.cumsum([0, *sizes]).tolist()
-        batched = MomentAccumulator(3, full_covariance)
-        merged = MomentAccumulator(3, full_covariance)
+        batched = MomentAccumulator(3, full)
+        merged = MomentAccumulator(3, full)
         for lo, hi in zip(bounds, bounds[1:]):
             batched.add_batch(data[lo:hi])
-            piece = MomentAccumulator(3, full_covariance)
+            piece = MomentAccumulator(3, full)
             piece.add_batch(data[lo:hi])
             merged.merge(piece)
         assert moment_bits(merged) == moment_bits(batched)
 
-    @pytest.mark.parametrize("full_covariance", [True, False])
+    @pytest.mark.parametrize("full", [2, 1])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_merge_raises_and_leaves_the_state(self, full_covariance):
-        acc = MomentAccumulator(2, full_covariance=full_covariance)
+    def test_overflowing_merge_raises_and_leaves_the_state(self, full):
+        acc = MomentAccumulator(2, full)
         acc.add_batch([[1.0, 2.0], [3.0, 5.0]])
         before = moment_bits(acc)
-        far = MomentAccumulator(2, full_covariance=full_covariance)
+        far = MomentAccumulator(2, full)
         far.add_batch([[1e155, 0.0], [1e155, 1.0]])
         with pytest.raises(ValueError, match="overflow floating point after 4 rows"):
             acc.merge(far)
         assert moment_bits(acc) == before
 
     @pytest.mark.parametrize(
-        "other", [MomentAccumulator(3), MomentAccumulator(2, full_covariance=False)], ids=["dim", "mode"]
+        "other", [MomentAccumulator(3), MomentAccumulator(2, full=1)], ids=["dim", "full"]
     )
     def test_merge_of_another_shape_is_refused(self, other):
         acc = MomentAccumulator(2)
@@ -236,45 +240,53 @@ class TestMerge:
 
 
 class TestLeanMoments:
-    """Row 0 and the diagonal, tracked without the full covariance."""
+    """The whole covariance of the leading full variables, and of the rest
+    row 0 and the diagonal alone."""
 
+    @pytest.mark.parametrize("leading", [1, 2, 3])
     @given(
         st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_match_full_covariance_under_splits_and_merges(self, sizes, data_seed):
+    def test_match_full_covariance_under_splits_and_merges(self, leading, sizes, data_seed):
         rng = np.random.default_rng(data_seed)
         data = rng.normal(size=(sum(sizes) + 2, 4)) * [5.0, 1.0, 0.01, 100.0] + [3.0, -1.0, 0.5, 1e3]
         full = MomentAccumulator(4)
         full.add_batch(data)
-        lean = MomentAccumulator(4, full_covariance=False)
+        lean = MomentAccumulator(4, leading)
+        merged = MomentAccumulator(4, leading)
         bounds = np.cumsum([0, *sizes, 2]).tolist()
-        # any split of the sample into add_batch calls
+        # any split of the sample into add_batch calls, or into pieces merged in order
         for lo, hi in zip(bounds, bounds[1:]):
             lean.add_batch(data[lo:hi])
+            piece = MomentAccumulator(4, leading)
+            piece.add_batch(data[lo:hi])
+            merged.merge(piece)
         cov = full.covariance()
-        assert lean.count == full.count
-        assert np.allclose(lean.mean, full.mean, rtol=1e-12, atol=0)
-        assert np.allclose(lean.cross(), cov[0], rtol=1e-12, atol=1e-12 * math.sqrt(cov[0, 0]))
-        assert np.allclose(lean.variances(), np.diag(cov), rtol=1e-12, atol=0)
+        for acc in (lean, merged):
+            assert acc.count == full.count
+            assert np.allclose(acc.mean, full.mean, rtol=1e-12, atol=0)
+            assert np.allclose(acc.cross(), cov[0], rtol=1e-12, atol=1e-12 * math.sqrt(cov[0, 0]))
+            assert np.allclose(acc.variances(), np.diag(cov), rtol=1e-12, atol=0)
+            scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))[:leading, :leading]
+            assert acc.covariance().shape == (leading, leading)
+            assert np.allclose(acc.covariance(), cov[:leading, :leading], rtol=1e-12, atol=1e-12 * scale)
         assert np.allclose(full.cross(), cov[0], rtol=1e-15, atol=0)
 
     def test_constant_payoff_column_has_exactly_zero_variance(self):
         x = np.random.default_rng(9).normal(size=(9, 3))
-        lean = MomentAccumulator(4, full_covariance=False)
+        lean = MomentAccumulator(4, full=1)
         for part in (x[:4], x[4:]):
             lean.add_batch(np.column_stack((np.full(len(part), math.pi), part)))
         assert lean.mean[0] == math.pi
         assert lean.variances()[0] == 0.0
         assert np.all(lean.cross() == 0.0)
 
-    def test_full_covariance_refused(self):
-        data = np.column_stack((np.arange(4.0), np.arange(4.0) ** 2))
-        lean = MomentAccumulator(2, full_covariance=False)
-        lean.add_batch(data)
-        with pytest.raises(ValueError, match="row 0 and the diagonal"):
-            lean.covariance()
+    @pytest.mark.parametrize("full", [0, 5, 2.0, True], ids=["zero", "wider", "float", "bool"])
+    def test_full_beyond_one_to_dim_refused(self, full):
+        with pytest.raises(ValueError, match="full must be"):
+            MomentAccumulator(4, full)
 
 
 class TestOptimalCoefficients:
@@ -416,8 +428,6 @@ class TestPlainEstimate:
         assert report.predicted_variance_ratio == 1.0
 
     def test_against_black_scholes(self):
-        from cvmc import EUROPEAN_CALL, black_scholes_call
-
         spec = ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=252, strike=100.0)
         report = plain_estimate(MARKET, spec, 30000, seed=91)
         target = black_scholes_call(MARKET, spec)
@@ -744,7 +754,7 @@ class TestSpanPilot:
         basis = span_basis(n)
         k = len(basis)
         ((pilot, variances),) = fits
-        assert pilot.count == p and pilot.dim == 1 + k and pilot.full_covariance
+        assert pilot.count == p and pilot.dim == pilot.full == 1 + k
         values = report.coefficients.values
         assert values.shape == (n,)
         # the engine's bits: B.T @ (a, b) of optimal_betas on the pilot's moments
@@ -846,7 +856,7 @@ class TestSpanPilotCorners:
             rows = []
 
             def recording_add_batch(self, xs):
-                if self.full_covariance:
+                if self.full > 1:  # the pilot's, not the main phase's
                     rows.append(np.array(xs))
                 return add_batch(self, xs)
 
@@ -861,6 +871,79 @@ class TestSpanPilotCorners:
         assert np.allclose(reference[:, 1:], x @ span_basis(n).T, rtol=1e-12, atol=1e-15)
         for batch_size in (1, 250, 777):
             assert pilot_rows(batch_size).tobytes() == reference.tobytes(), batch_size
+
+
+class TestInSampleSpan:
+    """In-sample cv-multi fits its n daily coefficients on the span of
+    {1, i/n} over every run, by the pilot's rule (_fit)."""
+
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
+    @pytest.mark.parametrize("kind", [ASIAN_FIXED, EUROPEAN_CALL])
+    @pytest.mark.parametrize("n, runs, batch_size", [(1, 600, 4096), (5, 600, 97), (30, 900, 4096), (252, 600, 250)])
+    def test_matches_numpy_least_squares(self, kind, n, runs, batch_size):
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=100.0 if kind in STRIKE_KINDS else None)
+        report = cv_estimate(MARKET, spec, ControlSpec(FORM_MULTI, SOURCE_IN_SAMPLE), runs, seed=37, batch_size=batch_size)
+        x = np.array([run_log_returns(n, 37, j) for j in range(runs)])
+        y = discounted_payoff(MARKET, spec, prices_from_log_returns(MARKET, x))
+        basis = span_basis(n)
+        z = x @ basis.T
+        # Y on [1 | Z]: the fitted column coefficients are minus the slopes
+        slopes = np.linalg.lstsq(np.column_stack([np.ones(runs), z]), y, rcond=None)[0][1:]
+        betas = -basis.T @ slopes
+        w = y + (x - MARKET.daily_mean) @ betas
+        assert report.runs_used == runs and report.pilot_runs_used == 0
+        assert np.allclose(report.coefficients.values, betas, rtol=1e-10, atol=0)
+        assert report.estimate == pytest.approx(w.mean(), rel=1e-10)
+        assert report.standard_error**2 * runs == pytest.approx(np.var(w, ddof=1), rel=1e-10)
+        assert report.empirical_variance_ratio == pytest.approx(np.var(w, ddof=1) / np.var(y, ddof=1), rel=1e-10)
+        # the report keeps the per-day correlations and the bound 1 - sum of their squares
+        correlations = [np.corrcoef(y, x[:, i])[0, 1] for i in range(n)]
+        assert np.allclose(report.per_control_correlations, correlations, rtol=1e-10, atol=1e-12)
+        assert report.predicted_variance_ratio == pytest.approx(1.0 - np.dot(correlations, correlations), rel=1e-10, abs=1e-12)
+        k = len(basis)
+        assert report.notes[:2] == (
+            f"least-squares in_sample coefficients on the span of {'{1, i/n}' if k == 2 else '{1}'}: k = {k} "
+            f"fitted jointly on all R = {runs} runs for the n = {n} daily ones; their error lowers the sample "
+            f"var(W) by about the factor (R - k - 1)/(R - 1) = {(runs - k - 1) / (runs - 1):.4g}",
+            "in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias",
+        )
+
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
+    @pytest.mark.parametrize("n, runs", [(30, 4), (2, 4), (30, 5), (1, 4)])
+    def test_fewer_than_k_plus_3_runs_take_the_exact_variance_fit(self, monkeypatch, n, runs):
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        fits = record_fits(monkeypatch)
+        report = cv_estimate(MARKET, spec, ControlSpec(FORM_MULTI, SOURCE_IN_SAMPLE), runs, seed=7)
+        ((acc, variances),) = fits
+        basis = span_basis(n)
+        k = len(basis)
+        assert acc.count == runs and acc.full == 1 + k and acc.dim == 1 + k + n
+        x = np.array([run_log_returns(n, 7, j) for j in range(runs)])
+        y = discounted_payoff(MARKET, spec, prices_from_log_returns(MARKET, x))
+        least_squares = [note for note in report.notes if note.startswith("least-squares")]
+        if runs >= k + 3:
+            assert variances is None and len(least_squares) == 1
+            expected = fitted_on(y, x @ basis.T)
+        else:
+            exact = MARKET.daily_variance * (basis**2).sum(axis=1)
+            assert np.allclose(variances, exact, rtol=1e-15, atol=0) and least_squares == []
+            expected = fitted_on(y, x @ basis.T, exact)
+        assert np.allclose(report.coefficients.values, basis.T @ expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
+    @pytest.mark.parametrize("runs", [100, 1000])
+    def test_coverage_of_the_standard_error_against_black_scholes(self, runs):
+        # european_call at n = 30 on seeds 1..400: the nominal 95% interval
+        # holds the Black-Scholes price within 3 binomial standard errors of 95%
+        spec = ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=30, strike=100.0)
+        target = black_scholes_call(MARKET, spec)
+        seeds = range(1, 401)
+        hits = 0
+        for seed in seeds:
+            report = cv_estimate(MARKET, spec, ControlSpec(FORM_MULTI, SOURCE_IN_SAMPLE), runs, seed=seed)
+            hits += abs(report.estimate - target) <= 1.959964 * report.standard_error
+        coverage = hits / len(seeds)
+        assert abs(coverage - 0.95) <= 3 * math.sqrt(0.95 * 0.05 / len(seeds)), coverage
 
 
 def _finite_report(report) -> bool:
@@ -1104,20 +1187,6 @@ def test_check_arguments_passes_what_the_estimators_run():
     check_arguments(ZERO_VOLATILITY, ASIAN, ControlSpec(FORM_NONE), 2, seed=0)
 
 
-def report_bits(report) -> list:
-    """Every number of a report, as float.hex strings."""
-    numbers = [
-        report.estimate,
-        report.standard_error,
-        report.empirical_variance_ratio,
-        report.predicted_variance_ratio,
-        *report.per_control_correlations,
-    ]
-    if report.coefficients is not None:
-        numbers += [*report.coefficients.values, *report.coefficients.control_means]
-    return [float(v).hex() for v in numbers] + [report.runs_used, report.pilot_runs_used]
-
-
 def report_grid(runs: int, batch_size: int, n: int = 30) -> dict:
     """Bits of plain_estimate and of cv_estimate for every form and coefficient source."""
     spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
@@ -1132,9 +1201,9 @@ def report_grid(runs: int, batch_size: int, n: int = 30) -> dict:
 
 
 def blas_grid() -> dict:
-    """report_grid at n = 252, and cv-multi's least-squares pilot (a 3-wide
-    covariance product and a 2x2 LAPACK solve) at n = 30 and 252, on one
-    lane and on two."""
+    """report_grid at n = 252, and cv-multi's least-squares pilot (3-wide
+    covariance products by einsum and a 2x2 LAPACK solve) at n = 30 and
+    252, on one lane and on two."""
     grid = report_grid(2100, 777, n=252)
     for n in (30, 252):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
@@ -1214,14 +1283,18 @@ class TestPipeline:
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 225 main runs at n = 252
     def test_lanes_change_no_bit(self, monkeypatch, n, batch_size):
         # 4500 runs: block 0 goes to lane 0, block 1 to lane 1, and batch 777
-        # straddles run 4096; at n = 1 and 2 the pilot's covariance is wider
-        # than n, so its pieces are whole parts on two lanes
+        # straddles run 4096
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
         one_lane = lane_grid(4500, batch_size, n)
         calls = draws_by_thread(monkeypatch)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
         assert lane_grid(4500, batch_size, n) == one_lane
-        # (at n = 252 the calls that track a full covariance wider than n run on the caller's thread)
+        assert lane_blocks(calls) == {frozenset({0}), frozenset({1})}
+        # in-sample cv-multi, whose [Y | Z | X] moments are n + 3 wide, on two lanes of its own
+        calls.clear()
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        in_sample = cv_estimate(MARKET, spec, ControlSpec(FORM_MULTI, SOURCE_IN_SAMPLE), 4500, seed=43, batch_size=batch_size)
+        assert report_bits(in_sample) == one_lane[f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}"]
         assert lane_blocks(calls) == {frozenset({0}), frozenset({1})}
 
     @pytest.mark.parametrize("n", [30, 252])
@@ -1350,13 +1423,13 @@ class TestPipeline:
         # sha256 of report_bits at n = 30, batch 4096, R = 20 000 on two lanes,
         # as the earlier pipeline computed them: one add_batch per batch
         expected = {
-            # since cvmc 0.5.0 plain's payoff column is a contiguous (rows, 1)
-            # array, not a strided view, and einsum sums it in another order
-            "plain": "64cb8924268dc6f0b73d4d06e5545e952b1c8727c738e691f6ea8a011afa7720",
+            # since cvmc 0.6.0 plain's sum of squares is an einsum, not BLAS
+            "plain": "acdc6c67b33707dda9d44f4bbcd9859d702ccea3d2c42cc7ccdb883e38f36809",
             # custom_linear with unit weights since cvmc 0.4.0
             FORM_SINGLE: "fe46b0c91aa71bca60e92b1c3a35bcac0bdf0af53cf3aaf7d6a27eaf49c0ca33",
-            # pilot coefficients on the span of {1, i/n} since cvmc 0.3.0
-            FORM_MULTI: "6f41822333aaa049726efab2bd3f71281b369faa117a1d1b4f102ce83e9b2184",
+            # pilot coefficients on the span of {1, i/n} since cvmc 0.3.0, from
+            # the pilot's 3-wide products by einsum since cvmc 0.6.0
+            FORM_MULTI: "01a4c2aeb97728d4c007be12a8e9f36cad5b2324cca00d9a3a9882768795df3c",
         }
         reports = {"plain": plain_estimate(MARKET, ASIAN, 20000, seed=11)}
         for form in (FORM_SINGLE, FORM_MULTI):
@@ -1366,16 +1439,17 @@ class TestPipeline:
         assert report_bits(reports["plain"])[0] == "0x1.c56b32241d375p+0"
 
     def test_numbers_of_custom_and_in_sample_coefficients_are_pinned(self):
-        # sha256 of report_bits as cvmc 0.3.0 computes them (single_terminal_log
-        # as 0.4.0 does, custom_linear with unit weights): n = 30 and
-        # R = 20 000 on two lanes, and in-sample multi at n = 252 (a
-        # covariance wider than n, on one lane) with R = 5000
+        # sha256 of report_bits: pilot custom as cvmc 0.3.0 computes it, and
+        # the in-sample reports as cvmc 0.6.0 does (least squares on the span
+        # of {1, i/n} for multi, every covariance product by einsum): n = 30
+        # and R = 20 000 on two lanes, and in-sample multi at n = 252 with
+        # R = 5000, also on two lanes
         expected = {
             f"{FORM_CUSTOM}/{SOURCE_PILOT}": "62a6b06d19139cd48fa2e641a008212b594685643c645f11a04e825d5b870d25",
-            f"{FORM_SINGLE}/{SOURCE_IN_SAMPLE}": "623405d279499f93e254cc5bf20f9ad4c16e4cd7028c31589e5a09c0d4850561",
-            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}": "99c7908dd43e4563bba2877f852486730529a70c583ba5a65e5437f7c3d9735b",
-            f"{FORM_CUSTOM}/{SOURCE_IN_SAMPLE}": "7d9b7a55cbf1c15795e532ee7e44307b47a72a2bb133cab95fbd3ce2043b412d",
-            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}/252": "bacd642fa6be9b0e3b601fb34490def9b4a1b45b7ad7ab3257b206bf73fdca2c",
+            f"{FORM_SINGLE}/{SOURCE_IN_SAMPLE}": "cf3fd3129070d024012c7c113e75d26efbb1a452edc1aeed96fc1f144225bc63",
+            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}": "12107a603ecf62c0373f8815307ff606dfb906f56fb66764beb7f5b7e9993c2d",
+            f"{FORM_CUSTOM}/{SOURCE_IN_SAMPLE}": "82b43618cda7925a585f077e6bf5ac53aee9ec166c8825d5e54ac90f1846c5dd",
+            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}/252": "02cae7e4bfa359f1230c99ac410f3237198d2c7a5a1a3187e2969b3604d565e9",
         }
         reports = {}
         for key in expected:
@@ -1392,14 +1466,16 @@ class TestPipeline:
 
     def test_numbers_of_the_long_paths_estimators_are_pinned(self):
         # sha256 of report_bits as cvmc 0.3.0 computes them: plain (as cvmc
-        # 0.5.0 does, from a contiguous payoff column) and pilot cv-multi at
-        # n = 252, R = 5000, the estimators of the benchmark's long_paths
-        # workload; and pilot cv-single as cvmc 0.4.0 computes it, whose
-        # moment rows are 3 wide against n = 252 days
+        # 0.5.0 does, from a contiguous payoff column; its einsum of cvmc
+        # 0.6.0 gives the same bits here) and pilot cv-multi (as cvmc 0.6.0
+        # does, its pilot's products by einsum) at n = 252, R = 5000, the
+        # estimators of the benchmark's long_paths workload; and pilot
+        # cv-single as cvmc 0.4.0 computes it, whose moment rows are 3 wide
+        # against n = 252 days
         expected = {
             "plain": "b1a97b9890bf422c993810089b5a6924fb25180b9041e5f855e93e84f22c9868",
             FORM_SINGLE: "f12eef00068f9763087e475dab0274e2662360d40de969b01f94349c25814265",
-            FORM_MULTI: "4c645d6141891f8fc3b4132fd5c3cd289586f3e1dd720413b2cc205539127559",
+            FORM_MULTI: "dcc3c557cdb7f023f9a82a6f96043e26ae446bc253d5e8ddd3da4854305560f1",
         }
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
         reports = {"plain": plain_estimate(MARKET, spec, 5000, seed=11)}
@@ -1410,27 +1486,27 @@ class TestPipeline:
 
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 90 main runs at R = 100
     def test_numbers_of_one_block_calls_are_pinned(self, monkeypatch):
-        # sha256 of report_bits as cvmc 0.5.0 computes them: plain and pilot
-        # cv-multi at n = 30, seed 11, one piece of R rows on one lane, the
-        # calls of the benchmark's replications workload, with R on both
-        # sides of the row count from which the prices' prefix sums go day
-        # by day (1024); and plain at R = 4000 for the payoffs that read
-        # every day's price
+        # sha256 of report_bits as cvmc 0.6.0 computes them, every moment
+        # product by einsum: plain and pilot cv-multi at n = 30, seed 11, one
+        # piece of R rows on one lane, the calls of the benchmark's
+        # replications workload, with R on both sides of the row count from
+        # which the prices' prefix sums go day by day (1024); and plain at
+        # R = 4000 for the payoffs that read every day's price
         expected = {
-            "plain/100": "36640be133d83dd5392f46c9122b58007a8dc2c6d0992a1e3c81a07e0e1ef0c6",
+            "plain/100": "fe3aa209c5fdc15cf9cb59169d530b43516f95f701462cbfc7bb2816a9781824",
             "plain/250": "d1a4e97f392d40a4b59d9a2a27f6728f680c2ac1f5d216e7c26f572e8e0a56fc",
-            "plain/1000": "eab326501196b6200d83bf769c9c0f20e94bf09b46a40cc3cfbddb0b34bda8c9",
-            "plain/1023": "a804bd69f6783358cb8a45b88f0141de38898916a11a57f50030eef88def6334",
-            "plain/1024": "4c3bceb1af88d7e4c1f6365630c3e516396845895d6491978e1c08c9f076287e",
-            "plain/4000": "26c7dc2ea26cd48b52afb6bf911e7882d1f5ea2aa6cd8090e465f98474216932",
-            f"{FORM_MULTI}/100": "6dde1ca6d5003c9d4848205d47aa674862ad7dceaaa3a103d2a6f733d235e359",
-            f"{FORM_MULTI}/250": "82e858f0f67bd34fa15bf03cb4270ff6441c31171381a835bf443ff67d8b8454",
-            f"{FORM_MULTI}/1000": "2686e5c743344cf08e64051a3bdbd182fc3c6033d44ea564e1bf15c6210191dd",
-            f"{FORM_MULTI}/1023": "e55619db326228ea65e87a8a7d7b38b743f7d0d8a34b59b4af30c035f8e61b7d",
-            f"{FORM_MULTI}/1024": "37131135a169c1e4d180b8083c081cf02649d98639ae4558b5bda18c94963ffb",
-            f"{FORM_MULTI}/4000": "926483dce51c8e686814c398288cfd0d29f2039901037e2c65fc61d8fa4da993",
-            f"plain/{LOOKBACK_FLOATING}": "56a580e1e85e1b9e56d5e26a616c820d0ef009391086c411445fe3b4ada51234",
-            f"plain/{ASIAN_FLOATING}": "d6c5ee505ef0b2e28f66cd70c6bbf2670f467aedd689b8907151656f40b442df",
+            "plain/1000": "1e7143c12583e12d59a17d5aa94da1a1d31f7c06162b83799475a6acdb13d469",
+            "plain/1023": "c6ef47c2ab943485495a27471dc87222bf8dd5a33414119845fecf4974e1eca4",
+            "plain/1024": "af2b8055b8fcfadc1f2b162aab899d2b4ab62f37f1400a8e94b449c1746b41bf",
+            "plain/4000": "655a1922659bcc44cf268c9918cee2bbf7f3ecd2f4333187cfdba87416bd95cf",
+            f"{FORM_MULTI}/100": "7de3a0af4f46acca988ad760d54b3b7946a004562f303f1661c430a5a9a9c6c2",
+            f"{FORM_MULTI}/250": "b71a817c056c61ec7ab90bb88b6db5eb28d19f56c29b210a27dc47e94c3d2349",
+            f"{FORM_MULTI}/1000": "7ef60e27c00c8d6e70e5d132bfdc01852077715b8d458812a3921c35b556af00",
+            f"{FORM_MULTI}/1023": "7b670a552e2caae2d38b134a879a0f4d00ae09ffb7fdcbf3f6cc5718c985f1f0",
+            f"{FORM_MULTI}/1024": "ae5824fc072a80c8a3665167762862a73331d0295f1cb93e0e2ca1fdfc68da27",
+            f"{FORM_MULTI}/4000": "a54357656755d752b66f8a0331f00ee155100e0d55d64454121da5fb33c0d7d8",
+            f"plain/{LOOKBACK_FLOATING}": "01ef81f900863c59624e4452c5b33e5e6312e1cd8fad0fae752c99040a848272",
+            f"plain/{ASIAN_FLOATING}": "cff4e641a1d9f6c129ad14cbcde8fa3bbc5154c46213612704717a1c9334187d",
         }
         calls = draws_by_thread(monkeypatch)
         reports = {}
@@ -1475,7 +1551,7 @@ class TestPipeline:
                 values.append(rows[:, 1].copy())
                 return rows
 
-            acc = MomentAccumulator(2, full_covariance=False)
+            acc = MomentAccumulator(2, full=1)
             estimators._simulate(MARKET, spec, 3, 1100, batch_size, controls, [(1100, acc, record)])
             return np.concatenate(values)
 
@@ -1493,10 +1569,11 @@ class TestPipeline:
         assert caller not in dict(calls)
         assert lane_blocks(calls) == {frozenset({0, 2, 4}), frozenset({1, 3})}
         calls.clear()
-        # pieces of a covariance wider than n hold more than _CHUNK_NORMALS at n = 252
+        # in-sample cv-multi at n = 252 (1.26e6 normals) as any call of its size
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
         cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI, coefficient_source=SOURCE_IN_SAMPLE), 5000, seed=3)
-        assert {thread for thread, _ in calls} == {caller}
+        assert caller not in dict(calls)
+        assert lane_blocks(calls) == {frozenset({0}), frozenset({1})}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_worker_is_joined_after_return_and_raise(self):
@@ -1563,9 +1640,11 @@ class TestPipeline:
         assert threading.active_count() == before
 
     def test_failures_on_both_lanes_under_fast_switching(self, monkeypatch):
-        # 20 blocks in one-row pieces, threads switching as often as they
+        # 20 blocks in 512-row pieces, threads switching as often as they
         # can: the first failure in run order is raised, and no lane starts
-        # a block _UNITS_AHEAD or more after it
+        # a block _UNITS_AHEAD or more after it. Block 0 is held a moment,
+        # so that lane 1 would draw its blocks to the end were it not for
+        # the window.
         monkeypatch.setattr(estimators, "_CHUNK_NORMALS", 30 * 512)
         rows = LogReturnSampler.rows
         rng = np.random.default_rng(5)
@@ -1573,6 +1652,8 @@ class TestPipeline:
 
         def failing_rows(self, lo, hi, out=None):
             block = lo // STREAM_BLOCK_ROWS
+            if lo == 0:
+                time.sleep(0.1)
             if block in failing:
                 raise MemoryError(f"block {block}")
             return rows(self, lo, hi, out)
