@@ -10,7 +10,7 @@ underlying correlation inequality and the optimal-coefficient identities
 by enumeration.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .estimators import (
     ControlCoefficients,

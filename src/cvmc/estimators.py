@@ -19,9 +19,12 @@ Every form fits the coefficients of its k <= 2 columns Z = X @ B.T
 pilot runs, or over every run in-sample. With pilot coefficients, one
 pass serves both phases: runs below the pilot count estimate the
 coefficients, which are fixed at the boundary, and the later runs feed
-the main-phase moments of (Y, controls, W). Those, and the per-day
-moments of in-sample multi_log_returns, track only the means, cov(Y, .)
-and the variances, O(runs * n). Every product of the moments is an
+the main-phase moments of [Y | Z | W], at most 4 wide, whose means,
+cov(Y, .) and variances give the estimate and var(W). Only the per-day
+report of multi_log_returns reads the n days: one row of cov(Y, X(i)),
+with the means it needs to merge, over the estimating runs of either
+source, O(runs * n); each day's variance is the exact sigma_d^2. Moment
+rows are stored column by column. Every product of the moments is an
 einsum; the one BLAS-backed step left is the LAPACK solve of the fit.
 
 Drawing the normals is the largest stage, so a call that draws many
@@ -85,11 +88,6 @@ _THREADED_NORMALS = 2**19
 # Most units computed or queued ahead of the merge, four per lane.
 _UNITS_AHEAD = 8
 
-# Values per block when MomentAccumulator centers a batch without the full
-# covariance (256 KiB of doubles, which stays in a typical L2 cache).
-_CENTERED_BLOCK = 2**15
-
-
 @functools.lru_cache(maxsize=64)
 def _zeros(shape: tuple[int, ...]) -> np.ndarray:
     """A read-only array of zeros of this shape, made once."""
@@ -130,12 +128,12 @@ class MomentAccumulator:
         if full > dim:
             raise ValueError(f"full must be at most dim = {dim}, got {full}")
         self._count = 0
-        # Sums of centered products: row 0 of the (dim, dim) matrix, rows
-        # 1..full-1 of its leading full columns (zeros after them) and its
-        # diagonal. No accumulator updates its moment arrays in place, so an
-        # empty one shares read-only zeros.
+        # Sums of centered products: the first full rows of the (dim, dim)
+        # matrix, then its diagonal unless they hold it (full = dim). No
+        # accumulator updates its moment arrays in place, so an empty one
+        # shares read-only zeros.
         self._mean = _zeros((dim,))
-        self._m2 = _zeros((full + 1, dim))
+        self._m2 = _zeros((full + (full < dim), dim))
 
     @property
     def count(self) -> int:
@@ -146,21 +144,17 @@ class MomentAccumulator:
         return self._mean.copy()
 
     def _products(self, xs: np.ndarray, center: np.ndarray) -> np.ndarray:
-        """Sums of products of the rows of xs centered on center: row 0 of the
-        matrix, rows 1..full-1 of its leading full columns, then its
-        diagonal. Each is an einsum, not BLAS, whose bits of a sum depend on
-        the other sums in the product."""
+        """Sums of products of the rows of xs centered on center: the first
+        full rows of the matrix, then its diagonal unless full = dim. Each is
+        one einsum, not BLAS, whose bits of a sum depend on the other sums in
+        the product."""
         full = self.full
-        # Centered in row blocks of at most _CENTERED_BLOCK values, so that
-        # the temporary stays in cache for the products that read it.
-        out = np.zeros((full + 1, self.dim))
-        step = max(1, _CENTERED_BLOCK // self.dim)
-        for lo in range(0, xs.shape[0], step):
-            centered = xs[lo : lo + step] - center
-            out[0] += np.einsum("i,ij->j", centered[:, 0], centered)
-            for a in range(1, full):
-                out[a, :full] += np.einsum("i,ij->j", centered[:, a], centered[:, :full])
-            out[-1] += np.einsum("ij,ij->j", centered, centered)
+        centered = xs - center
+        if full == self.dim:
+            return np.einsum("ij,ik->jk", centered, centered)
+        out = np.empty(self._m2.shape)
+        np.einsum("ij,ik->jk", centered[:, :full], centered, out=out[:full])
+        np.einsum("ij,ij->j", centered, centered, out=out[full])
         return out
 
     def add_batch(self, xs) -> None:
@@ -227,7 +221,55 @@ class MomentAccumulator:
 
     def variances(self) -> np.ndarray:
         """Unbiased variances of every variable (the diagonal)."""
-        return self._m2[-1] / self._denominator()
+        diagonal = np.diagonal(self._m2) if self.full == self.dim else self._m2[-1]
+        return diagonal / self._denominator()
+
+
+class _DayCross:
+    """cov(Y, X(i)) for each day i, from the payoffs Y and the log-returns X of the runs.
+
+    One n-wide row of cross sums, the sums of (Y - mean Y) * (X(i) - mean
+    X(i)), with the count and the means of Y and of each X(i), folded in by
+    MomentAccumulator's pairwise update. Neither the diagonal of X nor a
+    centered copy of it is formed: a batch's sums are those of
+    (Y - mean Y) * X(i), which differ from them by mean X(i) times the
+    rounding error of the sum of Y - mean Y. A batch or merge after which
+    a sum is not finite raises ValueError and leaves the state as it was.
+    """
+
+    def __init__(self, n: int):
+        self.count = 0
+        self._mean_y = 0.0
+        self._mean_x = _zeros((n,))
+        self._sums = _zeros((n,))
+
+    def add_batch(self, y: np.ndarray, x: np.ndarray) -> None:
+        runs = len(y)
+        mean_y = y.sum() / runs
+        self._merge(runs, mean_y, np.einsum("ij->j", x) / runs, np.einsum("i,ij->j", y - mean_y, x))
+
+    def merge(self, other: _DayCross) -> None:
+        """Fold in the moments of other, as if its rows followed this one's."""
+        if self.count == 0:  # other's sums passed the finiteness check when they were formed
+            self.count, self._mean_y, self._mean_x, self._sums = other.count, other._mean_y, other._mean_x, other._sums
+        else:
+            self._merge(other.count, other._mean_y, other._mean_x, other._sums)
+
+    def _merge(self, runs: int, mean_y: float, mean_x: np.ndarray, sums: np.ndarray) -> None:
+        count = self.count
+        total = count + runs
+        if count:
+            delta_y, delta_x = mean_y - self._mean_y, mean_x - self._mean_x
+            sums = self._sums + sums + delta_x * (delta_y * (count * runs / total))
+            mean_y = self._mean_y + delta_y * (runs / total)
+            mean_x = self._mean_x + delta_x * (runs / total)
+        if not np.isfinite(sums).all():
+            raise _overflow(total)
+        self.count, self._mean_y, self._mean_x, self._sums = total, mean_y, mean_x, sums
+
+    def cross(self) -> np.ndarray:
+        """Unbiased covariances of Y with each X(i); the estimators read it over at least 2 runs."""
+        return self._sums / (self.count - 1)
 
 
 @dataclass(frozen=True)
@@ -292,7 +334,11 @@ class EstimatorReport:
     empirical_variance_ratio is var(W)/var(Y) on the runs that produced
     the estimate; predicted_variance_ratio is 1 - sum_i corr^2(Y, C_i)
     over the controls C_i, from the same runs. standard_error is
-    sqrt(var(W)/runs_used).
+    sqrt(var(W)/runs_used). per_control_correlations are corr(Y, C_i),
+    from the sample covariances: over the sample variances of the fitted
+    columns, and for multi_log_returns, whose controls are the n days
+    X(i), over the exact daily variance sigma_d^2, sample cov(Y, X(i)) /
+    sqrt(sample var(Y) * sigma_d^2), clipped to [-1, 1].
     """
 
     estimate: float
@@ -307,12 +353,13 @@ class EstimatorReport:
 
 
 class _Controls:
-    """One form as data (ControlSpec): rows, n day weights per fitted column X @ rows.T.
+    """One form as data (ControlSpec): rows B, n day weights per fitted column Z = X @ B.T.
 
-    The controls are the n days themselves where daily (multi_log_returns,
+    values gives Z for every form, and z_means its exact means. The report's
+    controls are the n days themselves where daily (multi_log_returns,
     whose coefficients are fitted on the span of its rows), else the fitted
-    columns. means are the controls' exact means, exact_variances the
-    fitted columns'.
+    columns; means are their exact means. exact_variances are the fitted
+    columns'.
     """
 
     def __init__(self, model: MarketModel, spec: ContractSpec, control: ControlSpec):
@@ -323,11 +370,11 @@ class _Controls:
             self.rows = np.ones((min(n, 2), n))
             if n > 1:
                 np.divide(np.arange(1, n + 1), n, out=self.rows[1])
-            self.means = np.full(n, model.daily_mean)
         else:  # ControlSpec admits no other form, and form none never gets here
             self.rows = (control.weights if control.form == FORM_CUSTOM else np.ones(n))[None, :]
-            self.means = model.daily_mean * self.rows.sum(axis=1)
-        self.dim = n if self.daily else len(self.rows)
+        self.z_means = model.daily_mean * self.rows.sum(axis=1)
+        self.means = np.full(n, model.daily_mean) if self.daily else self.z_means
+        self.dim = len(self.means)
         self._daily_variance = model.daily_variance
 
     @functools.cached_property
@@ -335,22 +382,10 @@ class _Controls:
         # read by every form but the daily one, whose fit needs it only with fewer than k + 3 runs
         return self._daily_variance * np.einsum("ci,ci->c", self.rows, self.rows)
 
-    def with_z(self, rows: np.ndarray, days: bool = False) -> np.ndarray:
-        """A fresh [Y | Z], or [Y | Z | X] with days, from the daily form's moment rows [Y | X]."""
-        k, q = len(self.rows), self.dim
-        out = np.empty((len(rows), 1 + k + (q if days else 0)))
-        out[:, 0] = rows[:, 0]
-        # einsum, not BLAS, whose bits of a row depend on the rows in the product
-        np.einsum("ij,cj->ic", rows[:, 1 : 1 + q], self.rows, out=out[:, 1 : 1 + k])
-        if days:
-            out[:, 1 + k :] = rows[:, 1 : 1 + q]
-        return out
-
-    def values(self, log_returns: np.ndarray) -> np.ndarray:
-        if self.daily:
-            return log_returns
+    def values(self, log_returns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Z = X @ B.T, into out if given."""
         # not BLAS: a matrix product's bits of a row depend on the rows in it, einsum's do not
-        return np.einsum("ij,cj->ic", log_returns, self.rows)
+        return np.einsum("ij,cj->ic", log_returns, self.rows, out=out)
 
 
 def check_arguments(
@@ -427,15 +462,19 @@ def _fill_rows(
     rows: np.ndarray,
     lo: int,
     hi: int,
+    prices: np.ndarray,
 ) -> None:
-    """Payoffs into column 0 of rows and control values after it, from log-returns x.
+    """Payoffs into column 0 of rows and the fitted columns Z after it, from log-returns x.
 
-    The controls are taken first, then x becomes the prices in place. A
-    non-finite payoff raises, naming the runs lo..hi-1 of the batch.
+    The prices go into prices: x itself, once Z is taken from it, or memory
+    apart from x that the rows may share, which leaves x intact and takes Z
+    after the payoffs. A non-finite payoff raises, naming the runs
+    lo..hi-1 of the batch.
     """
-    if controls is not None:
-        rows[:, 1 : 1 + controls.dim] = controls.values(x)
-    y = discounted_payoff(model, spec, prices_from_log_returns(model, x, out=x))
+    in_place = prices is x
+    if controls is not None and in_place:
+        controls.values(x, out=rows[:, 1 : 1 + len(controls.rows)])
+    y = discounted_payoff(model, spec, prices_from_log_returns(model, x, out=prices))
     if not np.isfinite(y).all():
         strike = "" if spec.strike is None else f", strike {spec.strike}"
         raise ValueError(
@@ -443,6 +482,8 @@ def _fill_rows(
             f"({spec.days_to_maturity} days{strike}): the simulated prices overflow floating point"
         )
     rows[:, 0] = y
+    if controls is not None and not in_place:
+        controls.values(x, out=rows[:, 1 : 1 + len(controls.rows)])
 
 
 def _run_on(cpus: set[int]) -> None:
@@ -463,16 +504,18 @@ def _simulate(
     controls: _Controls | None,
     phases: list[tuple[int, MomentAccumulator, Callable | None]],
     at_boundary: Callable[[], None] = lambda: None,
+    days: _DayCross | None = None,
 ) -> None:
     """Simulate runs 0..runs-1 and fold their moment rows into the phases' accumulators.
 
     phases lists (end, acc, fold) in run order, the last end being runs:
     a phase takes the runs from the previous phase's end up to its own.
     fold(rows), unless None, returns the rows that go into acc: rows is a
-    view of the moment rows, max(1 + q, acc.dim) wide, with the payoffs in
-    column 0, the q control values in columns 1..q and the columns of a
-    wider acc after them. A fold fills those in place (the main phase's W)
-    or returns a fresh array (multi_log_returns' [Y | Z] and [Y | Z | X]).
+    view of the moment rows, max(1 + k, acc.dim) wide, with the payoffs in
+    column 0, the k fitted columns Z in columns 1..k and the columns of a
+    wider acc after them, which a fold fills in place (the main phase's W).
+    days, if given, takes the per-day cross moments of the last phase's
+    runs, from their payoffs and log-returns, unit by unit as acc does.
     at_boundary is called on this thread at each phase boundary, once
     every earlier run is in the moments and before any later run is folded.
 
@@ -510,16 +553,18 @@ def _simulate(
     only who computes a unit, and the draw ahead: the units and the order
     of their merge are the same.
 
-    Each lane has its own buffers of one piece, reused from piece to
-    piece: n wide for the log-returns, which become the prices in place
-    once the controls are taken from them, and width wide for the moment
-    rows, width being that of the widest rows a phase folds.
+    Each lane has one buffer of one piece, reused from piece to piece: n
+    wide for the log-returns, then width wide for the moment rows, width
+    being that of the widest rows a phase folds, stored column by column.
+    The log-returns become the prices in place once Z is taken from them;
+    with days, which reads them after the payoffs, the prices go into the
+    rows' space instead, max(n, width) wide.
     """
     n = spec.days_to_maturity
     ends = [end for end, _, _ in phases]
     starts = [0, *ends[:-1]]
     accs = [acc for _, acc, _ in phases]
-    widths = [max(1 + (controls.dim if controls is not None else 0), acc.dim) for acc in accs]
+    widths = [max(1 + (len(controls.rows) if controls is not None else 0), acc.dim) for acc in accs]
     width = max(widths)
     step = max(1, _CHUNK_NORMALS // n)
     size = min(step, batch_size, STREAM_BLOCK_ROWS, runs)  # the longest piece
@@ -535,21 +580,22 @@ def _simulate(
         return lo, min(lo + step, batch_hi, block_lo + STREAM_BLOCK_ROWS), batch_lo, batch_hi
 
     def lane() -> Callable:
-        """fill(piece) -> the piece's moment rows before the fold, in buffers
-        of this lane's own: size by n for the draws and their prices, size by
-        width for the rows. It draws them unless it drew them ahead; its
-        sampler is keyed on the thread that first fills."""
-        sampler, held = None, None  # held: the piece whose rows the buffer holds
+        """fill(piece) -> the piece's moment rows before the fold, and its
+        log-returns, in a buffer of this lane's own. It draws them unless it
+        drew them ahead; its sampler is keyed on the thread that first fills."""
+        sampler, held, x = None, None, None  # held: the piece whose rows the buffer holds, x its draws
         # One allocation: glibc raises its trim threshold to twice the largest
         # mmapped block freed, which two such blocks freed together reached, so
         # the heap was trimmed and faulted in again on every call (about 23 900
         # minor page faults per pass of the replications benchmark; none now).
-        buffer = np.empty(size * (n + width))
+        buffer = np.empty(size * (n + (width if days is None else max(n, width))))
         x_buffer = buffer[: size * n].reshape(size, n)
-        row_buffer = buffer[size * n :].reshape(size, width)
+        space = buffer[size * n :]
+        # column by column, so that a column of a piece's rows is contiguous
+        row_buffer = space[: size * width].reshape(width, size).T
 
-        def fill(piece: tuple[int, int, int, int]) -> np.ndarray:
-            nonlocal sampler, held
+        def fill(piece: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+            nonlocal sampler, held, x
             lo, hi, batch_lo, batch_hi = piece
             rows = row_buffer[: hi - lo]
             if held != piece:
@@ -557,28 +603,39 @@ def _simulate(
                 if sampler is None:
                     sampler = LogReturnSampler(model, n, seed)
                 x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
-                _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi)
+                prices = x if days is None else space[: (hi - lo) * n].reshape(hi - lo, n)
+                _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi, prices)
                 held = piece
-            return rows
+            return rows, x
 
         return fill
 
-    def unit(fill: Callable, lo: int, hi: int, phase: int) -> MomentAccumulator:
-        """The moments of runs lo..hi-1 of phase in a fresh accumulator, piece by piece."""
+    def unit(fill: Callable, lo: int, hi: int, phase: int) -> tuple[MomentAccumulator, _DayCross | None]:
+        """The moments of runs lo..hi-1 of phase in fresh accumulators, piece by piece."""
         acc = MomentAccumulator(accs[phase].dim, accs[phase].full)
+        cross = _DayCross(n) if days is not None and phase == len(phases) - 1 else None
         while lo < hi:
             piece = piece_of(lo)
             b = min(piece[1], hi)
-            rows = fill(piece)[lo - piece[0] : b - piece[0], : widths[phase]]
+            rows, x = fill(piece)
+            rows = rows[lo - piece[0] : b - piece[0], : widths[phase]]
             if phases[phase][2] is not None:
                 rows = phases[phase][2](rows)
             try:
                 acc.add_batch(rows)
+                if cross is not None:
+                    cross.add_batch(rows[:, 0], x[lo - piece[0] : b - piece[0]])
             except ValueError:
                 # with the phase's rows so far, as its merge would count them
                 raise _overflow(b - starts[phase]) from None
             lo = b
-        return acc
+        return acc, cross
+
+    def merge(phase: int, done: Callable) -> None:
+        acc, cross = done()
+        accs[phase].merge(acc)
+        if cross is not None:
+            days.merge(cross)
 
     def draw_ahead(fill: Callable, run: int) -> None:
         with suppress(Exception):  # met again when the unit draws the piece, in run order
@@ -610,14 +667,14 @@ def _simulate(
         for phase, (start, end) in enumerate(zip(starts, ends)):
             for lo in range(start - start % STREAM_BLOCK_ROWS, end, STREAM_BLOCK_ROWS):
                 if len(window) == _UNITS_AHEAD:
-                    accs[phase].merge(window.popleft()())
+                    merge(phase, window.popleft())
                 window.append(hand(lo, unit, max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase))
             # the first run of each lane in a later phase: run end, and the next block's first
             for later in (end, end - end % STREAM_BLOCK_ROWS + STREAM_BLOCK_ROWS):
                 if later < runs:
                     hand(later, draw_ahead, later)
             while window:
-                accs[phase].merge(window.popleft()())
+                merge(phase, window.popleft())
             if end < runs:
                 at_boundary()
     finally:
@@ -643,11 +700,12 @@ def _fit(acc: MomentAccumulator, controls: _Controls, source: str) -> tuple[np.n
     if controls.daily and runs >= k + 3:
         fitted, notes = optimal_betas(acc)
         if source == SOURCE_PILOT:
+            # as 1 + or - its distance from 1, which no run count rounds away
             on, moves = f"p = {runs} pilot runs", "raises var(W)"
-            factor = f"(p - 2)/(p - k - 2) = {(runs - 2) / (runs - k - 2):.4g} over its floor"
+            factor = f"(p - 2)/(p - k - 2) = 1 + {k / (runs - k - 2):.4g} over its floor"
         else:
             on, moves = f"all R = {runs} runs", "lowers the sample var(W)"
-            factor = f"(R - k - 1)/(R - 1) = {(runs - k - 1) / (runs - 1):.4g}"
+            factor = f"(R - k - 1)/(R - 1) = 1 - {k / (runs - 1):.4g}"
         notes.append(
             f"least-squares {source} coefficients on the span of {'{1, i/n}' if k == 2 else '{1}'}: k = {k} "
             f"fitted jointly on {on} for the n = {q} daily ones; their error {moves} by about the factor {factor}"
@@ -665,31 +723,35 @@ def _pilot_pass(
     pilot_runs: int,
     controls: _Controls,
     batch_size: int,
+    days: _DayCross | None,
 ) -> tuple[np.ndarray, list[str], MomentAccumulator]:
     """One pass over runs 0..runs-1 for pilot-phase coefficients.
 
     Runs below pilot_runs feed the full moments of [Y | Z], from which
     _fit fixes the coefficients at the boundary. The later runs feed the
-    lean moments of (Y, controls, W), W = Y + C @ beta - E[C] @ beta, so
-    the estimate and var(W) are read straight from the main moments.
+    lean moments of [Y | Z | W], W = Y + Z @ fitted - E[Z] @ fitted, so
+    the estimate and var(W) are read straight from the main moments, and
+    days, if given, the per-day cross moments of the main runs.
     """
-    q, k = controls.dim, len(controls.rows)
+    k = len(controls.rows)
     pilot = MomentAccumulator(1 + k)
-    main = MomentAccumulator(2 + q, full=1)
-    betas, notes, offset = None, [], 0.0
+    main = MomentAccumulator(2 + k, full=1)
+    fitted, betas, notes, offset = None, None, [], 0.0
 
     def fix_betas():
-        nonlocal betas, notes, offset
-        _, betas, notes = _fit(pilot, controls, SOURCE_PILOT)
-        offset = controls.means @ betas
+        nonlocal fitted, betas, notes, offset
+        fitted, betas, notes = _fit(pilot, controls, SOURCE_PILOT)
+        offset = controls.z_means @ fitted
 
     def with_w(rows):
-        y, c = rows[:, 0], rows[:, 1 : 1 + q]
-        rows[:, 1 + q] = y + np.einsum("ij,j->i", c, betas) - offset
+        w = rows[:, 1 + k]
+        np.einsum("ij,j->i", rows[:, 1 : 1 + k], fitted, out=w)
+        w += rows[:, 0]
+        w -= offset
         return rows
 
-    phases = [(pilot_runs, pilot, controls.with_z if controls.daily else None), (runs, main, with_w)]
-    _simulate(model, spec, seed, runs, batch_size, controls, phases, at_boundary=fix_betas)
+    phases = [(pilot_runs, pilot, None), (runs, main, with_w)]
+    _simulate(model, spec, seed, runs, batch_size, controls, phases, at_boundary=fix_betas, days=days)
     return betas, notes, main
 
 
@@ -819,7 +881,9 @@ def cv_estimate(
     least squares from the full sample covariance of [Y | Z] when it has
     R >= k + 3 runs, with a note of k, R and the factor by which the fit
     moves var(W). The report keeps the n daily coefficients a + b * i/n,
-    the per-day correlations and the bound 1 - sum_i corr^2(Y, X(i)).
+    the per-day correlations and the bound 1 - sum_i corr^2(Y, X(i)), each
+    corr(Y, X(i)) being the sample cov(Y, X(i)) over sqrt(var(Y)) and the
+    exact daily standard deviation sigma_d (EstimatorReport).
     Degenerate controls are dropped with a note.
     check_arguments holds the rules on the arguments.
     A predicted variance ratio below -0.05, which sampling bias
@@ -830,30 +894,32 @@ def cv_estimate(
     if control.form == FORM_NONE:
         return plain_estimate(model, spec, runs, seed, batch_size)
     controls = _Controls(model, spec, control)
+    k = len(controls.rows)
+    # the per-day report of multi_log_returns: cov(Y, X(i)) over the estimating runs
+    days = _DayCross(spec.days_to_maturity) if controls.daily else None
     if control.coefficient_source == SOURCE_PILOT:
         pilot_runs = math.ceil(pilot_fraction * runs)
         main_runs = runs - pilot_runs
-        betas, notes, acc = _pilot_pass(model, spec, seed, runs, pilot_runs, controls, batch_size)
+        betas, notes, acc = _pilot_pass(model, spec, seed, runs, pilot_runs, controls, batch_size, days)
         variances = acc.variances()
-        var_y, control_vars, var_w = variances[0], variances[1:-1], variances[-1]
-        cross = acc.cross()[1:-1]
+        var_y, var_w = variances[0], variances[-1]
         estimate = float(acc.mean[-1])
     else:
         pilot_runs, main_runs = 0, runs
-        # [Y | Z | X] where daily, else [Y | Z]: the controls are the last q columns
-        q, k = controls.dim, len(controls.rows)
-        acc = MomentAccumulator(1 + k + (q if controls.daily else 0), full=1 + k)
-        fold = functools.partial(controls.with_z, days=True) if controls.daily else None
-        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, fold)])
+        acc = MomentAccumulator(1 + k)
+        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, None)], days=days)
         fitted, betas, notes = _fit(acc, controls, SOURCE_IN_SAMPLE)
         notes.append("in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias")
         variances = acc.variances()
-        var_y, control_vars = variances[0], variances[-q:]
-        cross = acc.cross()[-q:]
-        estimate = float(acc.mean[0] + betas @ (acc.mean[-q:] - controls.means))
+        var_y = variances[0]
+        estimate = float(acc.mean[0] + fitted @ (acc.mean[1:] - controls.z_means))
         # var(W) follows exactly from the sample covariance of [Y | Z]
         # because W is a fixed linear combination of them.
         var_w = max(insample_variance(acc, fitted), 0.0)
+    if days is None:
+        cross, control_vars = acc.cross()[1 : 1 + k], variances[1 : 1 + k]
+    else:  # each day's sample cov(Y, X(i)) over its exact variance
+        cross, control_vars = days.cross(), np.full(controls.dim, model.daily_variance)
 
     ratio = var_w / var_y if var_y > 0.0 else 1.0
     correlations = _correlations(var_y, cross, control_vars)

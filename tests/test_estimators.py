@@ -74,6 +74,13 @@ def predicted_ratio(acc):
     return _predicted(var_y, _correlations(var_y, acc.cross()[1:], control_vars), control_vars)
 
 
+def day_correlations(y, x):
+    """cv-multi's per-day correlations: each day's sample cov(Y, X(i)) over
+    sqrt(var(Y) * sigma_d^2), with the exact daily variance sigma_d^2."""
+    cross = np.array([np.cov(y, x[:, i], ddof=1)[0, 1] for i in range(x.shape[1])])
+    return cross / np.sqrt(np.var(y, ddof=1) * MARKET.daily_variance)
+
+
 def sample_betas(acc):
     """optimal_betas with the sample variances of the controls as denominators."""
     return optimal_betas(acc, acc.variances()[1:])
@@ -173,6 +180,62 @@ class TestMomentAccumulator:
 def moment_bits(acc) -> tuple:
     """An accumulator's count and moment arrays, as bytes."""
     return acc.count, acc._mean.tobytes(), acc._m2.tobytes()
+
+
+class TestStoredRows:
+    """A full accumulator keeps the (dim, dim) matrix alone, whose diagonal is
+    the variances: of one variable, row 0 is the diagonal, summed once."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_variances_are_the_diagonal_of_the_covariance(self, dim):
+        data = np.random.default_rng(dim).normal(size=(300, dim)) * 3.0 + 1.0
+        acc = MomentAccumulator(dim)
+        for lo in range(0, 300, 70):
+            acc.add_batch(data[lo : lo + 70])
+        assert acc.variances().tobytes() == np.diag(acc.covariance()).tobytes()
+        assert acc.cross().tobytes() == acc.covariance()[0].tobytes()
+        assert np.allclose(acc.covariance(), np.atleast_2d(np.cov(data.T, ddof=1)), rtol=1e-12, atol=0)
+
+
+class TestDayCross:
+    """The per-day cross row of cv-multi: cov(Y, X(i)) for every day from the
+    pairwise update, with no diagonal and no centered copy of X."""
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_numpy_under_splits_and_merges(self, sizes, data_seed):
+        rng = np.random.default_rng(data_seed)
+        runs = sum(sizes) + 2
+        x = rng.normal(size=(runs, 5)) * 0.0126 + 2e-4
+        y = 5.0 + 40.0 * x[:, -1] + rng.normal(size=runs)
+        expected = [np.cov(y, x[:, i], ddof=1)[0, 1] for i in range(5)]
+        batched, merged = estimators._DayCross(5), estimators._DayCross(5)
+        bounds = np.cumsum([0, *sizes, 2]).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            batched.add_batch(y[lo:hi], x[lo:hi])
+            piece = estimators._DayCross(5)
+            piece.add_batch(y[lo:hi], x[lo:hi])
+            merged.merge(piece)
+        for cross in (batched, merged):
+            assert cross.count == runs
+            assert np.allclose(cross.cross(), expected, rtol=1e-10, atol=1e-14)
+
+    def test_constant_payoffs_have_no_cross_moments(self):
+        cross = estimators._DayCross(3)
+        x = np.random.default_rng(4).normal(size=(9, 3))
+        cross.add_batch(np.zeros(9), x)
+        assert np.all(cross.cross() == 0.0)
+
+    def test_overflow_raises_and_keeps_the_state(self):
+        cross = estimators._DayCross(2)
+        cross.add_batch(np.array([1.0, 2.0]), np.array([[0.1, 0.2], [0.3, 0.1]]))
+        before = cross.cross()
+        with pytest.raises(ValueError, match="overflow floating point after 4 rows"):
+            cross.add_batch(np.array([-1e300, 1e300]), np.array([[1e10, 0.0], [-1e10, 0.0]]))
+        assert cross.count == 2 and np.array_equal(cross.cross(), before)
 
 
 class TestMerge:
@@ -512,6 +575,11 @@ class TestCvEstimate:
         assert report.empirical_variance_ratio == pytest.approx(
             np.var(ws, ddof=1) / np.var(ys, ddof=1), rel=1e-8
         )
+        # per day, the sample cov(Y, X(i)) over the main runs over the exact sigma_d^2
+        xs = np.array([run_log_returns(n, 77, j) for j in range(40, runs)])
+        correlations = day_correlations(np.array(ys), xs)
+        assert np.allclose(report.per_control_correlations, correlations, rtol=1e-8, atol=1e-12)
+        assert report.predicted_variance_ratio == pytest.approx(1.0 - correlations @ correlations, rel=1e-8)
 
     def test_predicted_and_empirical_ratios_agree(self):
         report = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 20000, seed=61)
@@ -552,8 +620,9 @@ class TestCvEstimate:
         assert sampled[0] / default[0] == pytest.approx(exact[0] / np.var(pilot_v, ddof=1), rel=1e-10)
 
     def test_main_phase_moments_match_full_covariance(self):
-        # var(W) and the estimate of the one-pass lean update equal the
-        # full-covariance quadratic form over the same main-phase runs
+        # var(W) and the estimate of the one-pass lean update of [Y | Z | W]
+        # equal the full-covariance quadratic form over the same main-phase
+        # runs, and the per-day bound its cross row over sigma_d^2
         runs, batch = 3000, 700
         report = cv_estimate(
             MARKET, ASIAN, ControlSpec(form=FORM_MULTI), runs, seed=19, batch_size=batch
@@ -568,9 +637,8 @@ class TestCvEstimate:
         assert report.estimate == pytest.approx(
             full.mean[0] + betas @ (full.mean[1:] - report.coefficients.control_means), rel=1e-12
         )
-        assert report.predicted_variance_ratio == pytest.approx(
-            predicted_ratio(full), rel=1e-10
-        )
+        correlations = full.cross()[1:] / np.sqrt(full.variances()[0] * MARKET.daily_variance)
+        assert report.predicted_variance_ratio == pytest.approx(1.0 - correlations @ correlations, rel=1e-10)
 
     def test_batch_size_changes_rounding_only(self):
         a = cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 5000, seed=23)
@@ -776,12 +844,11 @@ class TestSpanPilot:
         if not least_squares:
             assert fit_notes == []
             return
-        factor = (p - 2) / (p - k - 2)
         span_name = "{1, i/n}" if k == 2 else "{1}"
         assert fit_notes == [
             f"least-squares pilot coefficients on the span of {span_name}: k = {k} fitted jointly on "
             f"p = {p} pilot runs for the n = {n} daily ones; their error raises var(W) by about the factor "
-            f"(p - 2)/(p - k - 2) = {factor:.4g} over its floor"
+            f"(p - 2)/(p - k - 2) = 1 + {k / (p - k - 2):.4g} over its floor"
         ]
 
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
@@ -896,15 +963,16 @@ class TestInSampleSpan:
         assert report.estimate == pytest.approx(w.mean(), rel=1e-10)
         assert report.standard_error**2 * runs == pytest.approx(np.var(w, ddof=1), rel=1e-10)
         assert report.empirical_variance_ratio == pytest.approx(np.var(w, ddof=1) / np.var(y, ddof=1), rel=1e-10)
-        # the report keeps the per-day correlations and the bound 1 - sum of their squares
-        correlations = [np.corrcoef(y, x[:, i])[0, 1] for i in range(n)]
+        # the report keeps the per-day correlations, each day's sample cov(Y, X(i))
+        # over its exact sigma_d^2, and the bound 1 - sum of their squares
+        correlations = day_correlations(y, x)
         assert np.allclose(report.per_control_correlations, correlations, rtol=1e-10, atol=1e-12)
         assert report.predicted_variance_ratio == pytest.approx(1.0 - np.dot(correlations, correlations), rel=1e-10, abs=1e-12)
         k = len(basis)
         assert report.notes[:2] == (
             f"least-squares in_sample coefficients on the span of {'{1, i/n}' if k == 2 else '{1}'}: k = {k} "
             f"fitted jointly on all R = {runs} runs for the n = {n} daily ones; their error lowers the sample "
-            f"var(W) by about the factor (R - k - 1)/(R - 1) = {(runs - k - 1) / (runs - 1):.4g}",
+            f"var(W) by about the factor (R - k - 1)/(R - 1) = 1 - {k / (runs - 1):.4g}",
             "in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias",
         )
 
@@ -917,7 +985,7 @@ class TestInSampleSpan:
         ((acc, variances),) = fits
         basis = span_basis(n)
         k = len(basis)
-        assert acc.count == runs and acc.full == 1 + k and acc.dim == 1 + k + n
+        assert acc.count == runs and acc.full == acc.dim == 1 + k
         x = np.array([run_log_returns(n, 7, j) for j in range(runs)])
         y = discounted_payoff(MARKET, spec, prices_from_log_returns(MARKET, x))
         least_squares = [note for note in report.notes if note.startswith("least-squares")]
@@ -944,6 +1012,69 @@ class TestInSampleSpan:
             hits += abs(report.estimate - target) <= 1.959964 * report.standard_error
         coverage = hits / len(seeds)
         assert abs(coverage - 0.95) <= 3 * math.sqrt(0.95 * 0.05 / len(seeds)), coverage
+
+
+class TestMainPhaseOfMulti:
+    """cv-multi's main phase folds [Y | Z | W], at most 1 + k + 1 wide, and its
+    per-day report one cross row of the log-returns (cvmc 0.7.0)."""
+
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
+    @pytest.mark.parametrize("source", [SOURCE_PILOT, SOURCE_IN_SAMPLE])
+    def test_no_moment_batch_at_252_days_is_wider_than_y_z_w(self, monkeypatch, source):
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
+        batches = []
+        add_batch = MomentAccumulator.add_batch
+
+        def recording_add_batch(self, xs):
+            batches.append((xs.shape, xs.strides))
+            return add_batch(self, xs)
+
+        monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
+        cv_estimate(MARKET, spec, ControlSpec(FORM_MULTI, source), 5000, seed=3, batch_size=777)
+        k = 2
+        assert batches and max(shape[1] for shape, _ in batches) <= 1 + k + 1
+        # each column of a batch is contiguous: the rows are stored column by column
+        assert all(strides[0] == 8 for _, strides in batches)
+
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
+    @pytest.mark.parametrize("kind", [ASIAN_FIXED, EUROPEAN_CALL])
+    @pytest.mark.parametrize("n, runs, batch_size", [(1, 3000, 777), (5, 3000, 250), (252, 3000, 777)])
+    def test_pilot_report_matches_direct_recomputation(self, kind, n, runs, batch_size):
+        # pieces cut at the batches (and at 520 runs at n = 252), and the
+        # pilot boundary, run 300, inside one
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=100.0 if kind in STRIKE_KINDS else None)
+        report = cv_estimate(MARKET, spec, ControlSpec(FORM_MULTI), runs, seed=83, batch_size=batch_size)
+        p = report.pilot_runs_used
+        assert p == 300 and report.runs_used == runs - p
+        x = LogReturnSampler(MARKET, n, 83).rows(p, runs)
+        y = discounted_payoff(MARKET, spec, prices_from_log_returns(MARKET, x))
+        w = y + (x - MARKET.daily_mean) @ report.coefficients.values
+        assert report.estimate == pytest.approx(w.mean(), rel=1e-10)
+        assert report.standard_error**2 * len(w) == pytest.approx(np.var(w, ddof=1), rel=1e-10)
+        assert report.empirical_variance_ratio == pytest.approx(np.var(w, ddof=1) / np.var(y, ddof=1), rel=1e-10)
+        correlations = day_correlations(y, x)
+        assert np.allclose(report.per_control_correlations, correlations, rtol=1e-10, atol=1e-12)
+        assert report.predicted_variance_ratio == pytest.approx(1.0 - correlations @ correlations, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("source, runs, fraction", [(SOURCE_PILOT, 100_000, 0.5), (SOURCE_IN_SAMPLE, 50_000, 0.1)])
+    def test_the_fit_note_never_rounds_its_factor_to_one(self, source, runs, fraction):
+        # p = 50 000 pilot runs, or R = 50 000 in-sample, at n = 2 (k = 2):
+        # the factor is 1 +- 4.0e-05, which four significant digits print as 1
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=2, strike=100.0)
+        report = cv_estimate(MARKET, spec, ControlSpec(FORM_MULTI, source), runs, seed=5, pilot_fraction=fraction)
+        (note,) = [note for note in report.notes if note.startswith("least-squares")]
+        k = 2
+        if source == SOURCE_PILOT:
+            fitted_on = report.pilot_runs_used
+            assert fitted_on == 50_000 and f"{(fitted_on - 2) / (fitted_on - k - 2):.4g}" == "1"
+            distance = k / (fitted_on - k - 2)
+            assert note.endswith(f"(p - 2)/(p - k - 2) = 1 + {distance:.4g} over its floor")
+        else:
+            assert f"{(runs - k - 1) / (runs - 1):.4g}" == "1"
+            distance = k / (runs - 1)
+            assert note.endswith(f"(R - k - 1)/(R - 1) = 1 - {distance:.4g}")
+        printed = float(re.search(r"= 1 [+-] (\S+)", note).group(1))
+        assert printed == pytest.approx(distance, rel=1e-3) and printed > 0.0
 
 
 def _finite_report(report) -> bool:
@@ -1290,7 +1421,7 @@ class TestPipeline:
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
         assert lane_grid(4500, batch_size, n) == one_lane
         assert lane_blocks(calls) == {frozenset({0}), frozenset({1})}
-        # in-sample cv-multi, whose [Y | Z | X] moments are n + 3 wide, on two lanes of its own
+        # in-sample cv-multi, whose per-day cross row is n wide, on two lanes of its own
         calls.clear()
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
         in_sample = cv_estimate(MARKET, spec, ControlSpec(FORM_MULTI, SOURCE_IN_SAMPLE), 4500, seed=43, batch_size=batch_size)
@@ -1425,11 +1556,12 @@ class TestPipeline:
         expected = {
             # since cvmc 0.6.0 plain's sum of squares is an einsum, not BLAS
             "plain": "acdc6c67b33707dda9d44f4bbcd9859d702ccea3d2c42cc7ccdb883e38f36809",
-            # custom_linear with unit weights since cvmc 0.4.0
-            FORM_SINGLE: "fe46b0c91aa71bca60e92b1c3a35bcac0bdf0af53cf3aaf7d6a27eaf49c0ca33",
-            # pilot coefficients on the span of {1, i/n} since cvmc 0.3.0, from
-            # the pilot's 3-wide products by einsum since cvmc 0.6.0
-            FORM_MULTI: "01a4c2aeb97728d4c007be12a8e9f36cad5b2324cca00d9a3a9882768795df3c",
+            # custom_linear with unit weights since cvmc 0.4.0, from moment rows
+            # stored column by column since cvmc 0.7.0
+            FORM_SINGLE: "d333c6a9b1688a8e86f3625f2f625e5e81ddbbf7111c3431ede34f8cd915af8a",
+            # pilot coefficients on the span of {1, i/n} since cvmc 0.3.0; since
+            # cvmc 0.7.0 the main phase folds [Y | Z | W] and one per-day cross row
+            FORM_MULTI: "55844032a22bb2ee59d4cc5cfa06b34e4199310103bdf4e4e77fd2c5dbe2bea3",
         }
         reports = {"plain": plain_estimate(MARKET, ASIAN, 20000, seed=11)}
         for form in (FORM_SINGLE, FORM_MULTI):
@@ -1439,17 +1571,18 @@ class TestPipeline:
         assert report_bits(reports["plain"])[0] == "0x1.c56b32241d375p+0"
 
     def test_numbers_of_custom_and_in_sample_coefficients_are_pinned(self):
-        # sha256 of report_bits: pilot custom as cvmc 0.3.0 computes it, and
-        # the in-sample reports as cvmc 0.6.0 does (least squares on the span
-        # of {1, i/n} for multi, every covariance product by einsum): n = 30
-        # and R = 20 000 on two lanes, and in-sample multi at n = 252 with
-        # R = 5000, also on two lanes
+        # sha256 of report_bits as cvmc 0.7.0 computes them (moment rows
+        # column by column, least squares on the span of {1, i/n} for multi
+        # with one per-day cross row, every covariance product by einsum):
+        # pilot custom and the in-sample reports at n = 30 and R = 20 000 on
+        # two lanes, and in-sample multi at n = 252 with R = 5000, also on two
+        # lanes
         expected = {
-            f"{FORM_CUSTOM}/{SOURCE_PILOT}": "62a6b06d19139cd48fa2e641a008212b594685643c645f11a04e825d5b870d25",
-            f"{FORM_SINGLE}/{SOURCE_IN_SAMPLE}": "cf3fd3129070d024012c7c113e75d26efbb1a452edc1aeed96fc1f144225bc63",
-            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}": "12107a603ecf62c0373f8815307ff606dfb906f56fb66764beb7f5b7e9993c2d",
-            f"{FORM_CUSTOM}/{SOURCE_IN_SAMPLE}": "82b43618cda7925a585f077e6bf5ac53aee9ec166c8825d5e54ac90f1846c5dd",
-            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}/252": "02cae7e4bfa359f1230c99ac410f3237198d2c7a5a1a3187e2969b3604d565e9",
+            f"{FORM_CUSTOM}/{SOURCE_PILOT}": "0af91fb8e64d1b96944cede34d8e601e839b1aedf02ae00fbc61f672fa02ac0d",
+            f"{FORM_SINGLE}/{SOURCE_IN_SAMPLE}": "216f1ab20b53666103c0b56cabf664e84076fbb31e0b39ee7e69042ca6d629da",
+            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}": "7a8f8dfa63c00bdb4721d30eb87e1e4b10899f720e35d9e079f0303f9ce6f50f",
+            f"{FORM_CUSTOM}/{SOURCE_IN_SAMPLE}": "8d63b2067e41c887348f216c00fb81d897d2be59726d2fdde56038730aec20a0",
+            f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}/252": "770c329b21574efaf2bf3fc47199ddb7458f76f2fa3e003cfb1ae6e913c2e582",
         }
         reports = {}
         for key in expected:
@@ -1465,17 +1598,17 @@ class TestPipeline:
         assert digests == expected
 
     def test_numbers_of_the_long_paths_estimators_are_pinned(self):
-        # sha256 of report_bits as cvmc 0.3.0 computes them: plain (as cvmc
-        # 0.5.0 does, from a contiguous payoff column; its einsum of cvmc
-        # 0.6.0 gives the same bits here) and pilot cv-multi (as cvmc 0.6.0
-        # does, its pilot's products by einsum) at n = 252, R = 5000, the
-        # estimators of the benchmark's long_paths workload; and pilot
-        # cv-single as cvmc 0.4.0 computes it, whose moment rows are 3 wide
-        # against n = 252 days
+        # sha256 of report_bits: plain as cvmc 0.5.0 computes it, from a
+        # contiguous payoff column (the einsums of cvmc 0.6.0 and 0.7.0 give
+        # the same bits here), and pilot cv-multi as cvmc 0.7.0 does (main
+        # rows [Y | Z | W] and one per-day cross row) at n = 252, R = 5000,
+        # the estimators of the benchmark's long_paths workload; and pilot
+        # cv-single as cvmc 0.7.0 computes it, whose moment rows are 3 wide,
+        # column by column, against n = 252 days
         expected = {
             "plain": "b1a97b9890bf422c993810089b5a6924fb25180b9041e5f855e93e84f22c9868",
-            FORM_SINGLE: "f12eef00068f9763087e475dab0274e2662360d40de969b01f94349c25814265",
-            FORM_MULTI: "dcc3c557cdb7f023f9a82a6f96043e26ae446bc253d5e8ddd3da4854305560f1",
+            FORM_SINGLE: "e5e2ee82affeb897b25bc10a0568596137bfd1bac0d608c987dabd0b97302840",
+            FORM_MULTI: "6a0096b512fbda72abff885377b9860b061a0dcb67bcc3b848358b1b06e25af2",
         }
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
         reports = {"plain": plain_estimate(MARKET, spec, 5000, seed=11)}
@@ -1486,8 +1619,9 @@ class TestPipeline:
 
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 90 main runs at R = 100
     def test_numbers_of_one_block_calls_are_pinned(self, monkeypatch):
-        # sha256 of report_bits as cvmc 0.6.0 computes them, every moment
-        # product by einsum: plain and pilot cv-multi at n = 30, seed 11, one
+        # sha256 of report_bits, every moment product by einsum: plain as
+        # cvmc 0.6.0 computes it and pilot cv-multi as cvmc 0.7.0 does (main
+        # rows [Y | Z | W] and one per-day cross row) at n = 30, seed 11, one
         # piece of R rows on one lane, the calls of the benchmark's
         # replications workload, with R on both sides of the row count from
         # which the prices' prefix sums go day by day (1024); and plain at
@@ -1499,12 +1633,12 @@ class TestPipeline:
             "plain/1023": "c6ef47c2ab943485495a27471dc87222bf8dd5a33414119845fecf4974e1eca4",
             "plain/1024": "af2b8055b8fcfadc1f2b162aab899d2b4ab62f37f1400a8e94b449c1746b41bf",
             "plain/4000": "655a1922659bcc44cf268c9918cee2bbf7f3ecd2f4333187cfdba87416bd95cf",
-            f"{FORM_MULTI}/100": "7de3a0af4f46acca988ad760d54b3b7946a004562f303f1661c430a5a9a9c6c2",
-            f"{FORM_MULTI}/250": "b71a817c056c61ec7ab90bb88b6db5eb28d19f56c29b210a27dc47e94c3d2349",
-            f"{FORM_MULTI}/1000": "7ef60e27c00c8d6e70e5d132bfdc01852077715b8d458812a3921c35b556af00",
-            f"{FORM_MULTI}/1023": "7b670a552e2caae2d38b134a879a0f4d00ae09ffb7fdcbf3f6cc5718c985f1f0",
-            f"{FORM_MULTI}/1024": "ae5824fc072a80c8a3665167762862a73331d0295f1cb93e0e2ca1fdfc68da27",
-            f"{FORM_MULTI}/4000": "a54357656755d752b66f8a0331f00ee155100e0d55d64454121da5fb33c0d7d8",
+            f"{FORM_MULTI}/100": "2f6fefd70471f9469d4b4563973771f0bec042186ce4be3f5fb509e1561a73b6",
+            f"{FORM_MULTI}/250": "875bd2ee3deae7fad33e4f701ea05ae27825364850e8a1f1d5616afe63f8ffd9",
+            f"{FORM_MULTI}/1000": "6465ff0bbef1a492acf2e7e02744f311bf1daf4d6b69c9033f2b92226831b63b",
+            f"{FORM_MULTI}/1023": "4d747c67fffa60435e96bb4b805602b53ff262d1500926b1a5bdf709a6a59889",
+            f"{FORM_MULTI}/1024": "ac480acc9d1af678e839e3e48fd602e92c70eff424fbe22ed0ccf765c8808cbc",
+            f"{FORM_MULTI}/4000": "952f0e3d3aa3fb75bea6d59fc91ddb63803638b05c3a2a60e18698fa8cf08044",
             f"plain/{LOOKBACK_FLOATING}": "01ef81f900863c59624e4452c5b33e5e6312e1cd8fad0fae752c99040a848272",
             f"plain/{ASIAN_FLOATING}": "cff4e641a1d9f6c129ad14cbcde8fa3bbc5154c46213612704717a1c9334187d",
         }
@@ -1685,10 +1819,10 @@ class TestPipeline:
             market, message = MARKET, r"non-finite payoff in runs 8192\.\.12287 "
             fill = estimators._fill_rows
 
-            def failing_in_block_2(model, spec, controls, x, rows, lo, hi):
+            def failing_in_block_2(model, spec, controls, x, rows, lo, hi, prices):
                 if lo // STREAM_BLOCK_ROWS == 2:
                     x[0, 0] = np.inf
-                return fill(model, spec, controls, x, rows, lo, hi)
+                return fill(model, spec, controls, x, rows, lo, hi, prices)
 
             monkeypatch.setattr(estimators, "_fill_rows", failing_in_block_2)
         calls = draws_by_thread(monkeypatch)
@@ -1766,8 +1900,8 @@ class TestPipeline:
         # payoffs of about 1e160 from this block on: their squared deviations overflow
         fill = estimators._fill_rows
 
-        def huge_from_block(model, spec, controls, x, rows, lo, hi):
-            fill(model, spec, controls, x, rows, lo, hi)
+        def huge_from_block(model, spec, controls, x, rows, lo, hi, prices):
+            fill(model, spec, controls, x, rows, lo, hi, prices)
             if lo // STREAM_BLOCK_ROWS >= block:
                 rows[:, 0] *= 1e160
 
