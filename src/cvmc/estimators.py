@@ -14,18 +14,20 @@ at most _CHUNK_NORMALS normals and is cut at multiples of batch_size and
 of the stream's block size. The unit of the moments is the runs of one
 block that lie in one phase: their rows are folded into one accumulator
 of the unit, and the units are merged into their phases in run order.
-Every form fits the coefficients of its k <= 2 columns Z = X @ B.T
-(_fit), from the full covariance of [Y | Z], at most 3 wide: over the
-pilot runs, or over every run in-sample. With pilot coefficients, one
-pass serves both phases: runs below the pilot count estimate the
-coefficients, which are fixed at the boundary, and the later runs feed
-the main-phase moments of [Y | Z | W], at most 4 wide, whose means,
-cov(Y, .) and variances give the estimate and var(W). Only the per-day
-report of multi_log_returns reads the n days: one row of cov(Y, X(i)),
-with the means it needs to merge, over the estimating runs of either
-source, O(runs * n); each day's variance is the exact sigma_d^2. Moment
-rows are stored column by column. Every product of the moments is an
-einsum; the one BLAS-backed step left is the LAPACK solve of the fit.
+Every accumulator keeps the whole covariance of its rows. Every form
+fits the coefficients of its k <= 2 columns Z = X @ B.T (_fit), from
+the covariance of [Y | Z], at most 3 wide: over the pilot runs, or over
+every run in-sample. With pilot coefficients, one pass serves both
+phases: runs below the pilot count estimate the coefficients, which are
+fixed at the boundary, and the later runs feed the main-phase moments
+of [Y | Z | W], at most 4 wide, whose means, cov(Y, .) and variances
+give the estimate and var(W). Only the per-day report of
+multi_log_returns reads the n days: one row of cov(Y, X(i)), with the
+means it needs to merge, over the estimating runs of either source,
+O(runs * n), by the accumulators' pairwise update (_Moments); each day's
+variance is the exact sigma_d^2. Moment rows are stored column by
+column. Every product of the moments is an einsum; the one BLAS-backed
+step left is the LAPACK solve of the fit.
 
 Drawing the normals is the largest stage, so a call that draws many
 (_THREADED_NORMALS or more) runs on two lanes, one-thread executors made
@@ -102,60 +104,72 @@ def _overflow(total: int) -> ValueError:
     )
 
 
-class MomentAccumulator:
-    """One-pass mean and covariance tracker for a fixed set of variables.
+class _Moments:
+    """The count, means and centered sums of a sample, and the pairwise update.
 
-    It tracks the whole covariance of its leading ``full`` variables (all
-    dim of them by default), and of the rest only what the control-variate
-    pass reads, at O(dim) cost per row each: row 0 of the covariance
-    (variable 0 against every variable) and the diagonal. full = 1 is the
-    lean layout of the main phase, row 0 and the diagonal alone.
-
-    Observations arrive through ``add_batch``, which folds each batch in
-    with the pairwise update, or through ``merge``, which folds in another
-    accumulator's moments with the same update: any split of a sample into
-    batches gives the same moments up to rounding, and the same split in
-    the same order gives the same bits. ``add_batch(xs)`` is exactly a
-    fresh accumulator's ``add_batch(xs)`` followed by ``merge``. A batch
-    or merge after which a sum of centered products is no longer finite
-    raises ValueError and leaves the state as it was, so no moment reads
-    inf or NaN.
+    A subclass forms a batch's moments in add_batch and gives the merge's
+    outer-product term _outer(delta, weight), delta being the distance of
+    the two samples' means. Any split of a sample into batches gives the
+    same moments up to rounding, the same split in the same order the same
+    bits. A batch with a non-finite value, or a batch or merge after which
+    a sum is not finite, raises ValueError and leaves the state as it was.
     """
 
-    def __init__(self, dim: int, full: int | None = None):
-        self.dim = dim = positive_integer("dim", dim)
-        self.full = full = dim if full is None else positive_integer("full", full)
-        if full > dim:
-            raise ValueError(f"full must be at most dim = {dim}, got {full}")
-        self._count = 0
-        # Sums of centered products: the first full rows of the (dim, dim)
-        # matrix, then its diagonal unless they hold it (full = dim). No
-        # accumulator updates its moment arrays in place, so an empty one
-        # shares read-only zeros.
-        self._mean = _zeros((dim,))
-        self._m2 = _zeros((full + (full < dim), dim))
+    def __init__(self, mean_shape: tuple[int, ...], sums_shape: tuple[int, ...]):
+        self.count = 0
+        self._mean = _zeros(mean_shape)
+        self._m2 = _zeros(sums_shape)
 
-    @property
-    def count(self) -> int:
-        return self._count
+    def merge(self, other: _Moments) -> None:
+        """Fold in the moments of other, as if its rows followed this one's."""
+        if other._m2.shape != self._m2.shape:  # which also sets the means' shape
+            raise ValueError(f"cannot merge centered sums of shape {other._m2.shape} into {self._m2.shape}")
+        if self.count == 0:  # other's moments passed the finiteness check when they were formed
+            self.count, self._mean, self._m2 = other.count, other._mean, other._m2
+        else:
+            self._merge(other.count, other._mean, other._m2)
+
+    def _check_batch(self, runs: int, mean: np.ndarray, *batch: np.ndarray) -> None:
+        """Raise ValueError where a batch's column means are not finite: NaN or inf in it, or a sum that overflows."""
+        if not np.isfinite(mean).all():
+            if any(not np.isfinite(part).all() for part in batch):
+                raise ValueError(f"the batch of {runs} rows holds non-finite values (NaN or inf)")
+            raise _overflow(self.count + runs)
+
+    def _merge(self, runs: int, mean: np.ndarray, m2: np.ndarray) -> None:
+        """The pairwise update with the count, means and centered sums of a second sample."""
+        if runs == 0:
+            return
+        count = self.count
+        total = count + runs
+        if count:  # else the other sample's arrays, never updated in place, are adopted
+            delta = mean - self._mean
+            m2 = self._m2 + m2 + self._outer(delta, count * runs / total)
+            mean = self._mean + delta * (runs / total)
+        if not np.isfinite(m2).all():
+            raise _overflow(total)
+        self.count, self._mean, self._m2 = total, mean, m2
+
+    def _denominator(self) -> int:
+        if self.count < 2:
+            raise ValueError(f"covariance undefined for count={self.count} (< 2)")
+        return self.count - 1
+
+
+class MomentAccumulator(_Moments):
+    """One-pass mean and covariance tracker for a fixed set of variables.
+
+    It keeps the (dim, dim) matrix of centered sums. ``add_batch(xs)`` is
+    exactly a fresh accumulator's ``add_batch(xs)`` followed by ``merge``.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim = positive_integer("dim", dim)
+        super().__init__((dim,), (dim, dim))
 
     @property
     def mean(self) -> np.ndarray:
         return self._mean.copy()
-
-    def _products(self, xs: np.ndarray, center: np.ndarray) -> np.ndarray:
-        """Sums of products of the rows of xs centered on center: the first
-        full rows of the matrix, then its diagonal unless full = dim. Each is
-        one einsum, not BLAS, whose bits of a sum depend on the other sums in
-        the product."""
-        full = self.full
-        centered = xs - center
-        if full == self.dim:
-            return np.einsum("ij,ik->jk", centered, centered)
-        out = np.empty(self._m2.shape)
-        np.einsum("ij,ik->jk", centered[:, :full], centered, out=out[:full])
-        np.einsum("ij,ij->j", centered, centered, out=out[full])
-        return out
 
     def add_batch(self, xs) -> None:
         xs = np.asarray(xs, dtype=float)
@@ -165,55 +179,21 @@ class MomentAccumulator:
         if runs == 0:
             return
         col_mean = np.einsum("ij->j", xs) / runs
-        # A constant column must yield exactly zero variance, so center it
-        # on the exact value rather than the rounded mean. Only the leading
-        # full columns are checked: the others are controls, never
-        # constant, and W, constant only with the payoff.
-        block = xs[:, : self.full]
-        # a column can be constant only where its last row equals its first
-        if (block[-1] == block[0]).any():
-            col_mean[: self.full] = np.where(np.all(block == block[0], axis=0), block[0], col_mean[: self.full])
-        self._merge(runs, col_mean, self._products(xs, col_mean))
+        self._check_batch(runs, col_mean, xs)
+        # A constant column, whose last row equals its first, must yield exactly
+        # zero variance: center it on its exact value, not the rounded mean.
+        if (xs[-1] == xs[0]).any():
+            col_mean = np.where(np.all(xs == xs[0], axis=0), xs[0], col_mean)
+        centered = xs - col_mean
+        # one einsum, not BLAS, whose bits of a sum depend on the other sums in the product
+        self._merge(runs, col_mean, np.einsum("ij,ik->jk", centered, centered))
 
-    def merge(self, other: MomentAccumulator) -> None:
-        """Fold in the moments of other, as if its rows followed this one's."""
-        if other.dim != self.dim or other.full != self.full:
-            raise ValueError(
-                f"cannot merge an accumulator of dim {other.dim} (full={other.full}) "
-                f"into one of dim {self.dim} (full={self.full})"
-            )
-        if self._count == 0:
-            # other's moments passed the finiteness check when they were formed
-            self._count, self._mean, self._m2 = other._count, other._mean, other._m2
-        else:
-            self._merge(other._count, other._mean, other._m2)
-
-    def _merge(self, runs: int, col_mean: np.ndarray, m2: np.ndarray) -> None:
-        """The pairwise update with the count, mean and centered sums of a second sample."""
-        if runs == 0:
-            return
-        count = self._count
-        total = count + runs
-        if count == 0:
-            # No accumulator updates its moment arrays in place, so the
-            # other sample's are adopted as they are.
-            mean = col_mean
-        else:
-            delta = col_mean - self._mean
-            mean = self._mean + delta * (runs / total)
-            m2 = self._m2 + m2 + self._products(delta[None, :], 0.0) * (count * runs / total)
-        if not np.isfinite(m2).all():
-            raise _overflow(total)
-        self._count, self._mean, self._m2 = total, mean, m2
-
-    def _denominator(self) -> int:
-        if self._count < 2:
-            raise ValueError(f"covariance undefined for count={self._count} (< 2)")
-        return self._count - 1
+    def _outer(self, delta: np.ndarray, weight: float) -> np.ndarray:
+        return np.einsum("ij,ik->jk", delta[None], delta[None]) * weight
 
     def covariance(self) -> np.ndarray:
-        """Unbiased (count-1 denominator) covariance matrix of the leading full variables."""
-        return self._m2[: self.full, : self.full] / self._denominator()
+        """Unbiased (count-1 denominator) covariance matrix."""
+        return self._m2 / self._denominator()
 
     def cross(self) -> np.ndarray:
         """Unbiased covariances of variable 0 with every variable (row 0)."""
@@ -221,55 +201,34 @@ class MomentAccumulator:
 
     def variances(self) -> np.ndarray:
         """Unbiased variances of every variable (the diagonal)."""
-        diagonal = np.diagonal(self._m2) if self.full == self.dim else self._m2[-1]
-        return diagonal / self._denominator()
+        return np.diagonal(self._m2) / self._denominator()
 
 
-class _DayCross:
+class _DayCross(_Moments):
     """cov(Y, X(i)) for each day i, from the payoffs Y and the log-returns X of the runs.
 
-    One n-wide row of cross sums, the sums of (Y - mean Y) * (X(i) - mean
-    X(i)), with the count and the means of Y and of each X(i), folded in by
-    MomentAccumulator's pairwise update. Neither the diagonal of X nor a
+    One n-wide row of the sums of (Y - mean Y) * (X(i) - mean X(i)), with
+    the means (mean Y, mean X(1), ..., mean X(n)). No diagonal of X nor
     centered copy of it is formed: a batch's sums are those of
-    (Y - mean Y) * X(i), which differ from them by mean X(i) times the
-    rounding error of the sum of Y - mean Y. A batch or merge after which
-    a sum is not finite raises ValueError and leaves the state as it was.
+    (Y - mean Y) * X(i), off by mean X(i) times the rounding error of the
+    sum of Y - mean Y.
     """
 
     def __init__(self, n: int):
-        self.count = 0
-        self._mean_y = 0.0
-        self._mean_x = _zeros((n,))
-        self._sums = _zeros((n,))
+        super().__init__((1 + n,), (n,))
 
     def add_batch(self, y: np.ndarray, x: np.ndarray) -> None:
         runs = len(y)
-        mean_y = y.sum() / runs
-        self._merge(runs, mean_y, np.einsum("ij->j", x) / runs, np.einsum("i,ij->j", y - mean_y, x))
+        mean = np.concatenate((y.sum(keepdims=True), np.einsum("ij->j", x))) / runs
+        self._check_batch(runs, mean, y, x)
+        self._merge(runs, mean, np.einsum("i,ij->j", y - mean[0], x))
 
-    def merge(self, other: _DayCross) -> None:
-        """Fold in the moments of other, as if its rows followed this one's."""
-        if self.count == 0:  # other's sums passed the finiteness check when they were formed
-            self.count, self._mean_y, self._mean_x, self._sums = other.count, other._mean_y, other._mean_x, other._sums
-        else:
-            self._merge(other.count, other._mean_y, other._mean_x, other._sums)
-
-    def _merge(self, runs: int, mean_y: float, mean_x: np.ndarray, sums: np.ndarray) -> None:
-        count = self.count
-        total = count + runs
-        if count:
-            delta_y, delta_x = mean_y - self._mean_y, mean_x - self._mean_x
-            sums = self._sums + sums + delta_x * (delta_y * (count * runs / total))
-            mean_y = self._mean_y + delta_y * (runs / total)
-            mean_x = self._mean_x + delta_x * (runs / total)
-        if not np.isfinite(sums).all():
-            raise _overflow(total)
-        self.count, self._mean_y, self._mean_x, self._sums = total, mean_y, mean_x, sums
+    def _outer(self, delta: np.ndarray, weight: float) -> np.ndarray:
+        return delta[1:] * (delta[0] * weight)
 
     def cross(self) -> np.ndarray:
-        """Unbiased covariances of Y with each X(i); the estimators read it over at least 2 runs."""
-        return self._sums / (self.count - 1)
+        """Unbiased covariances of Y with each X(i)."""
+        return self._m2 / self._denominator()
 
 
 @dataclass(frozen=True)
@@ -612,7 +571,7 @@ def _simulate(
 
     def unit(fill: Callable, lo: int, hi: int, phase: int) -> tuple[MomentAccumulator, _DayCross | None]:
         """The moments of runs lo..hi-1 of phase in fresh accumulators, piece by piece."""
-        acc = MomentAccumulator(accs[phase].dim, accs[phase].full)
+        acc = MomentAccumulator(accs[phase].dim)
         cross = _DayCross(n) if days is not None and phase == len(phases) - 1 else None
         while lo < hi:
             piece = piece_of(lo)
@@ -686,7 +645,7 @@ def _simulate(
 def _fit(acc: MomentAccumulator, controls: _Controls, source: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Coefficients of the k fitted columns Z = X @ B.T (_Controls), of the controls, and notes.
 
-    acc holds the moments of [Y | Z] in its leading 1 + k variables, full,
+    acc holds the moments of [Y | Z], all its 1 + k variables,
     over R runs: the pilot's, or every run in-sample. The fit is by least
     squares where the controls are daily and R >= k + 3, with a note of
     the factor by which the coefficients' error moves var(W) (Lavenberg &
@@ -727,15 +686,16 @@ def _pilot_pass(
 ) -> tuple[np.ndarray, list[str], MomentAccumulator]:
     """One pass over runs 0..runs-1 for pilot-phase coefficients.
 
-    Runs below pilot_runs feed the full moments of [Y | Z], from which
-    _fit fixes the coefficients at the boundary. The later runs feed the
-    lean moments of [Y | Z | W], W = Y + Z @ fitted - E[Z] @ fitted, so
-    the estimate and var(W) are read straight from the main moments, and
-    days, if given, the per-day cross moments of the main runs.
+    Runs below pilot_runs feed the moments of [Y | Z], from which _fit
+    fixes the coefficients at the boundary. The later runs feed the
+    moments of [Y | Z | W], W = Y + Z @ fitted - E[Z] @ fitted, so the
+    estimate and var(W) are read straight from the main moments, whose
+    leading 1 + k block is the main runs' covariance of [Y | Z], and days,
+    if given, the per-day cross moments of the main runs.
     """
     k = len(controls.rows)
     pilot = MomentAccumulator(1 + k)
-    main = MomentAccumulator(2 + k, full=1)
+    main = MomentAccumulator(2 + k)
     fitted, betas, notes, offset = None, None, [], 0.0
 
     def fix_betas():
@@ -779,13 +739,12 @@ def plain_estimate(
 def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -> tuple[np.ndarray, list[str]]:
     """Control coefficients from the moments in acc, and notes on dropped controls.
 
-    The accumulator's first variable is Y; the controls are the other
-    variables of its leading acc.full, whose whole covariance it tracks.
+    The accumulator's first variable is Y; the controls are the others.
     With `variances`, each control is fitted on its own:
     beta_i = -cov(Y, C_i)/variances[i]. cv_estimate passes the exact model
     variances of the controls; acc.variances()[1:] gives the sample ones.
     Without, the controls are fitted jointly by least squares,
-    beta = -S_CC^-1 cov(C, Y), from acc's full sample covariance S, with
+    beta = -S_CC^-1 cov(C, Y), from acc's sample covariance S, with
     one solve over the usable controls: the coefficients that minimise the
     sample variance of W. A control whose variance (variances[i], or its
     sample variance) is below DEGENERATE_CONTROL_TOLERANCE times its
@@ -797,10 +756,10 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
         denominators = np.diag(cov)[1:]
     else:
         denominators = np.array(variances, dtype=float)
-        if denominators.shape != (acc.full - 1,):
-            raise ValueError(f"expected {acc.full - 1} variances, got shape {denominators.shape}")
+        if denominators.shape != (acc.dim - 1,):
+            raise ValueError(f"expected {acc.dim - 1} variances, got shape {denominators.shape}")
     # the stored means, without the copy the public property makes
-    second_moment = denominators + acc._mean[1 : acc.full] ** 2
+    second_moment = denominators + acc._mean[1:] ** 2
     usable = denominators > DEGENERATE_CONTROL_TOLERANCE * np.maximum(second_moment, 1e-300)
     dropped = len(usable) - np.count_nonzero(usable)
     if dropped == len(usable):
@@ -815,13 +774,13 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
     if variances is None:
         betas[usable] = -np.linalg.solve(cov[1:, 1:][usable][:, usable], cov[1:, 0][usable])
     else:
-        np.divide(-acc.cross()[1 : acc.full], denominators, out=betas, where=usable)
+        np.divide(-acc.cross()[1:], denominators, out=betas, where=usable)
     return betas, notes
 
 
 def insample_variance(acc: MomentAccumulator, betas: np.ndarray) -> float:
     """Sample variance of W = Y + sum_i betas[i]*(C_i - const) on acc's sample,
-    over the controls C_i of acc's leading acc.full variables (optimal_betas)."""
+    the controls C_i being acc's variables after Y (optimal_betas)."""
     betas = np.asarray(betas, dtype=float)
     cov = acc.covariance()
     return float(cov[0, 0] + betas @ cov[1:, 1:] @ betas + 2.0 * (betas @ cov[1:, 0]))
@@ -878,7 +837,7 @@ def cv_estimate(
     variances of the fitted columns as denominators,
     sigma_d^2 * sum_i B_ci^2, except that multi_log_returns fits its n
     daily coefficients on the span of its rows {1, i/n} ({1} at n = 1) by
-    least squares from the full sample covariance of [Y | Z] when it has
+    least squares from the sample covariance of [Y | Z] when it has
     R >= k + 3 runs, with a note of k, R and the factor by which the fit
     moves var(W). The report keeps the n daily coefficients a + b * i/n,
     the per-day correlations and the bound 1 - sum_i corr^2(Y, X(i)), each
