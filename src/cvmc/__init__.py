@@ -10,7 +10,7 @@ underlying correlation inequality and the optimal-coefficient identities
 by enumeration.
 """
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 from .estimators import (
     ControlCoefficients,

@@ -14,20 +14,21 @@ at most _CHUNK_NORMALS normals and is cut at multiples of batch_size and
 of the stream's block size. The unit of the moments is the runs of one
 block that lie in one phase: their rows are folded into one accumulator
 of the unit, and the units are merged into their phases in run order.
-Every accumulator keeps the whole covariance of its rows. Every form
-fits the coefficients of its k <= 2 columns Z = X @ B.T (_fit), from
-the covariance of [Y | Z], at most 3 wide: over the pilot runs, or over
-every run in-sample. With pilot coefficients, one pass serves both
-phases: runs below the pilot count estimate the coefficients, which are
-fixed at the boundary, and the later runs feed the main-phase moments
-of [Y | Z | W], at most 4 wide, whose means, cov(Y, .) and variances
-give the estimate and var(W). Only the per-day report of
-multi_log_returns reads the n days: one row of cov(Y, X(i)), with the
-means it needs to merge, over the estimating runs of either source,
-O(runs * n), by the accumulators' pairwise update (_Moments); each day's
-variance is the exact sigma_d^2. Moment rows are stored column by
-column. Every product of the moments is an einsum; the one BLAS-backed
-step left is the LAPACK solve of the fit.
+Every accumulator keeps the whole covariance of its rows, [Y | Z], the
+payoff and the k <= 2 fitted columns Z = X @ B.T, at most 3 wide. Both
+coefficient sources take one pass and read the same way: with pilot
+coefficients the runs below the pilot count feed a pilot accumulator
+and the later runs the estimating one; in-sample every run feeds the
+estimating one. After the pass the coefficients are fitted (_fit) from
+the pilot's moments or the estimating runs' own, and the estimate and
+var(W) follow exactly from the estimating runs' means and covariance of
+[Y | Z], W being a fixed linear combination of them (insample_variance).
+Only the per-day report of multi_log_returns reads the n days: one row
+of cov(Y, X(i)), with the means it needs to merge, over the estimating
+runs of either source, O(runs * n), by the accumulators' pairwise update
+(_Moments); each day's variance is the exact sigma_d^2. Moment rows are
+stored column by column. Every product of the moments is an einsum; the
+one BLAS-backed step left is the LAPACK solve of the fit.
 
 Drawing the normals is the largest stage, so a call that draws many
 (_THREADED_NORMALS or more) runs on two lanes, one-thread executors made
@@ -98,8 +99,12 @@ def _zeros(shape: tuple[int, ...]) -> np.ndarray:
     return zeros
 
 
-def _overflow(total: int) -> ValueError:
-    return ValueError(
+class _Overflow(ValueError):
+    """The moments' sums overflow floating point; callers see a ValueError."""
+
+
+def _overflow(total: int) -> _Overflow:
+    return _Overflow(
         f"the moments overflow floating point after {total} rows: sums of squared deviations are non-finite"
     )
 
@@ -461,22 +466,17 @@ def _simulate(
     runs: int,
     batch_size: int,
     controls: _Controls | None,
-    phases: list[tuple[int, MomentAccumulator, Callable | None]],
-    at_boundary: Callable[[], None] = lambda: None,
+    phases: list[tuple[int, MomentAccumulator]],
     days: _DayCross | None = None,
 ) -> None:
     """Simulate runs 0..runs-1 and fold their moment rows into the phases' accumulators.
 
-    phases lists (end, acc, fold) in run order, the last end being runs:
-    a phase takes the runs from the previous phase's end up to its own.
-    fold(rows), unless None, returns the rows that go into acc: rows is a
-    view of the moment rows, max(1 + k, acc.dim) wide, with the payoffs in
-    column 0, the k fitted columns Z in columns 1..k and the columns of a
-    wider acc after them, which a fold fills in place (the main phase's W).
-    days, if given, takes the per-day cross moments of the last phase's
-    runs, from their payoffs and log-returns, unit by unit as acc does.
-    at_boundary is called on this thread at each phase boundary, once
-    every earlier run is in the moments and before any later run is folded.
+    phases lists (end, acc) in run order, the last end being runs: a phase
+    takes the runs from the previous phase's end up to its own, and acc
+    their rows [Y | Z], the payoffs in column 0 and the k fitted columns Z
+    of controls after them (none without controls). days, if given, takes
+    the per-day cross moments of the last phase's runs, from their payoffs
+    and log-returns, unit by unit as acc does.
 
     The runs are drawn in pieces: they are cut at multiples of batch_size
     and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
@@ -493,38 +493,32 @@ def _simulate(
     order without re-keying; any other call has one lane, this thread.
     Either way the units are handed out in run order, each to the lane of
     its block (submitted on two lanes, deferred on one), and wait in one
-    window of at most _UNITS_AHEAD unmerged units: before it hands out
+    window of at most _UNITS_AHEAD unmerged units, which spans the phase
+    boundaries: each unit carries its phase, and before it hands out
     another, this thread merges the oldest, which on one lane it computes
-    first. After a phase's last unit, each lane is handed a task that
-    draws the first piece of its next unit in a later phase ahead
-    (deferred on one lane, where nothing makes it); then the window is
-    drained and at_boundary called. So a call holds at most _UNITS_AHEAD
-    unit accumulators, however many runs it has, and the first failure in
-    run order is the one raised, as on one lane. A lane starts no unit
-    beyond the window after a failure: the executors, made per call, are
-    shut down and their queued tasks dropped before this returns or raises
-    (a failed draw ahead is dropped: the unit meets the failure again).
-    Lane 0 keeps to the CPU this thread runs on at the start of the call
-    and lane 1 to the others, if this thread may run on more than one:
-    unpinned, a 2-vCPU VM's scheduler kept both on one vCPU for whole runs
-    of calls. Each lane computes in a copy of this thread's context, so
-    numpy's error state (np.errstate) is the caller's. The lanes change
-    only who computes a unit, and the draw ahead: the units and the order
-    of their merge are the same.
+    first. So a call holds at most _UNITS_AHEAD unit accumulators, however
+    many runs it has, and the first failure in run order is the one
+    raised, as on one lane. A lane starts no unit beyond the window after
+    a failure: the executors, made per call, are shut down and their
+    queued tasks dropped before this returns or raises. Lane 0 keeps to
+    the CPU this thread runs on at the start of the call and lane 1 to the
+    others, if this thread may run on more than one: unpinned, a 2-vCPU
+    VM's scheduler kept both on one vCPU for whole runs of calls. Each
+    lane computes in a copy of this thread's context, so numpy's error
+    state (np.errstate) is the caller's. The lanes change only who
+    computes a unit: the units and the order of their merge are the same.
 
     Each lane has one buffer of one piece, reused from piece to piece: n
-    wide for the log-returns, then width wide for the moment rows, width
-    being that of the widest rows a phase folds, stored column by column.
-    The log-returns become the prices in place once Z is taken from them;
-    with days, which reads them after the payoffs, the prices go into the
-    rows' space instead, max(n, width) wide.
+    wide for the log-returns, then 1 + k wide for the moment rows, stored
+    column by column. The log-returns become the prices in place once Z is
+    taken from them; with days, which reads them after the payoffs, the
+    prices go into the rows' space instead, max(n, 1 + k) wide.
     """
     n = spec.days_to_maturity
-    ends = [end for end, _, _ in phases]
+    ends = [end for end, _ in phases]
     starts = [0, *ends[:-1]]
-    accs = [acc for _, acc, _ in phases]
-    widths = [max(1 + (len(controls.rows) if controls is not None else 0), acc.dim) for acc in accs]
-    width = max(widths)
+    accs = [acc for _, acc in phases]
+    width = 1 + (len(controls.rows) if controls is not None else 0)  # [Y | Z]
     step = max(1, _CHUNK_NORMALS // n)
     size = min(step, batch_size, STREAM_BLOCK_ROWS, runs)  # the longest piece
     threaded = runs * n >= _THREADED_NORMALS and runs > STREAM_BLOCK_ROWS
@@ -539,9 +533,9 @@ def _simulate(
         return lo, min(lo + step, batch_hi, block_lo + STREAM_BLOCK_ROWS), batch_lo, batch_hi
 
     def lane() -> Callable:
-        """fill(piece) -> the piece's moment rows before the fold, and its
-        log-returns, in a buffer of this lane's own. It draws them unless it
-        drew them ahead; its sampler is keyed on the thread that first fills."""
+        """fill(piece) -> the piece's moment rows and its log-returns, in a
+        buffer of this lane's own. It draws them unless it holds them
+        already; its sampler is keyed on the thread that first fills."""
         sampler, held, x = None, None, None  # held: the piece whose rows the buffer holds, x its draws
         # One allocation: glibc raises its trim threshold to twice the largest
         # mmapped block freed, which two such blocks freed together reached, so
@@ -571,20 +565,18 @@ def _simulate(
 
     def unit(fill: Callable, lo: int, hi: int, phase: int) -> tuple[MomentAccumulator, _DayCross | None]:
         """The moments of runs lo..hi-1 of phase in fresh accumulators, piece by piece."""
-        acc = MomentAccumulator(accs[phase].dim)
+        acc = MomentAccumulator(width)
         cross = _DayCross(n) if days is not None and phase == len(phases) - 1 else None
         while lo < hi:
             piece = piece_of(lo)
             b = min(piece[1], hi)
             rows, x = fill(piece)
-            rows = rows[lo - piece[0] : b - piece[0], : widths[phase]]
-            if phases[phase][2] is not None:
-                rows = phases[phase][2](rows)
+            part = slice(lo - piece[0], b - piece[0])
             try:
-                acc.add_batch(rows)
+                acc.add_batch(rows[part])
                 if cross is not None:
-                    cross.add_batch(rows[:, 0], x[lo - piece[0] : b - piece[0]])
-            except ValueError:
+                    cross.add_batch(rows[part, 0], x[part])
+            except _Overflow:
                 # with the phase's rows so far, as its merge would count them
                 raise _overflow(b - starts[phase]) from None
             lo = b
@@ -595,10 +587,6 @@ def _simulate(
         accs[phase].merge(acc)
         if cross is not None:
             days.merge(cross)
-
-    def draw_ahead(fill: Callable, run: int) -> None:
-        with suppress(Exception):  # met again when the unit draws the piece, in run order
-            fill(piece_of(run))
 
     if threaded:
         # imported here: importing it takes about 10 ms, which every
@@ -613,29 +601,23 @@ def _simulate(
     else:
         fill = lane()
 
-    def hand(run: int, task: Callable, *args) -> Callable:
-        """task(fill, *args) for the lane of run's block: submitted on two lanes,
-        deferred on one; calling what this returns gives its result."""
+    def hand(lo: int, hi: int, phase: int) -> Callable:
+        """unit(fill, lo, hi, phase) on the lane of lo's block: submitted on two
+        lanes, deferred on one; calling what this returns gives its result."""
         if not threaded:
-            return functools.partial(task, fill, *args)
-        lane_fill, context, executor = lanes[run // STREAM_BLOCK_ROWS % 2]
-        return executor.submit(context.run, task, lane_fill, *args).result
+            return functools.partial(unit, fill, lo, hi, phase)
+        lane_fill, context, executor = lanes[lo // STREAM_BLOCK_ROWS % 2]
+        return executor.submit(context.run, unit, lane_fill, lo, hi, phase).result
 
-    window = collections.deque()  # the unmerged units of the phase, in run order
+    window = collections.deque()  # the unmerged units of every phase, in run order, with their phases
     try:
         for phase, (start, end) in enumerate(zip(starts, ends)):
             for lo in range(start - start % STREAM_BLOCK_ROWS, end, STREAM_BLOCK_ROWS):
                 if len(window) == _UNITS_AHEAD:
-                    merge(phase, window.popleft())
-                window.append(hand(lo, unit, max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase))
-            # the first run of each lane in a later phase: run end, and the next block's first
-            for later in (end, end - end % STREAM_BLOCK_ROWS + STREAM_BLOCK_ROWS):
-                if later < runs:
-                    hand(later, draw_ahead, later)
-            while window:
-                merge(phase, window.popleft())
-            if end < runs:
-                at_boundary()
+                    merge(*window.popleft())
+                window.append((phase, hand(max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase)))
+        while window:
+            merge(*window.popleft())
     finally:
         if threaded:
             for _, _, executor in lanes:
@@ -674,47 +656,6 @@ def _fit(acc: MomentAccumulator, controls: _Controls, source: str) -> tuple[np.n
     return fitted, (np.einsum("ci,c->i", controls.rows, fitted) if controls.daily else fitted), notes
 
 
-def _pilot_pass(
-    model: MarketModel,
-    spec: ContractSpec,
-    seed: int,
-    runs: int,
-    pilot_runs: int,
-    controls: _Controls,
-    batch_size: int,
-    days: _DayCross | None,
-) -> tuple[np.ndarray, list[str], MomentAccumulator]:
-    """One pass over runs 0..runs-1 for pilot-phase coefficients.
-
-    Runs below pilot_runs feed the moments of [Y | Z], from which _fit
-    fixes the coefficients at the boundary. The later runs feed the
-    moments of [Y | Z | W], W = Y + Z @ fitted - E[Z] @ fitted, so the
-    estimate and var(W) are read straight from the main moments, whose
-    leading 1 + k block is the main runs' covariance of [Y | Z], and days,
-    if given, the per-day cross moments of the main runs.
-    """
-    k = len(controls.rows)
-    pilot = MomentAccumulator(1 + k)
-    main = MomentAccumulator(2 + k)
-    fitted, betas, notes, offset = None, None, [], 0.0
-
-    def fix_betas():
-        nonlocal fitted, betas, notes, offset
-        fitted, betas, notes = _fit(pilot, controls, SOURCE_PILOT)
-        offset = controls.z_means @ fitted
-
-    def with_w(rows):
-        w = rows[:, 1 + k]
-        np.einsum("ij,j->i", rows[:, 1 : 1 + k], fitted, out=w)
-        w += rows[:, 0]
-        w -= offset
-        return rows
-
-    phases = [(pilot_runs, pilot, None), (runs, main, with_w)]
-    _simulate(model, spec, seed, runs, batch_size, controls, phases, at_boundary=fix_betas, days=days)
-    return betas, notes, main
-
-
 def plain_estimate(
     model: MarketModel,
     spec: ContractSpec,
@@ -725,7 +666,7 @@ def plain_estimate(
     """Plain Monte Carlo: mean of Y over `runs` independent paths."""
     check_arguments(model, spec, _PLAIN, runs, seed, batch_size=batch_size)
     acc = MomentAccumulator(1)
-    _simulate(model, spec, seed, runs, batch_size, None, [(runs, acc, None)])
+    _simulate(model, spec, seed, runs, batch_size, None, [(runs, acc)])
     variance = acc.variances()[0]
     return EstimatorReport(
         estimate=float(acc.mean[0]),
@@ -780,7 +721,12 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
 
 def insample_variance(acc: MomentAccumulator, betas: np.ndarray) -> float:
     """Sample variance of W = Y + sum_i betas[i]*(C_i - const) on acc's sample,
-    the controls C_i being acc's variables after Y (optimal_betas)."""
+    the controls C_i being acc's variables after Y (optimal_betas).
+
+    Exact for any fixed betas, as W is a linear combination of acc's
+    variables: cv_estimate reads var(W) this way for both coefficient
+    sources, from the estimating runs' moments of [Y | Z].
+    """
     betas = np.asarray(betas, dtype=float)
     cov = acc.covariance()
     return float(cov[0, 0] + betas @ cov[1:, 1:] @ betas + 2.0 * (betas @ cov[1:, 0]))
@@ -828,7 +774,9 @@ def cv_estimate(
     runs estimate the coefficients and the remaining runs produce the
     estimate, so E[W] = E[Y] exactly; both phases come from one pass over
     the runs. With "in_sample" all runs serve both purposes (small-sample
-    biased), and var(W) follows exactly from the sample covariance of
+    biased). Either way the coefficients are fitted after the pass, and
+    the estimate, mean Y + fitted . (mean Z - E[Z]), and var(W) follow
+    exactly from the estimating runs' means and sample covariance of
     [Y | Z] (insample_variance).
 
     A form is rows B of day weights (ControlSpec), single_terminal_log
@@ -853,30 +801,26 @@ def cv_estimate(
     if control.form == FORM_NONE:
         return plain_estimate(model, spec, runs, seed, batch_size)
     controls = _Controls(model, spec, control)
-    k = len(controls.rows)
+    acc = MomentAccumulator(1 + len(controls.rows))  # [Y | Z] of the estimating runs
     # the per-day report of multi_log_returns: cov(Y, X(i)) over the estimating runs
     days = _DayCross(spec.days_to_maturity) if controls.daily else None
     if control.coefficient_source == SOURCE_PILOT:
         pilot_runs = math.ceil(pilot_fraction * runs)
-        main_runs = runs - pilot_runs
-        betas, notes, acc = _pilot_pass(model, spec, seed, runs, pilot_runs, controls, batch_size, days)
-        variances = acc.variances()
-        var_y, var_w = variances[0], variances[-1]
-        estimate = float(acc.mean[-1])
+        fit_on = MomentAccumulator(acc.dim)
+        phases = [(pilot_runs, fit_on), (runs, acc)]
     else:
-        pilot_runs, main_runs = 0, runs
-        acc = MomentAccumulator(1 + k)
-        _simulate(model, spec, seed, runs, batch_size, controls, [(runs, acc, None)], days=days)
-        fitted, betas, notes = _fit(acc, controls, SOURCE_IN_SAMPLE)
+        pilot_runs, fit_on, phases = 0, acc, [(runs, acc)]
+    main_runs = runs - pilot_runs
+    _simulate(model, spec, seed, runs, batch_size, controls, phases, days)
+    fitted, betas, notes = _fit(fit_on, controls, control.coefficient_source)
+    if control.coefficient_source == SOURCE_IN_SAMPLE:
         notes.append("in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias")
-        variances = acc.variances()
-        var_y = variances[0]
-        estimate = float(acc.mean[0] + fitted @ (acc.mean[1:] - controls.z_means))
-        # var(W) follows exactly from the sample covariance of [Y | Z]
-        # because W is a fixed linear combination of them.
-        var_w = max(insample_variance(acc, fitted), 0.0)
+    variances = acc.variances()
+    var_y = variances[0]
+    estimate = float(acc.mean[0] + fitted @ (acc.mean[1:] - controls.z_means))
+    var_w = max(insample_variance(acc, fitted), 0.0)
     if days is None:
-        cross, control_vars = acc.cross()[1 : 1 + k], variances[1 : 1 + k]
+        cross, control_vars = acc.cross()[1:], variances[1:]
     else:  # each day's sample cov(Y, X(i)) over its exact variance
         cross, control_vars = days.cross(), np.full(controls.dim, model.daily_variance)
 

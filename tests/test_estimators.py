@@ -606,9 +606,9 @@ class TestCvEstimate:
         assert sampled[0] / default[0] == pytest.approx(exact[0] / np.var(pilot_v, ddof=1), rel=1e-10)
 
     def test_main_phase_moments_match_full_covariance(self):
-        # var(W) and the estimate of the one-pass update of [Y | Z | W]
-        # equal the full-covariance quadratic form over the same main-phase
-        # runs, and the per-day bound its cross row over sigma_d^2
+        # var(W) and the estimate, read from the main runs' moments of
+        # [Y | Z], equal the full-covariance quadratic form over the same
+        # main-phase runs, and the per-day bound its cross row over sigma_d^2
         runs, batch = 3000, 700
         report = cv_estimate(
             MARKET, ASIAN, ControlSpec(form=FORM_MULTI), runs, seed=19, batch_size=batch
@@ -900,17 +900,17 @@ class TestSpanPilotCorners:
 
     @pytest.mark.parametrize("n", [30, 252])
     def test_the_span_controls_of_a_run_do_not_depend_on_batch_size(self, monkeypatch, n):
-        # the pilot's (Y, Z) rows, run by run, over 4500 pilot runs that cross a block edge
+        # the (Y, Z) rows of both phases, run by run on one lane, over 9000
+        # runs whose pilot boundary, run 4500, is inside block 1
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
         add_batch = MomentAccumulator.add_batch
 
-        def pilot_rows(batch_size):
+        def span_rows(batch_size):
             rows = []
 
             def recording_add_batch(self, xs):
-                if self.dim == 3:  # the pilot's [Y | Z], not the main phase's [Y | Z | W]
-                    rows.append(np.array(xs))
+                rows.append(np.array(xs))
                 return add_batch(self, xs)
 
             monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
@@ -918,12 +918,12 @@ class TestSpanPilotCorners:
             cv_estimate(MARKET, spec, control, 9000, seed=3, pilot_fraction=0.5, batch_size=batch_size)
             return np.concatenate(rows)
 
-        reference = pilot_rows(4096)
-        assert reference.shape == (4500, 3)
-        x = LogReturnSampler(MARKET, n, 3).rows(0, 4500)
+        reference = span_rows(4096)
+        assert reference.shape == (9000, 3)
+        x = LogReturnSampler(MARKET, n, 3).rows(0, 9000)
         assert np.allclose(reference[:, 1:], x @ span_basis(n).T, rtol=1e-12, atol=1e-15)
         for batch_size in (1, 250, 777):
-            assert pilot_rows(batch_size).tobytes() == reference.tobytes(), batch_size
+            assert span_rows(batch_size).tobytes() == reference.tobytes(), batch_size
 
 
 class TestInSampleSpan:
@@ -1001,12 +1001,13 @@ class TestInSampleSpan:
 
 
 class TestMainPhaseOfMulti:
-    """cv-multi's main phase folds [Y | Z | W], at most 1 + k + 1 wide, and its
-    per-day report one cross row of the log-returns (cvmc 0.7.0)."""
+    """Both coefficient sources read the estimate and var(W) from the
+    estimating runs' moments of [Y | Z], at most 1 + k wide (cvmc 0.8.0),
+    and cv-multi's per-day report from one cross row of the log-returns."""
 
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
     @pytest.mark.parametrize("source", [SOURCE_PILOT, SOURCE_IN_SAMPLE])
-    def test_no_moment_batch_at_252_days_is_wider_than_y_z_w(self, monkeypatch, source):
+    def test_no_moment_batch_at_252_days_is_wider_than_y_z(self, monkeypatch, source):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
         batches = []
         add_batch = MomentAccumulator.add_batch
@@ -1018,7 +1019,7 @@ class TestMainPhaseOfMulti:
         monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
         cv_estimate(MARKET, spec, ControlSpec(FORM_MULTI, source), 5000, seed=3, batch_size=777)
         k = 2
-        assert batches and max(shape[1] for shape, _ in batches) <= 1 + k + 1
+        assert {shape[1] for shape, _ in batches} == {1 + k}
         # each column of a batch is contiguous: the rows are stored column by column
         assert all(strides[0] == 8 for _, strides in batches)
 
@@ -1043,38 +1044,52 @@ class TestMainPhaseOfMulti:
         assert report.predicted_variance_ratio == pytest.approx(1.0 - correlations @ correlations, rel=1e-10, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
-    @pytest.mark.parametrize("form", [FORM_SINGLE, FORM_MULTI])
-    def test_the_main_accumulator_holds_the_covariance_of_y_z_w(self, monkeypatch, form):
-        # the main phase's whole covariance of [Y | Z | W], recomputed from
-        # the draws, and var(W) from its leading (1 + k) block, that of [Y | Z]
-        passes, fits = [], []
+    @pytest.mark.parametrize("source", [SOURCE_PILOT, SOURCE_IN_SAMPLE])
+    @pytest.mark.parametrize(
+        "kind, n, strike, form",
+        [
+            (EUROPEAN_CALL, 1, 50.0, FORM_SINGLE),  # var(W)/var(Y) about 1e-4 on this seed
+            (EUROPEAN_CALL, 5, 60.0, FORM_MULTI),  # about 4e-4
+            (ASIAN_FIXED, 30, 100.0, FORM_MULTI),
+        ],
+    )
+    def test_both_sources_read_the_estimate_and_var_w_from_the_moments_of_y_z(
+        self, monkeypatch, source, kind, n, strike, form
+    ):
+        # W = Y + Z @ fitted - E[Z] @ fitted, recomputed from the draws of the
+        # estimating runs: its mean and sample variance are the report's, and
+        # the accumulator they are read from holds the covariance of [Y | Z].
+        # 20 000 runs at n = 30 are drawn on two lanes.
+        readouts, fits = [], []
+        variance, fit = estimators.insample_variance, estimators._fit
 
-        def recording(function, results):
-            def record(*args):
-                results.append(function(*args))
-                return results[-1]
+        def recording_variance(acc, betas):
+            readouts.append(acc)
+            return variance(acc, betas)
 
-            return record
+        def recording_fit(*args):
+            fits.append(fit(*args))
+            return fits[-1]
 
-        monkeypatch.setattr(estimators, "_pilot_pass", recording(estimators._pilot_pass, passes))
-        monkeypatch.setattr(estimators, "_fit", recording(estimators._fit, fits))
-        runs, n = 3000, ASIAN.days_to_maturity
-        report = cv_estimate(MARKET, ASIAN, ControlSpec(form=form), runs, seed=61, batch_size=777)
-        ((_, _, main),) = passes
-        ((fitted, _, _),) = fits
+        monkeypatch.setattr(estimators, "insample_variance", recording_variance)
+        monkeypatch.setattr(estimators, "_fit", recording_fit)
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=strike)
+        runs = 20_000
+        report = cv_estimate(MARKET, spec, ControlSpec(form, source), runs, seed=61, batch_size=777)
+        (acc,), ((fitted, _, _),) = readouts, fits
         basis = span_basis(n) if form == FORM_MULTI else np.ones((1, n))
         k = len(basis)
-        assert type(main) is MomentAccumulator and main.dim == 2 + k and main.count == report.runs_used
         x = LogReturnSampler(MARKET, n, 61).rows(report.pilot_runs_used, runs)
-        y = discounted_payoff(MARKET, ASIAN, prices_from_log_returns(MARKET, x))
+        y = discounted_payoff(MARKET, spec, prices_from_log_returns(MARKET, x))
         z = x @ basis.T
         w = y + z @ fitted - (MARKET.daily_mean * basis.sum(axis=1)) @ fitted
-        expected = np.cov(np.column_stack([y, z, w]), rowvar=False)
+        assert report.runs_used == len(w) == runs - (runs // 10 if source == SOURCE_PILOT else 0)
+        assert report.estimate == pytest.approx(w.mean(), rel=1e-12)
+        assert report.standard_error**2 * report.runs_used == pytest.approx(np.var(w, ddof=1), rel=1e-10)
+        assert type(acc) is MomentAccumulator and acc.dim == 1 + k and acc.count == report.runs_used
+        expected = np.cov(np.column_stack([y, z]), rowvar=False)
         scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
-        assert np.allclose(main.covariance(), expected, rtol=1e-12, atol=1e-12 * scale)
-        one_fitted = np.concatenate([[1.0], fitted])
-        leading = main.covariance()[: 1 + k, : 1 + k]
-        assert main.variances()[-1] == pytest.approx(one_fitted @ leading @ one_fitted, rel=1e-10)
+        assert np.allclose(acc.covariance(), expected, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("source, runs, fraction", [(SOURCE_PILOT, 100_000, 0.5), (SOURCE_IN_SAMPLE, 50_000, 0.1)])
     def test_the_fit_note_never_rounds_its_factor_to_one(self, source, runs, fraction):
@@ -1506,9 +1521,63 @@ class TestPipeline:
         # Unit accumulators are the ones merged; a phase's is merged into.
         units = {id(acc) for event, acc in events if event == "merged"}
         unmerged = np.cumsum([1 if event == "made" else -1 for event, acc in events if id(acc) in units])
-        # one unit accumulator per lane: each phase holds at most one unit of
-        # each of the call's two blocks, and a phase's units are merged at its end
-        assert unmerged.min() >= 0 and unmerged.max() <= 2
+        # a pilot-mode call has three units, the pilot's runs of block 0 and
+        # the main phase's of blocks 0 and 1, fewer than _UNITS_AHEAD: one
+        # window holds them across the pilot boundary, and each is merged
+        assert unmerged.min() >= 0 and unmerged.max() <= min(3, estimators._UNITS_AHEAD) and unmerged[-1] == 0
+
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
+    def test_the_window_spans_the_pilot_boundary_and_holds_at_most_units_ahead(self, monkeypatch):
+        # 20 blocks on two lanes, and the pilot boundary, run 9831, inside
+        # block 2, whose piece serves the units on both sides of it. While
+        # lane 0 is held in block 0, lane 1 draws its blocks among the first
+        # _UNITS_AHEAD units, past the boundary (3 and 5), and no further;
+        # no more than _UNITS_AHEAD unit accumulators are ever unmerged.
+        runs, fraction = 20 * STREAM_BLOCK_ROWS, 0.12
+        control = ControlSpec(form=FORM_MULTI)
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
+        one_lane = report_bits(cv_estimate(MARKET, ASIAN, control, runs, seed=3, pilot_fraction=fraction))
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
+        unit_blocks = [0, 1, 2, *range(2, 20)]  # the block of each unit, in run order
+        window = sorted({block for block in unit_blocks[: estimators._UNITS_AHEAD] if block % 2})
+        odd = []  # the odd blocks drawn, in order
+        held = []  # those drawn when lane 0's hold ended
+        rows = LogReturnSampler.rows
+
+        def holding_rows(self, lo, hi, out=None):
+            block = lo // STREAM_BLOCK_ROWS
+            if block % 2:
+                odd.append(block)
+            elif lo == 0:
+                deadline = time.monotonic() + 10
+                while len(odd) < len(window) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)  # time for lane 1 to start another block, were it handed one
+                held.append(list(odd))
+            return rows(self, lo, hi, out)
+
+        events = []  # ("made" or "merged", accumulator), in the order the lanes reach them
+        merge, add_batch = MomentAccumulator.merge, MomentAccumulator.add_batch
+
+        def recording_merge(self, other):
+            events.append(("merged", other))
+            return merge(self, other)
+
+        def recording_add_batch(self, xs):
+            if self.count == 0:
+                events.append(("made", self))
+            return add_batch(self, xs)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", holding_rows)
+        monkeypatch.setattr(MomentAccumulator, "merge", recording_merge)
+        monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
+        report = cv_estimate(MARKET, ASIAN, control, runs, seed=3, pilot_fraction=fraction)
+        assert report.pilot_runs_used == 9831 and report_bits(report) == one_lane
+        assert held == [window] and odd == list(range(1, 20, 2))
+        units = {id(acc) for event, acc in events if event == "merged"}
+        assert len(units) == len(unit_blocks)
+        unmerged = np.cumsum([1 if event == "made" else -1 for event, acc in events if id(acc) in units])
+        assert unmerged.min() >= 0 and unmerged.max() <= estimators._UNITS_AHEAD and unmerged[-1] == 0
 
     def test_while_the_even_lane_is_held_the_odd_lane_folds_only_its_units_in_the_window(self, monkeypatch):
         # 11 blocks in one phase: while lane 0 is held in block 0, lane 1
@@ -1602,19 +1671,21 @@ class TestPipeline:
             assert json.loads(out.stdout) == expected, variables
 
     @pytest.mark.parametrize("n", [30, 252])
-    def test_custom_control_of_a_run_does_not_depend_on_batch_size(self, n):
+    def test_custom_control_of_a_run_does_not_depend_on_batch_size(self, monkeypatch, n):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
         controls = estimators._Controls(MARKET, spec, ControlSpec(form=FORM_CUSTOM, weights=np.linspace(0.5, 1.5, n)))
+        add_batch = MomentAccumulator.add_batch
 
         def per_run(batch_size):
             values = []
 
-            def record(rows):
-                values.append(rows[:, 1].copy())
-                return rows
+            def recording_add_batch(self, xs):
+                values.append(xs[:, 1].copy())
+                return add_batch(self, xs)
 
+            monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
             acc = MomentAccumulator(2)
-            estimators._simulate(MARKET, spec, 3, 1100, batch_size, controls, [(1100, acc, record)])
+            estimators._simulate(MARKET, spec, 3, 1100, batch_size, controls, [(1100, acc)])
             return np.concatenate(values)
 
         reference = per_run(1100)
@@ -1701,6 +1772,22 @@ class TestPipeline:
                 plain_estimate(MARKET, ASIAN, 20000, seed=3)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("runs", [1000, 20000], ids=["one-lane", "two-lanes"])
+    def test_a_value_error_inside_a_unit_reaches_the_caller_unchanged(self, monkeypatch, runs):
+        # only an overflow of the moments is restated with the phase's row
+        # count; any other ValueError is raised as it was, cause and all
+        def failing_add_batch(self, y, x):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(estimators._DayCross, "add_batch", failing_add_batch)
+        calls = draws_by_thread(monkeypatch)
+        with pytest.raises(ValueError) as raised:
+            cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), runs, seed=3)
+        assert type(raised.value) is ValueError and str(raised.value) == "boom"
+        assert raised.value.__cause__ is None and not raised.value.__suppress_context__
+        assert raised.traceback[-1].name == "failing_add_batch"
+        assert len(lane_blocks(calls)) == (2 if runs > STREAM_BLOCK_ROWS else 0)
+
     def test_failures_on_both_lanes_under_fast_switching(self, monkeypatch):
         # 20 blocks in 512-row pieces, threads switching as often as they
         # can: the first failure in run order is raised, and no lane starts
@@ -1739,8 +1826,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize("failure", ["degenerate", "caller-payoff"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_a_failure_while_the_worker_waits_at_the_pilot_boundary_is_raised(self, monkeypatch, failure):
-        # 50 000 runs: the pilot boundary, run 5000, is in the worker's block 1
+    def test_a_failure_across_the_pilot_boundary_is_raised(self, monkeypatch, failure):
+        # 50 000 runs: the pilot boundary, run 5000, is in lane 1's block 1,
+        # whose units on both sides of it wait in the one window. A degenerate
+        # pilot fit is raised after the pass; a payoff that fails in lane 0's
+        # block 2, past the boundary, as it meets the merge. Either way the
+        # call returns, and lane 1 has drawn.
         if failure == "degenerate":
             market, message = MarketModel(100.0, 0.05, 1e-10), "degenerate control"
         else:
@@ -1771,17 +1862,15 @@ class TestPipeline:
         assert 1 in {block for thread, block in calls if thread is not caller}
         assert threading.active_count() == before
 
-    def test_the_worker_draws_past_the_pilot_boundary_before_the_coefficients_are_fixed(self, monkeypatch):
-        # R = 1e5: the boundary, run 10 000, is in lane 0's block 2, and lane
-        # 1's block 3 is drawn ahead while lane 0 reaches it
+    def test_the_coefficients_are_fitted_once_after_the_last_draw(self, monkeypatch):
+        # R = 1e5 on two lanes, the boundary, run 10 000, inside lane 0's
+        # block 2: no lane waits for the fit, which follows the pass
         events = []
         rows = LogReturnSampler.rows
         betas = estimators.optimal_betas
 
         def recording_rows(self, lo, hi, out=None):
             events.append(("draws", lo // STREAM_BLOCK_ROWS))
-            if lo // STREAM_BLOCK_ROWS == 2:
-                time.sleep(0.2)  # lane 1 is done with block 1 long before
             return rows(self, lo, hi, out)
 
         def recording_betas(*args):
@@ -1791,18 +1880,22 @@ class TestPipeline:
         monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
         monkeypatch.setattr(estimators, "optimal_betas", recording_betas)
         cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), 100_000, seed=3)
-        assert events.index(("draws", 3)) < events.index(("betas", None))
+        assert events.count(("betas", None)) == 1 and events[-1] == ("betas", None)
+        assert {block for _, block in events[:-1]} == set(range(25))
 
-    def test_memory_does_not_grow_with_runs(self):
-        # plain european_call at n = 1 on two lanes: 489 units against 1954,
-        # of which at most _UNITS_AHEAD are held at a time
+    @pytest.mark.parametrize("form", [FORM_NONE, FORM_SINGLE])
+    def test_memory_does_not_grow_with_runs(self, form):
+        # european_call at n = 1 on two lanes, plain and pilot-mode cv-single:
+        # 489 units against 1954 (one more with a pilot), of which at most
+        # _UNITS_AHEAD are held at a time, across the pilot boundary too
         spec = ContractSpec(kind="european_call", days_to_maturity=1, strike=100.0)
-        plain_estimate(MARKET, spec, 600_000, seed=3)  # on two lanes, so that their imports are done
+        control = ControlSpec(form=form)
+        cv_estimate(MARKET, spec, control, 600_000, seed=3)  # on two lanes, so that their imports are done
         peaks = []
         for runs in (2 * 10**6, 8 * 10**6):
             tracemalloc.start()
             try:
-                plain_estimate(MARKET, spec, runs, seed=3)
+                cv_estimate(MARKET, spec, control, runs, seed=3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
