@@ -139,6 +139,7 @@ _FIELDS = {
     "form": "scenario.estimator",
     "weights": "scenario.custom_weights",
     "volatility": "market.volatility",
+    "rate": "market.rate",
 }
 
 

@@ -11,10 +11,13 @@ O(1/R) bias.
 Runs are drawn in pieces, and moments are tracked in one pass, piece by
 piece, so large run counts never hold samples in memory. A piece holds
 at most _CHUNK_NORMALS normals and is cut at multiples of batch_size and
-of the stream's block size. The unit of the moments is the runs of one
-block that lie in one phase: their rows are folded into one accumulator
-of the unit, and the units are merged into their phases in run order.
-Every accumulator keeps the whole covariance of its rows, [Y | Z], the
+of the stream's block size. A piece's prices go apart from its
+log-returns, which Z reads, into a day-major buffer, so the payoff
+reduces a run's days one after another, in an order that does not depend
+on the piece. The unit of the moments is the runs of one block that lie
+in one phase: their rows are folded into one accumulator of the unit,
+and the units are merged into their phases in run order. Every
+accumulator keeps the whole covariance of its rows, [Y | Z], the
 payoff and the k <= 2 fitted columns Z = X @ B.T, at most 3 wide. Both
 coefficient sources take one pass and read the same way: with pilot
 coefficients the runs below the pilot count feed a pilot accumulator
@@ -63,7 +66,7 @@ from .model import (
     STREAM_BLOCK_ROWS, ArgumentError, LogReturnSampler, MarketModel, check_seed, positive_integer,
     prices_from_log_returns,
 )
-from .payoffs import ContractSpec, discounted_payoff
+from .payoffs import ContractSpec, discount_factor, discounted_payoff
 
 FORM_NONE = "none"
 FORM_SINGLE = "single_terminal_log"
@@ -367,7 +370,8 @@ def check_arguments(
     which call it first, as does the command line. runs and batch_size are
     integers, not bool or float: a bool is no count, and a float would fail
     deep inside the simulation with an error that names neither.
-    pilot_fraction is a real number in (0, 1) always, not a bool.
+    pilot_fraction is a real number in (0, 1) always, not a bool. A rate
+    whose discount factor overflows is refused (discount_factor).
     """
     for name, value in (("runs", runs), ("batch_size", batch_size)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -379,6 +383,7 @@ def check_arguments(
         raise ArgumentError("runs", f"runs must be >= 4 for a control-variate estimate, got {runs}")
     if runs < 2:
         raise ArgumentError("runs", f"runs must be >= 2 (variance undefined below that), got {runs}")
+    discount_factor(model, spec)  # a rate that overflows it is refused before any run
     if estimate and model.daily_variance == 0.0:
         raise ArgumentError("volatility", "degenerate control: zero volatility makes every log-return constant")
     if estimate and control.form == FORM_CUSTOM and control.weights.size != spec.days_to_maturity:
@@ -430,24 +435,23 @@ def _fill_rows(
 ) -> None:
     """Payoffs into column 0 of rows and the fitted columns Z after it, from log-returns x.
 
-    The prices go into prices: x itself, once Z is taken from it, or memory
-    apart from x that the rows may share, which leaves x intact and takes Z
-    after the payoffs. A non-finite payoff raises, naming the runs
-    lo..hi-1 of the batch.
+    The prices go into prices, the (runs, n) view of a day-major buffer
+    that the rows may share, so x stays intact for Z and the payoff sums
+    each run's days one after another. A lone run, whose view numpy would
+    sum pairwise, is priced as two equal rows. A non-finite payoff raises,
+    naming the runs lo..hi-1 of the batch.
     """
-    in_place = prices is x
-    if controls is not None and in_place:
-        controls.values(x, out=rows[:, 1 : 1 + len(controls.rows)])
-    y = discounted_payoff(model, spec, prices_from_log_returns(model, x, out=prices))
+    paths, prices = (x, prices) if len(x) > 1 else (x[[0, 0]], np.empty((x.shape[1], 2)).T)
+    y = discounted_payoff(model, spec, prices_from_log_returns(model, paths, out=prices))
     if not np.isfinite(y).all():
         strike = "" if spec.strike is None else f", strike {spec.strike}"
         raise ValueError(
             f"non-finite payoff in runs {lo}..{hi - 1} of {spec.kind} "
             f"({spec.days_to_maturity} days{strike}): the simulated prices overflow floating point"
         )
-    rows[:, 0] = y
-    if controls is not None and not in_place:
-        controls.values(x, out=rows[:, 1 : 1 + len(controls.rows)])
+    rows[:, 0] = y[: len(rows)]
+    if controls is not None:
+        controls.values(x, out=rows[:, 1:])
 
 
 def _run_on(cpus: set[int]) -> None:
@@ -509,10 +513,8 @@ def _simulate(
     computes a unit: the units and the order of their merge are the same.
 
     Each lane has one buffer of one piece, reused from piece to piece: n
-    wide for the log-returns, then 1 + k wide for the moment rows, stored
-    column by column. The log-returns become the prices in place once Z is
-    taken from them; with days, which reads them after the payoffs, the
-    prices go into the rows' space instead, max(n, 1 + k) wide.
+    wide for the log-returns, then max(n, 1 + k) wide for the prices, day
+    by day, and after the payoffs for the moment rows, column by column.
     """
     n = spec.days_to_maturity
     ends = [end for end, _ in phases]
@@ -541,7 +543,7 @@ def _simulate(
         # mmapped block freed, which two such blocks freed together reached, so
         # the heap was trimmed and faulted in again on every call (about 23 900
         # minor page faults per pass of the replications benchmark; none now).
-        buffer = np.empty(size * (n + (width if days is None else max(n, width))))
+        buffer = np.empty(size * (n + max(n, width)))
         x_buffer = buffer[: size * n].reshape(size, n)
         space = buffer[size * n :]
         # column by column, so that a column of a piece's rows is contiguous
@@ -556,7 +558,7 @@ def _simulate(
                 if sampler is None:
                     sampler = LogReturnSampler(model, n, seed)
                 x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
-                prices = x if days is None else space[: (hi - lo) * n].reshape(hi - lo, n)
+                prices = space[: (hi - lo) * n].reshape(n, hi - lo).T
                 _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi, prices)
                 held = piece
             return rows, x

@@ -31,7 +31,9 @@ _SKIP_NORMALS = 2**20
 _MAX_VOLATILITY = math.sqrt(sys.float_info.max)
 # Batches of at least this many paths take their prefix sums day by day
 # (prices_from_log_returns): below it np.cumsum's loop along each path is
-# faster. The crossover lies near 1000 paths for n from 5 to 252 days.
+# faster. The crossover lay near 1000 paths for n from 5 to 252 days into
+# row-major prices; into the estimators' day-major ones it reads about
+# 250 to 400.
 _DAY_LOOP_ROWS = 1024
 
 
@@ -129,24 +131,23 @@ def prices_from_log_returns(
     """Closing prices S(0)*exp(X(1)+...+X(i)) along the last axis.
 
     Works on a single path (n,) or a batch of paths (runs, n); day i's
-    price depends only on the first i log-returns. ``out``, if given, is
-    a float array of the same shape that receives the prices; it may be
-    log_returns itself. Without it the prices are a fresh float array and
-    log_returns is left as it is.
+    price depends only on the first i log-returns. The prices go into
+    ``out``, a float array of that shape in any layout, log_returns itself
+    included, or else into a fresh C-ordered array.
 
     The log-price of day i is ((X(1) + X(2)) + ...) + X(i), summed in that
     order on every path: by np.cumsum, or, for a batch of at least
     _DAY_LOOP_ROWS paths, day by day across the batch, which is faster
     there and gives the same bits.
     """
-    if np.ndim(log_returns) == 2 and len(log_returns) >= _DAY_LOOP_ROWS:
-        prices = np.array(log_returns, dtype=float) if out is None else out
-        if out is not None and out is not log_returns:
-            out[...] = log_returns
-        for day in range(1, prices.shape[1]):
-            np.add(prices[:, day - 1], prices[:, day], out=prices[:, day])
+    x = np.asarray(log_returns, dtype=float)
+    if x.ndim == 2 and len(x) >= _DAY_LOOP_ROWS:
+        prices = np.empty(x.shape) if out is None else out
+        prices[:, :1] = x[:, :1]
+        for day in range(1, x.shape[1]):
+            np.add(prices[:, day - 1], x[:, day], out=prices[:, day])
     else:
-        prices = np.cumsum(log_returns, axis=-1, dtype=float, out=out)
+        prices = np.cumsum(x, axis=-1, out=out)
     np.exp(prices, out=prices)
     prices *= model.initial_price
     return prices

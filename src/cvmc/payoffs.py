@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarketModel, positive_integer
+from .model import ArgumentError, MarketModel, positive_integer
 
 ASIAN_FLOATING = "asian_floating_strike"
 ASIAN_FIXED = "asian_fixed_strike"
@@ -49,8 +49,19 @@ class ContractSpec:
 
 
 def discount_factor(model: MarketModel, spec: ContractSpec) -> float:
-    """exp(-r*n/N), the discount over the contract's n days."""
-    return math.exp(-model.rate * spec.days_to_maturity / model.trading_days_per_year)
+    """exp(-r*n/N), the discount over the contract's n days.
+
+    Raises ArgumentError naming the rate where it overflows floating point.
+    """
+    exponent = -model.rate * spec.days_to_maturity / model.trading_days_per_year
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise ArgumentError(
+            "rate",
+            f"rate {model.rate} over {spec.days_to_maturity} days overflows the discount factor "
+            f"exp({exponent:.6g}) in floating point",
+        ) from None
 
 
 def discounted_payoff(model: MarketModel, spec: ContractSpec, prices: np.ndarray) -> np.ndarray:

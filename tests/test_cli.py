@@ -258,6 +258,19 @@ class TestMainPrice:
         assert err["error_class"] == "validation"
         assert "overflow" in err["message"]
 
+    @pytest.mark.parametrize("command", ["price", "compare"])
+    def test_a_rate_that_overflows_the_discount_factor_prints_one_json_error(self, scenario_file, command):
+        # exp(-r * n / N) = exp(1000) for a rate of -1000 over 252 days
+        text = BASE_SCENARIO.replace("rate: 0.05", "rate: -1000").replace("days_to_maturity: 30", "days_to_maturity: 252")
+        argv = [sys.executable, "-m", "cvmc", command, "--scenario", scenario_file(text)]
+        out = subprocess.run(argv, capture_output=True, text=True)
+        assert out.returncode == cli.EXIT_VALIDATION
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        err = json.loads(line)
+        assert err["error_class"] == "validation"
+        assert err["message"] == "market.rate: rate -1000.0 over 252 days overflows the discount factor exp(1000) in floating point"
+
     def test_a_scenario_too_large_for_memory_prints_one_json_error(self, scenario_file):
         # 10^15 days: numpy refuses the petabyte arrays at once, touching no memory
         text = BASE_SCENARIO.replace("days_to_maturity: 30", "days_to_maturity: 1000000000000000")

@@ -526,11 +526,12 @@ class TestCvEstimate:
     @pytest.mark.parametrize("source", [SOURCE_PILOT, SOURCE_IN_SAMPLE])
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below -0.05")
     def test_every_form_predicts_one_minus_corr_dot_corr(self, source):
-        # at seed 1963, the single control's corr ** 2 (libm's pow) and
-        # corr @ corr differ in the last bit: the ratio takes the dot product
+        # at seed 157, the first found by a scan from 0, the single control's
+        # corr ** 2 (libm's pow) and corr @ corr differ in the last bit: the
+        # ratio takes the dot product
         reports = {
             form: cv_estimate(
-                MARKET, ASIAN, ControlSpec(form, source, np.linspace(0.5, 1.5, 30) if form == FORM_CUSTOM else None), 100, seed=1963
+                MARKET, ASIAN, ControlSpec(form, source, np.linspace(0.5, 1.5, 30) if form == FORM_CUSTOM else None), 100, seed=157
             )
             for form in (FORM_SINGLE, FORM_CUSTOM, FORM_MULTI)
         }
@@ -898,15 +899,19 @@ class TestSpanPilotCorners:
         with pytest.raises(ValueError, match="overflow"):
             cv_estimate(huge, spec, control, runs, seed=3)
 
+    @pytest.mark.parametrize("kind", [ASIAN_FIXED, ASIAN_FLOATING])
     @pytest.mark.parametrize("n", [30, 252])
-    def test_the_span_controls_of_a_run_do_not_depend_on_batch_size(self, monkeypatch, n):
+    def test_the_span_controls_of_a_run_do_not_depend_on_its_piece(self, monkeypatch, n, kind):
         # the (Y, Z) rows of both phases, run by run on one lane, over 9000
-        # runs whose pilot boundary, run 4500, is inside block 1
+        # runs whose pilot boundary, run 4500, is inside block 1: pieces of
+        # one row and of 250 rows set by _CHUNK_NORMALS, and pieces cut by
+        # batch_size, against the default pieces
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
-        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=100.0 if kind in STRIKE_KINDS else None)
         add_batch = MomentAccumulator.add_batch
+        chunk_normals = estimators._CHUNK_NORMALS
 
-        def span_rows(batch_size):
+        def span_rows(normals=chunk_normals, batch_size=4096):
             rows = []
 
             def recording_add_batch(self, xs):
@@ -914,16 +919,44 @@ class TestSpanPilotCorners:
                 return add_batch(self, xs)
 
             monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
+            monkeypatch.setattr(estimators, "_CHUNK_NORMALS", normals)
             control = ControlSpec(form=FORM_MULTI)
             cv_estimate(MARKET, spec, control, 9000, seed=3, pilot_fraction=0.5, batch_size=batch_size)
             return np.concatenate(rows)
 
-        reference = span_rows(4096)
+        reference = span_rows()
         assert reference.shape == (9000, 3)
         x = LogReturnSampler(MARKET, n, 3).rows(0, 9000)
         assert np.allclose(reference[:, 1:], x @ span_basis(n).T, rtol=1e-12, atol=1e-15)
+        for normals in (n, 250 * n):
+            assert span_rows(normals=normals).tobytes() == reference.tobytes(), normals
         for batch_size in (1, 250, 777):
-            assert span_rows(batch_size).tobytes() == reference.tobytes(), batch_size
+            assert span_rows(batch_size=batch_size).tobytes() == reference.tobytes(), batch_size
+
+    @pytest.mark.parametrize("kind", [ASIAN_FIXED, ASIAN_FLOATING])
+    @pytest.mark.parametrize("n", [30, 252])
+    def test_a_run_alone_in_its_piece_pays_as_in_a_longer_one(self, monkeypatch, n, kind):
+        # run 4096 is a piece of one row in a plain call of 4097 runs, and
+        # one of min(4096, 2**17 // n) rows in a call of 8192; on seed 11 its
+        # payoffs are positive and a pairwise sum of its days differs
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
+        spec = ContractSpec(kind=kind, days_to_maturity=n, strike=100.0 if kind in STRIKE_KINDS else None)
+        add_batch = MomentAccumulator.add_batch
+
+        def payoffs(runs):
+            rows = []
+
+            def recording_add_batch(self, xs):
+                rows.append(np.array(xs))
+                return add_batch(self, xs)
+
+            monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
+            plain_estimate(MARKET, spec, runs, seed=11)
+            return rows
+
+        lone, longer = payoffs(4097), payoffs(8192)
+        assert lone[-1].shape == (1, 1) and len(longer[len(lone) - 1]) == min(4096, 2**17 // n)
+        assert lone[-1][0, 0] == np.concatenate(longer)[4096, 0]
 
 
 class TestInSampleSpan:
@@ -1333,6 +1366,12 @@ ZERO_VOLATILITY = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
         pytest.param(dict(seed=-1), "seed", "^seed must be a 64-bit unsigned integer", id="seed"),
         pytest.param(dict(batch_size=0), "batch_size", "^batch_size must be >= 1", id="batch_size"),
         pytest.param(dict(runs=10.0), "runs", "^runs must be an integer", id="runs-float"),
+        pytest.param(
+            dict(model=MarketModel(100.0, -1.0e4, 0.2)),
+            "rate",
+            r"^rate -10000.0 over 30 days overflows the discount factor exp\(1190\.48\)",
+            id="rate",
+        ),
     ],
 )
 def test_check_arguments_names_the_argument(call, argument, message):
@@ -1343,6 +1382,20 @@ def test_check_arguments_names_the_argument(call, argument, message):
     # it crosses processes, as from a worker of a process pool
     copy = pickle.loads(pickle.dumps(refused.value))
     assert (copy.argument, str(copy)) == (argument, str(refused.value))
+
+
+@pytest.mark.parametrize("control", [ControlSpec(FORM_NONE), ControlSpec(FORM_MULTI)], ids=["plain", "cv-multi"])
+def test_a_rate_that_overflows_the_discount_factor_is_refused_by_name(control):
+    # exp(-r * n / N) = exp(1000) overflows: refused before any run is
+    # drawn, as any argument is, and by the payoff itself
+    model = MarketModel(initial_price=100.0, rate=-1000.0, volatility=0.2)
+    spec = ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=252, strike=100.0)
+    message = r"^rate -1000.0 over 252 days overflows the discount factor exp\(1000\) in floating point$"
+    with pytest.raises(ArgumentError, match=message) as refused:
+        cv_estimate(model, spec, control, 100, seed=1)
+    assert refused.value.argument == "rate"
+    with pytest.raises(ArgumentError, match=message):
+        discounted_payoff(model, spec, np.full(252, 100.0))
 
 
 def test_check_arguments_passes_what_the_estimators_run():

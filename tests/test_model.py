@@ -252,7 +252,8 @@ SHORT_ONLY, TALL_ONLY = 2**62, 1
 
 class TestTallBatches:
     """Batches of at least _DAY_LOOP_ROWS paths sum their log-prices day by
-    day; every price keeps the bits of np.cumsum's path-by-path sums."""
+    day; every price keeps the bits of np.cumsum's path-by-path sums, in
+    place, into a fresh array or into an out of either layout."""
 
     @pytest.mark.parametrize("n", [1, 2, 30, 252])
     @pytest.mark.parametrize("rows", [1, 1023, 1024, 4096])
@@ -269,9 +270,10 @@ class TestTallBatches:
             in_place = untouched.copy()
             assert prices_from_log_returns(market, in_place, out=in_place) is in_place
             assert in_place.tobytes() == expected.tobytes()
-            into = np.empty_like(x)
-            assert prices_from_log_returns(market, x, out=into) is into
-            assert into.tobytes() == expected.tobytes() and x.tobytes() == untouched.tobytes()
+            # row-major, and the (rows, n) view of a day-major buffer, as the estimators' lanes pass
+            for into in (np.empty_like(x), np.empty((n, rows)).T):
+                assert prices_from_log_returns(market, x, out=into) is into
+                assert into.tobytes() == expected.tobytes() and x.tobytes() == untouched.tobytes()
 
     def test_the_threshold_is_the_default_between_the_sizes_checked(self):
         assert 1023 < model_module._DAY_LOOP_ROWS <= 1024
