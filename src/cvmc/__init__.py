@@ -10,7 +10,7 @@ underlying correlation inequality and the optimal-coefficient identities
 by enumeration.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"
 
 from .estimators import (
     ControlCoefficients,

@@ -63,8 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (
-    STREAM_BLOCK_ROWS, ArgumentError, LogReturnSampler, MarketModel, check_seed, positive_integer,
-    prices_from_log_returns,
+    STREAM_BLOCK_ROWS, ArgumentError, LogReturnSampler, MarketModel, _prices, check_seed, positive_integer,
 )
 from .payoffs import ContractSpec, discount_factor, discounted_payoff
 
@@ -322,37 +321,58 @@ class EstimatorReport:
 class _Controls:
     """One form as data (ControlSpec): rows B, n day weights per fitted column Z = X @ B.T.
 
-    values gives Z for every form, and z_means its exact means. The report's
-    controls are the n days themselves where daily (multi_log_returns,
-    whose coefficients are fitted on the span of its rows), else the fitted
-    columns; means are their exact means. exact_variances are the fitted
-    columns'.
+    values gives Z for every form, z_means its exact means and
+    exact_variances its exact variances. The report's controls are the n
+    days themselves where daily (multi_log_returns, whose coefficients are
+    fitted on the span of its rows), else the fitted columns; means are
+    their exact means, and day_variances, where daily, the days' exact
+    variance sigma_d^2. Every array is read-only, so that the calls of a
+    form without weights can share one (_controls).
     """
 
-    def __init__(self, model: MarketModel, spec: ContractSpec, control: ControlSpec):
-        n = spec.days_to_maturity
+    def __init__(self, model: MarketModel, n: int, control: ControlSpec):
         self.daily = control.form == FORM_MULTI
         if self.daily:
             # Not a centred ramp, whose column would have mean 0 and never read as degenerate.
-            self.rows = np.ones((min(n, 2), n))
+            rows = np.ones((min(n, 2), n))
             if n > 1:
-                np.divide(np.arange(1, n + 1), n, out=self.rows[1])
+                np.divide(np.arange(1, n + 1), n, out=rows[1])
         else:  # ControlSpec admits no other form, and form none never gets here
-            self.rows = (control.weights if control.form == FORM_CUSTOM else np.ones(n))[None, :]
-        self.z_means = model.daily_mean * self.rows.sum(axis=1)
+            rows = (control.weights if control.form == FORM_CUSTOM else np.ones(n))[None, :]
+        self.rows = rows
+        self.z_means = model.daily_mean * rows.sum(axis=1)
+        self.exact_variances = model.daily_variance * np.einsum("ci,ci->c", rows, rows)
         self.means = np.full(n, model.daily_mean) if self.daily else self.z_means
+        self.day_variances = np.full(n, model.daily_variance) if self.daily else None
         self.dim = len(self.means)
-        self._daily_variance = model.daily_variance
-
-    @functools.cached_property
-    def exact_variances(self) -> np.ndarray:
-        # read by every form but the daily one, whose fit needs it only with fewer than k + 3 runs
-        return self._daily_variance * np.einsum("ci,ci->c", self.rows, self.rows)
+        for array in (rows, self.z_means, self.exact_variances, self.means, self.day_variances):
+            if array is not None:
+                array.flags.writeable = False
 
     def values(self, log_returns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Z = X @ B.T, into out if given."""
         # not BLAS: a matrix product's bits of a row depend on the rows in it, einsum's do not
         return np.einsum("ij,cj->ic", log_returns, self.rows, out=out)
+
+
+# The calls of a form without weights share its _Controls per (model, n,
+# form): at most _SHARED_CONTROLS of them, of at most _SHARED_CONTROL_DAYS
+# days each, whose arrays (at most 4n doubles) then hold at most 2 MiB.
+_SHARED_CONTROLS = 16
+_SHARED_CONTROL_DAYS = 4096
+
+
+@functools.lru_cache(maxsize=_SHARED_CONTROLS)
+def _shared_controls(model: MarketModel, n: int, control: ControlSpec) -> _Controls:
+    return _Controls(model, n, control)
+
+
+def _controls(model: MarketModel, n: int, control: ControlSpec) -> _Controls:
+    """The _Controls of a call: shared where the form has no weights and n is
+    at most _SHARED_CONTROL_DAYS, else made for it."""
+    if control.weights is None and n <= _SHARED_CONTROL_DAYS:
+        return _shared_controls(model, n, control)
+    return _Controls(model, n, control)
 
 
 def check_arguments(
@@ -432,17 +452,19 @@ def _fill_rows(
     lo: int,
     hi: int,
     prices: np.ndarray,
+    one_lane: bool,
 ) -> None:
     """Payoffs into column 0 of rows and the fitted columns Z after it, from log-returns x.
 
     The prices go into prices, the (runs, n) view of a day-major buffer
     that the rows may share, so x stays intact for Z and the payoff sums
-    each run's days one after another. A lone run, whose view numpy would
-    sum pairwise, is priced as two equal rows. A non-finite payoff raises,
-    naming the runs lo..hi-1 of the batch.
+    each run's days one after another; their prefix sums go day by day
+    from the row count of the call's lanes (_prices). A lone run, whose
+    view numpy would sum pairwise, is priced as two equal rows. A
+    non-finite payoff raises, naming the runs lo..hi-1 of the batch.
     """
     paths, prices = (x, prices) if len(x) > 1 else (x[[0, 0]], np.empty((x.shape[1], 2)).T)
-    y = discounted_payoff(model, spec, prices_from_log_returns(model, paths, out=prices))
+    y = discounted_payoff(model, spec, _prices(model, paths, prices, one_lane))
     if not np.isfinite(y).all():
         strike = "" if spec.strike is None else f", strike {spec.strike}"
         raise ValueError(
@@ -559,7 +581,7 @@ def _simulate(
                     sampler = LogReturnSampler(model, n, seed)
                 x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
                 prices = space[: (hi - lo) * n].reshape(n, hi - lo).T
-                _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi, prices)
+                _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi, prices, not threaded)
                 held = piece
             return rows, x
 
@@ -696,7 +718,7 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
     """
     if variances is None:
         cov = acc.covariance()
-        denominators = np.diag(cov)[1:]
+        denominators = cov.diagonal()[1:]
     else:
         denominators = np.array(variances, dtype=float)
         if denominators.shape != (acc.dim - 1,):
@@ -740,8 +762,8 @@ def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> 
     double, as for variances far apart in scale."""
     # var_y * var_c is monotone in var_c: where both extremes give a finite
     # normal product, every control does, and each scale is sqrt(var_y * var_c)
-    extremes = (control_vars.min(), control_vars.max())
-    if all(sys.float_info.min <= float(var_y) * float(v) < math.inf for v in extremes):
+    var_y = float(var_y)
+    if sys.float_info.min <= var_y * float(control_vars.min()) and var_y * float(control_vars.max()) < math.inf:
         correlations = cross / np.sqrt(var_y * control_vars)
         return np.clip(correlations, -1.0, 1.0, out=correlations)
     with np.errstate(over="ignore"):
@@ -802,7 +824,7 @@ def cv_estimate(
     check_arguments(model, spec, control, runs, seed, pilot_fraction, batch_size)
     if control.form == FORM_NONE:
         return plain_estimate(model, spec, runs, seed, batch_size)
-    controls = _Controls(model, spec, control)
+    controls = _controls(model, spec.days_to_maturity, control)
     acc = MomentAccumulator(1 + len(controls.rows))  # [Y | Z] of the estimating runs
     # the per-day report of multi_log_returns: cov(Y, X(i)) over the estimating runs
     days = _DayCross(spec.days_to_maturity) if controls.daily else None
@@ -817,14 +839,15 @@ def cv_estimate(
     fitted, betas, notes = _fit(fit_on, controls, control.coefficient_source)
     if control.coefficient_source == SOURCE_IN_SAMPLE:
         notes.append("in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias")
-    variances = acc.variances()
-    var_y = variances[0]
-    estimate = float(acc.mean[0] + fitted @ (acc.mean[1:] - controls.z_means))
+    cov = acc.covariance()
+    var_y = cov[0, 0]
+    # the stored means, without the copies the public property makes
+    estimate = float(acc._mean[0] + fitted @ (acc._mean[1:] - controls.z_means))
     var_w = max(insample_variance(acc, fitted), 0.0)
     if days is None:
-        cross, control_vars = acc.cross()[1:], variances[1:]
+        cross, control_vars = cov[0, 1:], cov.diagonal()[1:]
     else:  # each day's sample cov(Y, X(i)) over its exact variance
-        cross, control_vars = days.cross(), np.full(controls.dim, model.daily_variance)
+        cross, control_vars = days.cross(), controls.day_variances
 
     ratio = var_w / var_y if var_y > 0.0 else 1.0
     correlations = _correlations(var_y, cross, control_vars)

@@ -32,9 +32,15 @@ _MAX_VOLATILITY = math.sqrt(sys.float_info.max)
 # Batches of at least this many paths take their prefix sums day by day
 # (prices_from_log_returns): below it np.cumsum's loop along each path is
 # faster. The crossover lay near 1000 paths for n from 5 to 252 days into
-# row-major prices; into the estimators' day-major ones it reads about
-# 250 to 400.
+# row-major prices. The estimators' two-lane calls keep it: the day loop
+# makes n - 1 np.add calls per piece, each of which releases and retakes
+# the GIL, and on two lanes those round trips wait for the other lane.
 _DAY_LOOP_ROWS = 1024
+# The same for a piece of an estimator call on one lane, where no other
+# lane waits for the GIL (_prices): whole one-lane calls read the day loop
+# faster from about 250 to 400 paths at n = 5 and 30, and within noise of
+# np.cumsum at n = 252 from 400 to 2000 runs.
+_ONE_LANE_DAY_LOOP_ROWS = 320
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,16 @@ def prices_from_log_returns(
     _DAY_LOOP_ROWS paths, day by day across the batch, which is faster
     there and gives the same bits.
     """
+    return _prices(model, log_returns, out)
+
+
+def _prices(
+    model: MarketModel, log_returns: np.ndarray, out: np.ndarray | None = None, one_lane: bool = False
+) -> np.ndarray:
+    """prices_from_log_returns; for a piece of an estimator call on one lane,
+    a batch of at least _ONE_LANE_DAY_LOOP_ROWS paths goes day by day."""
     x = np.asarray(log_returns, dtype=float)
-    if x.ndim == 2 and len(x) >= _DAY_LOOP_ROWS:
+    if x.ndim == 2 and len(x) >= (_ONE_LANE_DAY_LOOP_ROWS if one_lane else _DAY_LOOP_ROWS):
         prices = np.empty(x.shape) if out is None else out
         prices[:, :1] = x[:, :1]
         for day in range(1, x.shape[1]):

@@ -49,7 +49,7 @@ _SINGLE, _MULTI = f"{FORM_SINGLE}/{SOURCE_PILOT}", f"{FORM_MULTI}/{SOURCE_PILOT}
 # every estimator at short_paths' n = 30 with R = 20 000, and plain, pilot
 # cv-single and cv-multi and in-sample cv-multi at long_paths' n = 252 with
 # R = 5000, on two lanes; replications' one-block calls on the caller's
-# thread, with R on both sides of the 1024 rows from which the prices'
+# thread, with R on both sides of the 320 rows from which a one-lane piece's
 # prefix sums go day by day; and at R = 4000 the payoffs that read every
 # day's price.
 FOLDED = tuple(
@@ -57,7 +57,7 @@ FOLDED = tuple(
     for call in (
         *(f"{estimator}/{ASIAN_FIXED}/30/20000" for estimator in ESTIMATORS),
         *(f"{e}/{ASIAN_FIXED}/252/5000" for e in ("plain", _SINGLE, _MULTI, f"{FORM_MULTI}/{SOURCE_IN_SAMPLE}")),
-        *(f"{e}/{ASIAN_FIXED}/30/{r}" for r in (100, 250, 1000, 1023, 1024, 4000) for e in ("plain", _MULTI)),
+        *(f"{e}/{ASIAN_FIXED}/30/{r}" for r in (100, 250, 319, 320, 1000, 4000) for e in ("plain", _MULTI)),
         f"plain/{LOOKBACK_FLOATING}/30/4000",
         f"plain/{ASIAN_FLOATING}/30/4000",
     )

@@ -34,6 +34,7 @@ from cvmc import (
     plain_estimate,
     prices_from_log_returns,
 )
+import cvmc.model
 from cvmc import estimators
 from cvmc.estimators import (
     FORM_CUSTOM,
@@ -1538,10 +1539,35 @@ class TestPipeline:
     def test_prefix_sums_day_by_day_change_no_bit(self, monkeypatch, n):
         # 4500 runs at batch 777 and 4096: pieces of 4096, 777 and 404 rows,
         # on both sides of the row count from which the prices' sums go day by day
-        monkeypatch.setattr("cvmc.model._DAY_LOOP_ROWS", 2**62)
+        for threshold in ("_DAY_LOOP_ROWS", "_ONE_LANE_DAY_LOOP_ROWS"):
+            monkeypatch.setattr(f"cvmc.model.{threshold}", 2**62)
         short_only = lane_grid(4500, 777, n) | report_grid(4500, 4096, n)
-        monkeypatch.setattr("cvmc.model._DAY_LOOP_ROWS", 1)
+        for threshold in ("_DAY_LOOP_ROWS", "_ONE_LANE_DAY_LOOP_ROWS"):
+            monkeypatch.setattr(f"cvmc.model.{threshold}", 1)
         assert lane_grid(4500, 777, n) | report_grid(4500, 4096, n) == short_only
+
+    def test_pieces_take_the_prefix_sums_of_their_lanes(self, monkeypatch):
+        # two lanes keep the day loop from 1024 rows, whose np.add calls
+        # would wait for the other lane's; one lane takes it from 320
+        routes = []
+        prices = estimators._prices
+
+        def recording_prices(model, x, out, one_lane):
+            threshold = cvmc.model._ONE_LANE_DAY_LOOP_ROWS if one_lane else cvmc.model._DAY_LOOP_ROWS
+            routes.append((len(x), "day loop" if len(x) >= threshold else "cumsum"))
+            return prices(model, x, out, one_lane)
+
+        monkeypatch.setattr(estimators, "_prices", recording_prices)
+        calls = draws_by_thread(monkeypatch)
+        long_spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
+        plain_estimate(MARKET, long_spec, 100_000, seed=11)
+        assert len(lane_blocks(calls)) == 2 and {route for _, route in routes} == {"cumsum"}
+        assert max(rows for rows, _ in routes) == 520
+        for runs, rows in ((20_000, 4096), (1000, 1000)):
+            routes.clear()
+            cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), runs, seed=11)
+            assert max(rows for rows, _ in routes) == rows
+            assert {route for r, route in routes if r >= 320} == {"day loop"}
 
     def test_lanes_that_wait_for_each_other_change_no_bit(self, monkeypatch):
         # one-row pieces, and the threads switch as often as they can
@@ -1696,7 +1722,7 @@ class TestPipeline:
     def test_one_block_calls_run_on_the_callers_thread(self, monkeypatch):
         # the calls of the replications workload, whose bits bit_contract.FOLDED pins
         calls = draws_by_thread(monkeypatch)
-        for runs in (100, 250, 1000, 1023, 1024, 4000):
+        for runs in (100, 250, 319, 320, 1000, 4000):
             plain_estimate(MARKET, ASIAN, runs, seed=11)
             cv_estimate(MARKET, ASIAN, ControlSpec(form=FORM_MULTI), runs, seed=11)
         for kind in (LOOKBACK_FLOATING, ASIAN_FLOATING):
@@ -1726,7 +1752,7 @@ class TestPipeline:
     @pytest.mark.parametrize("n", [30, 252])
     def test_custom_control_of_a_run_does_not_depend_on_batch_size(self, monkeypatch, n):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
-        controls = estimators._Controls(MARKET, spec, ControlSpec(form=FORM_CUSTOM, weights=np.linspace(0.5, 1.5, n)))
+        controls = estimators._Controls(MARKET, n, ControlSpec(form=FORM_CUSTOM, weights=np.linspace(0.5, 1.5, n)))
         add_batch = MomentAccumulator.add_batch
 
         def per_run(batch_size):
@@ -1891,10 +1917,10 @@ class TestPipeline:
             market, message = MARKET, r"non-finite payoff in runs 8192\.\.12287 "
             fill = estimators._fill_rows
 
-            def failing_in_block_2(model, spec, controls, x, rows, lo, hi, prices):
+            def failing_in_block_2(model, spec, controls, x, rows, lo, hi, prices, one_lane):
                 if lo // STREAM_BLOCK_ROWS == 2:
                     x[0, 0] = np.inf
-                return fill(model, spec, controls, x, rows, lo, hi, prices)
+                return fill(model, spec, controls, x, rows, lo, hi, prices, one_lane)
 
             monkeypatch.setattr(estimators, "_fill_rows", failing_in_block_2)
         calls = draws_by_thread(monkeypatch)
@@ -1974,8 +2000,8 @@ class TestPipeline:
         # payoffs of about 1e160 from this block on: their squared deviations overflow
         fill = estimators._fill_rows
 
-        def huge_from_block(model, spec, controls, x, rows, lo, hi, prices):
-            fill(model, spec, controls, x, rows, lo, hi, prices)
+        def huge_from_block(model, spec, controls, x, rows, lo, hi, prices, one_lane):
+            fill(model, spec, controls, x, rows, lo, hi, prices, one_lane)
             if lo // STREAM_BLOCK_ROWS >= block:
                 rows[:, 0] *= 1e160
 
@@ -2057,3 +2083,49 @@ class TestPipeline:
                 child.kill()
                 child.join()
         assert child.exitcode == 0
+
+
+class TestSharedControls:
+    """The calls of a form without weights share its read-only _Controls per (model, n, form)."""
+
+    def test_changing_a_report_changes_no_bit_of_the_next_call(self):
+        control = ControlSpec(form=FORM_MULTI)
+        expected = report_bits(cv_estimate(MARKET, ASIAN, control, 1000, seed=5))
+        report = cv_estimate(MARKET, ASIAN, control, 1000, seed=5)
+        for array in (report.coefficients.values, report.coefficients.control_means, report.per_control_correlations):
+            array[...] = 7.0
+        assert report_bits(cv_estimate(MARKET, ASIAN, control, 1000, seed=5)) == expected
+
+    def test_two_markets_at_one_n_get_their_own_controls(self):
+        other = MarketModel(initial_price=100.0, rate=0.01, volatility=0.4)
+        control = ControlSpec(form=FORM_MULTI)
+        for market in (MARKET, other, MARKET):
+            report = cv_estimate(market, ASIAN, control, 1000, seed=5)
+            assert np.all(report.coefficients.control_means == market.daily_mean)
+        assert estimators._controls(MARKET, 30, control) is not estimators._controls(other, 30, control)
+
+    def test_custom_weights_at_one_n_give_their_own_z(self):
+        x = LogReturnSampler(MARKET, 30, 5).rows(0, 100)
+        values = [
+            estimators._controls(MARKET, 30, ControlSpec(form=FORM_CUSTOM, weights=w)).values(x)
+            for w in (np.linspace(0.5, 1.5, 30), np.linspace(1.5, 0.5, 30))
+        ]
+        assert not np.array_equal(*values)
+        assert np.allclose(values[1], x @ np.linspace(1.5, 0.5, 30)[:, None])
+
+    def test_the_shared_controls_are_read_only_and_bounded(self):
+        for n in range(1, 3 * estimators._SHARED_CONTROLS):
+            for form in (FORM_SINGLE, FORM_MULTI):
+                controls = estimators._controls(MARKET, n, ControlSpec(form=form))
+                for array in (controls.rows, controls.z_means, controls.exact_variances, controls.means):
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0.0
+        assert estimators._shared_controls.cache_info().currsize == estimators._SHARED_CONTROLS
+        # at most 4n doubles each
+        assert estimators._SHARED_CONTROLS * 4 * 8 * estimators._SHARED_CONTROL_DAYS <= 2**21
+        large = estimators._SHARED_CONTROL_DAYS + 1
+        before = estimators._shared_controls.cache_info()
+        first = estimators._controls(MARKET, large, ControlSpec(form=FORM_MULTI))
+        assert first is not estimators._controls(MARKET, large, ControlSpec(form=FORM_MULTI))
+        assert estimators._shared_controls.cache_info() == before

@@ -256,7 +256,7 @@ class TestTallBatches:
     place, into a fresh array or into an out of either layout."""
 
     @pytest.mark.parametrize("n", [1, 2, 30, 252])
-    @pytest.mark.parametrize("rows", [1, 1023, 1024, 4096])
+    @pytest.mark.parametrize("rows", [1, 319, 320, 1023, 1024, 4096])
     def test_both_prefix_sums_give_the_same_bits(self, monkeypatch, market, rows, n):
         x = LogReturnSampler(market, n, 17).rows(0, rows)
         untouched = x.copy()
@@ -277,6 +277,7 @@ class TestTallBatches:
 
     def test_the_threshold_is_the_default_between_the_sizes_checked(self):
         assert 1023 < model_module._DAY_LOOP_ROWS <= 1024
+        assert 319 < model_module._ONE_LANE_DAY_LOOP_ROWS <= 320
 
     @pytest.mark.parametrize("threshold", [SHORT_ONLY, TALL_ONLY])
     @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
