@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -102,6 +103,20 @@ _WEIGHTS = _of(
 _REQUIRED = object()
 
 
+class _ScenarioLoader(yaml.SafeLoader):
+    """yaml.safe_load's loader, which also reads 2e-1, 1e2 and 1.0e308 as
+    floats, as YAML 1.2 and JSON do: YAML 1.1 reads a number written with
+    an exponent as a float only with both a dot and an exponent sign
+    (2.0e-1), and as a string otherwise."""
+
+
+_ScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def _estimator(value, context: str) -> str:
     if value not in ESTIMATOR_NAMES:
         raise ScenarioError(f"{context}: unknown estimator {value!r}; expected one of {list(ESTIMATOR_NAMES)}")
@@ -179,7 +194,7 @@ def parse_scenario(text: str, runs: int | None = None, seed: int | None = None) 
     document's values; then the engine's check_arguments checks the values.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
     doc = _read(raw, "scenario")

@@ -8,17 +8,13 @@ from the main phase, which keeps the main-phase estimator exactly
 unbiased; the in-sample mode reuses the estimation sample and carries an
 O(1/R) bias.
 
-Runs are drawn in pieces, and moments are tracked in one pass, piece by
-piece, so large run counts never hold samples in memory. A piece holds
-at most _CHUNK_NORMALS normals and is cut at multiples of batch_size and
-of the stream's block size. A piece's prices go apart from its
-log-returns, which Z reads, into a day-major buffer, so the payoff
-reduces a run's days one after another, in an order that does not depend
-on the piece. The unit of the moments is the runs of one block that lie
-in one phase: their rows are folded into one accumulator of the unit,
-and the units are merged into their phases in run order. Every
-accumulator keeps the whole covariance of its rows, [Y | Z], the
-payoff and the k <= 2 fitted columns Z = X @ B.T, at most 3 wide. Both
+Runs are drawn in pieces and their moments tracked in one pass, so large
+run counts never hold samples in memory (_simulate: pieces, units, lanes
+and the window). A piece's prices go apart from its log-returns, which Z
+reads, into a day-major buffer, so the payoff reduces a run's days one
+after another, in an order that does not depend on the piece. Every
+accumulator keeps the whole covariance of its rows, [Y | Z], the payoff
+and the k <= 2 fitted columns Z = X @ B.T, at most 3 wide. Both
 coefficient sources take one pass and read the same way: with pilot
 coefficients the runs below the pilot count feed a pilot accumulator
 and the later runs the estimating one; in-sample every run feeds the
@@ -34,16 +30,11 @@ stored column by column. Every product of the moments is an einsum; the
 one BLAS-backed step left is the LAPACK solve of the fit.
 
 Drawing the normals is the largest stage, so a call that draws many
-(_THREADED_NORMALS or more) runs on two lanes, one-thread executors made
-per call. Block b of the stream goes to lane b mod 2, which turns each
-unit of its blocks into prices, payoffs, controls and moments; the
-caller's thread hands out the units in run order and merges them in that
-order, with at most _UNITS_AHEAD of them unmerged, so a call's memory
-does not grow with its run count (_simulate). A run's draws depend only
+(_THREADED_NORMALS or more) runs on two lanes. A run's draws depend only
 on (seed, j, n), every per-run number is computed within its own row,
-and the units and the order of their merge do not depend on the lanes,
-so the number of lanes changes no bit of any report, nor which
-exception a call raises.
+and the pieces, the units and the order of their merge do not depend on
+the lanes, so the number of lanes changes no bit of any report, nor
+which exception a call raises.
 """
 
 from __future__ import annotations
@@ -391,7 +382,10 @@ def check_arguments(
     integers, not bool or float: a bool is no count, and a float would fail
     deep inside the simulation with an error that names neither.
     pilot_fraction is a real number in (0, 1) always, not a bool. A rate
-    whose discount factor overflows is refused (discount_factor).
+    whose discount factor overflows is refused (discount_factor), as are
+    custom weights whose control's exact mean or variance overflows: their
+    sum times the daily mean, or their sum of squares times the daily
+    variance.
     """
     for name, value in (("runs", runs), ("batch_size", batch_size)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -406,11 +400,20 @@ def check_arguments(
     discount_factor(model, spec)  # a rate that overflows it is refused before any run
     if estimate and model.daily_variance == 0.0:
         raise ArgumentError("volatility", "degenerate control: zero volatility makes every log-return constant")
-    if estimate and control.form == FORM_CUSTOM and control.weights.size != spec.days_to_maturity:
-        raise ArgumentError(
-            "weights",
-            f"custom weights have length {control.weights.size}, contract has n={spec.days_to_maturity}",
-        )
+    if estimate and control.form == FORM_CUSTOM:
+        weights = control.weights
+        if weights.size != spec.days_to_maturity:
+            raise ArgumentError(
+                "weights", f"custom weights have length {weights.size}, contract has n={spec.days_to_maturity}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):  # the control's exact mean and variance
+            exact = weights.sum() * model.daily_mean, np.einsum("i,i->", weights, weights) * model.daily_variance
+        if not np.isfinite(exact).all():
+            raise ArgumentError(
+                "weights",
+                "custom weights overflow floating point: their sum times the daily mean "
+                "or their sum of squares times the daily variance is not finite",
+            )
     if isinstance(pilot_fraction, bool) or not isinstance(pilot_fraction, (float, int, np.floating, np.integer)):
         raise ArgumentError("pilot_fraction", f"pilot_fraction must be a real number, got {pilot_fraction!r}")
     if not 0.0 < pilot_fraction < 1.0:
@@ -461,7 +464,7 @@ def _fill_rows(
     each run's days one after another; their prefix sums go day by day
     from the row count of the call's lanes (_prices). A lone run, whose
     view numpy would sum pairwise, is priced as two equal rows. A
-    non-finite payoff raises, naming the runs lo..hi-1 of the batch.
+    non-finite payoff raises, naming the piece's runs lo..hi-1.
     """
     paths, prices = (x, prices) if len(x) > 1 else (x[[0, 0]], np.empty((x.shape[1], 2)).T)
     y = discounted_payoff(model, spec, _prices(model, paths, prices, one_lane))
@@ -492,125 +495,100 @@ def _simulate(
     runs: int,
     batch_size: int,
     controls: _Controls | None,
-    phases: list[tuple[int, MomentAccumulator]],
-    days: _DayCross | None = None,
+    phases: list[tuple[int, MomentAccumulator, _DayCross | None]],
 ) -> None:
-    """Simulate runs 0..runs-1 and fold their moment rows into the phases' accumulators.
+    """Simulate runs 0..runs-1 and fold their moments into the phases' accumulators.
 
-    phases lists (end, acc) in run order, the last end being runs: a phase
-    takes the runs from the previous phase's end up to its own, and acc
-    their rows [Y | Z], the payoffs in column 0 and the k fitted columns Z
-    of controls after them (none without controls). days, if given, takes
-    the per-day cross moments of the last phase's runs, from their payoffs
-    and log-returns, unit by unit as acc does.
+    phases lists (end, acc, cross) in run order, the last end being runs:
+    a phase takes the runs from the previous phase's end up to its own,
+    acc their rows [Y | Z], the payoffs and the k fitted columns Z of
+    controls (none without controls), and cross, unless it is None, their
+    per-day cross moments from the payoffs and log-returns.
 
-    The runs are drawn in pieces: they are cut at multiples of batch_size
-    and of STREAM_BLOCK_ROWS, and the parts into pieces of at most
-    _CHUNK_NORMALS normals. The unit of the moments is the runs of one
-    block that lie in one phase: unit folds the part of each of its pieces
-    that lies in the phase by add_batch into one fresh accumulator, and
-    this thread merges the units into their phases in run order. A piece
-    that a phase boundary cuts is drawn once and serves the units on both
-    sides.
+    A piece, the runs lo..hi-1 that a lane draws and turns into rows at
+    once, is cut at multiples of batch_size and of STREAM_BLOCK_ROWS, and
+    the parts into at most _CHUNK_NORMALS normals: the cuts set the
+    rounding of the moments, so neither the lanes nor the phases move
+    them. A unit is the runs of one block that lie in one phase, folded
+    piece by piece into fresh accumulators, and this thread merges the
+    units into their phases in run order, so no lane changes the order of
+    a sum. A piece that a phase boundary cuts is drawn once and serves
+    both sides.
 
     A call that draws at least _THREADED_NORMALS normals over more than
-    one block runs on two lanes. Lane b, a one-thread executor, computes
-    the units of the blocks b, b + 2, ..., so its sampler walks them in
-    order without re-keying; any other call has one lane, this thread.
-    Either way the units are handed out in run order, each to the lane of
-    its block (submitted on two lanes, deferred on one), and wait in one
-    window of at most _UNITS_AHEAD unmerged units, which spans the phase
-    boundaries: each unit carries its phase, and before it hands out
-    another, this thread merges the oldest, which on one lane it computes
-    first. So a call holds at most _UNITS_AHEAD unit accumulators, however
-    many runs it has, and the first failure in run order is the one
-    raised, as on one lane. A lane starts no unit beyond the window after
-    a failure: the executors, made per call, are shut down and their
-    queued tasks dropped before this returns or raises. Lane 0 keeps to
-    the CPU this thread runs on at the start of the call and lane 1 to the
-    others, if this thread may run on more than one: unpinned, a 2-vCPU
-    VM's scheduler kept both on one vCPU for whole runs of calls. Each
-    lane computes in a copy of this thread's context, so numpy's error
-    state (np.errstate) is the caller's. The lanes change only who
-    computes a unit: the units and the order of their merge are the same.
-
-    Each lane has one buffer of one piece, reused from piece to piece: n
-    wide for the log-returns, then max(n, 1 + k) wide for the prices, day
-    by day, and after the payoffs for the moment rows, column by column.
+    one block runs on two lanes, one-thread executors made per call; lane
+    b computes the units of the blocks b, b + 2, ..., so its sampler walks
+    them in order without re-keying. Any other call has one lane, this
+    thread, below the cost of starting two. Either way the units wait, in
+    run order across the phases, in one window of at most _UNITS_AHEAD,
+    and this thread merges the oldest (on one lane, computes it) before it
+    hands out another: a call's memory does not grow with its run count,
+    and the first failure in run order is the one raised, as on one lane.
+    The executors drop their queued units and are shut down before this
+    returns or raises. Lane 0 keeps to the CPU this thread runs on at the
+    start and lane 1 to the others: unpinned, a 2-vCPU VM's scheduler kept
+    both on one vCPU for whole runs of calls. A lane computes in a copy of
+    this thread's context, so numpy's error state is the caller's.
     """
     n = spec.days_to_maturity
-    ends = [end for end, _ in phases]
-    starts = [0, *ends[:-1]]
-    accs = [acc for _, acc in phases]
+    starts = [0, *(end for end, _, _ in phases[:-1])]
     width = 1 + (len(controls.rows) if controls is not None else 0)  # [Y | Z]
     step = max(1, _CHUNK_NORMALS // n)
     size = min(step, batch_size, STREAM_BLOCK_ROWS, runs)  # the longest piece
     threaded = runs * n >= _THREADED_NORMALS and runs > STREAM_BLOCK_ROWS
 
-    def piece_of(run: int) -> tuple[int, int, int, int]:
-        """The piece (lo, hi, batch_lo, batch_hi) that holds run; batch_lo..batch_hi-1
-        are the runs of its batch."""
-        block_lo = run - run % STREAM_BLOCK_ROWS
-        batch_lo = run - run % batch_size
-        batch_hi = min(batch_lo + batch_size, runs)
-        lo = run - (run - max(batch_lo, block_lo)) % step
-        return lo, min(lo + step, batch_hi, block_lo + STREAM_BLOCK_ROWS), batch_lo, batch_hi
-
     def lane() -> Callable:
-        """fill(piece) -> the piece's moment rows and its log-returns, in a
-        buffer of this lane's own. It draws them unless it holds them
-        already; its sampler is keyed on the thread that first fills."""
+        """This lane's unit(lo, hi, phase) -> (phase, acc, cross), the moments of
+        runs lo..hi-1 of phases[phase] in fresh accumulators. Its sampler is
+        keyed on the thread of the lane's first piece."""
         sampler, held, x = None, None, None  # held: the piece whose rows the buffer holds, x its draws
-        # One allocation: glibc raises its trim threshold to twice the largest
-        # mmapped block freed, which two such blocks freed together reached, so
-        # the heap was trimmed and faulted in again on every call (about 23 900
-        # minor page faults per pass of the replications benchmark; none now).
+        # One allocation, n wide for the log-returns, then max(n, 1 + k) for the
+        # day-major prices and, after the payoffs, the rows: glibc raises its
+        # trim threshold to twice the largest mmapped block freed, which two
+        # such blocks freed together reached, so the heap was trimmed and
+        # faulted in again on every call (about 23 900 minor page faults per
+        # pass of the replications benchmark; none now).
         buffer = np.empty(size * (n + max(n, width)))
         x_buffer = buffer[: size * n].reshape(size, n)
         space = buffer[size * n :]
         # column by column, so that a column of a piece's rows is contiguous
-        row_buffer = space[: size * width].reshape(width, size).T
+        rows = space[: size * width].reshape(width, size).T
 
-        def fill(piece: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+        def unit(lo: int, hi: int, phase: int) -> tuple[int, MomentAccumulator, _DayCross | None]:
             nonlocal sampler, held, x
-            lo, hi, batch_lo, batch_hi = piece
-            rows = row_buffer[: hi - lo]
-            if held != piece:
-                held = None
-                if sampler is None:
-                    sampler = LogReturnSampler(model, n, seed)
-                x = sampler.rows(lo, hi, out=x_buffer[: hi - lo])
-                prices = space[: (hi - lo) * n].reshape(n, hi - lo).T
-                _fill_rows(model, spec, controls, x, rows, batch_lo, batch_hi, prices, not threaded)
-                held = piece
-            return rows, x
+            acc = MomentAccumulator(width)
+            cross = None if phases[phase][2] is None else _DayCross(n)
+            while lo < hi:
+                block_lo, batch_lo = lo - lo % STREAM_BLOCK_ROWS, lo - lo % batch_size
+                a = lo - (lo - max(block_lo, batch_lo)) % step  # the piece a..b-1 holds run lo
+                b = min(a + step, batch_lo + batch_size, block_lo + STREAM_BLOCK_ROWS, runs)
+                if held != (a, b):
+                    held = None
+                    if sampler is None:
+                        sampler = LogReturnSampler(model, n, seed)
+                    x = sampler.rows(a, b, out=x_buffer[: b - a])
+                    prices = space[: (b - a) * n].reshape(n, b - a).T
+                    _fill_rows(model, spec, controls, x, rows[: b - a], a, b, prices, not threaded)
+                    held = a, b
+                part = slice(lo - a, min(b, hi) - a)
+                lo = min(b, hi)
+                try:
+                    acc.add_batch(rows[part])
+                    if cross is not None:
+                        cross.add_batch(rows[part, 0], x[part])
+                except _Overflow:
+                    # with the phase's rows so far, as its merge would count them
+                    raise _overflow(lo - starts[phase]) from None
+            return phase, acc, cross
 
-        return fill
+        return unit
 
-    def unit(fill: Callable, lo: int, hi: int, phase: int) -> tuple[MomentAccumulator, _DayCross | None]:
-        """The moments of runs lo..hi-1 of phase in fresh accumulators, piece by piece."""
-        acc = MomentAccumulator(width)
-        cross = _DayCross(n) if days is not None and phase == len(phases) - 1 else None
-        while lo < hi:
-            piece = piece_of(lo)
-            b = min(piece[1], hi)
-            rows, x = fill(piece)
-            part = slice(lo - piece[0], b - piece[0])
-            try:
-                acc.add_batch(rows[part])
-                if cross is not None:
-                    cross.add_batch(rows[part, 0], x[part])
-            except _Overflow:
-                # with the phase's rows so far, as its merge would count them
-                raise _overflow(b - starts[phase]) from None
-            lo = b
-        return acc, cross
-
-    def merge(phase: int, done: Callable) -> None:
-        acc, cross = done()
-        accs[phase].merge(acc)
+    def merge(done: Callable) -> None:
+        phase, acc, cross = done()
+        _, phase_acc, phase_cross = phases[phase]
+        phase_acc.merge(acc)
         if cross is not None:
-            days.merge(cross)
+            phase_cross.merge(cross)
 
     if threaded:
         # imported here: importing it takes about 10 ms, which every
@@ -618,30 +596,30 @@ def _simulate(
         from concurrent.futures import ThreadPoolExecutor
 
         others = _other_cpus()
-        lanes = [  # per lane: its fill, its copy of this thread's context and its executor
+        lanes = [  # per lane: its unit, its copy of this thread's context and its executor
             (lane(), contextvars.copy_context(), ThreadPoolExecutor(1, initializer=_run_on, initargs=(cpus,)))
             for cpus in (os.sched_getaffinity(0) - others if others else set(), others)
         ]
     else:
-        fill = lane()
+        unit = lane()
 
     def hand(lo: int, hi: int, phase: int) -> Callable:
-        """unit(fill, lo, hi, phase) on the lane of lo's block: submitted on two
+        """The unit of runs lo..hi-1 on the lane of lo's block: submitted on two
         lanes, deferred on one; calling what this returns gives its result."""
         if not threaded:
-            return functools.partial(unit, fill, lo, hi, phase)
-        lane_fill, context, executor = lanes[lo // STREAM_BLOCK_ROWS % 2]
-        return executor.submit(context.run, unit, lane_fill, lo, hi, phase).result
+            return functools.partial(unit, lo, hi, phase)
+        lane_unit, context, executor = lanes[lo // STREAM_BLOCK_ROWS % 2]
+        return executor.submit(context.run, lane_unit, lo, hi, phase).result
 
-    window = collections.deque()  # the unmerged units of every phase, in run order, with their phases
+    window = collections.deque()  # the unmerged units of every phase, in run order
     try:
-        for phase, (start, end) in enumerate(zip(starts, ends)):
+        for phase, (start, (end, _, _)) in enumerate(zip(starts, phases)):
             for lo in range(start - start % STREAM_BLOCK_ROWS, end, STREAM_BLOCK_ROWS):
                 if len(window) == _UNITS_AHEAD:
-                    merge(*window.popleft())
-                window.append((phase, hand(max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase)))
+                    merge(window.popleft())
+                window.append(hand(max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase))
         while window:
-            merge(*window.popleft())
+            merge(window.popleft())
     finally:
         if threaded:
             for _, _, executor in lanes:
@@ -690,7 +668,7 @@ def plain_estimate(
     """Plain Monte Carlo: mean of Y over `runs` independent paths."""
     check_arguments(model, spec, _PLAIN, runs, seed, batch_size=batch_size)
     acc = MomentAccumulator(1)
-    _simulate(model, spec, seed, runs, batch_size, None, [(runs, acc)])
+    _simulate(model, spec, seed, runs, batch_size, None, [(runs, acc, None)])
     variance = acc.variances()[0]
     return EstimatorReport(
         estimate=float(acc.mean[0]),
@@ -831,11 +809,11 @@ def cv_estimate(
     if control.coefficient_source == SOURCE_PILOT:
         pilot_runs = math.ceil(pilot_fraction * runs)
         fit_on = MomentAccumulator(acc.dim)
-        phases = [(pilot_runs, fit_on), (runs, acc)]
+        phases = [(pilot_runs, fit_on, None), (runs, acc, days)]
     else:
-        pilot_runs, fit_on, phases = 0, acc, [(runs, acc)]
+        pilot_runs, fit_on, phases = 0, acc, [(runs, acc, days)]
     main_runs = runs - pilot_runs
-    _simulate(model, spec, seed, runs, batch_size, controls, phases, days)
+    _simulate(model, spec, seed, runs, batch_size, controls, phases)
     fitted, betas, notes = _fit(fit_on, controls, control.coefficient_source)
     if control.coefficient_source == SOURCE_IN_SAMPLE:
         notes.append("in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias")

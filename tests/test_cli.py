@@ -112,6 +112,19 @@ class TestScenarioParsing:
             cli.parse_scenario(text + "custom_weights: [1.0, 2.0]\n")
 
 
+    def test_numbers_with_an_exponent_are_numbers(self, scenario_file, capsys):
+        # YAML 1.1 reads 2e-1 and 1e2 as strings; the scenario loader reads them as YAML 1.2 does
+        written = BASE_SCENARIO.replace("volatility: 0.2", "volatility: 2e-1").replace("strike: 100.0", "strike: 1e2")
+        outputs = []
+        for text in (BASE_SCENARIO, written):
+            assert cli.main(["compare", "--scenario", scenario_file(text), "--format", "csv"]) == cli.EXIT_OK
+            outputs.append(capsys.readouterr().out.encode())
+        assert outputs[0] == outputs[1]
+        with pytest.raises(cli.ScenarioError, match="^scenario.runs: expected an integer, got 100000.0$"):
+            cli.parse_scenario(BASE_SCENARIO.replace("runs: 2000", "runs: 1e5"))
+        with pytest.raises(cli.ScenarioError, match="^market.volatility: expected a number, got '0.2'$"):
+            cli.parse_scenario(BASE_SCENARIO.replace("volatility: 0.2", 'volatility: "0.2"'))
+
     def test_no_section_prefix_is_doubled(self):
         with pytest.raises(cli.ScenarioError, match="^market.volatility: missing required field$"):
             cli.parse_scenario(BASE_SCENARIO.replace("  volatility: 0.2\n", ""))
@@ -131,6 +144,10 @@ ENGINE_REFUSED = {
         BASE_SCENARIO.replace("days_to_maturity: 30", "days_to_maturity: 3").replace("cv-multi", "custom")
         + "custom_weights: [.nan, 1, 1]\n",
         "scenario.custom_weights: weights must be finite",
+    ),
+    "overflowing-weights": (
+        BASE_SCENARIO.replace("cv-multi", "custom") + "custom_weights: [" + ", ".join(["1.0e+308"] * 30) + "]\n",
+        "scenario.custom_weights: custom weights overflow floating point",
     ),
     "zero-weights": (
         BASE_SCENARIO.replace("days_to_maturity: 30", "days_to_maturity: 3").replace("cv-multi", "custom")
@@ -270,6 +287,22 @@ class TestMainPrice:
         err = json.loads(line)
         assert err["error_class"] == "validation"
         assert err["message"] == "market.rate: rate -1000.0 over 252 days overflows the discount factor exp(1000) in floating point"
+
+    @pytest.mark.parametrize("weight", ["1.0e+308", "1e155"])
+    def test_custom_weights_that_overflow_print_one_json_error(self, scenario_file, weight):
+        # in a fresh interpreter a numpy overflow warning would reach stderr too
+        text = BASE_SCENARIO.replace("cv-multi", "custom") + "custom_weights: [" + ", ".join([weight] * 30) + "]\n"
+        argv = [sys.executable, "-m", "cvmc", "price", "--scenario", scenario_file(text)]
+        out = subprocess.run(argv, capture_output=True, text=True)
+        assert out.returncode == cli.EXIT_VALIDATION
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        err = json.loads(line)
+        assert err["error_class"] == "validation"
+        assert err["message"] == (
+            "scenario.custom_weights: custom weights overflow floating point: their sum times the daily mean "
+            "or their sum of squares times the daily variance is not finite"
+        )
 
     def test_a_scenario_too_large_for_memory_prints_one_json_error(self, scenario_file):
         # 10^15 days: numpy refuses the petabyte arrays at once, touching no memory

@@ -650,7 +650,8 @@ class TestCvEstimate:
     def test_non_finite_payoffs_raise(self, market, kind, strike, form):
         model = MarketModel(*market)
         spec = ContractSpec(kind=kind, days_to_maturity=252, strike=strike)
-        with pytest.raises(ValueError, match=rf"non-finite payoff in runs 0\.\.999 of {kind} \(252 days"):
+        # batch 0..999 is cut into the pieces 0..519 and 520..999 (2^17 // 252 = 520 runs)
+        with pytest.raises(ValueError, match=rf"non-finite payoff in runs 0\.\.519 of {kind} \(252 days"):
             cv_estimate(model, spec, ControlSpec(form=form), 4000, seed=5, batch_size=1000)
         with pytest.raises(ValueError, match="non-finite payoff"):
             cv_estimate(
@@ -1347,6 +1348,27 @@ ZERO_VOLATILITY = MarketModel(initial_price=100.0, rate=0.05, volatility=0.0)
         pytest.param(
             dict(control=ControlSpec(FORM_CUSTOM, weights=np.ones(7))), "weights", "length 7, contract has n=30", id="weights-length"
         ),
+        # 30 weights of 1e308 overflow their sum, of 1e155 their squares, and
+        # of 2.4e153 their squares times a daily variance of 1.6; under the
+        # suite's error::RuntimeWarning a numpy warning on the way fails these
+        pytest.param(
+            dict(control=ControlSpec(FORM_CUSTOM, weights=np.full(30, 1e308))),
+            "weights",
+            "^custom weights overflow floating point: their sum times the daily mean or their sum of squares",
+            id="weights-sum-overflows",
+        ),
+        pytest.param(
+            dict(control=ControlSpec(FORM_CUSTOM, weights=np.full(30, 1e155))),
+            "weights",
+            "^custom weights overflow floating point",
+            id="weights-squares-overflow",
+        ),
+        pytest.param(
+            dict(model=MarketModel(100.0, 0.05, 20.0), control=ControlSpec(FORM_CUSTOM, weights=np.full(30, 2.4e153))),
+            "weights",
+            "^custom weights overflow floating point",
+            id="weights-variance-overflows",
+        ),
         pytest.param(dict(control=ControlSpec(FORM_MULTI), runs=10), "pilot_fraction", "^pilot split too small: 1 pilot / 9 main", id="split"),
         pytest.param(dict(pilot_fraction=1.5), "pilot_fraction", r"^pilot_fraction must be in \(0, 1\)", id="plain-fraction"),
         pytest.param(
@@ -1764,7 +1786,7 @@ class TestPipeline:
 
             monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
             acc = MomentAccumulator(2)
-            estimators._simulate(MARKET, spec, 3, 1100, batch_size, controls, [(1100, acc)])
+            estimators._simulate(MARKET, spec, 3, 1100, batch_size, controls, [(1100, acc, None)])
             return np.concatenate(values)
 
         reference = per_run(1100)
@@ -1794,9 +1816,50 @@ class TestPipeline:
         assert threading.active_count() == before
         model = MarketModel(1e307, 0.05, 50.0)
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
-        with pytest.raises(ValueError, match=r"non-finite payoff in runs 0\.\.999 "):
+        with pytest.raises(ValueError, match=r"non-finite payoff in runs 0\.\.519 "):
             cv_estimate(model, spec, ControlSpec(form=FORM_MULTI), 9000, seed=5, batch_size=1000)
         assert threading.active_count() == before
+
+    @staticmethod
+    def fail_from(monkeypatch, run):
+        """Make every piece that ends after run fail with a non-finite payoff."""
+        fill = estimators._fill_rows
+
+        def failing(model, spec, controls, x, rows, lo, hi, prices, one_lane):
+            if hi > run:
+                x[0, 0] = np.inf
+            return fill(model, spec, controls, x, rows, lo, hi, prices, one_lane)
+
+        monkeypatch.setattr(estimators, "_fill_rows", failing)
+
+    @pytest.mark.parametrize("form", [FORM_NONE, FORM_MULTI])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failure_names_the_runs_of_its_piece(self, monkeypatch, form):
+        # n = 252, R = 1000: two pieces of 520 and 480 runs; the pilot's 100
+        # runs and the first main ones share the first, which is drawn once
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
+        self.fail_from(monkeypatch, 520)
+        with pytest.raises(ValueError, match=r"non-finite payoff in runs 520\.\.999 of asian_fixed_strike "):
+            cv_estimate(MARKET, spec, ControlSpec(form=form), 1000, seed=5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failure_names_the_same_piece_on_one_lane_and_two(self, monkeypatch):
+        # n = 252, R = 20 000: every piece from block 1's second (4616..5135)
+        # on fails, on both lanes; the first in run order is raised
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=252, strike=100.0)
+        self.fail_from(monkeypatch, 5000)
+        calls = draws_by_thread(monkeypatch)
+        messages, lanes = [], []
+        for threshold in (2**62, 0):
+            monkeypatch.setattr(estimators, "_THREADED_NORMALS", threshold)
+            with pytest.raises(ValueError, match="non-finite payoff") as raised:
+                cv_estimate(MARKET, spec, ControlSpec(form=FORM_MULTI), 20000, seed=5)
+            messages.append(str(raised.value))
+            lanes.append(len(lane_blocks(calls)))
+            calls.clear()
+        assert lanes == [0, 2]
+        assert messages[0] == messages[1]
+        assert "non-finite payoff in runs 4616..5135 of asian_fixed_strike (252 days, strike 100.0)" in messages[0]
 
     def test_worker_exception_is_raised_by_the_caller(self, monkeypatch):
         rows = LogReturnSampler.rows
