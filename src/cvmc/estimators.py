@@ -9,12 +9,14 @@ unbiased; the in-sample mode reuses the estimation sample and carries an
 O(1/R) bias.
 
 Runs are drawn in pieces and their moments tracked in one pass, so large
-run counts never hold samples in memory (_simulate: pieces, units, lanes
-and the window). A piece's prices go apart from its log-returns, which Z
-reads, into a day-major buffer, so the payoff reduces a run's days one
-after another, in an order that does not depend on the piece. Every
-accumulator keeps the whole covariance of its rows, [Y | Z], the payoff
-and the k <= 2 fitted columns Z = X @ B.T, at most 3 wide. Both
+run counts never hold samples in memory; _simulate describes the walk
+(pieces, units, lanes and the window) once, with its reasons. A piece's
+prices go apart from its log-returns, which Z reads, into a day-major
+buffer, so the payoff reduces a run's days one after another, in an
+order that does not depend on the piece.
+
+Every accumulator keeps the whole covariance of its rows, [Y | Z], the
+payoff and the k <= 2 fitted columns Z = X @ B.T, at most 3 wide. Both
 coefficient sources take one pass and read the same way: with pilot
 coefficients the runs below the pilot count feed a pilot accumulator
 and the later runs the estimating one; in-sample every run feeds the
@@ -30,11 +32,8 @@ stored column by column. Every product of the moments is an einsum; the
 one BLAS-backed step left is the LAPACK solve of the fit.
 
 Drawing the normals is the largest stage, so a call that draws many
-(_THREADED_NORMALS or more) runs on two lanes. A run's draws depend only
-on (seed, j, n), every per-run number is computed within its own row,
-and the pieces, the units and the order of their merge do not depend on
-the lanes, so the number of lanes changes no bit of any report, nor
-which exception a call raises.
+(_THREADED_NORMALS or more) runs on two lanes, and the number of lanes
+changes no bit of any report, nor which exception a call raises.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (
-    STREAM_BLOCK_ROWS, ArgumentError, LogReturnSampler, MarketModel, _prices, check_seed, positive_integer,
+    STREAM_BLOCK_ROWS, ArgumentError, LogReturnSampler, MarketModel, _prices, check_seed, is_real, positive_integer,
 )
 from .payoffs import ContractSpec, discount_factor, discounted_payoff
 
@@ -414,7 +413,7 @@ def check_arguments(
                 "custom weights overflow floating point: their sum times the daily mean "
                 "or their sum of squares times the daily variance is not finite",
             )
-    if isinstance(pilot_fraction, bool) or not isinstance(pilot_fraction, (float, int, np.floating, np.integer)):
+    if not is_real(pilot_fraction):
         raise ArgumentError("pilot_fraction", f"pilot_fraction must be a real number, got {pilot_fraction!r}")
     if not 0.0 < pilot_fraction < 1.0:
         raise ArgumentError("pilot_fraction", f"pilot_fraction must be in (0, 1), got {pilot_fraction}")
@@ -505,124 +504,119 @@ def _simulate(
     controls (none without controls), and cross, unless it is None, their
     per-day cross moments from the payoffs and log-returns.
 
-    A piece, the runs lo..hi-1 that a lane draws and turns into rows at
-    once, is cut at multiples of batch_size and of STREAM_BLOCK_ROWS, and
-    the parts into at most _CHUNK_NORMALS normals: the cuts set the
-    rounding of the moments, so neither the lanes nor the phases move
-    them. A unit is the runs of one block that lie in one phase, folded
-    piece by piece into fresh accumulators, and this thread merges the
-    units into their phases in run order, so no lane changes the order of
-    a sum. A piece that a phase boundary cuts is drawn once and serves
-    both sides.
+    A unit is one stream block of STREAM_BLOCK_ROWS runs, which one
+    generator draws in order, so a unit makes its own sampler at the cost of
+    one re-keying that the block needs anyway. unit(block, buffer) walks the
+    block's pieces from its first run: a piece, the runs drawn and turned
+    into rows at once in the lane's buffer, ends at the block's end, at the
+    next multiple of batch_size or after _CHUNK_NORMALS normals, whichever
+    comes first. Each piece is drawn once,
+    and its rows are folded, part by part, into a fresh accumulator (and
+    cross row, where the phase has one) of every phase that it overlaps, so
+    the pilot boundary cuts no piece. The unit returns them as
+    {phase: (acc, cross)}, and this thread merges each into its phase in
+    run order. Nothing that a unit leaves behind is read by another: the
+    next one overwrites the buffer before it reads it.
+
+    A run's draws depend only on (seed, j, n), every per-run number is
+    computed within its own row, and the cuts, which set the rounding of
+    the moments, the units and the order of their merge depend on neither
+    the lanes nor the phases. So the number of lanes changes no bit of any
+    report, nor which exception a call raises.
 
     A call that draws at least _THREADED_NORMALS normals over more than
-    one block runs on two lanes, one-thread executors made per call; lane
-    b computes the units of the blocks b, b + 2, ..., so its sampler walks
-    them in order without re-keying. Any other call has one lane, this
-    thread, below the cost of starting two. Either way the units wait, in
-    run order across the phases, in one window of at most _UNITS_AHEAD,
-    and this thread merges the oldest (on one lane, computes it) before it
-    hands out another: a call's memory does not grow with its run count,
-    and the first failure in run order is the one raised, as on one lane.
-    The executors drop their queued units and are shut down before this
-    returns or raises. Lane 0 keeps to the CPU this thread runs on at the
-    start and lane 1 to the others: unpinned, a 2-vCPU VM's scheduler kept
-    both on one vCPU for whole runs of calls. A lane computes in a copy of
-    this thread's context, so numpy's error state is the caller's.
+    one block runs on two lanes; any other call has one lane, this thread,
+    where starting two would cost about what the second core saves. A lane
+    is a one-thread executor made per call, lane b % 2 computing block b,
+    its copy of this thread's context, so that numpy's error state is the
+    caller's, and its one buffer, made here. Either way the units wait in
+    one window of at most _UNITS_AHEAD blocks, and this thread merges the
+    oldest (on one lane, computes it) before it hands out another: a call's
+    memory does not grow with its run count, and the first failure in run
+    order is the one raised, as on one lane. The executors drop their
+    queued units and are shut down before this returns or raises. Lane 0
+    keeps to the CPU this thread runs on at the start and lane 1 to the
+    others: unpinned, a 2-vCPU VM's scheduler kept both on one vCPU for
+    whole runs of calls.
     """
     n = spec.days_to_maturity
-    starts = [0, *(end for end, _, _ in phases[:-1])]
     width = 1 + (len(controls.rows) if controls is not None else 0)  # [Y | Z]
     step = max(1, _CHUNK_NORMALS // n)
     size = min(step, batch_size, STREAM_BLOCK_ROWS, runs)  # the longest piece
     threaded = runs * n >= _THREADED_NORMALS and runs > STREAM_BLOCK_ROWS
 
-    def lane() -> Callable:
-        """This lane's unit(lo, hi, phase) -> (phase, acc, cross), the moments of
-        runs lo..hi-1 of phases[phase] in fresh accumulators. Its sampler is
-        keyed on the thread of the lane's first piece."""
-        sampler, held, x = None, None, None  # held: the piece whose rows the buffer holds, x its draws
-        # One allocation, n wide for the log-returns, then max(n, 1 + k) for the
-        # day-major prices and, after the payoffs, the rows: glibc raises its
-        # trim threshold to twice the largest mmapped block freed, which two
-        # such blocks freed together reached, so the heap was trimmed and
-        # faulted in again on every call (about 23 900 minor page faults per
-        # pass of the replications benchmark; none now).
-        buffer = np.empty(size * (n + max(n, width)))
-        x_buffer = buffer[: size * n].reshape(size, n)
-        space = buffer[size * n :]
+    def unit(block: int, buffer: np.ndarray) -> dict[int, tuple[MomentAccumulator, _DayCross | None]]:
+        """The moments of block's runs, in fresh accumulators per phase: {phase: (acc, cross)}."""
+        x_buffer, space = buffer[: size * n].reshape(size, n), buffer[size * n :]
         # column by column, so that a column of a piece's rows is contiguous
         rows = space[: size * width].reshape(width, size).T
-
-        def unit(lo: int, hi: int, phase: int) -> tuple[int, MomentAccumulator, _DayCross | None]:
-            nonlocal sampler, held, x
-            acc = MomentAccumulator(width)
-            cross = None if phases[phase][2] is None else _DayCross(n)
-            while lo < hi:
-                block_lo, batch_lo = lo - lo % STREAM_BLOCK_ROWS, lo - lo % batch_size
-                a = lo - (lo - max(block_lo, batch_lo)) % step  # the piece a..b-1 holds run lo
-                b = min(a + step, batch_lo + batch_size, block_lo + STREAM_BLOCK_ROWS, runs)
-                if held != (a, b):
-                    held = None
-                    if sampler is None:
-                        sampler = LogReturnSampler(model, n, seed)
-                    x = sampler.rows(a, b, out=x_buffer[: b - a])
-                    prices = space[: (b - a) * n].reshape(n, b - a).T
-                    _fill_rows(model, spec, controls, x, rows[: b - a], a, b, prices, not threaded)
-                    held = a, b
-                part = slice(lo - a, min(b, hi) - a)
-                lo = min(b, hi)
-                try:
-                    acc.add_batch(rows[part])
-                    if cross is not None:
-                        cross.add_batch(rows[part, 0], x[part])
-                except _Overflow:
-                    # with the phase's rows so far, as its merge would count them
-                    raise _overflow(lo - starts[phase]) from None
-            return phase, acc, cross
-
-        return unit
+        sampler = LogReturnSampler(model, n, seed)
+        parts = {}
+        lo, hi = block * STREAM_BLOCK_ROWS, min((block + 1) * STREAM_BLOCK_ROWS, runs)
+        while lo < hi:
+            b = min(lo + step, lo - lo % batch_size + batch_size, hi)  # the piece lo..b-1
+            x = sampler.rows(lo, b, out=x_buffer[: b - lo])
+            prices = space[: (b - lo) * n].reshape(n, b - lo).T
+            _fill_rows(model, spec, controls, x, rows[: b - lo], lo, b, prices, not threaded)
+            start = 0
+            for phase, (end, _, phase_cross) in enumerate(phases):
+                if lo < end and start < b:
+                    if phase not in parts:
+                        parts[phase] = MomentAccumulator(width), None if phase_cross is None else _DayCross(n)
+                    acc, cross = parts[phase]
+                    part = slice(max(lo, start) - lo, min(b, end) - lo)
+                    try:
+                        acc.add_batch(rows[part])
+                        if cross is not None:
+                            cross.add_batch(rows[part, 0], x[part])
+                    except _Overflow:
+                        # with the phase's rows so far, as its merge would count them
+                        raise _overflow(min(b, end) - start) from None
+                start = end
+            lo = b
+        return parts
 
     def merge(done: Callable) -> None:
-        phase, acc, cross = done()
-        _, phase_acc, phase_cross = phases[phase]
-        phase_acc.merge(acc)
-        if cross is not None:
-            phase_cross.merge(cross)
+        for phase, parts in done().items():
+            for moments, part in zip(phases[phase][1:], parts):  # (acc, cross)
+                if part is not None:
+                    moments.merge(part)
 
+    # One allocation per lane, n wide for the log-returns, then max(n, 1 + k)
+    # for the day-major prices and, after the payoffs, the rows: glibc raises
+    # its trim threshold to twice the largest mmapped block freed, which two
+    # such blocks freed together reached, so the heap was trimmed and faulted
+    # in again on every call (about 23 900 minor page faults per pass of the
+    # replications benchmark; none now).
+    floats = size * (n + max(n, width))
     if threaded:
         # imported here: importing it takes about 10 ms, which every
         # command-line run would pay
         from concurrent.futures import ThreadPoolExecutor
 
         others = _other_cpus()
-        lanes = [  # per lane: its unit, its copy of this thread's context and its executor
-            (lane(), contextvars.copy_context(), ThreadPoolExecutor(1, initializer=_run_on, initargs=(cpus,)))
+        lanes = [  # per lane: its executor, its copy of this thread's context and its buffer
+            (ThreadPoolExecutor(1, initializer=_run_on, initargs=(cpus,)), contextvars.copy_context(), np.empty(floats))
             for cpus in (os.sched_getaffinity(0) - others if others else set(), others)
         ]
-    else:
-        unit = lane()
+    else:  # this thread, which computes each unit when its turn to merge comes
+        lanes = [(None, None, np.empty(floats))]
 
-    def hand(lo: int, hi: int, phase: int) -> Callable:
-        """The unit of runs lo..hi-1 on the lane of lo's block: submitted on two
-        lanes, deferred on one; calling what this returns gives its result."""
-        if not threaded:
-            return functools.partial(unit, lo, hi, phase)
-        lane_unit, context, executor = lanes[lo // STREAM_BLOCK_ROWS % 2]
-        return executor.submit(context.run, lane_unit, lo, hi, phase).result
-
-    window = collections.deque()  # the unmerged units of every phase, in run order
+    window = collections.deque()  # the unmerged units, in run order: what gives each its result
     try:
-        for phase, (start, (end, _, _)) in enumerate(zip(starts, phases)):
-            for lo in range(start - start % STREAM_BLOCK_ROWS, end, STREAM_BLOCK_ROWS):
-                if len(window) == _UNITS_AHEAD:
-                    merge(window.popleft())
-                window.append(hand(max(lo, start), min(lo + STREAM_BLOCK_ROWS, end), phase))
+        for block in range(-(-runs // STREAM_BLOCK_ROWS)):
+            if len(window) == _UNITS_AHEAD:
+                merge(window.popleft())
+            executor, context, buffer = lanes[block % len(lanes)]
+            if executor is None:
+                window.append(functools.partial(unit, block, buffer))
+            else:
+                window.append(executor.submit(context.run, unit, block, buffer).result)
         while window:
             merge(window.popleft())
     finally:
-        if threaded:
-            for _, _, executor in lanes:
+        for executor, _, _ in lanes:
+            if executor is not None:
                 executor.shutdown(cancel_futures=True)
 
 

@@ -29,13 +29,22 @@ STREAM_BLOCK_ROWS = 4096
 _SKIP_NORMALS = 2**20
 # The largest volatility whose square is finite (about 1.34e154).
 _MAX_VOLATILITY = math.sqrt(sys.float_info.max)
-# Batches of at least this many paths take their prefix sums day by day
-# (prices_from_log_returns): below it np.cumsum's loop along each path is
-# faster. The crossover lay near 1000 paths for n from 5 to 252 days into
-# row-major prices. The estimators' two-lane calls keep it: the day loop
-# makes n - 1 np.add calls per piece, each of which releases and retakes
-# the GIL, and on two lanes those round trips wait for the other lane.
+# A batch of at least _DAY_LOOP_ROWS paths and at most _DAY_LOOP_NORMALS
+# normals takes its prefix sums day by day (prices_from_log_returns), any
+# other np.cumsum's loop along each path. Whole calls into fresh row-major
+# prices on one CPU (min of 5 x 20, 2-vCPU VM) read the day loop at 0.4-0.6
+# of np.cumsum's time at n = 5 from 1024 to 26 214 paths, and at 0.8-0.9 at
+# n = 30 from 1024 to 4369. Past about 2^17 normals, 1 MiB of doubles, it
+# loses: x1.05 at 6000 x 30, x2.0 at 16 384 x 30, x2.6 at 4096 x 64 and
+# x2.1 at 4096 x 252. Within the cap it also loses where a path is 64 or
+# more days, x1.07-1.7 at n = 64 and x1.8-2.0 at 1024 x 128, a case the
+# cap leaves as it was. The estimators' pieces hold at most 2^17 normals
+# (_CHUNK_NORMALS), so the cap changes no route of theirs. Their two-lane
+# calls keep 1024 paths: the day loop makes n - 1 np.add calls per piece,
+# each of which releases and retakes the GIL, and on two lanes those round
+# trips wait for the other lane.
 _DAY_LOOP_ROWS = 1024
+_DAY_LOOP_NORMALS = 2**17
 # The same for a piece of an estimator call on one lane, where no other
 # lane waits for the GIL (_prices): whole one-lane calls read the day loop
 # faster from about 250 to 400 paths at n = 5 and 30, and within noise of
@@ -51,7 +60,7 @@ class MarketModel:
     per year divided by the number of trading days, and variance
     volatility^2 per year divided by the number of trading days.
 
-    Attributes:
+    Attributes (each of the three numbers a Python or numpy real, not a bool):
         initial_price: Spot price at day 0 (> 0).
         rate: Annualized risk-free rate, decimal (e.g. 0.05).
         volatility: Annualized volatility, decimal (>= 0; 0 gives the
@@ -68,6 +77,8 @@ class MarketModel:
     def __post_init__(self):
         for name in ("initial_price", "rate", "volatility"):
             value = getattr(self, name)
+            if not is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.initial_price <= 0:
@@ -114,6 +125,11 @@ class ArgumentError(ValueError):
         return ArgumentError, (self.argument, str(self))
 
 
+def is_real(value) -> bool:
+    """Whether value is a Python or numpy real number: an integer or a float, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def positive_integer(name: str, value) -> int:
     """value as an int; ValueError unless it is a Python or numpy integer >= 1, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -143,8 +159,8 @@ def prices_from_log_returns(
 
     The log-price of day i is ((X(1) + X(2)) + ...) + X(i), summed in that
     order on every path: by np.cumsum, or, for a batch of at least
-    _DAY_LOOP_ROWS paths, day by day across the batch, which is faster
-    there and gives the same bits.
+    _DAY_LOOP_ROWS paths and at most _DAY_LOOP_NORMALS normals, day by day
+    across the batch, which is faster there and gives the same bits.
     """
     return _prices(model, log_returns, out)
 
@@ -153,9 +169,11 @@ def _prices(
     model: MarketModel, log_returns: np.ndarray, out: np.ndarray | None = None, one_lane: bool = False
 ) -> np.ndarray:
     """prices_from_log_returns; for a piece of an estimator call on one lane,
-    a batch of at least _ONE_LANE_DAY_LOOP_ROWS paths goes day by day."""
+    a batch of at least _ONE_LANE_DAY_LOOP_ROWS paths, and at most
+    _DAY_LOOP_NORMALS normals, goes day by day."""
     x = np.asarray(log_returns, dtype=float)
-    if x.ndim == 2 and len(x) >= (_ONE_LANE_DAY_LOOP_ROWS if one_lane else _DAY_LOOP_ROWS):
+    least = _ONE_LANE_DAY_LOOP_ROWS if one_lane else _DAY_LOOP_ROWS
+    if x.ndim == 2 and len(x) >= least and x.size <= _DAY_LOOP_NORMALS:
         prices = np.empty(x.shape) if out is None else out
         prices[:, :1] = x[:, :1]
         for day in range(1, x.shape[1]):

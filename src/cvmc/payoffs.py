@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArgumentError, MarketModel, positive_integer
+from .model import ArgumentError, MarketModel, is_real, positive_integer
 
 ASIAN_FLOATING = "asian_floating_strike"
 ASIAN_FIXED = "asian_fixed_strike"
@@ -27,7 +27,8 @@ STRIKE_KINDS = frozenset({ASIAN_FIXED, EUROPEAN_CALL})
 @dataclass(frozen=True)
 class ContractSpec:
     """Contract terms: payoff kind, days to maturity, and strike if the
-    payoff uses one (asian_fixed_strike and european_call only)."""
+    payoff uses one (asian_fixed_strike and european_call only), a Python
+    or numpy real number, not a bool."""
 
     kind: str
     days_to_maturity: int
@@ -42,6 +43,8 @@ class ContractSpec:
         if self.kind in STRIKE_KINDS:
             if self.strike is None:
                 raise ValueError(f"{self.kind} requires a strike")
+            if not is_real(self.strike):
+                raise ValueError(f"strike must be a real number, got {self.strike!r}")
             if not math.isfinite(self.strike) or self.strike <= 0:
                 raise ValueError(f"strike must be > 0 and finite, got {self.strike!r}")
         elif self.strike is not None:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -1542,8 +1543,8 @@ class TestPipeline:
     @pytest.mark.parametrize("n", [30, 252])
     @pytest.mark.parametrize("pilot_fraction, pilot_runs", [(0.1, 4096), (0.2, 8192)])
     def test_a_pilot_boundary_on_a_block_edge_changes_no_bit(self, monkeypatch, n, pilot_fraction, pilot_runs):
-        # R = 40 960: the pilot ends at the first run of block 1 or 2, where
-        # both lanes draw the first piece of their next unit ahead
+        # R = 40 960: the pilot ends at the first run of block 1 or 2, so
+        # each block's unit folds the runs of one phase alone
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
 
         def report():
@@ -1622,31 +1623,33 @@ class TestPipeline:
         # Unit accumulators are the ones merged; a phase's is merged into.
         units = {id(acc) for event, acc in events if event == "merged"}
         unmerged = np.cumsum([1 if event == "made" else -1 for event, acc in events if id(acc) in units])
-        # a pilot-mode call has three units, the pilot's runs of block 0 and
-        # the main phase's of blocks 0 and 1, fewer than _UNITS_AHEAD: one
-        # window holds them across the pilot boundary, and each is merged
+        # a pilot-mode call has two units, blocks 0 and 1, with three unit
+        # accumulators: block 0's for the pilot's runs and the main phase's,
+        # block 1's for the main phase's; one window holds them across the
+        # pilot boundary, and each is merged
         assert unmerged.min() >= 0 and unmerged.max() <= min(3, estimators._UNITS_AHEAD) and unmerged[-1] == 0
 
     @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
     def test_the_window_spans_the_pilot_boundary_and_holds_at_most_units_ahead(self, monkeypatch):
         # 20 blocks on two lanes, and the pilot boundary, run 9831, inside
-        # block 2, whose piece serves the units on both sides of it. While
-        # lane 0 is held in block 0, lane 1 draws its blocks among the first
-        # _UNITS_AHEAD units, past the boundary (3 and 5), and no further;
-        # no more than _UNITS_AHEAD unit accumulators are ever unmerged.
+        # block 2, whose unit folds the runs on either side of it into an
+        # accumulator of their phase. While lane 0 is held in block 0, lane 1
+        # draws its blocks among the first _UNITS_AHEAD (1, 3, 5 and 7), and
+        # no further; no more than _UNITS_AHEAD blocks are ever unmerged.
         runs, fraction = 20 * STREAM_BLOCK_ROWS, 0.12
         control = ControlSpec(form=FORM_MULTI)
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 2**62)
         one_lane = report_bits(cv_estimate(MARKET, ASIAN, control, runs, seed=3, pilot_fraction=fraction))
         monkeypatch.setattr(estimators, "_THREADED_NORMALS", 0)
-        unit_blocks = [0, 1, 2, *range(2, 20)]  # the block of each unit, in run order
-        window = sorted({block for block in unit_blocks[: estimators._UNITS_AHEAD] if block % 2})
+        window = list(range(1, estimators._UNITS_AHEAD, 2))  # lane 1's blocks in the window
         odd = []  # the odd blocks drawn, in order
         held = []  # those drawn when lane 0's hold ended
+        drawn = {}  # per thread, the block it drew last
         rows = LogReturnSampler.rows
 
         def holding_rows(self, lo, hi, out=None):
             block = lo // STREAM_BLOCK_ROWS
+            drawn[threading.current_thread()] = block
             if block % 2:
                 odd.append(block)
             elif lo == 0:
@@ -1657,7 +1660,8 @@ class TestPipeline:
                 held.append(list(odd))
             return rows(self, lo, hi, out)
 
-        events = []  # ("made" or "merged", accumulator), in the order the lanes reach them
+        events = []  # ("made" or "merged", unit accumulator), in the order the lanes reach them
+        block_of = {}  # id of a unit accumulator -> its block
         merge, add_batch = MomentAccumulator.merge, MomentAccumulator.add_batch
 
         def recording_merge(self, other):
@@ -1665,7 +1669,8 @@ class TestPipeline:
             return merge(self, other)
 
         def recording_add_batch(self, xs):
-            if self.count == 0:
+            if self.count == 0:  # a unit's accumulator; a phase's is only merged into
+                block_of[id(self)] = drawn[threading.current_thread()]
                 events.append(("made", self))
             return add_batch(self, xs)
 
@@ -1674,11 +1679,33 @@ class TestPipeline:
         monkeypatch.setattr(MomentAccumulator, "add_batch", recording_add_batch)
         report = cv_estimate(MARKET, ASIAN, control, runs, seed=3, pilot_fraction=fraction)
         assert report.pilot_runs_used == 9831 and report_bits(report) == one_lane
-        assert held == [window] and odd == list(range(1, 20, 2))
-        units = {id(acc) for event, acc in events if event == "merged"}
-        assert len(units) == len(unit_blocks)
-        unmerged = np.cumsum([1 if event == "made" else -1 for event, acc in events if id(acc) in units])
-        assert unmerged.min() >= 0 and unmerged.max() <= estimators._UNITS_AHEAD and unmerged[-1] == 0
+        assert window == [1, 3, 5, 7] and held == [window] and odd == list(range(1, 20, 2))
+        # one accumulator per unit, two in the boundary block's
+        assert sorted(block_of.values()) == [0, 1, 2, *range(2, 20)]
+        unmerged = collections.Counter()  # per block, its accumulators made and not yet merged
+        most = 0
+        for event, acc in events:
+            unmerged[block_of[id(acc)]] += 1 if event == "made" else -1
+            most = max(most, sum(1 for count in unmerged.values() if count))
+        assert most <= estimators._UNITS_AHEAD and not any(unmerged.values())
+
+    @pytest.mark.parametrize("n, runs, pieces", [(30, 100, [(0, 100)]), (252, 1000, [(0, 520), (520, 1000)])])
+    @pytest.mark.parametrize("form", [FORM_SINGLE, FORM_MULTI])
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")  # 90 main runs at R = 100
+    def test_a_pilot_mode_call_draws_its_boundary_piece_once(self, monkeypatch, n, runs, pieces, form):
+        # the pilot boundary, run runs / 10, cuts the first piece, which is
+        # drawn once and folded into both phases
+        drawn = []
+        rows = LogReturnSampler.rows
+
+        def recording_rows(self, lo, hi, out=None):
+            drawn.append((lo, hi))
+            return rows(self, lo, hi, out)
+
+        monkeypatch.setattr(LogReturnSampler, "rows", recording_rows)
+        spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0)
+        report = cv_estimate(MARKET, spec, ControlSpec(form=form), runs, seed=5)
+        assert report.pilot_runs_used == runs // 10 and drawn == pieces
 
     def test_while_the_even_lane_is_held_the_odd_lane_folds_only_its_units_in_the_window(self, monkeypatch):
         # 11 blocks in one phase: while lane 0 is held in block 0, lane 1
@@ -1970,7 +1997,7 @@ class TestPipeline:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_failure_across_the_pilot_boundary_is_raised(self, monkeypatch, failure):
         # 50 000 runs: the pilot boundary, run 5000, is in lane 1's block 1,
-        # whose units on both sides of it wait in the one window. A degenerate
+        # whose unit folds the runs on both sides of it. A degenerate
         # pilot fit is raised after the pass; a payoff that fails in lane 0's
         # block 2, past the boundary, as it meets the merge. Either way the
         # call returns, and lane 1 has drawn.
@@ -2028,7 +2055,7 @@ class TestPipeline:
     @pytest.mark.parametrize("form", [FORM_NONE, FORM_SINGLE])
     def test_memory_does_not_grow_with_runs(self, form):
         # european_call at n = 1 on two lanes, plain and pilot-mode cv-single:
-        # 489 units against 1954 (one more with a pilot), of which at most
+        # 489 units against 1954, with a pilot or without, of which at most
         # _UNITS_AHEAD are held at a time, across the pilot boundary too
         spec = ContractSpec(kind="european_call", days_to_maturity=1, strike=100.0)
         control = ControlSpec(form=form)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cvmc import (
     ASIAN_FIXED,
+    EUROPEAN_CALL,
     ContractSpec,
     ControlSpec,
     LogReturnSampler,
@@ -15,6 +17,7 @@ from cvmc import (
     plain_estimate,
     prices_from_log_returns,
 )
+from cvmc import estimators
 from cvmc import model as model_module
 from cvmc.model import STREAM_BLOCK_ROWS, STREAM_CONTRACT_VERSION, check_seed
 
@@ -54,6 +57,23 @@ class TestMarketModel:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             MarketModel(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.2"], ids=["bool", "numpy-bool", "string"])
+    @pytest.mark.parametrize("field", ["initial_price", "rate", "volatility", "strike"])
+    def test_a_price_rate_volatility_or_strike_is_a_real_number_not_a_bool(self, field, value):
+        # the rule of pilot_fraction: a Python or numpy real, not a bool; the
+        # error names the field (a string failed in math.isfinite, a bool
+        # was taken as 1)
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            if field == "strike":
+                ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=5, strike=value)
+            else:
+                MarketModel(**{"initial_price": 100.0, "rate": 0.05, "volatility": 0.2, field: value})
+
+    def test_numpy_reals_are_numbers(self):
+        model = MarketModel(initial_price=np.float32(100.0), rate=np.int64(0), volatility=np.float64(0.2))
+        assert model.daily_variance == np.float64(0.2) ** 2 / 252
+        assert ContractSpec(kind=EUROPEAN_CALL, days_to_maturity=5, strike=np.int32(100)).strike == 100
 
     @pytest.mark.parametrize("days", [np.int64(250), np.int32(250), np.uint16(250)], ids=["int64", "int32", "uint16"])
     def test_numpy_integer_day_count_is_stored_as_int(self, days):
@@ -260,6 +280,7 @@ class TestTallBatches:
     def test_both_prefix_sums_give_the_same_bits(self, monkeypatch, market, rows, n):
         x = LogReturnSampler(market, n, 17).rows(0, rows)
         untouched = x.copy()
+        monkeypatch.setattr(model_module, "_DAY_LOOP_NORMALS", 2**62)  # the day loop at 4096 x 252 too
         monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", SHORT_ONLY)
         expected = prices_from_log_returns(market, x)
         monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", TALL_ONLY)
@@ -278,6 +299,29 @@ class TestTallBatches:
     def test_the_threshold_is_the_default_between_the_sizes_checked(self):
         assert 1023 < model_module._DAY_LOOP_ROWS <= 1024
         assert 319 < model_module._ONE_LANE_DAY_LOOP_ROWS <= 320
+        # no piece of an estimator call holds more normals than the cap
+        assert estimators._CHUNK_NORMALS <= model_module._DAY_LOOP_NORMALS
+
+    @pytest.mark.parametrize(
+        "rows, n, route",
+        [(4096, 252, "cumsum"), (4096, 32, "day loop"), (4097, 32, "cumsum"), (26214, 5, "day loop")],
+    )
+    def test_a_batch_of_more_than_2_17_normals_takes_np_cumsum(self, monkeypatch, market, rows, n, route):
+        # the day loop read x2.1 np.cumsum's time at 4096 x 252 into row-major prices
+        x = LogReturnSampler(market, n, 17).rows(0, rows)
+        shapes = []  # of the batches np.cumsum sums
+        cumsum = np.cumsum
+
+        def recording_cumsum(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", recording_cumsum)
+        prices = prices_from_log_returns(market, x)
+        assert shapes == ([(rows, n)] if route == "cumsum" else [])
+        for normals in (0, 2**62):  # np.cumsum, then the day loop, at any size
+            monkeypatch.setattr(model_module, "_DAY_LOOP_NORMALS", normals)
+            assert prices_from_log_returns(market, x).tobytes() == prices.tobytes()
 
     @pytest.mark.parametrize("threshold", [SHORT_ONLY, TALL_ONLY])
     @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
