@@ -31,8 +31,8 @@ runs of either source, O(runs * n), by the accumulators' pairwise update
 stored column by column. Every product of the moments is an einsum; the
 one BLAS-backed step left is the LAPACK solve of the fit.
 
-Drawing the normals is the largest stage, so a call that draws many
-(_THREADED_NORMALS or more) runs on two lanes, and the number of lanes
+Drawing the normals is the largest stage, so a call whose blocks draw
+enough of them (_simulate) runs on two lanes, and the number of lanes
 changes no bit of any report, nor which exception a call raises.
 """
 
@@ -77,9 +77,10 @@ DEFAULT_PILOT_FRACTION = 0.1
 # Most normals in one piece, the runs that a lane draws and turns into
 # moment rows at a time (1 MiB of doubles).
 _CHUNK_NORMALS = 2**17
-# A call that draws fewer normals runs on one lane: below about this,
-# starting the lanes costs what the second core saves.
+# A call of more than one block runs on two lanes where its first
+# _THREADED_RUNS runs draw at least _THREADED_NORMALS normals (_simulate).
 _THREADED_NORMALS = 2**19
+_THREADED_RUNS = 32 * STREAM_BLOCK_ROWS
 # Most units computed or queued ahead of the merge, four per lane.
 _UNITS_AHEAD = 8
 
@@ -126,9 +127,9 @@ class _Moments:
         else:
             self._merge(other.count, other._mean, other._m2)
 
-    def _check_batch(self, runs: int, mean: np.ndarray, *batch: np.ndarray) -> None:
-        """Raise ValueError where a batch's column means are not finite: NaN or inf in it, or a sum that overflows."""
-        if not np.isfinite(mean).all():
+    def _check_batch(self, runs: int, finite: bool, *batch: np.ndarray) -> None:
+        """Raise ValueError unless a batch's column means are finite: NaN or inf in it, or a sum that overflows."""
+        if not finite:
             if any(not np.isfinite(part).all() for part in batch):
                 raise ValueError(f"the batch of {runs} rows holds non-finite values (NaN or inf)")
             raise _overflow(self.count + runs)
@@ -176,11 +177,13 @@ class MomentAccumulator(_Moments):
         if runs == 0:
             return
         col_mean = np.einsum("ij->j", xs) / runs
-        self._check_batch(runs, col_mean, xs)
+        # the dim means and end rows tested as Python floats, the same tests
+        # as numpy's without a numpy call for each
+        self._check_batch(runs, all(map(math.isfinite, col_mean.tolist())), xs)
         # A constant column, whose last row equals its first, must yield exactly
         # zero variance: center it on its exact value, not the rounded mean.
-        if (xs[-1] == xs[0]).any():
-            col_mean = np.where(np.all(xs == xs[0], axis=0), xs[0], col_mean)
+        if any(map(float.__eq__, xs[-1].tolist(), xs[0].tolist())):
+            np.copyto(col_mean, xs[0], where=(xs == xs[0]).all(axis=0))
         centered = xs - col_mean
         # one einsum, not BLAS, whose bits of a sum depend on the other sums in the product
         self._merge(runs, col_mean, np.einsum("ij,ik->jk", centered, centered))
@@ -216,8 +219,8 @@ class _DayCross(_Moments):
 
     def add_batch(self, y: np.ndarray, x: np.ndarray) -> None:
         runs = len(y)
-        mean = np.concatenate((y.sum(keepdims=True), np.einsum("ij->j", x))) / runs
-        self._check_batch(runs, mean, y, x)
+        mean = np.concatenate((np.add.reduce(y, keepdims=True), np.einsum("ij->j", x))) / runs
+        self._check_batch(runs, np.isfinite(mean).all(), y, x)
         self._merge(runs, mean, np.einsum("i,ij->j", y - mean[0], x))
 
     def _outer(self, delta: np.ndarray, weight: float) -> np.ndarray:
@@ -315,9 +318,9 @@ class _Controls:
     exact_variances its exact variances. The report's controls are the n
     days themselves where daily (multi_log_returns, whose coefficients are
     fitted on the span of its rows), else the fitted columns; means are
-    their exact means, and day_variances, where daily, the days' exact
-    variance sigma_d^2. Every array is read-only, so that the calls of a
-    form without weights can share one (_controls).
+    their exact means; where daily, each day's exact variance is the one
+    sigma_d^2 of the model. Every array is read-only, so that the calls of
+    a form without weights can share one (_controls).
     """
 
     def __init__(self, model: MarketModel, n: int, control: ControlSpec):
@@ -333,11 +336,9 @@ class _Controls:
         self.z_means = model.daily_mean * rows.sum(axis=1)
         self.exact_variances = model.daily_variance * np.einsum("ci,ci->c", rows, rows)
         self.means = np.full(n, model.daily_mean) if self.daily else self.z_means
-        self.day_variances = np.full(n, model.daily_variance) if self.daily else None
         self.dim = len(self.means)
-        for array in (rows, self.z_means, self.exact_variances, self.means, self.day_variances):
-            if array is not None:
-                array.flags.writeable = False
+        for array in (rows, self.z_means, self.exact_variances, self.means):
+            array.flags.writeable = False
 
     def values(self, log_returns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Z = X @ B.T, into out if given."""
@@ -515,8 +516,11 @@ def _simulate(
     cross row, where the phase has one) of every phase that it overlaps, so
     the pilot boundary cuts no piece. The unit returns them as
     {phase: (acc, cross)}, and this thread merges each into its phase in
-    run order. Nothing that a unit leaves behind is read by another: the
-    next one overwrites the buffer before it reads it.
+    run order. On one lane, where each unit is computed just before its
+    merge, a unit folds into a phase's own accumulator and cross row while
+    they are empty instead: the merge would adopt fresh ones as they are.
+    Nothing that a unit leaves behind is read by another: the next one
+    overwrites the buffer before it reads it.
 
     A run's draws depend only on (seed, j, n), every per-run number is
     computed within its own row, and the cuts, which set the rounding of
@@ -524,9 +528,11 @@ def _simulate(
     the lanes nor the phases. So the number of lanes changes no bit of any
     report, nor which exception a call raises.
 
-    A call that draws at least _THREADED_NORMALS normals over more than
-    one block runs on two lanes; any other call has one lane, this thread,
-    where starting two would cost about what the second core saves. A lane
+    A call of more than one block whose first _THREADED_RUNS runs draw at
+    least _THREADED_NORMALS normals runs on two lanes; any other call has
+    one lane, this thread. A block's hand-off and its bookkeeping, which
+    holds the GIL, weigh against its draws: at n < 4 (fewer than 2^14
+    normals a block) two lanes lose at any run count. A lane
     is a one-thread executor made per call, lane b % 2 computing block b,
     its copy of this thread's context, so that numpy's error state is the
     caller's, and its one buffer, made here. Either way the units wait in
@@ -543,10 +549,10 @@ def _simulate(
     width = 1 + (len(controls.rows) if controls is not None else 0)  # [Y | Z]
     step = max(1, _CHUNK_NORMALS // n)
     size = min(step, batch_size, STREAM_BLOCK_ROWS, runs)  # the longest piece
-    threaded = runs * n >= _THREADED_NORMALS and runs > STREAM_BLOCK_ROWS
+    threaded = runs > STREAM_BLOCK_ROWS and min(runs, _THREADED_RUNS) * n >= _THREADED_NORMALS
 
     def unit(block: int, buffer: np.ndarray) -> dict[int, tuple[MomentAccumulator, _DayCross | None]]:
-        """The moments of block's runs, in fresh accumulators per phase: {phase: (acc, cross)}."""
+        """The moments of block's runs, per phase: {phase: (acc, cross)}."""
         x_buffer, space = buffer[: size * n].reshape(size, n), buffer[size * n :]
         # column by column, so that a column of a piece's rows is contiguous
         rows = space[: size * width].reshape(width, size).T
@@ -559,10 +565,11 @@ def _simulate(
             prices = space[: (b - lo) * n].reshape(n, b - lo).T
             _fill_rows(model, spec, controls, x, rows[: b - lo], lo, b, prices, not threaded)
             start = 0
-            for phase, (end, _, phase_cross) in enumerate(phases):
+            for phase, (end, phase_acc, phase_cross) in enumerate(phases):
                 if lo < end and start < b:
-                    if phase not in parts:
-                        parts[phase] = MomentAccumulator(width), None if phase_cross is None else _DayCross(n)
+                    if phase not in parts:  # the phase's own moments while empty on one lane, else fresh ones
+                        parts[phase] = (phase_acc, phase_cross) if not threaded and phase_acc.count == 0 else (
+                            MomentAccumulator(width), None if phase_cross is None else _DayCross(n))
                     acc, cross = parts[phase]
                     part = slice(max(lo, start) - lo, min(b, end) - lo)
                     try:
@@ -579,7 +586,7 @@ def _simulate(
     def merge(done: Callable) -> None:
         for phase, parts in done().items():
             for moments, part in zip(phases[phase][1:], parts):  # (acc, cross)
-                if part is not None:
+                if part is not None and part is not moments:
                     moments.merge(part)
 
     # One allocation per lane, n wide for the log-returns, then max(n, 1 + k)
@@ -663,9 +670,9 @@ def plain_estimate(
     check_arguments(model, spec, _PLAIN, runs, seed, batch_size=batch_size)
     acc = MomentAccumulator(1)
     _simulate(model, spec, seed, runs, batch_size, None, [(runs, acc, None)])
-    variance = acc.variances()[0]
+    variance = acc._m2[0, 0] / acc._denominator()  # covariance()[0, 0], without the matrix
     return EstimatorReport(
-        estimate=float(acc.mean[0]),
+        estimate=float(acc._mean[0]),
         standard_error=math.sqrt(variance / runs),
         runs_used=runs,
         empirical_variance_ratio=1.0,
@@ -695,10 +702,11 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
         denominators = np.array(variances, dtype=float)
         if denominators.shape != (acc.dim - 1,):
             raise ValueError(f"expected {acc.dim - 1} variances, got shape {denominators.shape}")
-    # the stored means, without the copy the public property makes
-    second_moment = denominators + acc._mean[1:] ** 2
-    usable = denominators > DEGENERATE_CONTROL_TOLERANCE * np.maximum(second_moment, 1e-300)
-    dropped = len(usable) - np.count_nonzero(usable)
+    # variance > tolerance * max(variance + mean^2, 1e-300) per control, in Python
+    # floats: numpy's IEEE operations, NaN included, without a numpy call for each
+    means = acc._mean[1:].tolist()  # the stored means, without the copy the public property makes
+    usable = [v > DEGENERATE_CONTROL_TOLERANCE * max(v + m * m, 1e-300) for v, m in zip(denominators.tolist(), means)]
+    dropped = usable.count(False)
     if dropped == len(usable):
         raise ValueError("degenerate control: every control variance is (numerically) zero")
     notes = []
@@ -707,7 +715,7 @@ def optimal_betas(acc: MomentAccumulator, variances: np.ndarray | None = None) -
         warnings.warn(notes[0])
     if variances is None and not dropped:  # the same solve, without the masks' copies
         return -np.linalg.solve(cov[1:, 1:], cov[1:, 0]), notes
-    betas = np.zeros(len(usable))
+    betas, usable = np.zeros(len(usable)), np.array(usable)
     if variances is None:
         betas[usable] = -np.linalg.solve(cov[1:, 1:][usable][:, usable], cov[1:, 0][usable])
     else:
@@ -728,25 +736,29 @@ def insample_variance(acc: MomentAccumulator, betas: np.ndarray) -> float:
     return float(cov[0, 0] + betas @ cov[1:, 1:] @ betas + 2.0 * (betas @ cov[1:, 0]))
 
 
-def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray) -> np.ndarray:
-    """corr(Y, C_i) from the moments, 0 where a variance is 0. The scale is
-    sqrt(var_y) * sqrt(var_c) where var_y * var_c is not a finite normal
-    double, as for variances far apart in scale."""
+def _correlations(var_y: float, cross: np.ndarray, control_vars: np.ndarray | np.floating) -> np.ndarray:
+    """corr(Y, C_i) from the moments, 0 where a variance is 0, clipped to
+    [-1, 1]; control_vars holds the controls' variances, or is a numpy
+    scalar where they are one. The scale is sqrt(var_y) * sqrt(var_c) where
+    var_y * var_c is not a finite normal double, as for variances far apart
+    in scale."""
     # var_y * var_c is monotone in var_c: where both extremes give a finite
     # normal product, every control does, and each scale is sqrt(var_y * var_c)
     var_y = float(var_y)
-    if sys.float_info.min <= var_y * float(control_vars.min()) and var_y * float(control_vars.max()) < math.inf:
+    low, high = (control_vars, control_vars) if np.isscalar(control_vars) else (control_vars.min(), control_vars.max())
+    if sys.float_info.min <= var_y * float(low) and var_y * float(high) < math.inf:
         correlations = cross / np.sqrt(var_y * control_vars)
-        return np.clip(correlations, -1.0, 1.0, out=correlations)
-    with np.errstate(over="ignore"):
-        product = var_y * control_vars
-    normal = np.isfinite(product) & (product >= np.finfo(float).tiny)
-    scale = np.where(normal, np.sqrt(product), np.sqrt(var_y) * np.sqrt(control_vars))
-    correlations = np.divide(cross, scale, out=np.zeros(len(cross)), where=scale > 0.0)
-    return np.clip(correlations, -1.0, 1.0, out=correlations)
+    else:
+        with np.errstate(over="ignore"):
+            product = var_y * control_vars
+        normal = np.isfinite(product) & (product >= np.finfo(float).tiny)
+        scale = np.where(normal, np.sqrt(product), np.sqrt(var_y) * np.sqrt(control_vars))
+        correlations = np.divide(cross, scale, out=np.zeros(len(cross)), where=scale > 0.0)
+    # np.clip's bits, NaN included, without its Python layers
+    return np.minimum(np.maximum(correlations, -1.0, out=correlations), 1.0, out=correlations)
 
 
-def _predicted(var_y: float, correlations: np.ndarray, control_vars: np.ndarray) -> float:
+def _predicted(var_y: float, correlations: np.ndarray, control_vars: np.ndarray | np.floating) -> float:
     """Variance ratio predicted from sample correlations, 1 - sum_i corr^2(Y, C_i)."""
     if var_y == 0.0:
         return 1.0
@@ -811,15 +823,14 @@ def cv_estimate(
     fitted, betas, notes = _fit(fit_on, controls, control.coefficient_source)
     if control.coefficient_source == SOURCE_IN_SAMPLE:
         notes.append("in_sample coefficients reuse the estimation runs; the estimator carries an O(1/R) bias")
-    cov = acc.covariance()
-    var_y = cov[0, 0]
     # the stored means, without the copies the public property makes
     estimate = float(acc._mean[0] + fitted @ (acc._mean[1:] - controls.z_means))
     var_w = max(insample_variance(acc, fitted), 0.0)
     if days is None:
-        cross, control_vars = cov[0, 1:], cov.diagonal()[1:]
-    else:  # each day's sample cov(Y, X(i)) over its exact variance
-        cross, control_vars = days.cross(), controls.day_variances
+        cov = acc.covariance()
+        var_y, cross, control_vars = cov[0, 0], cov[0, 1:], cov.diagonal()[1:]
+    else:  # each day's sample cov(Y, X(i)) over its exact variance, the one sigma_d^2
+        var_y, cross, control_vars = acc._m2[0, 0] / acc._denominator(), days.cross(), np.float64(model.daily_variance)
 
     ratio = var_w / var_y if var_y > 0.0 else 1.0
     correlations = _correlations(var_y, cross, control_vars)

@@ -29,26 +29,20 @@ STREAM_BLOCK_ROWS = 4096
 _SKIP_NORMALS = 2**20
 # The largest volatility whose square is finite (about 1.34e154).
 _MAX_VOLATILITY = math.sqrt(sys.float_info.max)
-# A batch of at least _DAY_LOOP_ROWS paths and at most _DAY_LOOP_NORMALS
-# normals takes its prefix sums day by day (prices_from_log_returns), any
-# other np.cumsum's loop along each path. Whole calls into fresh row-major
-# prices on one CPU (min of 5 x 20, 2-vCPU VM) read the day loop at 0.4-0.6
-# of np.cumsum's time at n = 5 from 1024 to 26 214 paths, and at 0.8-0.9 at
-# n = 30 from 1024 to 4369. Past about 2^17 normals, 1 MiB of doubles, it
-# loses: x1.05 at 6000 x 30, x2.0 at 16 384 x 30, x2.6 at 4096 x 64 and
-# x2.1 at 4096 x 252. Within the cap it also loses where a path is 64 or
-# more days, x1.07-1.7 at n = 64 and x1.8-2.0 at 1024 x 128, a case the
-# cap leaves as it was. The estimators' pieces hold at most 2^17 normals
-# (_CHUNK_NORMALS), so the cap changes no route of theirs. Their two-lane
-# calls keep 1024 paths: the day loop makes n - 1 np.add calls per piece,
-# each of which releases and retakes the GIL, and on two lanes those round
-# trips wait for the other lane.
+# A piece of an estimator call (_prices) of at least _DAY_LOOP_ROWS paths,
+# or _ONE_LANE_DAY_LOOP_ROWS where the call has one lane, takes its prefix
+# sums day by day across the piece, any other np.cumsum's loop along each
+# path; both give the same bits. Two lanes keep 1024 paths: the day loop
+# makes n - 1 np.add calls per piece, each of which releases and retakes
+# the GIL, and on two lanes those round trips wait for the other lane. On
+# one lane, whole calls read the day loop faster from about 250 to 400
+# paths at n = 5 and 30, and within noise of np.cumsum at n = 252 from 400
+# to 2000 runs. The public prices_from_log_returns takes np.cumsum alone:
+# into fresh row-major prices the day loop read x1.13-1.38 its time at
+# 1024 x 64 and x1.32-1.38 at 1024 x 128 (one CPU, min of 7 x 20), and
+# x2.0 at 16 384 x 30, past the 2^17 normals that bound an estimator's
+# piece (_CHUNK_NORMALS).
 _DAY_LOOP_ROWS = 1024
-_DAY_LOOP_NORMALS = 2**17
-# The same for a piece of an estimator call on one lane, where no other
-# lane waits for the GIL (_prices): whole one-lane calls read the day loop
-# faster from about 250 to 400 paths at n = 5 and 30, and within noise of
-# np.cumsum at n = 252 from 400 to 2000 runs.
 _ONE_LANE_DAY_LOOP_ROWS = 320
 
 
@@ -158,31 +152,29 @@ def prices_from_log_returns(
     included, or else into a fresh C-ordered array.
 
     The log-price of day i is ((X(1) + X(2)) + ...) + X(i), summed in that
-    order on every path: by np.cumsum, or, for a batch of at least
-    _DAY_LOOP_ROWS paths and at most _DAY_LOOP_NORMALS normals, day by day
-    across the batch, which is faster there and gives the same bits.
+    order on every path by np.cumsum; an estimator's pieces get the same
+    bits (_prices).
     """
-    return _prices(model, log_returns, out)
+    prices = np.cumsum(np.asarray(log_returns, dtype=float), axis=-1, out=out)
+    return np.multiply(np.exp(prices, out=prices), model.initial_price, out=prices)
 
 
 def _prices(
     model: MarketModel, log_returns: np.ndarray, out: np.ndarray | None = None, one_lane: bool = False
 ) -> np.ndarray:
-    """prices_from_log_returns; for a piece of an estimator call on one lane,
-    a batch of at least _ONE_LANE_DAY_LOOP_ROWS paths, and at most
-    _DAY_LOOP_NORMALS normals, goes day by day."""
+    """prices_from_log_returns for a piece of an estimator call, whose prefix
+    sums go day by day across a batch of at least _DAY_LOOP_ROWS paths, or
+    _ONE_LANE_DAY_LOOP_ROWS where the call has one lane."""
     x = np.asarray(log_returns, dtype=float)
-    least = _ONE_LANE_DAY_LOOP_ROWS if one_lane else _DAY_LOOP_ROWS
-    if x.ndim == 2 and len(x) >= least and x.size <= _DAY_LOOP_NORMALS:
+    if x.ndim == 2 and len(x) >= (_ONE_LANE_DAY_LOOP_ROWS if one_lane else _DAY_LOOP_ROWS):
         prices = np.empty(x.shape) if out is None else out
-        prices[:, :1] = x[:, :1]
-        for day in range(1, x.shape[1]):
-            np.add(prices[:, day - 1], x[:, day], out=prices[:, day])
-    else:
-        prices = np.cumsum(x, axis=-1, out=out)
-    np.exp(prices, out=prices)
-    prices *= model.initial_price
-    return prices
+        days, x_days = prices.T, x.T  # one view per day, made as the loop goes
+        days[0] = x_days[0]
+        for before, day, into in zip(days, x_days[1:], days[1:]):
+            np.add(before, day, out=into)
+    else:  # np.cumsum's own accumulate, without its Python layers
+        prices = np.add.accumulate(x, axis=-1, out=out)
+    return np.multiply(np.exp(prices, out=prices), model.initial_price, out=prices)
 
 
 class LogReturnSampler:
@@ -199,6 +191,7 @@ class LogReturnSampler:
         self.n = positive_integer("n", n)
         check_seed(seed)
         self.model = model
+        self._scale = model.daily_std, model.daily_mean  # of the standard normals
         self.seed = seed
         self._gen = None
         self._block = -1
@@ -239,6 +232,6 @@ class LogReturnSampler:
             self._gen.standard_normal(out=out[run - lo : run - lo + take])
             self._row += take
             run += take
-        out *= self.model.daily_std
-        out += self.model.daily_mean
+        out *= self._scale[0]
+        out += self._scale[1]
         return out

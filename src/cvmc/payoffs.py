@@ -85,17 +85,18 @@ def discounted_payoff(model: MarketModel, spec: ContractSpec, prices: np.ndarray
             f"path covers {prices.shape[-1]} days but contract has "
             f"{spec.days_to_maturity} days to maturity"
         )
-    terminal = prices[..., -1]
-    if spec.kind == ASIAN_FLOATING:
-        intrinsic = terminal - prices.mean(axis=-1)
-    elif spec.kind == ASIAN_FIXED:
-        intrinsic = prices.mean(axis=-1) - spec.strike
+    # the sums and divisions of prices.mean(axis=-1), and the minima of
+    # prices.min(axis=-1), bit for bit, without their Python layers
+    if spec.kind == ASIAN_FIXED:
+        intrinsic = np.add.reduce(prices, axis=-1) / spec.days_to_maturity - spec.strike
+    elif spec.kind == ASIAN_FLOATING:
+        intrinsic = prices[..., -1] - np.add.reduce(prices, axis=-1) / spec.days_to_maturity
     elif spec.kind == LOOKBACK_FLOATING:
         # The minimum includes day n, so the positive part never binds;
         # kept for safety against payoff variants that exclude it.
-        intrinsic = terminal - prices.min(axis=-1)
+        intrinsic = prices[..., -1] - np.minimum.reduce(prices, axis=-1)
     else:  # EUROPEAN_CALL
-        intrinsic = terminal - spec.strike
+        intrinsic = prices[..., -1] - spec.strike
     return discount_factor(model, spec) * np.maximum(intrinsic, 0.0)
 
 

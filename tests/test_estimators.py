@@ -1836,6 +1836,74 @@ class TestPipeline:
         assert caller not in dict(calls)
         assert lane_blocks(calls) == {frozenset({0}), frozenset({1})}
 
+    @pytest.mark.parametrize(
+        "n, runs, lanes",
+        [
+            (1, 1_000_000, 0),
+            (2, 500_000, 0),
+            (3, 400_000, 0),
+            (4, 131_071, 0),
+            (4, 131_072, 2),
+            (5, 104_857, 0),
+            (5, 104_858, 2),
+            (30, 17_476, 0),
+            (30, 17_477, 2),
+            (252, 4096, 0),
+            (252, 4097, 2),
+        ],
+    )
+    def test_two_lanes_only_where_the_first_32_blocks_draw_2_19_normals(self, monkeypatch, n, runs, lanes):
+        # two lanes where the first 32 blocks draw 2^19 normals or more, so a
+        # block of fewer than 2^14 normals (n < 4) is never handed off
+        calls = draws_by_thread(monkeypatch)
+        plain_estimate(MARKET, ContractSpec(kind=ASIAN_FIXED, days_to_maturity=n, strike=100.0), runs, seed=3)
+        assert len(lane_blocks(calls)) == lanes
+
+    @pytest.mark.filterwarnings("ignore:predicted variance ratio below:UserWarning")
+    def test_on_one_lane_a_phases_first_unit_folds_into_its_moments(self, monkeypatch):
+        # a call of one block merges nothing; a later block's unit is merged
+        merged = []
+        merge = MomentAccumulator.merge
+
+        def recording_merge(self, other):
+            merged.append(other)
+            return merge(self, other)
+
+        monkeypatch.setattr(MomentAccumulator, "merge", recording_merge)
+        calls = draws_by_thread(monkeypatch)
+        for source in (SOURCE_PILOT, SOURCE_IN_SAMPLE):
+            cv_estimate(MARKET, ASIAN, ControlSpec(FORM_MULTI, source), 4000, seed=3)
+        plain_estimate(MARKET, ASIAN, 4000, seed=3)
+        assert merged == []
+        plain_estimate(MARKET, ASIAN, 3 * STREAM_BLOCK_ROWS, seed=3)  # 368 640 normals: one lane
+        assert len(merged) == 2 and lane_blocks(calls) == set()
+
+    @pytest.mark.parametrize("threshold", [2**62, 0], ids=["one-lane", "two-lanes"])
+    @pytest.mark.parametrize("kind", sorted(CONTRACT_KINDS))
+    def test_each_runs_payoff_is_discounted_payoff_of_its_prices(self, monkeypatch, kind, threshold):
+        # pieces of 4096 runs (block 0) and of 1, 2, 319 or 320 (block 1), on
+        # one lane or a lane each: every piece's prices are day-major, and a
+        # lone run's are its two-equal-row stack
+        monkeypatch.setattr(estimators, "_THREADED_NORMALS", threshold)
+        spec = ContractSpec(kind=kind, days_to_maturity=30, strike=100.0 if kind in STRIKE_KINDS else None)
+        fill = estimators._fill_rows
+        pieces = []  # (log-returns, payoffs) of every piece
+
+        def recording_fill(model, spec, controls, x, rows, lo, hi, prices, one_lane):
+            fill(model, spec, controls, x, rows, lo, hi, prices, one_lane)
+            pieces.append((x.copy(), rows[:, 0].copy()))
+
+        monkeypatch.setattr(estimators, "_fill_rows", recording_fill)
+        calls = draws_by_thread(monkeypatch)
+        for tail in (1, 2, 319, 320):
+            plain_estimate(MARKET, spec, STREAM_BLOCK_ROWS + tail, seed=9)
+        assert sorted(len(x) for x, _ in pieces) == [1, 2, 319, 320, *[STREAM_BLOCK_ROWS] * 4]
+        assert len(lane_blocks(calls)) == (2 if threshold == 0 else 0)
+        for x, y in pieces:
+            stack = x if len(x) > 1 else x[[0, 0]]
+            prices = prices_from_log_returns(MARKET, stack, out=np.empty((30, len(stack))).T)
+            assert y.tobytes() == discounted_payoff(MARKET, spec, prices)[: len(x)].tobytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_worker_is_joined_after_return_and_raise(self):
         before = threading.active_count()

@@ -266,48 +266,45 @@ class TestBuildPath:
         assert np.allclose(log_returns_of(model, prices), xs, rtol=1e-10, atol=1e-12)
 
 
-# From this many paths a batch takes its prefix sums day by day; never and always.
+# From this many paths an estimator's piece takes its prefix sums day by day; never and always.
 SHORT_ONLY, TALL_ONLY = 2**62, 1
 
 
 class TestTallBatches:
-    """Batches of at least _DAY_LOOP_ROWS paths sum their log-prices day by
-    day; every price keeps the bits of np.cumsum's path-by-path sums, in
-    place, into a fresh array or into an out of either layout."""
+    """An estimator's pieces of at least _DAY_LOOP_ROWS paths (_prices) sum
+    their log-prices day by day; every price keeps the bits of np.cumsum's
+    path-by-path sums, which the public prices_from_log_returns takes at
+    every size, in place, into a fresh array or into an out of either
+    layout."""
 
     @pytest.mark.parametrize("n", [1, 2, 30, 252])
     @pytest.mark.parametrize("rows", [1, 319, 320, 1023, 1024, 4096])
     def test_both_prefix_sums_give_the_same_bits(self, monkeypatch, market, rows, n):
         x = LogReturnSampler(market, n, 17).rows(0, rows)
         untouched = x.copy()
-        monkeypatch.setattr(model_module, "_DAY_LOOP_NORMALS", 2**62)  # the day loop at 4096 x 252 too
-        monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", SHORT_ONLY)
         expected = prices_from_log_returns(market, x)
-        monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", TALL_ONLY)
-        fresh = prices_from_log_returns(market, x)
-        assert fresh.tobytes() == expected.tobytes() and x.tobytes() == untouched.tobytes()
         for threshold in (SHORT_ONLY, TALL_ONLY):
             monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", threshold)
+            fresh = model_module._prices(market, x)
+            assert fresh.tobytes() == expected.tobytes() and x.tobytes() == untouched.tobytes()
             in_place = untouched.copy()
-            assert prices_from_log_returns(market, in_place, out=in_place) is in_place
+            assert model_module._prices(market, in_place, out=in_place) is in_place
             assert in_place.tobytes() == expected.tobytes()
             # row-major, and the (rows, n) view of a day-major buffer, as the estimators' lanes pass
             for into in (np.empty_like(x), np.empty((n, rows)).T):
-                assert prices_from_log_returns(market, x, out=into) is into
-                assert into.tobytes() == expected.tobytes() and x.tobytes() == untouched.tobytes()
+                for prices in (prices_from_log_returns, model_module._prices):
+                    assert prices(market, x, out=into) is into
+                    assert into.tobytes() == expected.tobytes() and x.tobytes() == untouched.tobytes()
 
     def test_the_threshold_is_the_default_between_the_sizes_checked(self):
         assert 1023 < model_module._DAY_LOOP_ROWS <= 1024
         assert 319 < model_module._ONE_LANE_DAY_LOOP_ROWS <= 320
-        # no piece of an estimator call holds more normals than the cap
-        assert estimators._CHUNK_NORMALS <= model_module._DAY_LOOP_NORMALS
 
-    @pytest.mark.parametrize(
-        "rows, n, route",
-        [(4096, 252, "cumsum"), (4096, 32, "day loop"), (4097, 32, "cumsum"), (26214, 5, "day loop")],
-    )
-    def test_a_batch_of_more_than_2_17_normals_takes_np_cumsum(self, monkeypatch, market, rows, n, route):
-        # the day loop read x2.1 np.cumsum's time at 4096 x 252 into row-major prices
+    @pytest.mark.parametrize("rows, n", [(4096, 252), (4096, 32), (4097, 32), (26214, 5), (1024, 64), (1024, 128)])
+    def test_the_public_prices_take_np_cumsum_at_every_size(self, monkeypatch, market, rows, n):
+        # the day loop read x1.13-1.38 np.cumsum's time at 1024 x 64 and
+        # x1.32-1.38 at 1024 x 128 into fresh row-major prices; an
+        # estimator's pieces keep it
         x = LogReturnSampler(market, n, 17).rows(0, rows)
         shapes = []  # of the batches np.cumsum sums
         cumsum = np.cumsum
@@ -317,11 +314,10 @@ class TestTallBatches:
             return cumsum(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "cumsum", recording_cumsum)
+        monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", TALL_ONLY)
         prices = prices_from_log_returns(market, x)
-        assert shapes == ([(rows, n)] if route == "cumsum" else [])
-        for normals in (0, 2**62):  # np.cumsum, then the day loop, at any size
-            monkeypatch.setattr(model_module, "_DAY_LOOP_NORMALS", normals)
-            assert prices_from_log_returns(market, x).tobytes() == prices.tobytes()
+        assert shapes == [(rows, n)]
+        assert model_module._prices(market, x).tobytes() == prices.tobytes() and shapes == [(rows, n)]
 
     @pytest.mark.parametrize("threshold", [SHORT_ONLY, TALL_ONLY])
     @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
@@ -329,19 +325,21 @@ class TestTallBatches:
         monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", threshold)
         x = (np.arange(1200 * 5).reshape(1200, 5) % 3 - 1).astype(dtype)
         untouched = x.copy()
-        prices = prices_from_log_returns(market, x)
-        assert prices.dtype == np.float64 and prices is not x
-        assert x.dtype == dtype and np.array_equal(x, untouched)
         expected = 100.0 * np.exp(np.cumsum(untouched.astype(float), axis=-1))
-        assert prices.tobytes() == expected.tobytes()
+        for prices_of in (prices_from_log_returns, model_module._prices):
+            prices = prices_of(market, x)
+            assert prices.dtype == np.float64 and prices is not x
+            assert x.dtype == dtype and np.array_equal(x, untouched)
+            assert prices.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("threshold", [SHORT_ONLY, TALL_ONLY])
     def test_a_single_path_keeps_its_shape_and_bits(self, monkeypatch, market, threshold):
         monkeypatch.setattr(model_module, "_DAY_LOOP_ROWS", threshold)
         x = run_log_returns(market, 30, 4, 0)
-        prices = prices_from_log_returns(market, x)
-        assert prices.shape == (30,)
-        assert prices.tobytes() == (100.0 * np.exp(np.cumsum(x))).tobytes()
+        for prices_of in (prices_from_log_returns, model_module._prices):
+            prices = prices_of(market, x)
+            assert prices.shape == (30,)
+            assert prices.tobytes() == (100.0 * np.exp(np.cumsum(x))).tobytes()
 
     @pytest.mark.parametrize("threshold", [SHORT_ONLY, TALL_ONLY])
     def test_an_overflowing_batch_warns_and_its_payoffs_raise(self, monkeypatch, threshold):
@@ -350,9 +348,10 @@ class TestTallBatches:
         # every path within 30 days, while the discount factor stays normal
         huge = MarketModel(initial_price=1e308, rate=20.0, volatility=0.2)
         x = LogReturnSampler(huge, 30, 3).rows(0, 4096)
-        with pytest.warns(RuntimeWarning, match="overflow encountered"):
-            prices = prices_from_log_returns(huge, x)
-        assert np.isinf(prices[:, -1]).all() and np.isfinite(prices[:, 0]).all()
+        for prices_of in (prices_from_log_returns, model_module._prices):
+            with pytest.warns(RuntimeWarning, match="overflow encountered"):
+                prices = prices_of(huge, x)
+            assert np.isinf(prices[:, -1]).all() and np.isfinite(prices[:, 0]).all()
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=30, strike=1e308)
         with pytest.warns(RuntimeWarning, match="overflow encountered"):
             with pytest.raises(ValueError, match=r"non-finite payoff in runs 0\.\.4095 of asian_fixed_strike"):

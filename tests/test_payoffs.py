@@ -15,6 +15,7 @@ from cvmc import (
     black_scholes_call,
     discounted_payoff,
 )
+from cvmc.payoffs import discount_factor
 
 RISKLESS = MarketModel(initial_price=100.0, rate=0.0, volatility=0.2)
 MARKET = MarketModel(initial_price=100.0, rate=0.05, volatility=0.2)
@@ -169,6 +170,28 @@ class TestPayoffContracts:
                 MARKET, ContractSpec(kind=kind, days_to_maturity=n, strike=lo), path
             )
             assert rich >= cheap
+
+    @pytest.mark.parametrize("n", [1, 30, 252])
+    @pytest.mark.parametrize("runs", [1, 2, 250, 1000])
+    def test_the_payoffs_keep_the_bits_of_the_mean_and_min_methods(self, runs, n):
+        # rows, the (runs, n) view of a day-major buffer, and one path
+        rng = np.random.default_rng(runs * 1000 + n)
+        rows = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=(runs, n)), axis=1))
+        day_major = np.empty((n, runs)).T
+        day_major[...] = rows
+        for prices in (rows, day_major, rows[0]):
+            mean, least, terminal = prices.mean(axis=-1), prices.min(axis=-1), prices[..., -1]
+            intrinsic = {
+                ASIAN_FLOATING: terminal - mean,
+                ASIAN_FIXED: mean - 100.0,
+                LOOKBACK_FLOATING: terminal - least,
+                EUROPEAN_CALL: terminal - 100.0,
+            }
+            for kind, value in intrinsic.items():
+                strike = 100.0 if kind in (ASIAN_FIXED, EUROPEAN_CALL) else None
+                spec = ContractSpec(kind=kind, days_to_maturity=n, strike=strike)
+                expected = discount_factor(MARKET, spec) * np.maximum(value, 0.0)
+                assert np.asarray(discounted_payoff(MARKET, spec, prices)).tobytes() == np.asarray(expected).tobytes()
 
     def test_zero_rate_means_no_discounting(self):
         spec = ContractSpec(kind=ASIAN_FIXED, days_to_maturity=3, strike=95.0)
